@@ -15,8 +15,9 @@ queries) through four tiers of
   output, with recall/precision measured against the exact reference —
 
 and writes ``BENCH_approx.json`` with QPS, speedups, recall/precision,
-the sketch build cost (time and bytes, also under
-``report["phases"]``), and the filter counters.
+the sketch build cost per alpha (``build_seconds`` and bytes under
+``report["sketches"]``, their sum under ``report["phases"]``), and the
+filter counters.
 
 **Five hard gates** (the run exits non-zero on any failure):
 
@@ -29,18 +30,17 @@ the sketch build cost (time and bytes, also under
 3. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
    the headline cell — armed at ``n >= 50_000`` (floors only matter
    once contribution lists dominate);
-4. raw-filter precision must be >= 10x the pre-true-kNN baseline in
+4. raw-filter precision must be >= 10x the layout-window baseline in
    every baselined cell — armed at ``n >= 50_000``; smaller runs
    (``--quick`` included) instead gate on an absolute small-n floor,
    so the smoke tier still catches precision regressions;
-5. verified-mode QPS must be strictly above the pre-true-kNN baseline
+5. verified-mode QPS must be strictly above the layout-window baseline
    in every baselined cell — armed at ``n >= 50_000``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_approx.py [--quick] [--n N]
         [--k K [K ...]] [--alpha A [A ...]] [--out F] [--no-lsh]
-        [--sample-frac F]
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ WARM_SPEEDUP_GATE = 1.2
 #: the gate is exact: anything below is a soundness bug.
 RECALL_GATE = 1.0
 
-#: Raw-filter precision of the layout-window-only sketch (the
-#: pre-true-kNN build) at n=100_000 — the baseline the true-kNN curve
-#: fits must beat by PRECISION_MULTIPLE_GATE.
+#: Raw-filter precision of the layout-window-only sketch (the build
+#: before per-object k-distance profiles) at n=100_000 — the baseline
+#: the exact profiles must beat by PRECISION_MULTIPLE_GATE.
 _BASELINE_PRECISION = {
     (4, 0.3): 0.011241,
     (4, 0.6): 0.025641,
@@ -89,12 +89,9 @@ _BASELINE_VERIFIED_QPS = {
 PRECISION_MULTIPLE_GATE = 10.0
 
 #: Absolute raw-precision floor for sub-GATE_N runs (the CI smoke
-#: tier): small corpora run far above this, so a trip means the curve
-#: fits or the LSH stage regressed, not that the workload drifted.
+#: tier): small corpora run far above this, so a trip means the
+#: profiles or the LSH stage regressed, not that the workload drifted.
 QUICK_PRECISION_GATE = 0.05
-
-#: Budgets swept by the budget-vs-tightness section of the report.
-BUDGET_SWEEP = (64, 256, 1024)
 
 
 def recall_precision(
@@ -123,11 +120,10 @@ def bench_cell(
     rounds: int,
     metrics,
     lsh: bool = True,
-    sample_frac=None,
 ) -> Dict[str, object]:
     """Gates + QPS for one ``(k, alpha)`` cell of the sweep."""
     config = SimilarityConfig(alpha=alpha)
-    knobs = dict(sketch_sample_frac=sample_frac, approx_lsh=lsh)
+    knobs = dict(approx_lsh=lsh)
     base = RSTkNNSearcher(tree, config=config, engine="snapshot")
     warm = RSTkNNSearcher(
         tree, config=config, engine="snapshot", warm_floors=True, **knobs
@@ -162,8 +158,7 @@ def bench_cell(
     # (the engine's own counters are cumulative across cells).
     snap = tree.snapshot()
     raw_engine = snap.approx_engine_for(
-        tree, raw.measure, raw.alpha, raw.te_weight, verify=False,
-        sample_frac=sample_frac, lsh=lsh,
+        tree, raw.measure, raw.alpha, raw.te_weight, verify=False, lsh=lsh,
     )
     before = dict(raw_engine.counters)
     quality = recall_precision(
@@ -225,40 +220,6 @@ def bench_cell(
     }
 
 
-def budget_sweep(
-    tree, snapshot, queries, k: int, alpha: float
-) -> List[Dict[str, object]]:
-    """Budget-vs-tightness rows: per-budget frontier shape, row
-    tightness, and raw-filter precision (window-only sketches, so the
-    sweep isolates the node-floor lever from the curve fits)."""
-    config = SimilarityConfig(alpha=alpha)
-    s = RSTkNNSearcher(tree, config=config, engine="snapshot")
-    base = RSTkNNSearcher(tree, config=config, engine="snapshot")
-    reference = [base.search(q, k).ids for q in queries]
-    rows = []
-    for budget in BUDGET_SWEEP:
-        engine = snapshot.approx_engine_for(
-            tree, s.measure, s.alpha, s.te_weight,
-            verify=False, budget=budget, sample_frac=0.0, lsh=False,
-        )
-        quality = recall_precision(
-            reference, [engine.search(q, k).ids for q in queries]
-        )
-        desc = engine.sketch.describe()
-        rows.append(
-            {
-                "budget": budget,
-                "frontier_size": desc["frontier_size"],
-                "row_objects_max": desc["row_objects_max"],
-                "row_objects_mean": desc["row_objects_mean"],
-                "build_seconds": desc["build_seconds"],
-                "recall": quality["recall"],
-                "precision": quality["precision"],
-            }
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
@@ -279,13 +240,6 @@ def main(argv=None) -> int:
         "--no-lsh",
         action="store_true",
         help="disable the approx engine's LSH pre-filter stage",
-    )
-    parser.add_argument(
-        "--sample-frac",
-        type=float,
-        default=None,
-        help="true-kNN curve sampling fraction (default: the sketch "
-        "default, 1.0)",
     )
     parser.add_argument(
         "--backend",
@@ -328,27 +282,23 @@ def main(argv=None) -> int:
             config = SimilarityConfig(alpha=alpha)
             s = RSTkNNSearcher(tree, config=config, engine="snapshot")
             sketch = snapshot.sketch_for(
-                snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight),
-                sample_frac=args.sample_frac,
+                snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight)
             )
             sketches.append(dict(sketch.describe(), alpha=alpha))
+            print(
+                f"sketch alpha={alpha}: build_seconds="
+                f"{sketch.build_seconds:.3f}, {sketch.nbytes()} bytes",
+                flush=True,
+            )
 
     metrics = MetricsRegistry()
     lsh = not args.no_lsh
     with timer.phase("walk"):
         cells = [
-            bench_cell(
-                tree, queries, k, alpha, rounds, metrics,
-                lsh=lsh, sample_frac=args.sample_frac,
-            )
+            bench_cell(tree, queries, k, alpha, rounds, metrics, lsh=lsh)
             for k in ks
             for alpha in alphas
         ]
-
-    with timer.phase("budget_sweep"):
-        budgets = budget_sweep(
-            tree, snapshot, queries, ks[0], alphas[0]
-        )
 
     headline = cells[0]
     gate_armed = n >= GATE_N
@@ -362,7 +312,7 @@ def main(argv=None) -> int:
             f"{WARM_SPEEDUP_GATE}x at n={n}"
         )
 
-    # Precision and verified-QPS gates: against the pre-true-kNN
+    # Precision and verified-QPS gates: against the layout-window
     # baseline at scale, against the absolute smoke floor below it.
     for cell in cells:
         key = (cell["k"], cell["alpha"])
@@ -409,11 +359,9 @@ def main(argv=None) -> int:
         },
         "quick_precision_gate": QUICK_PRECISION_GATE,
         "lsh": lsh,
-        "sample_frac": args.sample_frac,
     }
     report["sketches"] = sketches
     report["cells"] = cells
-    report["budget_sweep"] = budgets
     report["approx_metrics"] = metrics.snapshot()
 
     with open(args.out, "w") as fh:

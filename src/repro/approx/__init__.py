@@ -6,23 +6,13 @@ and :mod:`repro.approx.engine` for the sketch-filtered search engine
 """
 
 from .engine import ApproxEngine, LSH_BANDS, LSH_PROBE_CAP
-from .sketch import (
-    DEFAULT_SKETCH_BUDGET,
-    DEFAULT_SKETCH_KMAX,
-    DEFAULT_SKETCH_POOL,
-    DEFAULT_SKETCH_SAMPLE_FRAC,
-    KnnlSketch,
-    build_sketch,
-)
+from .sketch import DEFAULT_SKETCH_KMAX, KnnlSketch, build_sketch
 
 __all__ = [
     "ApproxEngine",
     "KnnlSketch",
     "build_sketch",
     "DEFAULT_SKETCH_KMAX",
-    "DEFAULT_SKETCH_BUDGET",
-    "DEFAULT_SKETCH_POOL",
-    "DEFAULT_SKETCH_SAMPLE_FRAC",
     "LSH_BANDS",
     "LSH_PROBE_CAP",
 ]

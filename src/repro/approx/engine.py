@@ -75,8 +75,8 @@ LSH_PROBE_CAP = 64
 class ApproxEngine:
     """Sketch-filtered search over one snapshot (see module docstring).
 
-    One engine exists per ``(measure, alpha, te_weight, verify, sketch
-    knobs)`` setting of a snapshot (see
+    One engine exists per ``(measure, alpha, te_weight, verify, kmax,
+    lsh)`` setting of a snapshot (see
     :meth:`~repro.perf.snapshot.IndexSnapshot.approx_engine_for`); it
     shares the exact snapshot engine's memoized pair-bound table
     through :attr:`base`, so verification work warms the exact paths

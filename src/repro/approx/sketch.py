@@ -1,57 +1,88 @@
-"""Frozen kNNL sketches: per-object k-distance floors for pruning.
+"""Frozen kNNL sketches: exact per-object k-distance profiles and floors.
 
 A :class:`KnnlSketch` is computed once per snapshot and similarity
 setting and holds, for every slot of the snapshot, a *provably
 conservative* lower bound on the k-th best ``SimST`` of every object
 under that slot — the frozen analogue of the competitor floors the
-exact branch-and-bound walk tightens lazily per query.  Two components
-are combined:
+exact branch-and-bound walk tightens lazily per query.  It has three
+parts:
 
-* **node floors** (exact machinery): a frontier of up to
-  ``budget`` slots is peeled off the snapshot (largest-count first, a
-  complete antichain over the objects), and for each frontier node
-  ``f`` the weighted k-th largest of the pairwise ``MinST(f, g)``
-  lower bounds (weight ``cnt[g]``; self term ``cnt[f] - 1``) is taken
-  through :func:`repro.core.contributions._kth_largest`.  Every object
-  under ``f`` has at least ``cnt[g]`` competitors at similarity
-  ``>= MinST(f, g)``, so the row lower-bounds its true k-th competitor
-  similarity ``s_k``.  The peel is *adaptive*: a node whose expansion
-  would overflow the budget is kept as its own row and the peel keeps
-  refining smaller nodes that still fit, so the row count approaches
-  the budget instead of stopping at the first oversized node.  Slots
-  under ``f`` inherit ``f``'s row; slots above the frontier use the
-  *global* row (the elementwise minimum over all rows, which is valid
-  for every object of the snapshot).
-
-* **object profiles and curves** (nonlinear k-distance fit, after
-  Obermeier et al., arXiv:2011.01773): each object's top-``kmax``
-  competitor similarities are collected; the sampled profile is stored
-  verbatim (``obj_profile``, the per-object floor the consumers
-  actually read) and additionally summarised as a monomial
-  ``c * k**-b`` least-squares fitted in log space, then *rescaled
-  down* so the fitted value never exceeds a collected one.  The
-  default sampling pass (``sample_frac`` of the objects, evenly spaced
-  in layout order) is a **true-kNN** walk: a best-first descent of the
-  snapshot with staged ``MaxST`` upper bounds — seeded by
-  layout-neighbour similarities and warm-started by the object's own
-  node-floor row — that returns the object's *exact* top-``kmax``
-  competitor similarities, so profile and curve describe the real
-  k-distance profile.  Objects outside the sample budget fall back to
-  a cheap *symmetric* layout-window pass (circular window of ``pool``
-  neighbours, so edge objects in layout order collect exactly as many
-  samples as interior ones).  Either way the collected similarities
-  are a subset of (or equal to) the true competitor multiset, so
-  collected ``s_k`` <= true ``s_k``: the stored profile — and the
-  rescaled curve, which by construction never exceeds it — is
-  conservative at every ``k <= kmax``.  Objects with fewer than
-  ``kmax`` collected competitors get a zero-padded profile (the zero
-  entries never prune) and no curve (``c = 0``) — the count-aware
-  degenerate case, mirroring ``_kth_largest``'s 0.0.
+* **object profiles** (``obj_profile``): each object's exact top-``kmax``
+  competitor similarities, computed by one all-kNN pass in which the
+  objects are the queries (below).  Entry ``k - 1`` *is* the object's
+  true ``s_k``, bit for bit what :meth:`SnapshotEngine._exact
+  <repro.core.traversal.SnapshotEngine._exact>` returns for its k-th
+  best competitor; objects with fewer than ``kmax`` competitors are
+  zero-padded (zero never prunes).
+* **node floors** (``floor_table``): each directory slot owns one row,
+  the elementwise minimum of the profiles of the objects beneath it
+  (an empty directory reads 0.0); the last row is the global minimum
+  over every object.  Object slots point at the global row and read
+  their own profile, which is never below it.  A minimum of exact
+  ``s_k`` values lower-bounds the ``s_k`` of every object it covers,
+  and no sound per-node bound can be higher.
+* **curves** (``curve_c``/``curve_b``, after Obermeier et al.,
+  arXiv:2011.01773): each profile summarised as a monomial
+  ``c * k**-b`` least-squares fitted in log space and rescaled so it
+  never exceeds the profile.  The consumers read the profile; the
+  curves are kept as the compact form of the same data.
 
 The sketch also freezes each object's 64-bit **term signature** (the
 Bloom-style ``1 << (tid % 64)`` mask of the frozen kernels), which the
 ``engine="approx"`` tier bands into an LSH pre-filter stage (see
 :meth:`~repro.approx.engine.ApproxEngine.search`).
+
+**The all-kNN pass.**  Objects are processed in layout-contiguous
+groups (the object children of one directory slot; each root-level
+object is its own group).  Candidate columns for a member ``a`` are restricted by this
+rule:
+
+    every object sharing a term with ``a`` (the postings of
+    :attr:`SnapshotTextMatrix.obj_postings
+    <repro.perf.snapshot.SnapshotTextMatrix.obj_postings>`), plus every
+    object within ``R`` of the group's bounding box.  A best-first walk
+    of the snapshot tree, ordered by box distance, pops objects until
+    ``kmax`` of them lie outside the group; ``R`` is ``1 + 2**-30``
+    times the largest distance from a member to its ``kmax``-th
+    nearest popped competitor.
+
+The rule loses nothing.  Every supported text measure is 0 on disjoint
+term sets (weights are strictly positive), so an excluded object ``b``
+scores ``alpha * fd(d(a, b))`` exactly.  Member ``a`` has ``kmax``
+popped competitors ``c`` with computed ``d(a, c) <= R / (1 + 2**-30)``,
+while ``b`` lies in a subtree whose box distance — a lower bound on
+``d(a, b)``, since ``a`` is inside the box — exceeds ``R``.  The
+relative margin ``2**-30`` is far above the few-ulp error of ``hypot``,
+so the computed ``d(a, b)`` is larger, and ``fd`` and the blend are
+monotone in floating point.  Hence at least ``kmax`` candidates score
+``>= SimST(a, b)``, and the top-``kmax`` values over the candidates
+equal the top-``kmax`` values over all objects.  (Snapshot slots map
+one to one to objects, so an object's competitors are all the other
+object slots.)
+
+Candidates are scored in two stages.  With numpy, array kernels
+(:func:`~repro.perf.kernels.group_text_dots` for the dot products and
+overlaps, broadcast ``hypot`` for space) give *approximate* scores;
+only candidates within ``delta`` of the member's ``kmax``-th
+approximate score ``theta`` are rescored with the scalar ``_exact``.
+Without numpy, or for a measure with no array form (weighted Jaccard
+needs per-term minima, not dot products), every candidate is rescored.
+
+**Why ``delta`` suffices.**  Let ``u = 2**-53`` and ``L`` the largest
+object term count.  Array and scalar scores evaluate the same formula
+on the same inputs in a different order.  Dot products of ``L``
+non-negative products differ by at most ``2 * gamma_L * d`` (``gamma_L
+= L*u / (1 - L*u)``); Extended Jaccard has relative sensitivity
+``S / (S - d) <= 2`` to ``d`` (Cauchy–Schwarz), cosine and Dice 1,
+overlap none (integer counts, one correctly rounded division).  Every
+measure lies in ``[0, 1]``, so the text gap is at most ``4 * gamma_L +
+4u``; ``hypot``, ``fd`` and the blend add at most ``12u``.  The gap
+``eps`` is therefore below ``(4.1 L + 16) u``, and ``delta = (16 L + 64)
+u`` exceeds ``2 * eps + u``.  Then ``theta - eps <= s_kmax`` (``kmax``
+candidates have approximate score ``>= theta``), and any candidate
+with exact score ``>= s_kmax`` has approximate score ``>= theta - 2 *
+eps``, above the computed ``theta - delta``: all of them are rescored,
+so the exact top-``kmax`` is recovered bit for bit.
 
 The floors feed three consumers: warm-start pruning in the exact
 engines (:class:`~repro.core.traversal.SnapshotEngine` /
@@ -76,86 +107,62 @@ import time
 from array import array
 from typing import Dict, List, Tuple
 
-from ..core.contributions import _kth_largest
-from ..text.interval import IntervalVector
-from ..text.similarity import ExtendedJaccard
+from ..perf import kernels
 
 #: Largest ``k`` the sketch covers; beyond it floors read 0.0 (never
 #: prune).  Matches the shard admission default.
 DEFAULT_SKETCH_KMAX = 16
 
-#: Target frontier width for the node-floor rows: more nodes mean
-#: tighter per-subtree floors at quadratic pair-bound build cost.
-DEFAULT_SKETCH_BUDGET = 256
-
-#: Per-object sample-pool size for the fallback k-distance window (each
-#: object sees roughly ``pool`` sampled competitors).
-DEFAULT_SKETCH_POOL = 32
-
-#: Fraction of objects (evenly spaced in layout order) that get the
-#: exact true-kNN sampling pass; the rest use the symmetric layout
-#: window.  1.0 fits every curve over the real k-distance profile.
-DEFAULT_SKETCH_SAMPLE_FRAC = 1.0
-
 #: Multiplicative safety margin applied to the fitted curve so float
-#: re-evaluation of ``c * k**-b`` can never creep above the sampled
-#: similarity it was fitted under.
+#: re-evaluation of ``c * k**-b`` can never creep above the profile
+#: value it was fitted under.
 _CURVE_MARGIN = 1.0 - 1e-12
 
-#: Node-pop budget of one true-kNN sampling walk.  The cluster text
-#: bounds on wide nodes are loose, so the tail of a best-first descent
-#: pops many nodes that contribute nothing; cutting it keeps the build
-#: linear in ``n``.  A truncated walk returns a *subset* of the true
-#: competitor similarities, so the fitted curve only gets looser,
-#: never unsound.  96 pops recovers the exact profile on every
-#: workload we measure (the seeded threshold is near-final before the
-#: first pop).
-_TRUE_WALK_POP_CAP = 96
+#: Relative slack on the spatial candidate radius (see module doc).
+_RADIUS_SLACK = 1.0 + 2.0 ** -30
+
+#: Unit roundoff of IEEE-754 doubles.
+_U = 2.0 ** -53
+
+#: Array forms of the text measures over one object row ``a`` and
+#: candidate rows ``b``: ``f(dot, overlap, a, b, |.|^2 column, len
+#: column)``, read only where ``overlap > 0``.
+_ARRAY_TEXT = {
+    "extended_jaccard": lambda d, ov, a, b, nsq, n: d / (nsq[a] + nsq[b] - d),
+    "cosine": lambda d, ov, a, b, nsq, n: d / (nsq[a] * nsq[b]) ** 0.5,
+    "dice": lambda d, ov, a, b, nsq, n: 2.0 * d / (nsq[a] + nsq[b]),
+    "overlap": lambda d, ov, a, b, nsq, n: ov / (n[a] + n[b] - ov),
+}
 
 
 class KnnlSketch:
-    """Frozen per-slot kNNL floors plus per-object k-distance curves.
+    """Frozen per-slot kNNL floors plus per-object k-distance profiles.
 
     Attributes:
         kmax: Largest ``k`` covered; all floors are 0.0 beyond it.
-        budget: Frontier budget the sketch was built with.
-        pool: Fallback-window sample-pool size the sketch was built with.
-        sample_frac: Fraction of objects whose curves were fitted over
-            exact true-kNN samples (the rest used the layout window).
-        frontier: The peeled antichain slots (row ``i`` of the floor
-            table belongs to ``frontier[i]``'s subtree).
         floor_idx: Per-slot row index into :attr:`floor_table`
-            (``array('q')``, length ``n_slots``); slots above the
-            frontier point at the global row.
-        floor_table: Row-major ``(len(frontier) + 1) x kmax`` floors
-            (``array('d')``); the last row is the global row.
+            (``array('q')``, length ``n_slots``); directory slots own a
+            row, object slots point at the global row.
+        floor_table: Row-major ``(directories + 1) x kmax`` floors
+            (``array('d')``): the minimum profile beneath each
+            directory slot; the last row is the global minimum.
         curve_c: Per-slot monomial coefficient (``array('d')``; 0.0
             for directory slots and objects without a conservative fit).
         curve_b: Per-slot monomial exponent (``array('d')``).
-        obj_profile: Row-major ``n_slots x kmax`` sampled k-distance
+        obj_profile: Row-major ``n_slots x kmax`` exact k-distance
             profile (``array('d')``): entry ``[slot][k-1]`` is object
-            ``slot``'s sampled k-th largest competitor similarity
-            (0.0 for directory slots and beyond the collected
-            samples).  Dominates the fitted curve pointwise wherever
-            both exist, so :meth:`obj_floor` reads it first.
-        row_objects: Objects under each frontier row (``array('q')``,
-            length ``len(frontier)``) — the per-row tightness signal:
-            wide rows share one floor across many objects and are the
-            first to profit from a larger ``budget``.
+            ``slot``'s k-th largest competitor similarity (0.0 for
+            directory slots and beyond the object's competitors).
+        row_objects: Objects under each directory row (``array('q')``,
+            one entry per row except the global one).
         lsh_sig: Per-slot 64-bit term signature (``array('Q')``; 0 for
             directory slots), banded by the approx tier's LSH
             pre-filter.
-        curves_true: How many fitted curves came from the exact
-            true-kNN pass (the rest came from the window fallback).
         build_seconds: Wall-clock cost of the freeze-time build.
     """
 
     __slots__ = (
         "kmax",
-        "budget",
-        "pool",
-        "sample_frac",
-        "frontier",
         "floor_idx",
         "floor_table",
         "curve_c",
@@ -163,101 +170,74 @@ class KnnlSketch:
         "obj_profile",
         "row_objects",
         "lsh_sig",
-        "curves_true",
         "build_seconds",
     )
 
     def __init__(
         self,
         kmax: int,
-        budget: int,
-        pool: int,
-        frontier: Tuple[int, ...],
         floor_idx,
         floor_table,
         curve_c,
         curve_b,
+        obj_profile,
+        row_objects,
+        lsh_sig,
         build_seconds: float,
-        sample_frac: float = 0.0,
-        obj_profile=None,
-        row_objects=None,
-        lsh_sig=None,
-        curves_true: int = 0,
     ) -> None:
         self.kmax = kmax
-        self.budget = budget
-        self.pool = pool
-        self.sample_frac = sample_frac
-        self.frontier = frontier
         self.floor_idx = floor_idx
         self.floor_table = floor_table
         self.curve_c = curve_c
         self.curve_b = curve_b
-        self.obj_profile = (
-            obj_profile if obj_profile is not None else array("d")
-        )
-        self.row_objects = row_objects if row_objects is not None else array("q")
-        self.lsh_sig = lsh_sig if lsh_sig is not None else array("Q")
-        self.curves_true = curves_true
+        self.obj_profile = obj_profile
+        self.row_objects = row_objects
+        self.lsh_sig = lsh_sig
         self.build_seconds = build_seconds
 
     def node_floor(self, slot: int, k: int) -> float:
         """Conservative lower bound on ``s_k`` of every object under
-        ``slot`` (0.0 when ``k > kmax``, which never prunes)."""
+        ``slot``: the minimum profile beneath a directory slot, the
+        object's own exact ``s_k`` for an object slot (0.0 when
+        ``k > kmax``, which never prunes)."""
         if k > self.kmax:
             return 0.0
-        return self.floor_table[self.floor_idx[slot] * self.kmax + (k - 1)]
+        i = k - 1
+        row = self.floor_table[self.floor_idx[slot] * self.kmax + i]
+        own = self.obj_profile[slot * self.kmax + i]
+        return own if own > row else row
 
-    def obj_floor(self, slot: int, k: int) -> float:
-        """Conservative lower bound on object ``slot``'s own ``s_k``:
-        the node floor sharpened by the object's sampled k-distance
-        profile (or, absent a profile, its fitted curve — the profile
-        dominates the curve pointwise whenever both exist)."""
-        if k > self.kmax:
-            return 0.0
-        floor = self.floor_table[self.floor_idx[slot] * self.kmax + (k - 1)]
-        if self.obj_profile:
-            y = self.obj_profile[slot * self.kmax + (k - 1)]
-            if y > floor:
-                return y
-            return floor
-        c = self.curve_c[slot]
-        if c > 0.0:
-            curve = c * k ** -self.curve_b[slot]
-            if curve > floor:
-                return curve
-        return floor
+    #: Object slots read their own profile through the same lookup.
+    obj_floor = node_floor
 
     def global_floor(self, k: int) -> float:
         """Lower bound on ``s_k`` valid for *every* object (last row)."""
         if k > self.kmax:
             return 0.0
-        return self.floor_table[len(self.frontier) * self.kmax + (k - 1)]
+        return self.floor_table[len(self.floor_table) - self.kmax + (k - 1)]
 
     def nbytes(self) -> int:
         """Resident bytes of the sketch arrays."""
-        return (
-            self.floor_idx.itemsize * len(self.floor_idx)
-            + self.floor_table.itemsize * len(self.floor_table)
-            + self.curve_c.itemsize * len(self.curve_c)
-            + self.curve_b.itemsize * len(self.curve_b)
-            + self.obj_profile.itemsize * len(self.obj_profile)
-            + self.row_objects.itemsize * len(self.row_objects)
-            + self.lsh_sig.itemsize * len(self.lsh_sig)
+        return sum(
+            arr.itemsize * len(arr)
+            for arr in (
+                self.floor_idx,
+                self.floor_table,
+                self.curve_c,
+                self.curve_b,
+                self.obj_profile,
+                self.row_objects,
+                self.lsh_sig,
+            )
         )
 
     def describe(self) -> Dict[str, object]:
         """Summary counters for logs and benchmark reports."""
-        curves = sum(1 for c in self.curve_c if c > 0.0)
         rows = list(self.row_objects)
         return {
             "kmax": self.kmax,
-            "budget": self.budget,
-            "pool": self.pool,
-            "sample_frac": self.sample_frac,
-            "frontier_size": len(self.frontier),
-            "curves_fitted": curves,
-            "curves_true": self.curves_true,
+            "rows": len(rows),
+            "curves_fitted": sum(1 for c in self.curve_c if c > 0.0),
             "row_objects_max": max(rows) if rows else 0,
             "row_objects_mean": (sum(rows) / len(rows)) if rows else 0.0,
             "nbytes": self.nbytes(),
@@ -265,55 +245,15 @@ class KnnlSketch:
         }
 
 
-def _peel_frontier(snap, budget: int) -> List[int]:
-    """Largest-count-first antichain of up to ``budget`` slots.
-
-    Same discipline as the shard admission peel
-    (:func:`repro.shard.summaries._peel_frontier`): every object of the
-    snapshot lies under exactly one returned slot, which is what makes
-    the per-row floors complete.
-
-    Two refusal cases keep the peel *adaptive* instead of aborting: a
-    zero-fanout directory slot (a degenerate empty node) becomes its
-    own frontier row and the peel continues — it must not dump the
-    whole heap and leave the frontier far under budget — and a node
-    whose expansion would overflow the budget is likewise kept as a
-    row while smaller nodes later in the heap may still be refined.
-    """
-    frontier: List[int] = []
-    heap: List[Tuple[int, int]] = []  # (-cnt, slot) for directory slots
-    for r in snap.root_slots:
-        if snap.is_obj[r]:
-            frontier.append(r)
-        else:
-            heapq.heappush(heap, (-snap.cnt[r], r))
-    while heap:
-        _neg_cnt, slot = heapq.heappop(heap)
-        children = range(snap.first_child[slot], snap.last_child[slot])
-        fanout = len(children)
-        if fanout == 0:
-            frontier.append(slot)
-            continue
-        if len(frontier) + len(heap) + fanout > budget:
-            frontier.append(slot)
-            continue
-        for c in children:
-            if snap.is_obj[c]:
-                frontier.append(c)
-            else:
-                heapq.heappush(heap, (-snap.cnt[c], c))
-    return frontier
-
-
 def _fit_curve(ys: List[float]) -> Tuple[float, float]:
-    """Conservative monomial fit ``c * k**-b`` under sampled ``ys``.
+    """Conservative monomial fit ``c * k**-b`` under the profile ``ys``.
 
-    ``ys[k-1]`` is the sampled k-th largest competitor similarity,
-    zero-padded to ``kmax``.  The least-squares fit in log space is
-    rescaled so the curve never exceeds a sampled value; any zero in
-    ``ys`` (fewer samples than ``kmax``) disables the curve entirely —
-    the monomial is positive everywhere, so no positive coefficient
-    could stay conservative at the zero point.
+    ``ys[k-1]`` is the k-th largest competitor similarity, zero-padded
+    to ``kmax``.  The least-squares fit in log space is rescaled so the
+    curve never exceeds a profile value; any zero in ``ys`` (fewer
+    competitors than ``kmax``) disables the curve entirely — the
+    monomial is positive everywhere, so no positive coefficient could
+    stay conservative at the zero point.
     """
     if not ys or min(ys) <= 0.0:
         return 0.0, 0.0
@@ -338,323 +278,226 @@ def _fit_curve(ys: List[float]) -> Tuple[float, float]:
     return (c, b) if c > 0.0 else (0.0, 0.0)
 
 
-def _make_true_topk(engine, kmax: int):
-    """A closure computing one object's exact top-``kmax`` competitor
-    similarities by best-first descent of the snapshot.
+def _array_numpy(snap):
+    """numpy for the array scoring stage, or None (pure-python pass).
 
-    The walk uses the same staged upper bound as the approx tier's
-    query walk — spatial-only first (text capped at 1), blended text
-    bound only when the spatial stage cannot already discard — against
-    a threshold that starts at the caller's warm-start ``floor`` (a
-    proven lower bound on the object's ``s_kmax``) and rises to the
-    running k-th best as real similarities arrive.  Subtrees are
-    skipped only when their upper bound is strictly below the floor or
-    at most the current k-th best, so the returned value multiset
-    equals the true top-``kmax`` exactly (ties may swap which object
-    supplied a value, never the value itself) — unless the
-    :data:`_TRUE_WALK_POP_CAP` node budget trips first, in which case
-    the values are a *subset* of the true multiset and the curve
-    fitted over them is merely looser, never unsound.
+    A seam so tests can force the pure-python pass with numpy installed.
     """
-    snap = engine.snap
-    measure = engine.measure
-    alpha = engine.alpha
-    fd = engine._fd
-    exact = engine._exact
-    ej = isinstance(measure, ExtendedJaccard)
+    np = kernels._numpy()
+    if np is None or snap.np_xlo is None:
+        return None
+    return np
+
+
+def _groups(snap) -> List[List[int]]:
+    """Layout-contiguous object groups: the object children of each
+    directory slot.  Root-level objects (CIUR outliers, spread over the
+    whole space) are singletons, so no group's box spans the map."""
     is_obj = snap.is_obj
-    ref = snap.ref
+    groups = [[r] for r in snap.root_slots if is_obj[r]]
+    for s in range(snap.n_slots):
+        if not is_obj[s]:
+            groups.append([
+                c for c in range(snap.first_child[s], snap.last_child[s])
+                if is_obj[c]
+            ])
+    return [g for g in groups if g]
+
+
+def _near_objects(snap, members: List[int], kmax: int) -> List[int]:
+    """Every object within the spatial candidate radius ``R`` of the
+    group's bounding box (see the module docstring).
+
+    One best-first walk of the snapshot ordered by box distance: it
+    pops objects until ``kmax`` lie outside the group, sets ``R`` to the
+    largest member's distance to its ``kmax``-th nearest popped object,
+    then keeps popping everything within ``R``.
+    """
     xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
-    first_child, last_child = snap.first_child, snap.last_child
-    clusters = snap.clusters
-    obj_frozen = snap.obj_frozen
+    is_obj = snap.is_obj
+    gx0 = min(xlo[m] for m in members)
+    gy0 = min(ylo[m] for m in members)
+    gx1 = max(xhi[m] for m in members)
+    gy1 = max(yhi[m] for m in members)
+
+    def box_dist(s: int) -> float:
+        return math.hypot(
+            max(gx0 - xhi[s], 0.0, xlo[s] - gx1),
+            max(gy0 - yhi[s], 0.0, ylo[s] - gy1),
+        )
+
+    group = set(members)
+    heap = [(box_dist(r), r) for r in snap.root_slots]
+    heapq.heapify(heap)
+    radius = math.inf
+    outside = 0
+    near: List[int] = []
+    while heap:
+        dist, s = heapq.heappop(heap)
+        if dist > radius:
+            break
+        if is_obj[s]:
+            near.append(s)
+            if s not in group:
+                outside += 1
+                if outside == kmax:
+                    radius = _RADIUS_SLACK * max(
+                        sorted([
+                            math.hypot(xlo[a] - xlo[c], ylo[a] - ylo[c])
+                            for c in near if c != a
+                        ])[kmax - 1]
+                        for a in members
+                    )
+            continue
+        for c in range(snap.first_child[s], snap.last_child[s]):
+            d = box_dist(c)
+            if d <= radius:
+                heapq.heappush(heap, (d, c))
+    return near
+
+
+def _exact_profiles(engine, kmax: int) -> Dict[int, List[float]]:
+    """Every object's exact top-``kmax`` competitor similarities,
+    descending and zero-padded (the all-kNN pass of the module doc)."""
+    snap = engine.snap
+    objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    if not objs:
+        return {}
+    exact = engine._exact
+    alpha = engine.alpha
     obj_vec = snap.obj_vec
-    root_slots = snap.root_slots
+    tm = snap.text_matrix()
+    postings = tm.obj_postings
+    row_of = tm.obj_row
+    n_obj = len(objs)
+    np = _array_numpy(snap)
+    text_form = None if np is None else _ARRAY_TEXT.get(engine.measure.name)
+    if text_form is not None:
+        idx = np.asarray(objs, dtype=np.intp)
+        ox, oy = snap.np_xlo[idx], snap.np_ylo[idx]
+        nsq = np.asarray(tm.obj_nsq, dtype=np.float64)
+        lens = np.asarray([len(obj_vec[s]) for s in objs], dtype=np.int64)
+        delta = (16 * int(lens.max()) + 64) * _U
+        maxD = snap.maxD
 
-    def topk(a: int, floor: float, seeds=()):
-        ax, ay = xlo[a], ylo[a]
-        a_frozen = obj_frozen[a]
-        a_nsq = a_frozen.norm_sq
-        a_iv = None
-        if not ej and alpha < 1.0:
-            a_iv = IntervalVector.from_document(obj_vec[a])
-        ra = ref[a]
-        # Min-heap of the running top-kmax ``(sim, supplier)`` pairs —
-        # suppliers are returned so the build can seed the *next*
-        # object's walk with this object's actual competitors.
-        best: List[Tuple[float, int]] = []
-        seen = set()  # slots already offered (seeds recur in the walk)
+    def all_rows(members, near_rows):
+        """Every candidate row of each member (pure-python pass)."""
+        out = []
+        for a in members:
+            rows = set(near_rows)
+            for tid in obj_vec[a].term_ids():
+                rows.update(postings[tid][0])
+            rows.discard(row_of[a])
+            out.append(rows)
+        return out
 
-        def offer(b: int) -> None:
-            if ref[b] == ra or b in seen:
-                return
-            seen.add(b)
-            s = exact(a, b)
-            if s < floor:
-                # Provably below s_kmax >= floor: cannot be a top value.
-                return
-            if len(best) < kmax:
-                heapq.heappush(best, (s, b))
-            elif s > best[0][0]:
-                heapq.heapreplace(best, (s, b))
-
-        def text_hi(slot: int) -> float:
-            hi = 0.0
-            if ej:
-                for _iv, _int_b, uni_b, insq_b, _unsq_b in clusters[slot]:
-                    d_max = a_frozen.dot(uni_b)
-                    if d_max == 0.0:
-                        pair_hi = 0.0
-                    elif 2.0 * d_max >= a_nsq + insq_b:
-                        pair_hi = 1.0
-                    else:
-                        pair_hi = d_max / (a_nsq + insq_b - d_max)
-                    if pair_hi > hi:
-                        hi = pair_hi
+    def close_rows(members, near_rows):
+        """Candidate rows within ``delta`` of each member's ``kmax``-th
+        approximate score, from one :func:`~repro.perf.kernels.group_text_dots`
+        row per member and broadcast ``hypot``."""
+        near = np.asarray(near_rows, dtype=np.intp)
+        out = []
+        for a in members:
+            vec = obj_vec[a]
+            res = kernels.group_text_dots(
+                postings, vec.term_ids(), [w for _t, w in vec.items()],
+                n_obj, np,
+            )
+            if res is None:
+                rows, dots, overlaps = near, None, None
             else:
-                for ivb, *_ in clusters[slot]:
-                    pair_hi = measure.max_similarity(a_iv, ivb)
-                    if pair_hi > hi:
-                        hi = pair_hi
-            return hi
+                dots, overlaps = res
+                # A boolean scan runs ~2x faster than one over int64.
+                rows = np.concatenate(
+                    (np.flatnonzero(overlaps > 0), near[overlaps[near] == 0])
+                )
+            ra = row_of[a]
+            rows = rows[rows != ra]  # an object is not its own competitor
+            if len(rows) > kmax:
+                score = np.zeros(len(rows))
+                if alpha > 0.0:
+                    dist = np.hypot(ox[ra] - ox[rows], oy[ra] - oy[rows])
+                    score += alpha * np.maximum(1.0 - dist / maxD, 0.0)
+                if alpha < 1.0 and dots is not None:
+                    ov = overlaps[rows]
+                    # Rows sharing no term have dot 0; the 0/0 of two
+                    # empty documents is masked out with them.
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        text = text_form(dots[rows], ov, ra, rows, nsq, lens)
+                    score += (1.0 - alpha) * np.where(ov > 0, text, 0.0)
+                cut = len(rows) - kmax
+                theta = np.partition(score, cut)[cut]
+                rows = rows[score >= theta - delta]
+            out.append(rows.tolist())
+        return out
 
-        pq: List[Tuple[float, int]] = []  # (-upper, slot)
-
-        def push(slot: int) -> None:
-            if alpha > 0.0:
-                dx = max(ax - xhi[slot], 0.0, xlo[slot] - ax)
-                dy = max(ay - yhi[slot], 0.0, ylo[slot] - ay)
-                s_hi = fd(math.hypot(dx, dy))
-                hi = alpha * s_hi + (1.0 - alpha)
-                if hi < floor or (
-                    len(best) == kmax and hi <= best[0][0]
-                ):
-                    return
-                if alpha < 1.0:
-                    hi = alpha * s_hi + (1.0 - alpha) * text_hi(slot)
-            else:
-                hi = text_hi(slot)
-            if hi < floor:
-                return
-            if len(best) == kmax and hi <= best[0][0]:
-                return
-            heapq.heappush(pq, (-hi, slot))
-
-        # Seeds (layout neighbours) are offered before the tree walk:
-        # their exact similarities raise the running threshold early,
-        # so the best-first descent prunes subtrees much sooner.  The
-        # ``seen`` set keeps the walk from counting a seed twice —
-        # a duplicate value would inflate the returned k-th best.
-        for b in seeds:
-            offer(b)
-        for r in root_slots:
-            if is_obj[r]:
-                offer(r)
-            else:
-                push(r)
-        pops = 0
-        while pq:
-            neg_hi, slot = heapq.heappop(pq)
-            if len(best) == kmax and -neg_hi <= best[0][0]:
-                break
-            pops += 1
-            if pops > _TRUE_WALK_POP_CAP:
-                # Budget trip: the values found so far are a subset of
-                # the true top-kmax, so the curve fitted over them can
-                # only be looser — conservativeness is unconditional.
-                break
-            for c in range(first_child[slot], last_child[slot]):
-                if is_obj[c]:
-                    offer(c)
-                else:
-                    push(c)
-        pairs = sorted(best, reverse=True)
-        ys = [s for s, _b in pairs]
-        ys.extend([0.0] * (kmax - len(ys)))
-        return ys, [b for _s, b in pairs]
-
-    return topk
+    candidates = all_rows if text_form is None else close_rows
+    profiles: Dict[int, List[float]] = {}
+    for members in _groups(snap):
+        near_rows = [row_of[s] for s in _near_objects(snap, members, kmax)]
+        for a, rows in zip(members, candidates(members, near_rows)):
+            ys = sorted([exact(a, objs[r]) for r in rows], reverse=True)[:kmax]
+            ys.extend([0.0] * (kmax - len(ys)))
+            profiles[a] = ys
+    return profiles
 
 
-def build_sketch(
-    engine,
-    kmax: int = DEFAULT_SKETCH_KMAX,
-    budget: int = DEFAULT_SKETCH_BUDGET,
-    pool: int = DEFAULT_SKETCH_POOL,
-    sample_frac: float = DEFAULT_SKETCH_SAMPLE_FRAC,
-) -> KnnlSketch:
+def _directory_floors(snap, profiles: Dict[int, List[float]], kmax: int):
+    """``(floor_idx, floor_table, row_objects)`` of the node floors.
+
+    Each directory slot's row is the elementwise minimum of the profiles
+    of the objects beneath it (0.0 when there are none), children before
+    parents — the level-order layout puts every child after its parent.
+    The last row is the minimum over every object.
+    """
+    is_obj = snap.is_obj
+    below: Dict[int, List[float]] = dict(profiles)
+    dirs = [s for s in range(snap.n_slots) if not is_obj[s]]
+    for s in reversed(dirs):
+        parts = [
+            below[c]
+            for c in range(snap.first_child[s], snap.last_child[s])
+            if c in below
+        ]
+        if parts:
+            below[s] = [min(col) for col in zip(*parts)]
+    zeros = [0.0] * kmax
+    roots = [below[r] for r in snap.root_slots if r in below]
+
+    floor_idx = array("q", [len(dirs)] * snap.n_slots)
+    floor_table = array("d")
+    for row, s in enumerate(dirs):
+        floor_idx[s] = row
+        floor_table.extend(below.get(s, zeros))
+    floor_table.extend([min(col) for col in zip(*roots)] if roots else zeros)
+    return floor_idx, floor_table, array("q", [snap.cnt[s] for s in dirs])
+
+
+def build_sketch(engine, kmax: int = DEFAULT_SKETCH_KMAX) -> KnnlSketch:
     """Compute one snapshot's :class:`KnnlSketch` from its exact engine.
 
     ``engine`` is the :class:`~repro.core.traversal.SnapshotEngine` of
-    the similarity setting being served; its memoized ``_st`` pair table
-    supplies every ``MinST`` lower bound (and keeps the values it
-    computes warm for the query-time walks to reuse).
-
-    ``sample_frac`` budgets the exact true-kNN sampling pass: that
-    fraction of the objects (evenly spaced in layout order) gets curves
-    fitted over its real top-``kmax`` competitor similarities; the rest
-    fall back to the symmetric layout-window sampling.
+    the similarity setting being served; its ``_exact`` supplies every
+    profile value, so the profiles match the exact engines bit for bit.
     """
     started = time.perf_counter()
     snap = engine.snap
     n_slots = snap.n_slots
-    cnt = snap.cnt
-    is_obj = snap.is_obj
-    ref = snap.ref
-    st = engine._st
+    profiles = _exact_profiles(engine, kmax)
 
-    frontier = _peel_frontier(snap, budget)
-    n_rows = len(frontier)
-
-    # Node-floor rows: one row per frontier slot plus the global row.
-    floor_table = array("d", [0.0] * ((n_rows + 1) * kmax))
-    for row, f in enumerate(frontier):
-        contribs: List[Tuple[float, int]] = []
-        for g in frontier:
-            if g == f:
-                continue
-            lo, _hi = st(f, g)
-            contribs.append((lo, cnt[g]))
-        cf = cnt[f]
-        if cf >= 2:
-            lo, _hi = st(f, f)
-            contribs.append((lo, cf - 1))
-        base = row * kmax
-        for k in range(1, kmax + 1):
-            floor_table[base + k - 1] = _kth_largest(contribs, k)
-
-    # Every slot starts on the global row; frontier subtrees then claim
-    # their own rows (the frontier is an antichain, so no overlap).
-    # Assigned before the curve pass so the true-kNN walks can
-    # warm-start from each object's own row floor.
-    floor_idx = array("q", [n_rows] * n_slots)
-    first_child = snap.first_child
-    last_child = snap.last_child
-    for row, f in enumerate(frontier):
-        stack = [f]
-        while stack:
-            s = stack.pop()
-            floor_idx[s] = row
-            if not is_obj[s]:
-                fc, lc = first_child[s], last_child[s]
-                if fc >= 0:
-                    stack.extend(range(fc, lc))
-
-    # Per-row tightness: objects sharing each row (wide rows dilute the
-    # floor across many objects and profit first from a larger budget).
-    row_objects = array("q", [cnt[f] for f in frontier])
-
-    # 64-bit term signatures for the approx tier's LSH pre-filter.
-    obj_frozen = snap.obj_frozen
-    lsh_sig = array("Q", [0] * n_slots)
-    objs = [s for s in range(n_slots) if is_obj[s]]
-    for s in objs:
-        lsh_sig[s] = obj_frozen[s].mask
-
-    # Object curves.  True-kNN pass first: `sample_frac` of the objects
-    # (evenly spaced in layout order) get their exact top-kmax
-    # competitor similarities via a best-first snapshot walk seeded with
-    # layout-neighbour similarities and warm-started by their row floor.
-    n_objs = len(objs)
-    sample_frac = min(1.0, max(0.0, sample_frac))
-    n_sample = int(round(sample_frac * n_objs))
-    sampled: set = set()
-    if n_sample >= n_objs:
-        sampled = set(objs)
-    elif n_sample > 0:
-        sampled = {
-            objs[(i * n_objs) // n_sample] for i in range(n_sample)
-        }
-    exact = engine._exact
-    true_ys: Dict[int, List[float]] = {}
-    if sampled:
-        topk = _make_true_topk(engine, kmax)
-        seed_span = 2 * kmax
-        # Consecutive sampled objects are layout (hence spatial)
-        # neighbours, so the previous walk's winning suppliers are
-        # prime competitor candidates for the next walk too: chaining
-        # them as seeds starts each threshold near its final value and
-        # collapses the descent to a few node pops.
-        prev_suppliers: List[int] = []
-        for i, a in enumerate(objs):
-            if a not in sampled:
-                continue
-            floor = floor_table[floor_idx[a] * kmax + (kmax - 1)]
-            seeds = prev_suppliers + objs[
-                max(0, i - seed_span):i + 1 + seed_span
-            ]
-            true_ys[a], prev_suppliers = topk(a, floor, seeds)
-
-    # Symmetric circular layout-window fallback for unsampled objects:
-    # every object sees `window` neighbours on each side (modulo wrap),
-    # so edge objects in layout order collect exactly as many samples
-    # as interior ones.  Circular distance is capped at floor(n/2) so
-    # no unordered pair is ever collected twice — duplicate samples
-    # could overstate a sampled s_k and break conservativeness.
-    samples: Dict[int, List[float]] = {}
-    rest = [s for s in objs if s not in sampled]
-    if rest:
-        samples = {s: [] for s in objs}
-        window = max(kmax, pool // 2)
-        for i, a in enumerate(objs):
-            for d in range(1, window + 1):
-                if d > n_objs - d:
-                    break
-                j = (i + d) % n_objs
-                if d == n_objs - d and i > j:
-                    continue
-                b = objs[j]
-                if a == b or ref[a] == ref[b]:
-                    continue
-                if a in sampled and b in sampled:
-                    continue
-                sim = exact(a, b)
-                samples[a].append(sim)
-                samples[b].append(sim)
-
-    curve_c = array("d", [0.0] * n_slots)
-    curve_b = array("d", [0.0] * n_slots)
-    obj_profile = array("d", [0.0] * (n_slots * kmax))
-    curves_true = 0
-    for s in objs:
-        if s in true_ys:
-            ys = true_ys[s]
-        else:
-            ys = heapq.nlargest(kmax, samples.get(s, ()))
-            ys.extend([0.0] * (kmax - len(ys)))
-        # The sampled profile is itself a conservative per-object floor
-        # (sampled s_k <= true s_k), tighter than any curve fitted
-        # under it — store it verbatim for obj_floor to read first.
+    obj_profile = array("d", bytes(8 * n_slots * kmax))
+    curve_c = array("d", bytes(8 * n_slots))
+    curve_b = array("d", bytes(8 * n_slots))
+    lsh_sig = array("Q", bytes(8 * n_slots))
+    for s, ys in profiles.items():
         obj_profile[s * kmax:(s + 1) * kmax] = array("d", ys)
-        c, b_exp = _fit_curve(ys)
-        curve_c[s] = c
-        curve_b[s] = b_exp
-        if c > 0.0 and s in true_ys:
-            curves_true += 1
-
-    # Global row: elementwise minimum over the frontier rows (valid for
-    # every object), sharpened by the minimum sampled profile (which
-    # dominates the minimum fitted curve; a single unsampled object
-    # zeroes it out, leaving the row minimum).
-    gbase = n_rows * kmax
-    for k in range(1, kmax + 1):
-        row_min = min(
-            (floor_table[row * kmax + k - 1] for row in range(n_rows)),
-            default=0.0,
-        )
-        prof_min = 0.0
-        if objs:
-            prof_min = min(
-                obj_profile[s * kmax + (k - 1)] for s in objs
-            )
-        floor_table[gbase + k - 1] = max(row_min, prof_min)
-
+        curve_c[s], curve_b[s] = _fit_curve(ys)
+        lsh_sig[s] = snap.obj_frozen[s].mask
+    floor_idx, floor_table, row_objects = _directory_floors(
+        snap, profiles, kmax
+    )
     return KnnlSketch(
         kmax=kmax,
-        budget=budget,
-        pool=pool,
-        sample_frac=sample_frac,
-        frontier=tuple(frontier),
         floor_idx=floor_idx,
         floor_table=floor_table,
         curve_c=curve_c,
@@ -662,6 +505,5 @@ def build_sketch(
         obj_profile=obj_profile,
         row_objects=row_objects,
         lsh_sig=lsh_sig,
-        curves_true=curves_true,
         build_seconds=time.perf_counter() - started,
     )

@@ -154,7 +154,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         share=args.share,
         warm_floors=True if args.warm_floors else None,
         approx_verify=not args.approx_raw,
-        sketch_sample_frac=args.sketch_sample_frac,
         approx_lsh=False if args.no_lsh else None,
     )
     live_rows = []
@@ -680,14 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --engine approx: skip exact verification and return "
         "the raw conservative candidate set (a superset of the answer)",
-    )
-    p_batch.add_argument(
-        "--sketch-sample-frac",
-        type=float,
-        default=None,
-        help="fraction of objects whose k-distance curves are fitted "
-        "from true kNN competitor similarities at sketch build time "
-        "(0.0 = layout-window sampling only; default 1.0)",
     )
     p_batch.add_argument(
         "--no-lsh",

@@ -212,17 +212,6 @@ class PerfConfig:
             measured precision; see ``docs/TUNING.md``).
         sketch_kmax: Largest ``k`` the frozen kNNL sketch covers;
             floors read 0.0 (never prune) beyond it.
-        sketch_budget: Frontier width of the sketch's node-floor rows
-            (build cost is quadratic in it).
-        sketch_pool: Per-object sample-pool size of the sketch's
-            fallback k-distance window (objects outside the true-kNN
-            sample budget).
-        sketch_sample_frac: Fraction of objects (``0.0``–``1.0``,
-            evenly spaced in layout order) whose k-distance curves are
-            fitted over *exact* true-kNN competitor similarities at
-            sketch build time; the rest use the cheap symmetric layout
-            window.  ``1.0`` (default) fits every curve over the real
-            profile — the main raw-precision lever of the approx tier.
         approx_lsh: Arm the approx tier's LSH pre-filter stage
             (term-signature banding with exact refutation probes).
             Verified-mode ids are unaffected; raw mode gains precision
@@ -262,9 +251,6 @@ class PerfConfig:
     warm_floors: bool = False
     approx_verify: bool = True
     sketch_kmax: int = 16
-    sketch_budget: int = 256
-    sketch_pool: int = 32
-    sketch_sample_frac: float = 1.0
     approx_lsh: bool = True
     live_updates: bool = False
     lsm_freeze_threshold: int = 256
@@ -343,19 +329,6 @@ class PerfConfig:
         if self.sketch_kmax < 1:
             raise ConfigError(
                 f"sketch_kmax must be >= 1, got {self.sketch_kmax}"
-            )
-        if self.sketch_budget < 1:
-            raise ConfigError(
-                f"sketch_budget must be >= 1, got {self.sketch_budget}"
-            )
-        if self.sketch_pool < 1:
-            raise ConfigError(
-                f"sketch_pool must be >= 1, got {self.sketch_pool}"
-            )
-        if not 0.0 <= self.sketch_sample_frac <= 1.0:
-            raise ConfigError(
-                "sketch_sample_frac must be within [0.0, 1.0], got "
-                f"{self.sketch_sample_frac}"
             )
         if not isinstance(self.approx_lsh, bool):
             raise ConfigError(

@@ -926,28 +926,16 @@ class FusedBatchEngine:
         if use_floors:
             f_idx = floors.floor_idx
             f_tbl = floors.floor_table
+            f_prof = floors.obj_profile
             f_kmax = floors.kmax
             f_koff = k - 1
-            f_curve_c = floors.curve_c
-            f_curve_b = floors.curve_b
-            f_prof = floors.obj_profile
 
             def floor_of(slot: int) -> float:
-                fl = f_tbl[f_idx[slot] * f_kmax + f_koff]
                 if is_obj[slot]:
-                    if f_prof:
-                        # Sampled k-distance profile: dominates the
-                        # fitted curve pointwise wherever both exist.
-                        y = f_prof[slot * f_kmax + f_koff]
-                        if y > fl:
-                            return y
-                        return fl
-                    c = f_curve_c[slot]
-                    if c > 0.0:
-                        curve = c * k ** -f_curve_b[slot]
-                        if curve > fl:
-                            return curve
-                return fl
+                    # The object's own exact k-distance profile, which
+                    # is never below the global row it points at.
+                    return f_prof[slot * f_kmax + f_koff]
+                return f_tbl[f_idx[slot] * f_kmax + f_koff]
 
         root_tmpl = self._template(gs, _ROOT_BLOCK)
         root_qb = self._block(gs, _ROOT_BLOCK)[g]

@@ -49,7 +49,7 @@ from .cancel import cancel_message
 from ..index.entry import Entry
 from ..index.iurtree import IURTree
 from ..model.objects import STObject
-from ..obs.metrics import record_approx, record_search
+from ..obs.metrics import record_approx, record_search, record_sketch_build
 from ..perf.cache import BoundCache
 from ..text import make_measure
 from ..text.entropy import normalized_cluster_entropy
@@ -203,9 +203,6 @@ class RSTkNNSearcher:
         warm_floors: Optional[bool] = None,
         approx_verify: bool = True,
         sketch_kmax: Optional[int] = None,
-        sketch_budget: Optional[int] = None,
-        sketch_pool: Optional[int] = None,
-        sketch_sample_frac: Optional[float] = None,
         approx_lsh: Optional[bool] = None,
     ) -> None:
         """``bound_cache`` shares tree-pair bounds across this searcher's
@@ -224,10 +221,9 @@ class RSTkNNSearcher:
         to ``REPRO_WARM_FLOORS`` and then off.  ``approx_verify``
         applies when ``engine="approx"``: ``True`` verifies every
         candidate exactly (byte-identical ids), ``False`` returns the
-        raw conservative candidate set.  The ``sketch_*`` knobs
-        override the sketch build parameters (``None`` keeps the
-        :mod:`repro.approx.sketch` defaults; ``sketch_sample_frac``
-        budgets the exact true-kNN curve-sampling pass).
+        raw conservative candidate set.  ``sketch_kmax`` overrides the
+        sketch's largest covered ``k`` (``None`` keeps the
+        :mod:`repro.approx.sketch` default).
         ``approx_lsh`` arms the approx tier's LSH pre-filter stage;
         ``None`` defers to ``REPRO_APPROX_LSH`` and then on."""
         self.tree = tree
@@ -250,9 +246,6 @@ class RSTkNNSearcher:
         self.warm_floors = bool(warm_floors)
         self.approx_verify = bool(approx_verify)
         self.sketch_kmax = sketch_kmax
-        self.sketch_budget = sketch_budget
-        self.sketch_pool = sketch_pool
-        self.sketch_sample_frac = sketch_sample_frac
         if approx_lsh is None:
             approx_lsh = _default_approx_lsh()
         self.approx_lsh = bool(approx_lsh)
@@ -338,16 +331,16 @@ class RSTkNNSearcher:
         if resolved == "snapshot":
             snap = self.tree.snapshot()
             if self.warm_floors:
+                sketches = len(snap._sketches)
                 runner = snap.warm_engine_for(
                     self.tree,
                     self.measure,
                     self.alpha,
                     self.te_weight,
                     kmax=self.sketch_kmax,
-                    budget=self.sketch_budget,
-                    pool=self.sketch_pool,
-                    sample_frac=self.sketch_sample_frac,
                 )
+                if len(snap._sketches) != sketches:
+                    record_sketch_build(self.metrics, runner.floors)
             else:
                 runner = snap.engine_for(
                     self.tree, self.measure, self.alpha, self.te_weight
@@ -357,6 +350,7 @@ class RSTkNNSearcher:
             return result
         if resolved == "approx":
             snap = self.tree.snapshot()
+            sketches = len(snap._sketches)
             runner = snap.approx_engine_for(
                 self.tree,
                 self.measure,
@@ -364,11 +358,12 @@ class RSTkNNSearcher:
                 self.te_weight,
                 verify=self.approx_verify,
                 kmax=self.sketch_kmax,
-                budget=self.sketch_budget,
-                pool=self.sketch_pool,
-                sample_frac=self.sketch_sample_frac,
                 lsh=self.approx_lsh,
             )
+            if len(snap._sketches) != sketches:
+                # This call built the sketch (an attached segment's
+                # sketch is pre-populated and never counts).
+                record_sketch_build(self.metrics, runner.sketch)
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "approx", result.stats)
             record_approx(self.metrics, runner.last_filter)

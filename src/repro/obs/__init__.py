@@ -37,6 +37,7 @@ from .metrics import (
     latency_percentiles,
     record_approx,
     record_search,
+    record_sketch_build,
     registry_or_null,
 )
 from .timers import PhaseTimer
@@ -58,6 +59,7 @@ __all__ = [
     "latency_percentiles",
     "record_approx",
     "record_search",
+    "record_sketch_build",
     "registry_or_null",
     "PhaseTimer",
     "CountingSink",

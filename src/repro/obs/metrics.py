@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError
 
 #: Latency histogram bucket upper bounds, in seconds.  Spans the
-#: measured per-query range of the three engines (tens of microseconds
-#: for a warm snapshot walk at small |D| up to seconds for cold seed
-#: walks at E3 scale).
+#: measured per-query range of the engines (tens of microseconds for a
+#: warm snapshot walk at small |D| up to minutes for exact alpha=0.5
+#: walks at n=10^5, whose p95 reaches ~70 s).
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -46,6 +46,12 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.5,
     1.0,
     2.5,
+    5.0,
+    10.0,
+    25.0,
+    50.0,
+    100.0,
+    300.0,
 )
 
 #: Bound-gap histogram bucket upper bounds.  SimST is normalized into
@@ -424,6 +430,21 @@ def record_approx(
     counter = metrics.counter
     for key, value in last_filter.items():
         counter(f"approx.{key}").inc(int(value))
+
+
+def record_sketch_build(metrics: Optional[MetricsRegistry], sketch) -> None:
+    """Publish one freshly built kNNL sketch's cost into a registry.
+
+    Sets the ``approx.sketch.build_seconds`` and ``approx.sketch.bytes``
+    gauges from a :class:`~repro.approx.sketch.KnnlSketch`.  Callers
+    pass only sketches they built — one attached from a shared-memory
+    segment carries the exporting process's build time.  A ``None`` or
+    null registry makes this a no-op.
+    """
+    if metrics is None or not metrics.enabled:
+        return
+    metrics.gauge("approx.sketch.build_seconds").set(sketch.build_seconds)
+    metrics.gauge("approx.sketch.bytes").set(sketch.nbytes())
 
 
 def _fmt(value: float) -> str:

@@ -258,9 +258,6 @@ class BatchSearcher:
         warm_floors: Optional[bool] = None,
         approx_verify: bool = True,
         sketch_kmax: Optional[int] = None,
-        sketch_budget: Optional[int] = None,
-        sketch_pool: Optional[int] = None,
-        sketch_sample_frac: Optional[float] = None,
         approx_lsh: Optional[bool] = None,
     ) -> None:
         """``workers=1`` runs sequentially with the shared bound cache;
@@ -304,12 +301,10 @@ class BatchSearcher:
         verifies candidates exactly, ``False`` returns the raw
         conservative candidate set.  ``approx_lsh`` arms the approx
         engine's LSH pre-filter stage (``None`` defers to
-        ``REPRO_APPROX_LSH``).  The ``sketch_*`` knobs — including
-        ``sketch_sample_frac``, the true-kNN sampling budget of the
-        curve fit — override the sketch build parameters for the
-        sequential searcher and pickled workers (shm workers use the
-        segment's exported sketch or the :mod:`repro.approx.sketch`
-        defaults)."""
+        ``REPRO_APPROX_LSH``).  ``sketch_kmax`` overrides the sketch's
+        largest covered ``k`` for the sequential searcher and pickled
+        workers (shm workers use the segment's exported sketch or the
+        :mod:`repro.approx.sketch` default)."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         if mode not in BATCH_MODES:
@@ -358,9 +353,6 @@ class BatchSearcher:
         )
         self.approx_verify = bool(approx_verify)
         self.sketch_kmax = sketch_kmax
-        self.sketch_budget = sketch_budget
-        self.sketch_pool = sketch_pool
-        self.sketch_sample_frac = sketch_sample_frac
         self.bound_cache = BoundCache(cache_entries)
         self._pickle_error: Optional[str] = None
         self._last_retries = 0
@@ -379,9 +371,6 @@ class BatchSearcher:
             warm_floors=warm_floors,
             approx_verify=approx_verify,
             sketch_kmax=sketch_kmax,
-            sketch_budget=sketch_budget,
-            sketch_pool=sketch_pool,
-            sketch_sample_frac=sketch_sample_frac,
             approx_lsh=approx_lsh,
         )
         # Resolved (env applied) on the inner searcher; workers reuse it.
@@ -443,9 +432,6 @@ class BatchSearcher:
             # an explicit config False always disarms the pre-filter.
             approx_lsh=None if perf.approx_lsh else False,
             sketch_kmax=perf.sketch_kmax,
-            sketch_budget=perf.sketch_budget,
-            sketch_pool=perf.sketch_pool,
-            sketch_sample_frac=perf.sketch_sample_frac,
         )
 
     def invalidate(self) -> None:
@@ -648,9 +634,6 @@ class BatchSearcher:
                     searcher.alpha,
                     searcher.te_weight,
                     kmax=self.sketch_kmax,
-                    budget=self.sketch_budget,
-                    pool=self.sketch_pool,
-                    sample_frac=self.sketch_sample_frac,
                 )
             else:
                 engine = snap.fused_engine_for(
@@ -727,9 +710,6 @@ class BatchSearcher:
                                     s.te_weight,
                                 ),
                                 kmax=self.sketch_kmax,
-                                budget=self.sketch_budget,
-                                pool=self.sketch_pool,
-                                sample_frac=self.sketch_sample_frac,
                             )
                         exporter = getattr(
                             self.tree, "export_segment", None

@@ -69,10 +69,10 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 
 #: First eight bytes of every segment (version-bumped on layout changes;
 #: 02 added the optional frozen kNNL sketch arrays; 03 added the
-#: per-sketch ``obj_profile`` / ``row_objects`` / ``lsh_sig`` arrays
-#: and the ``sample_frac`` / ``curves_true`` metadata of the true-kNN
-#: build).
-SEGMENT_MAGIC = b"RSTSHM03"
+#: per-sketch ``obj_profile`` / ``row_objects`` / ``lsh_sig`` arrays;
+#: 04 keys sketches on ``kmax`` alone and drops the sampling/budget
+#: metadata of the retired approximate build).
+SEGMENT_MAGIC = b"RSTSHM04"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -329,11 +329,6 @@ class SharedSnapshotSegment:
                     key,
                     {
                         "kmax": sketch.kmax,
-                        "budget": sketch.budget,
-                        "pool": sketch.pool,
-                        "sample_frac": sketch.sample_frac,
-                        "curves_true": sketch.curves_true,
-                        "frontier": sketch.frontier,
                         "build_seconds": sketch.build_seconds,
                     },
                 )
@@ -904,8 +899,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM02 parent feeding an
-                # RSTSHM03 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM03 parent feeding an
+                # RSTSHM04 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "
@@ -936,19 +931,14 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
 
             snapshot._sketches[key] = KnnlSketch(
                 kmax=meta["kmax"],
-                budget=meta["budget"],
-                pool=meta["pool"],
-                frontier=meta["frontier"],
                 floor_idx=views.cast(f"sk{i}_floor_idx", "q"),
                 floor_table=views.cast(f"sk{i}_floor_table", "d"),
                 curve_c=views.cast(f"sk{i}_curve_c", "d"),
                 curve_b=views.cast(f"sk{i}_curve_b", "d"),
                 obj_profile=views.cast(f"sk{i}_obj_profile", "d"),
-                build_seconds=meta["build_seconds"],
-                sample_frac=meta["sample_frac"],
                 row_objects=views.cast(f"sk{i}_row_objects", "q"),
                 lsh_sig=views.cast(f"sk{i}_lsh_sig", "Q"),
-                curves_true=meta["curves_true"],
+                build_seconds=meta["build_seconds"],
             )
         tree = _ShmStubTree(snapshot, header, views)
         return AttachedIndex(shm, header, views, snapshot, tree)

@@ -290,45 +290,23 @@ class IndexSnapshot:
             self._engines[key] = engine
         return engine
 
-    def sketch_for(
-        self,
-        engine,
-        kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
-    ):
+    def sketch_for(self, engine, kmax: Optional[int] = None):
         """The memoized :class:`~repro.approx.sketch.KnnlSketch` of one
         exact engine's similarity setting (built on first request).
 
         Sketches depend on the same ``(measure, alpha)`` values the pair
-        memo does, so they key on the engine's setting plus the sketch
-        knobs; an attached shared-memory snapshot pre-populates this
-        table from the segment instead of rebuilding.
+        memo does, so they key on the engine's setting plus ``kmax``
+        (``None`` keeps :data:`~repro.approx.sketch.DEFAULT_SKETCH_KMAX`);
+        an attached shared-memory snapshot pre-populates this table from
+        the segment instead of rebuilding.
         """
-        from ..approx.sketch import (
-            DEFAULT_SKETCH_BUDGET,
-            DEFAULT_SKETCH_KMAX,
-            DEFAULT_SKETCH_POOL,
-            DEFAULT_SKETCH_SAMPLE_FRAC,
-            build_sketch,
-        )
+        from ..approx.sketch import DEFAULT_SKETCH_KMAX, build_sketch
 
         kmax = DEFAULT_SKETCH_KMAX if kmax is None else kmax
-        budget = DEFAULT_SKETCH_BUDGET if budget is None else budget
-        pool = DEFAULT_SKETCH_POOL if pool is None else pool
-        if sample_frac is None:
-            sample_frac = DEFAULT_SKETCH_SAMPLE_FRAC
-        key = (
-            engine.measure.name, engine.alpha, engine.te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        key = (engine.measure.name, engine.alpha, engine.te_weight, kmax)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = build_sketch(
-                engine, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
+            sketch = build_sketch(engine, kmax=kmax)
             self._sketches[key] = sketch
         return sketch
 
@@ -339,9 +317,6 @@ class IndexSnapshot:
         alpha: float,
         te_weight: float,
         kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
     ):
         """A traversal engine seeded with frozen kNNL warm-start floors.
 
@@ -350,19 +325,13 @@ class IndexSnapshot:
         pristine) but sharing its pair-bound memo — work done by either
         engine warms the other.
         """
-        key = (
-            "floors", measure.name, alpha, te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        key = ("floors", measure.name, alpha, te_weight, kmax)
         engine = self._engines.get(key)
         if engine is None:
             from ..core.traversal import SnapshotEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
+            sketch = self.sketch_for(base, kmax=kmax)
             engine = SnapshotEngine(
                 tree, self, measure, alpha, te_weight, floors=sketch
             )
@@ -377,25 +346,16 @@ class IndexSnapshot:
         alpha: float,
         te_weight: float,
         kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
     ):
         """The fused group engine with warm-start floors (see
         :meth:`warm_engine_for` for the memo-sharing contract)."""
-        key = (
-            "fused-floors", measure.name, alpha, te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        key = ("fused-floors", measure.name, alpha, te_weight, kmax)
         engine = self._engines.get(key)
         if engine is None:
             from ..core.fused import FusedBatchEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
+            sketch = self.sketch_for(base, kmax=kmax)
             engine = FusedBatchEngine(
                 tree, self, measure, alpha, te_weight, floors=sketch
             )
@@ -410,9 +370,6 @@ class IndexSnapshot:
         te_weight: float,
         verify: bool = True,
         kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
         lsh: bool = True,
     ):
         """The memoized sketch-filter engine
@@ -425,19 +382,13 @@ class IndexSnapshot:
         shrinks the conservative candidate set (higher precision,
         recall still 1.0).
         """
-        key = (
-            "approx", measure.name, alpha, te_weight, verify,
-            kmax, budget, pool, sample_frac, lsh,
-        )
+        key = ("approx", measure.name, alpha, te_weight, verify, kmax, lsh)
         engine = self._engines.get(key)
         if engine is None:
             from ..approx.engine import ApproxEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
+            sketch = self.sketch_for(base, kmax=kmax)
             engine = ApproxEngine(
                 tree, self, measure, alpha, te_weight, sketch,
                 verify=verify, lsh=lsh,

@@ -97,10 +97,8 @@ def _peel_frontier(snap, frontier_size: int) -> List[int]:
     """Descend the snapshot's largest directory nodes until up to
     ``frontier_size`` slots cover the shard (objects stay as-is).
 
-    Same adaptive discipline as the sketch peel
-    (:func:`repro.approx.sketch._peel_frontier`): a zero-fanout
-    directory slot (degenerate empty node) becomes its own frontier
-    slot and the peel continues — it must not dump the whole heap and
+    The peel is adaptive: a zero-fanout directory slot (degenerate
+    empty node) becomes its own frontier slot and the peel continues — it must not dump the whole heap and
     leave the frontier far under budget with correspondingly loose
     floors — and a node whose expansion would overflow the budget is
     likewise kept while smaller nodes may still be refined.
@@ -147,14 +145,14 @@ def build_summary(
     ``sketch`` optionally tightens the table with the shard's frozen
     :class:`~repro.approx.KnnlSketch` (built over the *same* engine, so
     the same snapshot and similarity setting).  Tightening happens at
-    two levels: per frontier node, ``sketch.node_floor(f, k)``
+    two levels: per frontier node, ``sketch.node_floor(f, k)`` (the
+    minimum exact k-distance profile of the objects under ``f``)
     lower-bounds the k-th best within-shard competitor of every object
     under ``f`` exactly like the pair-template bound does, so each
     node's contribution is the maximum of the two; globally,
-    ``sketch.global_floor(k)`` (which the sketch's per-object
-    k-distance curves can sharpen above any node row) lower-bounds
-    every shard object, so the finished table entry takes that maximum
-    too.  Both combinations are sound — each side independently
+    ``sketch.global_floor(k)`` (the minimum profile over every shard
+    object) lower-bounds every shard object, so the finished table
+    entry takes that maximum too.  Both combinations are sound — each side independently
     lower-bounds the same quantity — and possibly tighter.
     """
     snap = engine.snap

@@ -34,6 +34,7 @@ from repro.core.rstknn import RSTkNNSearcher
 from repro.errors import QueryError
 from repro.index.iurtree import IURTree
 from repro.perf.batch import BatchSearcher
+from repro.perf.kernels import numpy_available
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
 
@@ -133,7 +134,8 @@ class TestFloorConservativeness:
         desc = sketch.describe()
         assert desc["kmax"] == DEFAULT_SKETCH_KMAX
         assert desc["nbytes"] == sketch.nbytes() > 0
-        assert desc["frontier_size"] == len(sketch.frontier)
+        assert desc["rows"] == len(sketch.row_objects)
+        assert len(sketch.floor_table) == (desc["rows"] + 1) * sketch.kmax
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +299,7 @@ class TestShmSketchRoundTrip:
             assert list(twin.obj_profile) == list(parent.obj_profile)
             assert list(twin.row_objects) == list(parent.row_objects)
             assert list(twin.lsh_sig) == list(parent.lsh_sig)
-            assert twin.sample_frac == parent.sample_frac
-            assert twin.curves_true == parent.curves_true
-            assert twin.frontier == parent.frontier
+            assert twin.kmax == parent.kmax
             # And the attached searcher answers identically in approx
             # mode against the parent's exact engine.
             remote = attached.searcher(
@@ -330,9 +330,10 @@ class TestShmSketchRoundTrip:
             # A segment written by a previous layout version (same
             # RSTSHM family, older version byte pair) is *stale*, not
             # foreign: the remedy is re-exporting with this build.
-            seg.shm.buf[: len(SEGMENT_MAGIC)] = b"RSTSHM02"
-            with pytest.raises(StaleSegmentError):
-                attach(seg.name)
+            for stale in (b"RSTSHM02", b"RSTSHM03"):
+                seg.shm.buf[: len(SEGMENT_MAGIC)] = stale
+                with pytest.raises(StaleSegmentError):
+                    attach(seg.name)
             # Arbitrary bytes are a foreign (non-snapshot) segment.
             seg.shm.buf[: len(SEGMENT_MAGIC)] = b"NOTMAGIC"
             with pytest.raises(SnapshotSegmentError):
@@ -368,18 +369,14 @@ class TestBuildEdges:
             0.4,
             engine="approx",
             sketch_kmax=4,
-            sketch_budget=16,
-            sketch_pool=8,
         )
         searcher.search(env["queries"][0], 2)
         snap = env["tree"].snapshot()
         engine = snap.approx_engine_for(
             env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, verify=True, kmax=4, budget=16, pool=8,
+            searcher.te_weight, verify=True, kmax=4,
         )
         assert engine.sketch.kmax == 4
-        assert engine.sketch.budget == 16
-        assert engine.sketch.pool == 8
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +385,8 @@ class TestBuildEdges:
 
 
 class _StubSnap:
-    """Minimal snapshot shape shared by both frontier peels.
+    """Minimal snapshot shape for the shard admission peel and the
+    sketch's directory-floor aggregation.
 
     Slot 0 is the root directory; slot 1 is a *degenerate empty*
     directory node (no children) given an inflated count so the
@@ -397,6 +395,7 @@ class _StubSnap:
     holding objects 4 and 5.
     """
 
+    n_slots = 6
     root_slots = (0,)
     is_obj = [0, 0, 1, 0, 1, 1]
     cnt = [3, 5, 1, 2, 1, 1]
@@ -405,25 +404,17 @@ class _StubSnap:
 
 
 class TestAdaptivePeel:
-    def _check(self, peel):
-        # The empty node pops first (cnt 5).  The regression: appending
-        # it must not abort the peel — slot 3 (still in the heap) must
-        # go on to be refined into its object children 4 and 5.
-        frontier = peel(_StubSnap(), 16)
-        assert sorted(frontier) == [1, 2, 4, 5]
-
-    def test_sketch_peel_continues_past_empty_node(self):
-        from repro.approx.sketch import _peel_frontier
-
-        self._check(_peel_frontier)
-
     def test_shard_peel_continues_past_empty_node(self):
         from repro.shard.summaries import _peel_frontier
 
-        self._check(_peel_frontier)
+        # The empty node pops first (cnt 5).  The regression: appending
+        # it must not abort the peel — slot 3 (still in the heap) must
+        # go on to be refined into its object children 4 and 5.
+        frontier = _peel_frontier(_StubSnap(), 16)
+        assert sorted(frontier) == [1, 2, 4, 5]
 
     def test_overflowing_node_is_kept_while_smaller_nodes_refine(self):
-        from repro.approx.sketch import _peel_frontier
+        from repro.shard.summaries import _peel_frontier
 
         # Budget 4: expanding root yields [2] + heap {1, 3}.  Slot 1
         # (empty) becomes a row; slot 3's expansion fits (2 + 0 + 2 =
@@ -437,57 +428,11 @@ class TestAdaptivePeel:
 
 
 # ----------------------------------------------------------------------
-# Curve sampling: symmetric window, true-kNN pass, budget monotonicity
+# Curve fits over the exact profiles
 # ----------------------------------------------------------------------
 
 
 class TestCurveSampling:
-    def test_edge_objects_get_curves_at_interior_rate(self):
-        # sample_frac=0.0 forces the layout-window fallback for every
-        # object.  The window is circular, so the first and last
-        # objects in layout order see exactly as many samples as
-        # interior ones; with pool >= 2*kmax every object has enough
-        # samples for a fit wherever similarities are nonzero.
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketch = build_sketch(engine, sample_frac=0.0)
-        assert sketch.curves_true == 0
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        kmax = sketch.kmax
-        edge = objs[:kmax] + objs[-kmax:]
-        interior = objs[kmax:-kmax]
-        edge_rate = sum(
-            1 for s in edge if sketch.curve_c[s] > 0.0
-        ) / len(edge)
-        interior_rate = sum(
-            1 for s in interior if sketch.curve_c[s] > 0.0
-        ) / len(interior)
-        # A forward-only window starves trailing objects entirely; the
-        # symmetric window keeps both populations at the same rate.
-        assert edge_rate >= interior_rate - 1e-9
-
-    @settings(deadline=None, max_examples=10)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        frac=st.sampled_from((0.0, 0.5, 1.0)),
-    )
-    def test_floors_conservative_across_sample_fracs(self, alpha, frac):
-        cell = _cell(alpha)
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, alpha, 0.0)
-        sketch = build_sketch(engine, sample_frac=frac)
-        for slot in cell["objs"]:
-            sims = cell["brute"][slot]
-            for k in (1, 2, sketch.kmax):
-                s_k = sims[k - 1] if len(sims) >= k else 0.0
-                assert sketch.obj_floor(slot, k) <= s_k + 1e-12
-
     def test_floors_conservative_under_other_measures(self):
         env = _env()
         tree = env["tree"]
@@ -495,7 +440,7 @@ class TestCurveSampling:
         for name in ("cosine", "dice"):
             measure = make_measure(name)
             engine = snap.engine_for(tree, measure, 0.4, 0.0)
-            sketch = build_sketch(engine, sample_frac=1.0)
+            sketch = build_sketch(engine)
             exact = engine._exact
             ref = snap.ref
             objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
@@ -506,7 +451,7 @@ class TestCurveSampling:
                 )
                 for k in (1, 2, sketch.kmax):
                     s_k = sims[k - 1] if len(sims) >= k else 0.0
-                    assert sketch.obj_floor(a, k) <= s_k + 1e-12
+                    assert sketch.obj_floor(a, k) <= s_k
 
     def test_true_pass_fits_curves_over_exact_profiles(self):
         env = _env()
@@ -514,48 +459,158 @@ class TestCurveSampling:
         snap = tree.snapshot()
         measure = make_measure(env["dataset"].config.text_measure)
         engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketch = build_sketch(engine, sample_frac=1.0)
+        sketch = build_sketch(engine)
         objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        assert sketch.curves_true == len(objs)
-        # The true pass collects each object's exact top-kmax, so the
-        # fitted curve is bounded by the brute-force profile pointwise.
+        assert sketch.describe()["curves_fitted"] == len(objs)
+        # The profile is the exact one, so the curve fitted under it is
+        # bounded by the brute-force profile pointwise.
         cell = _cell(0.4)
         kmax = sketch.kmax
         for slot in objs:
             sims = cell["brute"][slot]
             for k in range(1, kmax + 1):
                 s_k = sims[k - 1] if len(sims) >= k else 0.0
+                prof = sketch.obj_profile[slot * kmax + (k - 1)]
+                assert prof == s_k
+                assert sketch.obj_floor(slot, k) == prof
                 c = sketch.curve_c[slot]
                 if c > 0.0:
-                    curve = c * k ** -sketch.curve_b[slot]
-                    assert curve <= s_k + 1e-12
-                    # The stored profile equals the exact sampled s_k
-                    # and dominates the curve fitted under it.
-                    prof = sketch.obj_profile[slot * kmax + (k - 1)]
-                    assert prof == pytest.approx(s_k, abs=1e-12)
-                    assert prof >= curve - 1e-12
-                    assert sketch.obj_floor(slot, k) >= prof - 1e-12
+                    assert c * k ** -sketch.curve_b[slot] <= s_k
 
-    def test_floors_monotone_in_budget(self):
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketches = [
-            build_sketch(engine, budget=budget, sample_frac=0.0)
-            for budget in (16, 32, 64, 128)
-        ]
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        for lo, hi in zip(sketches, sketches[1:]):
-            assert len(lo.frontier) <= len(hi.frontier)
-            for k in range(1, lo.kmax + 1):
-                assert lo.global_floor(k) <= hi.global_floor(k) + 1e-12
-                for slot in objs:
-                    assert (
-                        lo.node_floor(slot, k)
-                        <= hi.node_floor(slot, k) + 1e-12
-                    )
+
+# ----------------------------------------------------------------------
+# The all-kNN pass: bit-exact profiles, min-aggregated node floors
+# ----------------------------------------------------------------------
+
+_MEASURES = (
+    "extended_jaccard", "cosine", "overlap", "dice", "weighted_jaccard"
+)
+_CORPORA = {}
+
+
+def _corpus(kind: str, n: int):
+    """Cached ``(IUR, CIUR)`` trees over one test corpus.
+
+    ``dup`` is tie-heavy: eight distinct ``(location, text)`` records,
+    each repeated eight times, plus same-place/other-text and
+    same-text/other-place variants and a stopword-only (empty) document.
+    """
+    from repro.config import IndexConfig
+    from repro.index.ciurtree import CIURTree
+    from repro.model.dataset import STDataset
+    from repro.spatial.point import Point
+
+    key = (kind, n)
+    if key not in _CORPORA:
+        if kind == "dup":
+            base = [
+                (Point(0.1 * (i % 4), 0.2 * (i // 4)),
+                 f"t{i % 3} u{(i * 7) % 5}")
+                for i in range(8)
+            ]
+            records = [rec for rec in base for _ in range(8)]
+            records += [(Point(0.1, 0.0), "v1 v2"), (Point(0.9, 0.9), "t0 u0")]
+            records += [(Point(0.5, 0.5), "the")]
+            dataset = STDataset.from_corpus(records)
+        else:
+            dataset = gn_like(n=n, seed=5)
+        small = IndexConfig(max_entries=6, min_entries=2)
+        _CORPORA[key] = (
+            IURTree.build(dataset, small),
+            CIURTree.build(
+                dataset,
+                IndexConfig(
+                    max_entries=6, min_entries=2, num_clusters=3,
+                    outlier_threshold=0.3,
+                ),
+            ),
+        )
+    return _CORPORA[key]
+
+
+class TestExactProfiles:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        alpha=st.sampled_from((0.0, 0.4, 0.9, 1.0)),
+        measure=st.sampled_from(_MEASURES),
+        corpus=st.sampled_from((
+            ("gn", 70), ("dup", 0), ("gn", 1), ("gn", 2), ("gn", 16),
+            ("gn", 17),
+        )),
+        ciur=st.booleans(),
+        backend=st.sampled_from(
+            ("python", "numpy") if numpy_available() else ("python",)
+        ),
+        array_pass=st.booleans(),
+    )
+    def test_profiles_and_node_floors_are_exact(
+        self, alpha, measure, corpus, ciur, backend, array_pass
+    ):
+        from unittest import mock
+
+        from repro.approx import sketch as sketch_mod
+        from repro.perf import kernels
+
+        tree = _corpus(*corpus)[1 if ciur else 0]
+        with kernels.use_backend(backend), mock.patch.object(
+            sketch_mod,
+            "_array_numpy",
+            sketch_mod._array_numpy if array_pass else (lambda snap: None),
+        ):
+            snap = tree.snapshot()
+            engine = snap.engine_for(tree, make_measure(measure), alpha, 0.0)
+            sketch = build_sketch(engine)
+            kmax = sketch.kmax
+            objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+            profile = {}
+            for a in objs:
+                ys = sorted(
+                    (engine._exact(a, b) for b in objs if b != a), reverse=True
+                )[:kmax]
+                ys += [0.0] * (kmax - len(ys))
+                assert list(sketch.obj_profile[a * kmax:(a + 1) * kmax]) == ys
+                profile[a] = ys
+            for slot in range(snap.n_slots):
+                stack, under = [slot], []
+                while stack:
+                    s = stack.pop()
+                    if snap.is_obj[s]:
+                        under.append(profile[s])
+                    else:
+                        stack.extend(
+                            range(snap.first_child[s], snap.last_child[s])
+                        )
+                want = (
+                    [min(col) for col in zip(*under)] if under else [0.0] * kmax
+                )
+                got = [sketch.node_floor(slot, k) for k in range(1, kmax + 1)]
+                assert got == want
+            every = [min(col) for col in zip(*profile.values())] if objs else []
+            assert every == [
+                sketch.global_floor(k) for k in range(1, len(every) + 1)
+            ]
+
+    def test_directory_floors_skip_empty_nodes(self):
+        from repro.approx.sketch import _directory_floors
+
+        # Slot 1 is an empty directory: it reads 0.0 and must not drag
+        # the root's minimum down; slot 3 reads the minimum of 4 and 5.
+        profiles = {2: [0.9, 0.5], 4: [0.8, 0.6], 5: [0.7, 0.7]}
+        floor_idx, floor_table, row_objects = _directory_floors(
+            _StubSnap(), profiles, 2
+        )
+
+        def row(slot):
+            i = floor_idx[slot]
+            return list(floor_table[2 * i:2 * i + 2])
+
+        assert row(1) == [0.0, 0.0]
+        assert row(3) == [0.7, 0.6]
+        assert row(0) == [0.7, 0.5]
+        assert list(floor_table[-2:]) == [0.7, 0.5]
+        assert list(row_objects) == [3, 5, 2]
+        for obj in profiles:
+            assert floor_idx[obj] == 3  # the global row
 
 
 # ----------------------------------------------------------------------
@@ -663,26 +718,24 @@ class TestLshPreFilter:
 
 
 class TestSketchKnobs:
-    def test_perf_config_validates_sample_frac(self):
+    def test_perf_config_validates_sketch_knobs(self):
         from repro.config import PerfConfig
         from repro.errors import ConfigError
 
-        assert PerfConfig(sketch_sample_frac=0.5).sketch_sample_frac == 0.5
+        assert PerfConfig(sketch_kmax=4).sketch_kmax == 4
         with pytest.raises(ConfigError):
-            PerfConfig(sketch_sample_frac=-0.1)
-        with pytest.raises(ConfigError):
-            PerfConfig(sketch_sample_frac=1.5)
+            PerfConfig(sketch_kmax=0)
         with pytest.raises(ConfigError):
             PerfConfig(approx_lsh="yes")
 
-    def test_sample_frac_memoizes_distinct_sketches(self):
+    def test_kmax_memoizes_distinct_sketches(self):
         env = _env()
         tree = env["tree"]
         measure = make_measure(env["dataset"].config.text_measure)
         snap = tree.snapshot()
         engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        full = snap.sketch_for(engine, sample_frac=1.0)
-        window = snap.sketch_for(engine, sample_frac=0.0)
-        assert full is not window
-        assert full.curves_true > 0 and window.curves_true == 0
-        assert snap.sketch_for(engine, sample_frac=1.0) is full
+        full = snap.sketch_for(engine)
+        small = snap.sketch_for(engine, kmax=4)
+        assert full is not small
+        assert (full.kmax, small.kmax) == (16, 4)
+        assert snap.sketch_for(engine) is full

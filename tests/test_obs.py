@@ -38,10 +38,12 @@ from repro.obs import (
     registry_or_null,
 )
 from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
     Histogram,
     latency_percentiles,
     record_approx,
     record_search,
+    record_sketch_build,
 )
 from repro.perf.batch import BatchSearcher
 from repro.workloads import sample_queries
@@ -203,6 +205,15 @@ class TestMetricsRegistry:
         assert hist.counts == [2, 1, 0, 1]
         assert hist.count == 4
         assert hist.mean() == pytest.approx((0.05 + 0.1 + 0.3 + 2.0) / 4)
+
+    def test_latency_buckets_cover_minutes_long_queries(self):
+        # Exact alpha=0.5 walks at n=10^5 take tens of seconds; they
+        # must land in a finite bucket, not the overflow cell.
+        hist = Histogram()
+        hist.observe(100.0)
+        assert hist.counts[-1] == 0
+        assert DEFAULT_LATENCY_BUCKETS[0] == 0.0001
+        assert DEFAULT_LATENCY_BUCKETS[-1] == 300.0
 
     def test_json_snapshot_round_trips(self):
         reg = MetricsRegistry()
@@ -445,3 +456,52 @@ class TestRecordApprox:
         snap = reg.snapshot()
         assert snap["counters"]["search.queries.approx"] == 1
         assert "approx.candidates" in snap["counters"]
+
+
+class TestSketchBuildGauges:
+    def _tree(self):
+        # A private tree: the sketch must not already be memoized on a
+        # snapshot another test warmed.
+        return IURTree.build(STDataset.from_corpus(random_corpus(60, seed=23)))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"engine": "approx"},
+        {"engine": "snapshot", "warm_floors": True},
+    ])
+    def test_building_search_publishes_cost(self, kwargs):
+        tree = self._tree()
+        reg = MetricsRegistry()
+        searcher = RSTkNNSearcher(tree, metrics=reg, **kwargs)
+        query = sample_queries(tree.dataset, 1, seed=3)[0]
+        searcher.search(query, 3)
+        snap = tree.snapshot()
+        sketch = snap.sketch_for(
+            snap.engine_for(tree, searcher.measure, searcher.alpha,
+                            searcher.te_weight)
+        )
+        gauges = reg.snapshot()["gauges"]
+        assert gauges["approx.sketch.build_seconds"] == sketch.build_seconds
+        assert gauges["approx.sketch.bytes"] == sketch.nbytes() > 0
+
+    def test_prebuilt_sketch_is_not_republished(self):
+        tree = self._tree()
+        reg = MetricsRegistry()
+        searcher = RSTkNNSearcher(tree, engine="approx", metrics=reg)
+        snap = tree.snapshot()
+        snap.sketch_for(
+            snap.engine_for(tree, searcher.measure, searcher.alpha,
+                            searcher.te_weight)
+        )
+        searcher.search(sample_queries(tree.dataset, 1, seed=3)[0], 3)
+        assert "approx.sketch.build_seconds" not in reg.snapshot()["gauges"]
+
+    def test_null_registry_records_nothing(self):
+        tree = self._tree()
+        searcher = RSTkNNSearcher(tree, engine="approx", metrics=NULL_REGISTRY)
+        # This search builds the sketch, so it reaches record_sketch_build.
+        searcher.search(sample_queries(tree.dataset, 1, seed=3)[0], 3)
+        record_sketch_build(None, None)
+        assert NULL_REGISTRY.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
+        assert NOOP_GAUGE.value == 0.0
