@@ -1,46 +1,38 @@
 """Approx-tier benchmark: frozen kNNL floors + the sketch-filter engine.
 
 Runs the E3-style single-query workload (gn-like dataset, sampled
-queries) through four tiers of
+queries) through three tiers of
 :class:`repro.core.rstknn.RSTkNNSearcher` over a ``k x alpha`` sweep —
 
 * ``snapshot`` — the exact columnar engine (the parity reference);
 * ``warm`` — the same engine seeded with frozen kNNL warm-start floors
   (``warm_floors=True``): **bit-identical ids by construction**, only
   pruning gets earlier;
-* ``approx verified`` — ``engine="approx", verify=True``: the sketch
-  filter generates a conservative candidate superset, every survivor is
-  verified exactly (**byte-identical ids**);
-* ``approx raw`` — ``engine="approx", verify=False``: the raw filter
-  output, with recall/precision measured against the exact reference —
+* ``approx`` — ``engine="approx"``: the sketch filter's survivors are
+  the answer for ``k <= kmax`` (exact profiles, no verification probe),
+  and larger ``k`` runs the snapshot walk —
 
-and writes ``BENCH_approx.json`` with QPS, speedups, recall/precision,
-the sketch build cost per alpha (``build_seconds`` and bytes under
+and writes ``BENCH_approx.json`` with QPS, speedups, the sketch build
+cost per alpha (``build_seconds`` and bytes under
 ``report["sketches"]``, their sum under ``report["phases"]``), and the
 filter counters.
 
-**Five hard gates** (the run exits non-zero on any failure):
+**Three hard gates** (the run exits non-zero on any failure):
 
-1. warm floors and verified approx must return ids identical to the
-   exact snapshot engine in every cell — always armed, ``--quick``
-   included;
-2. raw-filter recall must be exactly 1.0 in every cell — always armed
-   (the conservative sketch guarantees it by construction, so any dip
-   is a soundness bug, not a tuning miss);
-3. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
+1. warm floors and approx must return ids identical to the exact
+   snapshot engine in every cell — always armed, ``--quick`` included.
+   Identical ids mean recall = precision = 1.0, so this one gate is
+   stricter than separate recall and precision floors;
+2. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
    the headline cell — armed at ``n >= 50_000`` (floors only matter
    once contribution lists dominate);
-4. raw-filter precision must be >= 10x the layout-window baseline in
-   every baselined cell — armed at ``n >= 50_000``; smaller runs
-   (``--quick`` included) instead gate on an absolute small-n floor,
-   so the smoke tier still catches precision regressions;
-5. verified-mode QPS must be strictly above the layout-window baseline
-   in every baselined cell — armed at ``n >= 50_000``.
+3. approx QPS must be strictly above the layout-window baseline in
+   every baselined cell — armed at ``n >= 50_000``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_approx.py [--quick] [--n N]
-        [--k K [K ...]] [--alpha A [A ...]] [--out F] [--no-lsh]
+        [--k K [K ...]] [--alpha A [A ...]] [--out F]
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.gates import ids_gate, median_qps, report_header, timed
 from repro.config import SimilarityConfig
@@ -63,53 +55,18 @@ from repro.workloads import gn_like, sample_queries
 GATE_N = 50_000
 WARM_SPEEDUP_GATE = 1.2
 
-#: The conservative sketch guarantees recall 1.0 by construction, so
-#: the gate is exact: anything below is a soundness bug.
-RECALL_GATE = 1.0
-
-#: Raw-filter precision of the layout-window-only sketch (the build
-#: before per-object k-distance profiles) at n=100_000 — the baseline
-#: the exact profiles must beat by PRECISION_MULTIPLE_GATE.
-_BASELINE_PRECISION = {
-    (4, 0.3): 0.011241,
-    (4, 0.6): 0.025641,
-    (8, 0.3): 0.009395,
-    (8, 0.6): 0.022358,
-}
-
-#: Verified-mode QPS of the same baseline build at n=100_000; the
-#: tighter floors must strictly improve every baselined cell.
-_BASELINE_VERIFIED_QPS = {
+#: Verified-mode QPS of the layout-window-only sketch (the build before
+#: per-object k-distance profiles) at n=100_000; the approx engine
+#: must strictly improve every baselined cell.
+_BASELINE_APPROX_QPS = {
     (4, 0.3): 1.01185,
     (4, 0.6): 5.64065,
     (8, 0.3): 0.26303,
     (8, 0.6): 1.21472,
 }
 
-PRECISION_MULTIPLE_GATE = 10.0
-
-#: Absolute raw-precision floor for sub-GATE_N runs (the CI smoke
-#: tier): small corpora run far above this, so a trip means the
-#: profiles or the LSH stage regressed, not that the workload drifted.
-QUICK_PRECISION_GATE = 0.05
-
-
-def recall_precision(
-    reference: List[List[int]], got: List[List[int]]
-) -> Dict[str, float]:
-    """Micro-averaged recall/precision of ``got`` against ``reference``."""
-    hits = ref_total = got_total = 0
-    for ref_ids, got_ids in zip(reference, got):
-        ref_set = set(ref_ids)
-        hits += sum(1 for i in got_ids if i in ref_set)
-        ref_total += len(ref_ids)
-        got_total += len(got_ids)
-    return {
-        "recall": hits / ref_total if ref_total else 1.0,
-        "precision": hits / got_total if got_total else 1.0,
-        "reference_results": ref_total,
-        "returned_results": got_total,
-    }
+#: Per-query filter counters reported per cell.
+_FLOW_KEYS = ("candidates", "answers", "nodes_pruned", "exact_fallbacks")
 
 
 def bench_cell(
@@ -119,61 +76,38 @@ def bench_cell(
     alpha: float,
     rounds: int,
     metrics,
-    lsh: bool = True,
 ) -> Dict[str, object]:
     """Gates + QPS for one ``(k, alpha)`` cell of the sweep."""
     config = SimilarityConfig(alpha=alpha)
-    knobs = dict(approx_lsh=lsh)
     base = RSTkNNSearcher(tree, config=config, engine="snapshot")
     warm = RSTkNNSearcher(
-        tree, config=config, engine="snapshot", warm_floors=True, **knobs
+        tree, config=config, engine="snapshot", warm_floors=True
     )
-    verified = RSTkNNSearcher(
-        tree, config=config, engine="approx", approx_verify=True, **knobs
-    )
-    raw = RSTkNNSearcher(
-        tree,
-        config=config,
-        engine="approx",
-        approx_verify=False,
-        metrics=metrics,
-        **knobs,
+    approx = RSTkNNSearcher(
+        tree, config=config, engine="approx", metrics=metrics
     )
     label = f"k={k} alpha={alpha}"
 
     # Hard gates first (also warms every engine, sketch, and memo).
+    # Per-cell filter counters: delta around the gate pass (the
+    # engine's own counters are cumulative across cells).
+    snap = tree.snapshot()
+    engine = snap.approx_engine_for(
+        tree, approx.measure, approx.alpha, approx.te_weight
+    )
+    before = dict(engine.counters)
     reference = [base.search(q, k).ids for q in queries]
+    ids_gate(
+        reference,
+        [approx.search(q, k).ids for q in queries],
+        f"approx vs snapshot, {label}",
+    )
+    flow = {key: engine.counters[key] - before[key] for key in _FLOW_KEYS}
     ids_gate(
         reference,
         [warm.search(q, k).ids for q in queries],
         f"warm floors vs snapshot, {label}",
     )
-    ids_gate(
-        reference,
-        [verified.search(q, k).ids for q in queries],
-        f"approx verify=True vs snapshot, {label}",
-    )
-
-    # Per-cell candidate-flow counters: delta around the quality pass
-    # (the engine's own counters are cumulative across cells).
-    snap = tree.snapshot()
-    raw_engine = snap.approx_engine_for(
-        tree, raw.measure, raw.alpha, raw.te_weight, verify=False, lsh=lsh,
-    )
-    before = dict(raw_engine.counters)
-    quality = recall_precision(
-        reference, [raw.search(q, k).ids for q in queries]
-    )
-    flow = {
-        key: raw_engine.counters[key] - before.get(key, 0)
-        for key in ("candidates", "lsh_pruned", "answers")
-    }
-    if quality["recall"] < RECALL_GATE:
-        raise SystemExit(
-            f"recall gate FAILED ({label}): "
-            f"{quality['recall']:.4f} < {RECALL_GATE}"
-        )
-    metrics.gauge("approx.recall").set(quality["recall"])
 
     n = len(queries)
 
@@ -186,37 +120,22 @@ def bench_cell(
 
     snapshot_qps = sweep(base)
     warm_qps = sweep(warm)
-    verified_qps = sweep(verified)
-    raw_qps = sweep(raw)
-
-    # The memoized filter engine exposes its cumulative counters.
-    filter_counters = dict(raw_engine.counters)
+    approx_qps = sweep(approx)
 
     return {
         "k": k,
         "alpha": alpha,
         "queries": n,
         "parity": "ok",
-        "recall": quality["recall"],
-        "precision": quality["precision"],
-        "reference_results": quality["reference_results"],
-        "returned_results": quality["returned_results"],
-        "candidates_per_query": flow["candidates"] / n,
-        "lsh_pruned_per_query": flow["lsh_pruned"] / n,
-        "answers_per_query": flow["answers"] / n,
-        "candidate_precision": (
-            flow["answers"] / flow["candidates"]
-            if flow["candidates"]
-            else 1.0
-        ),
+        "results": sum(len(ids) for ids in reference),
+        **{f"{key}_per_query": flow[key] / n for key in _FLOW_KEYS},
         "snapshot_qps": snapshot_qps,
         "warm_floors_qps": warm_qps,
-        "approx_verified_qps": verified_qps,
-        "approx_raw_qps": raw_qps,
+        "approx_qps": approx_qps,
         "speedup_warm_vs_snapshot": warm_qps / snapshot_qps,
-        "speedup_verified_vs_snapshot": verified_qps / snapshot_qps,
-        "speedup_raw_vs_snapshot": raw_qps / snapshot_qps,
-        "filter_counters": filter_counters,
+        "speedup_approx_vs_snapshot": approx_qps / snapshot_qps,
+        # The memoized filter engine exposes its cumulative counters.
+        "filter_counters": dict(engine.counters),
     }
 
 
@@ -236,11 +155,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--out", default="BENCH_approx.json")
-    parser.add_argument(
-        "--no-lsh",
-        action="store_true",
-        help="disable the approx engine's LSH pre-filter stage",
-    )
     parser.add_argument(
         "--backend",
         choices=kernels.KERNEL_BACKENDS,
@@ -292,10 +206,9 @@ def main(argv=None) -> int:
             )
 
     metrics = MetricsRegistry()
-    lsh = not args.no_lsh
     with timer.phase("walk"):
         cells = [
-            bench_cell(tree, queries, k, alpha, rounds, metrics, lsh=lsh)
+            bench_cell(tree, queries, k, alpha, rounds, metrics)
             for k in ks
             for alpha in alphas
         ]
@@ -312,53 +225,27 @@ def main(argv=None) -> int:
             f"{WARM_SPEEDUP_GATE}x at n={n}"
         )
 
-    # Precision and verified-QPS gates: against the layout-window
-    # baseline at scale, against the absolute smoke floor below it.
+    # Approx-QPS gate: against the layout-window baseline at scale.
     for cell in cells:
         key = (cell["k"], cell["alpha"])
-        label = f"k={key[0]} alpha={key[1]}"
-        if gate_armed:
-            baseline = _BASELINE_PRECISION.get(key)
-            if baseline is not None and (
-                cell["precision"] < PRECISION_MULTIPLE_GATE * baseline
-            ):
-                raise SystemExit(
-                    f"precision gate FAILED ({label}): "
-                    f"{cell['precision']:.4f} < "
-                    f"{PRECISION_MULTIPLE_GATE}x baseline {baseline:.4f}"
-                )
-            qps_floor = _BASELINE_VERIFIED_QPS.get(key)
-            if qps_floor is not None and (
-                cell["approx_verified_qps"] <= qps_floor
-            ):
-                raise SystemExit(
-                    f"verified-QPS gate FAILED ({label}): "
-                    f"{cell['approx_verified_qps']:.3f} <= baseline "
-                    f"{qps_floor:.3f}"
-                )
-        elif cell["precision"] < QUICK_PRECISION_GATE:
+        qps_floor = _BASELINE_APPROX_QPS.get(key)
+        if gate_armed and qps_floor is not None and (
+            cell["approx_qps"] <= qps_floor
+        ):
             raise SystemExit(
-                f"small-n precision gate FAILED ({label}): "
-                f"{cell['precision']:.4f} < {QUICK_PRECISION_GATE}"
+                f"approx-QPS gate FAILED (k={key[0]} alpha={key[1]}): "
+                f"{cell['approx_qps']:.3f} <= baseline {qps_floor:.3f}"
             )
 
     report = report_header(n, args.quick, timer=timer, snapshot=snapshot)
     report["gates"] = {
         "parity": "ok",
-        "recall_gate": RECALL_GATE,
         "warm_speedup_gate": WARM_SPEEDUP_GATE,
         "warm_speedup_gate_armed": gate_armed,
         "warm_speedup_gate_n": GATE_N,
-        "precision_multiple_gate": PRECISION_MULTIPLE_GATE,
-        "precision_baseline": {
-            f"{k},{a}": v for (k, a), v in _BASELINE_PRECISION.items()
+        "approx_qps_baseline": {
+            f"{k},{a}": v for (k, a), v in _BASELINE_APPROX_QPS.items()
         },
-        "verified_qps_baseline": {
-            f"{k},{a}": v
-            for (k, a), v in _BASELINE_VERIFIED_QPS.items()
-        },
-        "quick_precision_gate": QUICK_PRECISION_GATE,
-        "lsh": lsh,
     }
     report["sketches"] = sketches
     report["cells"] = cells
@@ -371,9 +258,8 @@ def main(argv=None) -> int:
     print(
         f"headline (k={headline['k']} alpha={headline['alpha']}): "
         f"warm floors {headline['speedup_warm_vs_snapshot']:.2f}x, "
-        f"approx raw {headline['speedup_raw_vs_snapshot']:.2f}x vs "
-        f"snapshot; recall {headline['recall']:.4f}, "
-        f"precision {headline['precision']:.4f}"
+        f"approx {headline['speedup_approx_vs_snapshot']:.2f}x vs "
+        "snapshot; ids identical in every cell"
     )
     return 0
 

@@ -1,11 +1,10 @@
 """Frozen k-distance sketches and the ``engine="approx"`` tier.
 
 See :mod:`repro.approx.sketch` for the freeze-time kNNL floor builder
-and :mod:`repro.approx.engine` for the sketch-filtered search engine
-(including its LSH pre-filter stage).
+and :mod:`repro.approx.engine` for the sketch-filtered search engine.
 """
 
-from .engine import ApproxEngine, LSH_BANDS, LSH_PROBE_CAP
+from .engine import ApproxEngine
 from .sketch import DEFAULT_SKETCH_KMAX, KnnlSketch, build_sketch
 
 __all__ = [
@@ -13,6 +12,4 @@ __all__ = [
     "KnnlSketch",
     "build_sketch",
     "DEFAULT_SKETCH_KMAX",
-    "LSH_BANDS",
-    "LSH_PROBE_CAP",
 ]

@@ -4,7 +4,7 @@ A :class:`KnnlSketch` is computed once per snapshot and similarity
 setting and holds, for every slot of the snapshot, a *provably
 conservative* lower bound on the k-th best ``SimST`` of every object
 under that slot — the frozen analogue of the competitor floors the
-exact branch-and-bound walk tightens lazily per query.  It has three
+exact branch-and-bound walk tightens lazily per query.  It has two
 parts:
 
 * **object profiles** (``obj_profile``): each object's exact top-``kmax``
@@ -21,16 +21,12 @@ parts:
   their own profile, which is never below it.  A minimum of exact
   ``s_k`` values lower-bounds the ``s_k`` of every object it covers,
   and no sound per-node bound can be higher.
-* **curves** (``curve_c``/``curve_b``, after Obermeier et al.,
-  arXiv:2011.01773): each profile summarised as a monomial
-  ``c * k**-b`` least-squares fitted in log space and rescaled so it
-  never exceeds the profile.  The consumers read the profile; the
-  curves are kept as the compact form of the same data.
 
-The sketch also freezes each object's 64-bit **term signature** (the
-Bloom-style ``1 << (tid % 64)`` mask of the frozen kernels), which the
-``engine="approx"`` tier bands into an LSH pre-filter stage (see
-:meth:`~repro.approx.engine.ApproxEngine.search`).
+Obermeier et al. (arXiv:2011.01773) store k-distances as fitted curves
+and must verify every candidate because those are approximate; these
+profiles are exact, which is what lets the ``engine="approx"`` tier
+return its filter survivors as the answer (see
+:mod:`repro.approx.engine`).
 
 **The all-kNN pass.**  Objects are processed in layout-contiguous
 groups (the object children of one directory slot; each root-level
@@ -78,7 +74,10 @@ overlap none (integer counts, one correctly rounded division).  Every
 measure lies in ``[0, 1]``, so the text gap is at most ``4 * gamma_L +
 4u``; ``hypot``, ``fd`` and the blend add at most ``12u``.  The gap
 ``eps`` is therefore below ``(4.1 L + 16) u``, and ``delta = (16 L + 64)
-u`` exceeds ``2 * eps + u``.  Then ``theta - eps <= s_kmax`` (``kmax``
+u`` exceeds ``2 * eps + u``.  (The python kernels sum shared terms with
+``math.fsum``, which is correctly rounded: its error is at most ``u *
+d``, below the recursive-sum bound ``gamma_L * d`` assumed here, so the
+gap only shrinks.)  Then ``theta - eps <= s_kmax`` (``kmax``
 candidates have approximate score ``>= theta``), and any candidate
 with exact score ``>= s_kmax`` has approximate score ``>= theta - 2 *
 eps``, above the computed ``theta - delta``: all of them are rescored,
@@ -105,18 +104,13 @@ import heapq
 import math
 import time
 from array import array
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..perf import kernels
 
 #: Largest ``k`` the sketch covers; beyond it floors read 0.0 (never
 #: prune).  Matches the shard admission default.
 DEFAULT_SKETCH_KMAX = 16
-
-#: Multiplicative safety margin applied to the fitted curve so float
-#: re-evaluation of ``c * k**-b`` can never creep above the profile
-#: value it was fitted under.
-_CURVE_MARGIN = 1.0 - 1e-12
 
 #: Relative slack on the spatial candidate radius (see module doc).
 _RADIUS_SLACK = 1.0 + 2.0 ** -30
@@ -146,18 +140,12 @@ class KnnlSketch:
         floor_table: Row-major ``(directories + 1) x kmax`` floors
             (``array('d')``): the minimum profile beneath each
             directory slot; the last row is the global minimum.
-        curve_c: Per-slot monomial coefficient (``array('d')``; 0.0
-            for directory slots and objects without a conservative fit).
-        curve_b: Per-slot monomial exponent (``array('d')``).
         obj_profile: Row-major ``n_slots x kmax`` exact k-distance
             profile (``array('d')``): entry ``[slot][k-1]`` is object
             ``slot``'s k-th largest competitor similarity (0.0 for
             directory slots and beyond the object's competitors).
         row_objects: Objects under each directory row (``array('q')``,
             one entry per row except the global one).
-        lsh_sig: Per-slot 64-bit term signature (``array('Q')``; 0 for
-            directory slots), banded by the approx tier's LSH
-            pre-filter.
         build_seconds: Wall-clock cost of the freeze-time build.
     """
 
@@ -165,11 +153,8 @@ class KnnlSketch:
         "kmax",
         "floor_idx",
         "floor_table",
-        "curve_c",
-        "curve_b",
         "obj_profile",
         "row_objects",
-        "lsh_sig",
         "build_seconds",
     )
 
@@ -178,21 +163,15 @@ class KnnlSketch:
         kmax: int,
         floor_idx,
         floor_table,
-        curve_c,
-        curve_b,
         obj_profile,
         row_objects,
-        lsh_sig,
         build_seconds: float,
     ) -> None:
         self.kmax = kmax
         self.floor_idx = floor_idx
         self.floor_table = floor_table
-        self.curve_c = curve_c
-        self.curve_b = curve_b
         self.obj_profile = obj_profile
         self.row_objects = row_objects
-        self.lsh_sig = lsh_sig
         self.build_seconds = build_seconds
 
     def node_floor(self, slot: int, k: int) -> float:
@@ -223,11 +202,8 @@ class KnnlSketch:
             for arr in (
                 self.floor_idx,
                 self.floor_table,
-                self.curve_c,
-                self.curve_b,
                 self.obj_profile,
                 self.row_objects,
-                self.lsh_sig,
             )
         )
 
@@ -237,45 +213,11 @@ class KnnlSketch:
         return {
             "kmax": self.kmax,
             "rows": len(rows),
-            "curves_fitted": sum(1 for c in self.curve_c if c > 0.0),
             "row_objects_max": max(rows) if rows else 0,
             "row_objects_mean": (sum(rows) / len(rows)) if rows else 0.0,
             "nbytes": self.nbytes(),
             "build_seconds": self.build_seconds,
         }
-
-
-def _fit_curve(ys: List[float]) -> Tuple[float, float]:
-    """Conservative monomial fit ``c * k**-b`` under the profile ``ys``.
-
-    ``ys[k-1]`` is the k-th largest competitor similarity, zero-padded
-    to ``kmax``.  The least-squares fit in log space is rescaled so the
-    curve never exceeds a profile value; any zero in ``ys`` (fewer
-    competitors than ``kmax``) disables the curve entirely — the
-    monomial is positive everywhere, so no positive coefficient could
-    stay conservative at the zero point.
-    """
-    if not ys or min(ys) <= 0.0:
-        return 0.0, 0.0
-    kmax = len(ys)
-    if kmax == 1:
-        return ys[0] * _CURVE_MARGIN, 0.0
-    xs = [math.log(k) for k in range(1, kmax + 1)]
-    zs = [math.log(y) for y in ys]
-    mean_x = sum(xs) / kmax
-    mean_z = sum(zs) / kmax
-    var = sum((x - mean_x) ** 2 for x in xs)
-    cov = sum((x - mean_x) * (z - mean_z) for x, z in zip(xs, zs))
-    slope = cov / var if var > 0.0 else 0.0
-    b = max(0.0, -slope)
-    c0 = math.exp(mean_z + b * mean_x)
-    if c0 <= 0.0:
-        return 0.0, 0.0
-    ratio = min(
-        ys[k - 1] / (c0 * k ** -b) for k in range(1, kmax + 1)
-    )
-    c = c0 * ratio * _CURVE_MARGIN
-    return (c, b) if c > 0.0 else (0.0, 0.0)
 
 
 def _array_numpy(snap):
@@ -486,13 +428,8 @@ def build_sketch(engine, kmax: int = DEFAULT_SKETCH_KMAX) -> KnnlSketch:
     profiles = _exact_profiles(engine, kmax)
 
     obj_profile = array("d", bytes(8 * n_slots * kmax))
-    curve_c = array("d", bytes(8 * n_slots))
-    curve_b = array("d", bytes(8 * n_slots))
-    lsh_sig = array("Q", bytes(8 * n_slots))
     for s, ys in profiles.items():
         obj_profile[s * kmax:(s + 1) * kmax] = array("d", ys)
-        curve_c[s], curve_b[s] = _fit_curve(ys)
-        lsh_sig[s] = snap.obj_frozen[s].mask
     floor_idx, floor_table, row_objects = _directory_floors(
         snap, profiles, kmax
     )
@@ -500,10 +437,7 @@ def build_sketch(engine, kmax: int = DEFAULT_SKETCH_KMAX) -> KnnlSketch:
         kmax=kmax,
         floor_idx=floor_idx,
         floor_table=floor_table,
-        curve_c=curve_c,
-        curve_b=curve_b,
         obj_profile=obj_profile,
         row_objects=row_objects,
-        lsh_sig=lsh_sig,
         build_seconds=time.perf_counter() - started,
     )

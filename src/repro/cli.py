@@ -153,8 +153,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         group_size=args.group_size,
         share=args.share,
         warm_floors=True if args.warm_floors else None,
-        approx_verify=not args.approx_raw,
-        approx_lsh=False if args.no_lsh else None,
     )
     live_rows = []
     if live is not None and args.writes:
@@ -675,18 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical results, earlier pruning; also REPRO_WARM_FLOORS)",
     )
     p_batch.add_argument(
-        "--approx-raw",
-        action="store_true",
-        help="with --engine approx: skip exact verification and return "
-        "the raw conservative candidate set (a superset of the answer)",
-    )
-    p_batch.add_argument(
-        "--no-lsh",
-        action="store_true",
-        help="disable the approx engine's LSH pre-filter stage "
-        "(also REPRO_APPROX_LSH=0)",
-    )
-    p_batch.add_argument(
         "--mode",
         choices=("per-query", "fused"),
         default="per-query",
@@ -745,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="first engine of the degradation chain (auto = full "
         "fused -> snapshot -> seed chain; approx prepends the "
-        "verified sketch filter)",
+        "kNNL sketch filter)",
     )
     p_serve.add_argument(
         "--alpha",

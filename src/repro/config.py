@@ -205,18 +205,10 @@ class PerfConfig:
             pruned before any contribution-list work.  The
             ``REPRO_WARM_FLOORS`` environment variable overrides the
             library default at process level.
-        approx_verify: When ``engine="approx"``, route every
-            sketch-surviving candidate through the exact verification
-            probe (byte-identical results).  ``False`` returns the raw
-            conservative filter output (recall 1.0 by construction,
-            measured precision; see ``docs/TUNING.md``).
         sketch_kmax: Largest ``k`` the frozen kNNL sketch covers;
-            floors read 0.0 (never prune) beyond it.
-        approx_lsh: Arm the approx tier's LSH pre-filter stage
-            (term-signature banding with exact refutation probes).
-            Verified-mode ids are unaffected; raw mode gains precision
-            at recall 1.0.  The ``REPRO_APPROX_LSH`` environment
-            variable overrides the library default at process level.
+            floors read 0.0 (never prune) beyond it, and
+            ``engine="approx"`` answers larger ``k`` with the snapshot
+            walk.
         live_updates: Wrap the serving tree in a
             :class:`repro.lsm.LiveIndex` at construction time
             (``from_perf_config`` paths and the CLI): inserts and
@@ -249,9 +241,7 @@ class PerfConfig:
     shard_count: int = 1
     shard_kmax: int = 16
     warm_floors: bool = False
-    approx_verify: bool = True
     sketch_kmax: int = 16
-    approx_lsh: bool = True
     live_updates: bool = False
     lsm_freeze_threshold: int = 256
 
@@ -322,17 +312,9 @@ class PerfConfig:
             raise ConfigError(
                 f"warm_floors must be a bool, got {self.warm_floors!r}"
             )
-        if not isinstance(self.approx_verify, bool):
-            raise ConfigError(
-                f"approx_verify must be a bool, got {self.approx_verify!r}"
-            )
         if self.sketch_kmax < 1:
             raise ConfigError(
                 f"sketch_kmax must be >= 1, got {self.sketch_kmax}"
-            )
-        if not isinstance(self.approx_lsh, bool):
-            raise ConfigError(
-                f"approx_lsh must be a bool, got {self.approx_lsh!r}"
             )
         if not isinstance(self.live_updates, bool):
             raise ConfigError(

@@ -67,13 +67,13 @@ _NONRESULT = "nonresult"
 #: walk below; ``snapshot`` runs the columnar SnapshotEngine
 #: (:mod:`repro.core.traversal`); ``auto`` picks snapshot whenever the
 #: request has no feature that requires the seed walk; ``approx`` runs
-#: the sketch-guided candidate filter (:mod:`repro.approx`) — exact
-#: answers when ``approx_verify`` is on, a measured-recall candidate
-#: set when it is off.  Since the observability layer
-#: (:mod:`repro.obs`) generalized tracing into the TraceSink protocol,
-#: every engine emits decision events, so a trace no longer forces
-#: ``seed`` — only an attached cross-query BoundCache does (its
-#: cache-stat contract belongs to the seed's BoundComputer).
+#: the kNNL sketch filter (:mod:`repro.approx`), exact by construction
+#: for ``k`` within the sketch and the snapshot walk above it.  Since
+#: the observability layer (:mod:`repro.obs`) generalized tracing into
+#: the TraceSink protocol, every engine emits decision events, so a
+#: trace no longer forces ``seed`` — only an attached cross-query
+#: BoundCache does (its cache-stat contract belongs to the seed's
+#: BoundComputer).
 ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 
 #: Environment override for the default engine.
@@ -85,12 +85,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: subtrees are discarded, so this is safe to flip fleet-wide.
 WARM_FLOORS_ENV_VAR = "REPRO_WARM_FLOORS"
 
-#: Environment override for the approx tier's LSH pre-filter stage
-#: (``0``/``false``/``no``/``off`` disarm it; default on).  The stage
-#: never changes verified-mode ids and keeps raw-mode recall at 1.0,
-#: so it is safe to flip fleet-wide.
-APPROX_LSH_ENV_VAR = "REPRO_APPROX_LSH"
-
 
 def _default_warm_floors() -> bool:
     """Warm-floor default from ``REPRO_WARM_FLOORS`` (off when unset)."""
@@ -98,14 +92,6 @@ def _default_warm_floors() -> bool:
     if raw is None:
         return False
     return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _default_approx_lsh() -> bool:
-    """LSH pre-filter default from ``REPRO_APPROX_LSH`` (on when unset)."""
-    raw = os.environ.get(APPROX_LSH_ENV_VAR)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 def _default_engine() -> str:
@@ -192,6 +178,10 @@ class SearchResult:
 class RSTkNNSearcher:
     """Reverse spatial-textual kNN search over a (C)IUR-tree."""
 
+    #: Always ``False``: the approx tier's LSH stage is gone.  Kept only
+    #: because ``perfbench`` still reads it (marked for deletion).
+    approx_lsh = False
+
     def __init__(
         self,
         tree: IURTree,
@@ -201,9 +191,7 @@ class RSTkNNSearcher:
         engine: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
         warm_floors: Optional[bool] = None,
-        approx_verify: bool = True,
         sketch_kmax: Optional[int] = None,
-        approx_lsh: Optional[bool] = None,
     ) -> None:
         """``bound_cache`` shares tree-pair bounds across this searcher's
         queries (see :class:`repro.perf.cache.BoundCache`); ``None`` keeps
@@ -218,14 +206,10 @@ class RSTkNNSearcher:
         ``warm_floors`` arms the frozen kNNL floor sketch
         (:mod:`repro.approx`) on the exact snapshot engine — results
         stay bit-identical, only pruning gets earlier; ``None`` defers
-        to ``REPRO_WARM_FLOORS`` and then off.  ``approx_verify``
-        applies when ``engine="approx"``: ``True`` verifies every
-        candidate exactly (byte-identical ids), ``False`` returns the
-        raw conservative candidate set.  ``sketch_kmax`` overrides the
-        sketch's largest covered ``k`` (``None`` keeps the
-        :mod:`repro.approx.sketch` default).
-        ``approx_lsh`` arms the approx tier's LSH pre-filter stage;
-        ``None`` defers to ``REPRO_APPROX_LSH`` and then on."""
+        to ``REPRO_WARM_FLOORS`` and then off.  ``sketch_kmax``
+        overrides the sketch's largest covered ``k`` (``None`` keeps the
+        :mod:`repro.approx.sketch` default); under ``engine="approx"``
+        larger ``k`` is answered by the snapshot walk."""
         self.tree = tree
         cfg = config if config is not None else tree.dataset.config
         self.config = cfg
@@ -244,11 +228,7 @@ class RSTkNNSearcher:
         if warm_floors is None:
             warm_floors = _default_warm_floors()
         self.warm_floors = bool(warm_floors)
-        self.approx_verify = bool(approx_verify)
         self.sketch_kmax = sketch_kmax
-        if approx_lsh is None:
-            approx_lsh = _default_approx_lsh()
-        self.approx_lsh = bool(approx_lsh)
 
     def _bound_computer(self) -> BoundComputer:
         """A per-query computer attached to the shared cache, if any."""
@@ -356,9 +336,7 @@ class RSTkNNSearcher:
                 self.measure,
                 self.alpha,
                 self.te_weight,
-                verify=self.approx_verify,
                 kmax=self.sketch_kmax,
-                lsh=self.approx_lsh,
             )
             if len(snap._sketches) != sketches:
                 # This call built the sketch (an attached segment's

@@ -34,9 +34,11 @@ Floating-point parity notes: every arithmetic expression (clamps,
 blends, hypot finishes, kernel reductions) is copied from the seed call
 sites with the same operand order, so values match bit-for-bit within a
 query.  Like the PR 1 shared bound cache, the persistent pair memo may
-serve a value first computed by an *earlier* query; all bound kernels
-are symmetric to the last ulp except frozen-set intersection iteration
-ties, which the parity tests cover.
+serve a value first computed by an *earlier* query with the operands in
+the other order; that is exact because every bound kernel is bitwise
+symmetric (the python kernels sum shared terms with correctly rounded
+``math.fsum``, so set-iteration order cannot matter, and
+``tests/test_perf_kernels.py`` checks the symmetry).
 """
 
 from __future__ import annotations

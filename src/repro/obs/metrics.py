@@ -420,10 +420,11 @@ def record_approx(
     """Record one approx-engine filter pass into a registry.
 
     ``last_filter`` is :attr:`repro.approx.ApproxEngine.last_filter` —
-    the per-query candidate-filter counters (candidates kept, objects
-    and nodes floor-pruned, spatial shortcuts, verified count).  Each
-    key lands under ``approx.<key>`` as a counter; a ``None`` or null
-    registry makes this a no-op (see ``docs/OBSERVABILITY.md``).
+    the per-query filter counters (survivors, objects and nodes
+    floor-pruned, spatial shortcuts, and ``exact_fallbacks`` for a
+    ``k > kmax`` query answered by the snapshot walk).  Each key lands
+    under ``approx.<key>`` as a counter; a ``None`` or null registry
+    makes this a no-op (see ``docs/OBSERVABILITY.md``).
     """
     if metrics is None or not metrics.enabled or not last_filter:
         return

@@ -80,7 +80,7 @@ def _init_worker(payload: bytes) -> None:
     spec = pickle.loads(payload)
     if spec[0] == "shm":
         (_tag, name, generation, config, te_weight,
-         engine, warm_floors, approx_verify, approx_lsh) = spec
+         engine, warm_floors) = spec
         from .shm import attach  # noqa: PLC0415 — worker-side only
 
         attached = attach(name, expected_generation=generation)
@@ -90,12 +90,10 @@ def _init_worker(payload: bytes) -> None:
             te_weight=te_weight,
             engine=engine,
             warm_floors=warm_floors,
-            approx_verify=approx_verify,
-            approx_lsh=approx_lsh,
         )
     else:
         (_tag, tree, config, te_weight, cache_entries,
-         engine, warm_floors, approx_verify, approx_lsh) = spec
+         engine, warm_floors) = spec
         _WORKER["searcher"] = RSTkNNSearcher(
             tree,
             config,
@@ -103,8 +101,6 @@ def _init_worker(payload: bytes) -> None:
             bound_cache=BoundCache(cache_entries),
             engine=engine,
             warm_floors=warm_floors,
-            approx_verify=approx_verify,
-            approx_lsh=approx_lsh,
         )
 
 
@@ -256,9 +252,7 @@ class BatchSearcher:
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         warm_floors: Optional[bool] = None,
-        approx_verify: bool = True,
         sketch_kmax: Optional[int] = None,
-        approx_lsh: Optional[bool] = None,
     ) -> None:
         """``workers=1`` runs sequentially with the shared bound cache;
         ``workers>1`` fans out over that many processes, each holding its
@@ -297,13 +291,9 @@ class BatchSearcher:
         ``warm_floors`` arms the frozen kNNL floor sketch
         (:mod:`repro.approx`) on exact snapshot/fused walks — results
         stay bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
-        ``approx_verify`` applies under ``engine="approx"``: ``True``
-        verifies candidates exactly, ``False`` returns the raw
-        conservative candidate set.  ``approx_lsh`` arms the approx
-        engine's LSH pre-filter stage (``None`` defers to
-        ``REPRO_APPROX_LSH``).  ``sketch_kmax`` overrides the sketch's
-        largest covered ``k`` for the sequential searcher and pickled
-        workers (shm workers use the segment's exported sketch or the
+        ``sketch_kmax`` overrides the sketch's largest covered ``k``
+        for the sequential searcher and pickled workers (shm workers
+        use the segment's exported sketch or the
         :mod:`repro.approx.sketch` default)."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
@@ -351,7 +341,6 @@ class BatchSearcher:
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self.approx_verify = bool(approx_verify)
         self.sketch_kmax = sketch_kmax
         self.bound_cache = BoundCache(cache_entries)
         self._pickle_error: Optional[str] = None
@@ -369,13 +358,10 @@ class BatchSearcher:
             bound_cache=self.bound_cache,
             engine=engine,
             warm_floors=warm_floors,
-            approx_verify=approx_verify,
             sketch_kmax=sketch_kmax,
-            approx_lsh=approx_lsh,
         )
         # Resolved (env applied) on the inner searcher; workers reuse it.
         self.warm_floors = self._searcher.warm_floors
-        self.approx_lsh = self._searcher.approx_lsh
         if warm:
             tree.warm_kernels()
 
@@ -427,10 +413,6 @@ class BatchSearcher:
             # False (the default) defers to REPRO_WARM_FLOORS, so the
             # env knob can arm floors fleet-wide without config edits.
             warm_floors=perf.warm_floors or None,
-            approx_verify=perf.approx_verify,
-            # True (the default) likewise defers to REPRO_APPROX_LSH;
-            # an explicit config False always disarms the pre-filter.
-            approx_lsh=None if perf.approx_lsh else False,
             sketch_kmax=perf.sketch_kmax,
         )
 
@@ -741,8 +723,6 @@ class BatchSearcher:
                                 if self.engine == "approx"
                                 else "snapshot",
                                 self.warm_floors,
-                                self.approx_verify,
-                                self.approx_lsh,
                             )
                         )
                     self._share_used = "shm"
@@ -768,8 +748,6 @@ class BatchSearcher:
                         self.cache_entries,
                         self.engine,
                         self.warm_floors,
-                        self.approx_verify,
-                        self.approx_lsh,
                     )
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:

@@ -26,6 +26,14 @@ time for tree summaries) and reused by every subsequent kernel call:
   documents, opt-in because array dispatch overhead dominates on the
   short vectors typical of POI corpora.
 
+Both backends sum with ``math.fsum``, as do the squared norms of
+:class:`~repro.text.vector.SparseVector` and the frozen weight sums.
+It is correctly rounded, so a reduction does not depend on the order
+its terms arrive in: ``a.dot(b) == b.dot(a)`` bit for bit, the two
+backends agree bit for bit, and an equal pair's dot is exactly its
+squared norm, so self-similarity is exactly 1.0 (the bounds that cap a
+similarity at 1.0 rely on it).
+
 ``sum_max`` never walks the union: with per-vector weight sums ``W``
 precomputed at freeze time, ``Σ max = W_a + W_b - Σ_shared min``.
 
@@ -42,6 +50,7 @@ numpy happens to be importable.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -207,7 +216,7 @@ class PyFrozenVector:
             mask |= 1 << (tid & 63)
         self.mask = mask
         self.norm_sq = norm_sq
-        self.wsum = sum(weights)
+        self.wsum = math.fsum(weights)
 
     def _py(self) -> "PyFrozenVector":
         """Self — already the python form (mixed-pair interop hook)."""
@@ -223,7 +232,7 @@ class PyFrozenVector:
         if not common:
             return 0.0
         a, b = self.weights, other.weights
-        return sum(a[t] * b[t] for t in common)
+        return math.fsum([a[t] * b[t] for t in common])
 
     def sum_min(self, other) -> float:
         """``Σ_t min(a[t], b[t])`` — only shared terms contribute."""
@@ -235,11 +244,7 @@ class PyFrozenVector:
         if not common:
             return 0.0
         a, b = self.weights, other.weights
-        total = 0.0
-        for t in common:
-            aw, bw = a[t], b[t]
-            total += aw if aw < bw else bw
-        return total
+        return math.fsum([a[t] if a[t] < b[t] else b[t] for t in common])
 
     def sum_max(self, other) -> float:
         """``Σ_t max(a[t], b[t])`` over the union of terms."""
@@ -269,7 +274,7 @@ class PyFrozenVector:
         if not common:
             return 0.0
         a, b = self.weights, other.weights
-        d = sum(a[t] * b[t] for t in common)
+        d = math.fsum([a[t] * b[t] for t in common])
         # denom >= d > 0 by Cauchy-Schwarz when the vectors share terms.
         return d / (self.norm_sq + other.norm_sq - d)
 
@@ -298,7 +303,7 @@ class NumpyFrozenVector:
             mask |= 1 << (tid & 63)
         self.mask = mask
         self.norm_sq = norm_sq
-        self.wsum = float(self.weights.sum()) if len(weights) else 0.0
+        self.wsum = math.fsum(weights)
         self._pyform: Optional[PyFrozenVector] = None
 
     def _py(self) -> PyFrozenVector:
@@ -341,7 +346,7 @@ class NumpyFrozenVector:
         wa, wb = self._common(other)
         if wa.size == 0:
             return 0.0
-        return float(_numpy().dot(wa, wb))
+        return math.fsum((wa * wb).tolist())
 
     def sum_min(self, other) -> float:
         """``Σ_t min(a[t], b[t])`` — only shared terms contribute."""
@@ -352,7 +357,7 @@ class NumpyFrozenVector:
         wa, wb = self._common(other)
         if wa.size == 0:
             return 0.0
-        return float(_numpy().minimum(wa, wb).sum())
+        return math.fsum(_numpy().minimum(wa, wb).tolist())
 
     def sum_max(self, other) -> float:
         """``Σ_t max(a[t], b[t])`` over the union of terms."""
@@ -376,7 +381,7 @@ class NumpyFrozenVector:
         wa, wb = self._common(other)
         if wa.size == 0:
             return 0.0
-        d = float(_numpy().dot(wa, wb))
+        d = math.fsum((wa * wb).tolist())
         return d / (self.norm_sq + other.norm_sq - d)
 
 

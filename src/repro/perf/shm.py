@@ -69,10 +69,11 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 
 #: First eight bytes of every segment (version-bumped on layout changes;
 #: 02 added the optional frozen kNNL sketch arrays; 03 added the
-#: per-sketch ``obj_profile`` / ``row_objects`` / ``lsh_sig`` arrays;
-#: 04 keys sketches on ``kmax`` alone and drops the sampling/budget
-#: metadata of the retired approximate build).
-SEGMENT_MAGIC = b"RSTSHM04"
+#: per-sketch profile, row-count and term-signature arrays; 04 keys
+#: sketches on ``kmax`` alone and drops the sampling/budget metadata of
+#: the retired approximate build; 05 drops the fitted-curve and
+#: term-signature arrays, leaving four arrays per sketch).
+SEGMENT_MAGIC = b"RSTSHM05"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -309,20 +310,11 @@ class SharedSnapshotSegment:
             arrays[f"sk{i}_floor_table"] = np.frombuffer(
                 memoryview(sketch.floor_table), dtype=np.float64
             )
-            arrays[f"sk{i}_curve_c"] = np.frombuffer(
-                memoryview(sketch.curve_c), dtype=np.float64
-            )
-            arrays[f"sk{i}_curve_b"] = np.frombuffer(
-                memoryview(sketch.curve_b), dtype=np.float64
-            )
             arrays[f"sk{i}_obj_profile"] = np.frombuffer(
                 memoryview(sketch.obj_profile), dtype=np.float64
             )
             arrays[f"sk{i}_row_objects"] = np.frombuffer(
                 memoryview(sketch.row_objects), dtype=np.int64
-            )
-            arrays[f"sk{i}_lsh_sig"] = np.frombuffer(
-                memoryview(sketch.lsh_sig), dtype=np.uint64
             )
             sketch_rows.append(
                 (
@@ -777,8 +769,7 @@ class ShmSearcher:
 
     def __init__(self, attached: "AttachedIndex", config: Optional[SimilarityConfig],
                  te_weight: float, engine: str = "snapshot",
-                 warm_floors: bool = False, approx_verify: bool = True,
-                 approx_lsh: bool = True) -> None:
+                 warm_floors: bool = False) -> None:
         header = attached.header
         cfg = config if config is not None else header["sim_config"]
         self.config = cfg
@@ -791,8 +782,7 @@ class ShmSearcher:
             # Served from the segment's frozen sketch when the parent
             # exported one; rebuilt worker-side otherwise (memoized).
             self.engine = snapshot.approx_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight,
-                verify=approx_verify, lsh=approx_lsh,
+                attached.tree, self.measure, self.alpha, self.te_weight
             )
         elif warm_floors:
             self.engine = snapshot.warm_engine_for(
@@ -826,15 +816,11 @@ class AttachedIndex:
         te_weight: Optional[float] = None,
         engine: str = "snapshot",
         warm_floors: bool = False,
-        approx_verify: bool = True,
-        approx_lsh: bool = True,
     ) -> ShmSearcher:
         """A searcher over this attachment (header defaults apply)."""
         te = self.header["te_weight"] if te_weight is None else te_weight
         return ShmSearcher(
-            self, config, te,
-            engine=engine, warm_floors=warm_floors,
-            approx_verify=approx_verify, approx_lsh=approx_lsh,
+            self, config, te, engine=engine, warm_floors=warm_floors
         )
 
     def refcount(self) -> int:
@@ -899,8 +885,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM03 parent feeding an
-                # RSTSHM04 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM04 parent feeding an
+                # RSTSHM05 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "
@@ -933,11 +919,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
                 kmax=meta["kmax"],
                 floor_idx=views.cast(f"sk{i}_floor_idx", "q"),
                 floor_table=views.cast(f"sk{i}_floor_table", "d"),
-                curve_c=views.cast(f"sk{i}_curve_c", "d"),
-                curve_b=views.cast(f"sk{i}_curve_b", "d"),
                 obj_profile=views.cast(f"sk{i}_obj_profile", "d"),
                 row_objects=views.cast(f"sk{i}_row_objects", "q"),
-                lsh_sig=views.cast(f"sk{i}_lsh_sig", "Q"),
                 build_seconds=meta["build_seconds"],
             )
         tree = _ShmStubTree(snapshot, header, views)

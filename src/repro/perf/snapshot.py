@@ -368,21 +368,17 @@ class IndexSnapshot:
         measure,
         alpha: float,
         te_weight: float,
-        verify: bool = True,
         kmax: Optional[int] = None,
-        lsh: bool = True,
+        lsh: bool = False,
     ):
         """The memoized sketch-filter engine
         (:class:`~repro.approx.engine.ApproxEngine`) for one setting.
 
-        ``lsh`` arms the engine's LSH pre-filter stage (candidate
-        refutation by exact probes against band-bucket competitors).
-        Verified-mode ids are unaffected — the stage only refutes
-        provable non-members before the full probe; in raw mode it
-        shrinks the conservative candidate set (higher precision,
-        recall still 1.0).
+        ``lsh`` is accepted and ignored: the LSH pre-filter stage is
+        gone, and the argument stays only until ``perfbench`` stops
+        passing it (marked for deletion).
         """
-        key = ("approx", measure.name, alpha, te_weight, verify, kmax, lsh)
+        key = ("approx", measure.name, alpha, te_weight, kmax)
         engine = self._engines.get(key)
         if engine is None:
             from ..approx.engine import ApproxEngine
@@ -390,8 +386,7 @@ class IndexSnapshot:
             base = self.engine_for(tree, measure, alpha, te_weight)
             sketch = self.sketch_for(base, kmax=kmax)
             engine = ApproxEngine(
-                tree, self, measure, alpha, te_weight, sketch,
-                verify=verify, lsh=lsh,
+                tree, self, measure, alpha, te_weight, sketch
             )
             self._engines[key] = engine
         return engine

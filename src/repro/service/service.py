@@ -55,10 +55,7 @@ from .queue import AdmissionQueue
 DEGRADATION_CHAIN: Tuple[str, ...] = ("fused", "snapshot", "seed")
 
 #: Every engine a custom ``chain=`` may name.  ``approx`` is opt-in
-#: (never in the default chain): with ``approx_verify=True`` it returns
-#: exact ids like the others; with ``approx_verify=False`` it serves
-#: the raw conservative candidate set, which is a *superset* of the
-#: exact answer — only build such a chain when callers tolerate that.
+#: (never in the default chain); it returns exact ids like the others.
 CHAIN_ENGINE_CHOICES: Tuple[str, ...] = ("approx",) + DEGRADATION_CHAIN
 
 #: Metric names this module emits (see ``docs/OBSERVABILITY.md``).
@@ -151,10 +148,6 @@ class QueryService:
         warm_floors: Arm the frozen kNNL floor sketch
             (:mod:`repro.approx`) on the exact snapshot/fused hops —
             ids stay bit-identical, pruning happens earlier.
-        approx_verify: Applies to an ``approx`` hop in a custom chain:
-            ``True`` verifies candidates exactly (ids identical to the
-            other engines), ``False`` serves the raw conservative
-            candidate superset.
     """
 
     def __init__(
@@ -169,7 +162,6 @@ class QueryService:
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
         warm_floors: bool = False,
-        approx_verify: bool = True,
     ) -> None:
         chain = tuple(chain)
         if not chain:
@@ -188,7 +180,6 @@ class QueryService:
         self.chain = chain
         self.deadline_seconds = deadline_seconds
         self.warm_floors = bool(warm_floors)
-        self.approx_verify = bool(approx_verify)
         self.metrics = registry_or_null(metrics)
         self._clock = clock
         # The seed searcher doubles as the resolved similarity setting
@@ -215,9 +206,9 @@ class QueryService:
         """Build a service from a :class:`repro.config.PerfConfig`.
 
         Honors ``perf.service_max_pending``,
-        ``perf.service_deadline_seconds``, ``perf.warm_floors``, and
-        ``perf.approx_verify``.  When ``perf.live_updates`` is true (or
-        ``REPRO_LIVE_UPDATES`` arms it), the tree is wrapped in a
+        ``perf.service_deadline_seconds`` and ``perf.warm_floors``.
+        When ``perf.live_updates`` is true (or ``REPRO_LIVE_UPDATES``
+        arms it), the tree is wrapped in a
         :class:`repro.lsm.LiveIndex` first: while its overlay is dirty,
         the fused/snapshot hops raise
         :class:`~repro.errors.OverlayPendingError` and the chain
@@ -235,7 +226,6 @@ class QueryService:
             max_pending=perf.service_max_pending,
             metrics=metrics,
             warm_floors=perf.warm_floors,
-            approx_verify=perf.approx_verify,
         )
 
     # ------------------------------------------------------------------
@@ -270,11 +260,7 @@ class QueryService:
             return runner.run_group([query], k, cancel=token)[0]
         if engine == "approx":
             runner = snap.approx_engine_for(
-                self.tree,
-                seed.measure,
-                seed.alpha,
-                seed.te_weight,
-                verify=self.approx_verify,
+                self.tree, seed.measure, seed.alpha, seed.te_weight
             )
             return runner.search(query, k, cancel=token)
         if self.warm_floors:

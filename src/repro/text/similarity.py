@@ -20,6 +20,7 @@ shared terms — including empty documents — scores 0.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 from ..errors import ConfigError
@@ -98,7 +99,9 @@ class CosineMeasure(TextMeasure):
         d = a.dot(b)
         if d == 0.0:
             return 0.0
-        return d / (a.norm * b.norm)
+        # sqrt(|u|² |v|²), not |u| |v|: sqrt(x * x) == x exactly, so an
+        # equal pair scores exactly 1.0 (the bounds cap at 1.0).
+        return d / math.sqrt(a.norm_squared * b.norm_squared)
 
     def min_similarity(self, a: IntervalVector, b: IntervalVector) -> float:
         # cos = d / (|u| |v|) >= d_min / (|u| |v|) >= d_min / (U_a U_b)
@@ -106,7 +109,7 @@ class CosineMeasure(TextMeasure):
         d_min = a.intersection.dot(b.intersection)
         if d_min == 0.0:
             return 0.0
-        denom = a.union.norm * b.union.norm
+        denom = math.sqrt(a.union.norm_squared * b.union.norm_squared)
         # d_min > 0 implies both unions are non-empty, so denom > 0.
         return min(1.0, d_min / denom)
 
@@ -117,7 +120,9 @@ class CosineMeasure(TextMeasure):
         d_max = a.union.dot(b.union)
         if d_max == 0.0:
             return 0.0
-        denom = a.intersection.norm * b.intersection.norm
+        denom = math.sqrt(
+            a.intersection.norm_squared * b.intersection.norm_squared
+        )
         if denom == 0.0:
             return 1.0
         return min(1.0, d_max / denom)

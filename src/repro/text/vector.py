@@ -39,7 +39,11 @@ class SparseVector:
                 raise DatasetError(f"term ids must be >= 0; got {tid}")
         self._ids: Tuple[int, ...] = tuple(tid for tid, _ in items)
         self._weights: Tuple[float, ...] = tuple(w for _, w in items)
-        self._norm_sq: float = sum(w * w for w in self._weights)
+        # Correctly rounded like the kernels' dot, so a vector's dot with
+        # an equal vector is exactly its norm and self-similarity is
+        # exactly 1.0, never a rounding step above it: every bound that
+        # caps a similarity at 1.0 relies on that.
+        self._norm_sq: float = math.fsum([w * w for w in self._weights])
         self._frozen = None
 
     # ------------------------------------------------------------------

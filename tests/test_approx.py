@@ -13,9 +13,11 @@ above:
 * **warm-floor parity** (hypothesis) — the snapshot engine with
   ``warm_floors=True`` returns ids bit-identical to the plain engine
   for every query/alpha/``k``, including ``k`` beyond the sketch;
-* **verified-mode byte-identity** (hypothesis) — ``engine="approx",
-  verify=True`` matches the exact engine exactly; ``verify=False``
-  returns a sorted superset (recall 1.0 by construction);
+* **approx exactness** (hypothesis) — ``engine="approx"`` returns the
+  ids of the snapshot engine and of :class:`ThresholdBaseline` for every
+  measure, alpha, tree kind and kernel backend, tie-heavy corpora and
+  queries that copy a dataset object included; ``k > kmax`` runs the
+  snapshot walk;
 * **plumbing** — filter counters, env knobs (``REPRO_ENGINE=approx``,
   ``REPRO_WARM_FLOORS``), fused+approx rejection, and the shm segment
   round-trip of the sketch arrays.
@@ -24,7 +26,7 @@ above:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import SimilarityConfig
@@ -179,7 +181,7 @@ class TestWarmFloorParity:
 
 
 # ----------------------------------------------------------------------
-# The approx engine: byte-identity, recall, counters
+# The approx engine: byte-identity, counters, fallback
 # ----------------------------------------------------------------------
 
 
@@ -194,47 +196,66 @@ class TestApproxEngine:
         env = _env()
         query = env["queries"][qi]
         exact = _searcher(alpha, engine="snapshot")
-        approx = _searcher(alpha, engine="approx", approx_verify=True)
+        approx = _searcher(alpha, engine="approx")
         assert approx.search(query, k).ids == exact.search(query, k).ids
-
-    @settings(deadline=None, max_examples=30)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX + 4),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_raw_mode_is_sorted_superset(self, alpha, k, qi):
-        env = _env()
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        raw_ids = _searcher(
-            alpha, engine="approx", approx_verify=False
-        ).search(query, k).ids
-        assert raw_ids == sorted(raw_ids)
-        assert set(exact_ids) <= set(raw_ids)  # recall 1.0 by construction
 
     def test_filter_counters_and_last_filter(self):
         env = _env()
-        searcher = _searcher(0.4, engine="approx", approx_verify=False)
-        searcher.search(env["queries"][0], 4)
+        searcher = _searcher(0.4, engine="approx")
+        result = searcher.search(env["queries"][0], 4)
         snap = env["tree"].snapshot()
         engine = snap.approx_engine_for(
-            env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, verify=False,
+            env["tree"], searcher.measure, searcher.alpha, searcher.te_weight
         )
         assert engine.counters["searches"] >= 1
-        assert engine.counters["verified"] == 0
         assert set(engine.last_filter) == {
             "nodes_pruned", "objects_pruned", "spatial_shortcuts",
-            "lsh_pruned", "candidates", "verified", "answers",
+            "candidates", "answers", "exact_fallbacks",
         }
-        assert engine.last_filter["candidates"] >= 0
-        # Raw mode returns every surviving candidate, so the answer
-        # count is the candidate count minus the LSH-refuted ones.
-        assert engine.last_filter["answers"] == (
-            engine.last_filter["candidates"]
-            - engine.last_filter["lsh_pruned"]
+        # Every survivor is an answer: no probe runs, none is refuted.
+        assert engine.last_filter["answers"] == len(result.ids)
+        assert engine.last_filter["candidates"] == len(result.ids)
+        assert engine.last_filter["exact_fallbacks"] == 0
+        assert result.stats.verified_objects == 0
+        assert result.stats.cache_misses == 0
+
+    def test_k_beyond_sketch_counts_an_exact_fallback(self):
+        env = _env()
+        searcher = _searcher(0.4, engine="approx")
+        snap = env["tree"].snapshot()
+        engine = snap.approx_engine_for(
+            env["tree"], searcher.measure, searcher.alpha, searcher.te_weight
         )
+        before = engine.counters["exact_fallbacks"]
+        query = env["queries"][3]
+        k = engine.sketch.kmax + 1
+        result = searcher.search(query, k)
+        assert engine.last_filter["exact_fallbacks"] == 1
+        assert engine.last_filter["answers"] == 0
+        assert engine.counters["exact_fallbacks"] == before + 1
+        assert result.stats.expansions > 0  # the snapshot walk ran
+        exact = _searcher(0.4, engine="snapshot").search(query, k)
+        assert result.ids == exact.ids
+
+    def test_spatial_shortcuts_counted_at_pure_spatial_alpha(self):
+        # At alpha == 1.0 the stage-1 bound IS the full bound (text is
+        # skipped by construction), so every node prune there must be
+        # counted as a spatial shortcut — the counter used to read 0.
+        env = _env()
+        tree = env["tree"]
+        measure = make_measure(env["dataset"].config.text_measure)
+        snap = tree.snapshot()
+        engine = snap.approx_engine_for(tree, measure, 1.0, 0.0)
+        pruned = shortcuts = 0
+        for query in env["queries"]:
+            engine.search(query, 2)
+            pruned += engine.last_filter["nodes_pruned"]
+            shortcuts += engine.last_filter["spatial_shortcuts"]
+            assert (
+                engine.last_filter["spatial_shortcuts"]
+                == engine.last_filter["nodes_pruned"]
+            )
+        assert pruned > 0 and shortcuts == pruned
 
     def test_env_knob_selects_approx_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "approx")
@@ -294,17 +315,12 @@ class TestShmSketchRoundTrip:
             assert isinstance(twin, KnnlSketch)
             assert list(twin.floor_table) == list(parent.floor_table)
             assert list(twin.floor_idx) == list(parent.floor_idx)
-            assert list(twin.curve_c) == list(parent.curve_c)
-            assert list(twin.curve_b) == list(parent.curve_b)
             assert list(twin.obj_profile) == list(parent.obj_profile)
             assert list(twin.row_objects) == list(parent.row_objects)
-            assert list(twin.lsh_sig) == list(parent.lsh_sig)
             assert twin.kmax == parent.kmax
             # And the attached searcher answers identically in approx
             # mode against the parent's exact engine.
-            remote = attached.searcher(
-                engine="approx", approx_verify=True
-            )
+            remote = attached.searcher(engine="approx")
             local = _searcher(0.5, engine="snapshot")
             q = env["queries"][2]
             assert remote.search(q, 3).ids == local.search(q, 3).ids
@@ -330,7 +346,7 @@ class TestShmSketchRoundTrip:
             # A segment written by a previous layout version (same
             # RSTSHM family, older version byte pair) is *stale*, not
             # foreign: the remedy is re-exporting with this build.
-            for stale in (b"RSTSHM02", b"RSTSHM03"):
+            for stale in (b"RSTSHM02", b"RSTSHM03", b"RSTSHM04"):
                 seg.shm.buf[: len(SEGMENT_MAGIC)] = stale
                 with pytest.raises(StaleSegmentError):
                     attach(seg.name)
@@ -374,7 +390,7 @@ class TestBuildEdges:
         snap = env["tree"].snapshot()
         engine = snap.approx_engine_for(
             env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, verify=True, kmax=4,
+            searcher.te_weight, kmax=4,
         )
         assert engine.sketch.kmax == 4
 
@@ -428,7 +444,7 @@ class TestAdaptivePeel:
 
 
 # ----------------------------------------------------------------------
-# Curve fits over the exact profiles
+# Floors under the other text measures
 # ----------------------------------------------------------------------
 
 
@@ -453,30 +469,6 @@ class TestCurveSampling:
                     s_k = sims[k - 1] if len(sims) >= k else 0.0
                     assert sketch.obj_floor(a, k) <= s_k
 
-    def test_true_pass_fits_curves_over_exact_profiles(self):
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketch = build_sketch(engine)
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        assert sketch.describe()["curves_fitted"] == len(objs)
-        # The profile is the exact one, so the curve fitted under it is
-        # bounded by the brute-force profile pointwise.
-        cell = _cell(0.4)
-        kmax = sketch.kmax
-        for slot in objs:
-            sims = cell["brute"][slot]
-            for k in range(1, kmax + 1):
-                s_k = sims[k - 1] if len(sims) >= k else 0.0
-                prof = sketch.obj_profile[slot * kmax + (k - 1)]
-                assert prof == s_k
-                assert sketch.obj_floor(slot, k) == prof
-                c = sketch.curve_c[slot]
-                if c > 0.0:
-                    assert c * k ** -sketch.curve_b[slot] <= s_k
-
 
 # ----------------------------------------------------------------------
 # The all-kNN pass: bit-exact profiles, min-aggregated node floors
@@ -493,7 +485,13 @@ def _corpus(kind: str, n: int):
 
     ``dup`` is tie-heavy: eight distinct ``(location, text)`` records,
     each repeated eight times, plus same-place/other-text and
-    same-text/other-place variants and a stopword-only (empty) document.
+    same-text/other-place variants, a stopword-only (empty) document,
+    and nine copies of a seven-term document whose squared norm, summed
+    term by term, lands one rounding step below its correctly rounded
+    self dot product (so a copy would score above 1.0 against another).
+    ``copies`` is nine copies of one document, six of which fill a leaf
+    of their own, next to 25 random documents; the copied document has
+    the same norm property.
     """
     from repro.config import IndexConfig
     from repro.index.ciurtree import CIURTree
@@ -511,7 +509,23 @@ def _corpus(kind: str, n: int):
             records = [rec for rec in base for _ in range(8)]
             records += [(Point(0.1, 0.0), "v1 v2"), (Point(0.9, 0.9), "t0 u0")]
             records += [(Point(0.5, 0.5), "the")]
+            records += [
+                (Point(0.7, 0.3), "k6 k0 k4 k7 k6 k4 k7 k5 k3 k2 k4 k2")
+            ] * 9
             dataset = STDataset.from_corpus(records)
+        elif kind == "copies":
+            import random
+
+            rng = random.Random(12)
+            vocab = [f"w{i}" for i in range(40)]
+            text = " ".join(rng.choice(vocab) for _ in range(rng.randint(3, 9)))
+            others = [
+                (Point(rng.random(), rng.random()),
+                 " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 6))))
+                for _ in range(25)
+            ]
+            here = Point(rng.random(), rng.random())
+            dataset = STDataset.from_corpus([(here, text)] * 9 + others)
         else:
             dataset = gn_like(n=n, seed=5)
         small = IndexConfig(max_entries=6, min_entries=2)
@@ -614,102 +628,66 @@ class TestExactProfiles:
 
 
 # ----------------------------------------------------------------------
-# LSH pre-filter: recall, byte-identity, counters, knobs
+# Approx exactness: survivors are the answer (hypothesis)
 # ----------------------------------------------------------------------
 
+_BACKENDS = ("python", "numpy", "auto") if numpy_available() else ("python",)
 
-class TestLshPreFilter:
-    def _engines(self, alpha):
-        env = _env()
-        tree = env["tree"]
-        measure = make_measure(env["dataset"].config.text_measure)
-        snap = tree.snapshot()
-        on = snap.approx_engine_for(
-            tree, measure, alpha, 0.0, verify=False, lsh=True
-        )
-        off = snap.approx_engine_for(
-            tree, measure, alpha, 0.0, verify=False, lsh=False
-        )
-        return env, on, off
 
-    @settings(deadline=None, max_examples=20)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX),
-        qi=st.integers(min_value=0, max_value=5),
+def _probe_queries(dataset):
+    """Sampled queries plus two that copy a dataset object: a copy ties
+    exactly with its original against every competitor."""
+    from repro.model.objects import STObject
+    from repro.text.vector import SparseVector
+
+    copies = [
+        STObject(-1, obj.point, SparseVector(obj.vector.to_dict()))
+        for obj in (dataset.objects[0], dataset.objects[-3])
+    ]
+    return sample_queries(dataset, 3, seed=23) + copies
+
+
+class TestApproxExactness:
+    @settings(deadline=None, max_examples=120)
+    @example(  # an all-copies leaf: prunable only if a copy scores > 1.0
+        alpha=0.0, measure="extended_jaccard", corpus=("copies", 0),
+        ciur=False, backend="python", k=1, qi=3,
     )
-    def test_lsh_raw_set_nested_between_exact_and_unfiltered(
-        self, alpha, k, qi
-    ):
-        env, on, off = self._engines(alpha)
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        on_ids = on.search(query, k).ids
-        off_ids = off.search(query, k).ids
-        # The pre-filter only ever *removes* refuted candidates, and
-        # never a true answer: exact ⊆ lsh-on ⊆ lsh-off (recall 1.0).
-        assert set(exact_ids) <= set(on_ids) <= set(off_ids)
-
-    @settings(deadline=None, max_examples=20)
     @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX),
-        qi=st.integers(min_value=0, max_value=5),
+        alpha=st.sampled_from((0.0, 0.4, 0.9, 1.0)),
+        measure=st.sampled_from(_MEASURES),
+        corpus=st.sampled_from((("gn", 70), ("dup", 0), ("copies", 0))),
+        ciur=st.booleans(),
+        backend=st.sampled_from(_BACKENDS),
+        k=st.sampled_from((1, DEFAULT_SKETCH_KMAX, DEFAULT_SKETCH_KMAX + 1)),
+        qi=st.integers(min_value=0, max_value=4),
     )
-    def test_verified_mode_identical_with_and_without_lsh(
-        self, alpha, k, qi
+    def test_approx_ids_equal_snapshot_and_threshold_baseline(
+        self, alpha, measure, corpus, ciur, backend, k, qi
     ):
-        env = _env()
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        for lsh in (True, False):
-            searcher = _searcher(
-                alpha, engine="approx", approx_verify=True, approx_lsh=lsh
+        from repro.core.baseline import ThresholdBaseline
+        from repro.perf import kernels
+
+        # The CIUR trees hold root-level outliers (singleton sketch
+        # groups next to the clustered root).
+        tree = _corpus(*corpus)[1 if ciur else 0]
+        query = _probe_queries(tree.dataset)[qi]
+        config = SimilarityConfig(alpha=alpha, text_measure=measure)
+        with kernels.use_backend(backend):
+            approx = RSTkNNSearcher(tree, config=config, engine="approx")
+            got = approx.search(query, k)
+            exact = RSTkNNSearcher(tree, config=config, engine="snapshot")
+            assert got.ids == exact.search(query, k).ids
+            assert got.ids == ThresholdBaseline(tree, config).search(query, k)
+            engine = tree.snapshot().approx_engine_for(
+                tree, approx.measure, approx.alpha, approx.te_weight
             )
-            assert searcher.search(query, k).ids == exact_ids
-
-    def test_lsh_counter_published(self):
-        env, on, _off = self._engines(0.4)
-        on.search(env["queries"][0], 4)
-        assert "lsh_pruned" in on.counters
-        assert on.last_filter["lsh_pruned"] >= 0
-        assert (
-            on.last_filter["answers"]
-            == on.last_filter["candidates"] - on.last_filter["lsh_pruned"]
-        )
-
-    def test_env_knob_disarms_lsh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_APPROX_LSH", "0")
-        assert not _searcher(0.4, engine="approx").approx_lsh
-        monkeypatch.delenv("REPRO_APPROX_LSH")
-        assert _searcher(0.4, engine="approx").approx_lsh
-        monkeypatch.setenv("REPRO_APPROX_LSH", "off")
-        # An explicit argument beats the environment.
-        assert _searcher(
-            0.4, engine="approx", approx_lsh=True
-        ).approx_lsh
-
-    def test_spatial_shortcuts_counted_at_pure_spatial_alpha(self):
-        # At alpha == 1.0 the stage-1 bound IS the full bound (text is
-        # skipped by construction), so every node prune there must be
-        # counted as a spatial shortcut — the counter used to read 0.
-        env = _env()
-        tree = env["tree"]
-        measure = make_measure(env["dataset"].config.text_measure)
-        snap = tree.snapshot()
-        engine = snap.approx_engine_for(
-            tree, measure, 1.0, 0.0, verify=False, lsh=False
-        )
-        pruned = shortcuts = 0
-        for query in env["queries"]:
-            engine.search(query, 2)
-            pruned += engine.last_filter["nodes_pruned"]
-            shortcuts += engine.last_filter["spatial_shortcuts"]
-            assert (
-                engine.last_filter["spatial_shortcuts"]
-                == engine.last_filter["nodes_pruned"]
-            )
-        assert pruned > 0 and shortcuts == pruned
+        beyond = k > engine.sketch.kmax
+        assert engine.last_filter["exact_fallbacks"] == int(beyond)
+        if beyond:
+            assert got.stats.expansions > 0  # the snapshot walk ran
+        else:
+            assert got.stats.verified_objects == 0
 
 
 # ----------------------------------------------------------------------
@@ -725,8 +703,6 @@ class TestSketchKnobs:
         assert PerfConfig(sketch_kmax=4).sketch_kmax == 4
         with pytest.raises(ConfigError):
             PerfConfig(sketch_kmax=0)
-        with pytest.raises(ConfigError):
-            PerfConfig(approx_lsh="yes")
 
     def test_kmax_memoizes_distinct_sketches(self):
         env = _env()

@@ -449,13 +449,36 @@ class TestRecordApprox:
     def test_approx_searcher_records_metrics(self):
         env = _env()
         reg = MetricsRegistry()
-        searcher = RSTkNNSearcher(
-            env["tree"], engine="approx", approx_verify=False, metrics=reg
-        )
+        searcher = RSTkNNSearcher(env["tree"], engine="approx", metrics=reg)
         searcher.search(env["queries"][0], 3)
         snap = reg.snapshot()
         assert snap["counters"]["search.queries.approx"] == 1
         assert "approx.candidates" in snap["counters"]
+
+    def test_exact_fallbacks_count_queries_beyond_the_sketch(self):
+        env = _env()
+        reg = MetricsRegistry()
+        searcher = RSTkNNSearcher(
+            env["tree"], engine="approx", metrics=reg, sketch_kmax=4
+        )
+        query = env["queries"][0]
+        searcher.search(query, 4)  # within the sketch: the filter answers
+        assert reg.snapshot()["counters"]["approx.exact_fallbacks"] == 0
+        searcher.search(query, 5)  # beyond it: the snapshot walk answers
+        searcher.search(query, 9)
+        counters = reg.snapshot()["counters"]
+        assert counters["approx.exact_fallbacks"] == 2
+        assert counters["search.queries.approx"] == 3
+
+    def test_exact_fallbacks_cost_nothing_on_a_null_registry(self):
+        env = _env()
+        searcher = RSTkNNSearcher(
+            env["tree"], engine="approx", metrics=NULL_REGISTRY, sketch_kmax=4
+        )
+        searcher.search(env["queries"][0], 5)
+        assert NULL_REGISTRY.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
 
 
 class TestSketchBuildGauges:

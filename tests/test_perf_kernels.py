@@ -9,7 +9,7 @@ correctness bug, not a tolerance question.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -97,8 +97,8 @@ def test_backends_agree_with_each_other(wa, wb):
         py = (a.dot(b), a.sum_min(b), a.sum_max(b), a.overlap_count(b))
     with kernels.use_backend("numpy"):
         np_ = (a.dot(b), a.sum_min(b), a.sum_max(b), a.overlap_count(b))
-    for x, y in zip(py, np_):
-        assert math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
+    # Both backends sum the same terms with math.fsum: bit for bit equal.
+    assert py == np_
 
 
 def test_frozen_form_precomputes_norm_and_weight_sum():
@@ -252,3 +252,147 @@ def test_mixed_backend_pairs_match_python(a, b):
         for g, e in zip(got, expect):
             assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12)
     vb._frozen = None
+
+
+# ----------------------------------------------------------------------
+# Bitwise symmetry: the snapshot pair memo and the kNNL sketch profiles
+# serve a value computed with its operands in either order, so every
+# reduction must give the same bits both ways.
+# ----------------------------------------------------------------------
+
+_FORMS = (
+    ("python", "numpy", "mixed") if kernels.numpy_available() else ("python",)
+)
+_MEASURES = (
+    "extended_jaccard", "cosine", "overlap", "dice", "weighted_jaccard"
+)
+
+_term = st.integers(min_value=0, max_value=1000)
+_weight = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
+
+
+@st.composite
+def _doc_pairs(draw):
+    """Two documents sharing 1–8 terms.  Ids spread over [0, 1000] so
+    they collide in small hash tables and set-iteration order depends on
+    insertion order; ``equal`` pairs have the same length (the numpy
+    form intersects from ``self`` only when neither operand is shorter).
+    """
+    shared = draw(st.sets(_term, min_size=1, max_size=8))
+    a_keys = shared | draw(st.sets(_term, max_size=6))
+    if draw(st.booleans()):
+        extra = len(a_keys) - len(shared)
+        b_keys = shared | draw(st.sets(
+            _term.filter(lambda t: t not in a_keys),
+            min_size=extra, max_size=extra,
+        ))
+    else:
+        b_keys = shared | draw(st.sets(_term, max_size=6))
+    return (
+        {t: draw(_weight) for t in sorted(a_keys)},
+        {t: draw(_weight) for t in sorted(b_keys)},
+    )
+
+
+def _frozen_as(weights, form):
+    vec = SparseVector(weights)
+    ids = vec.term_ids()
+    ws = tuple(w for _t, w in vec.items())
+    if form == "numpy":
+        return kernels.NumpyFrozenVector(ids, ws, vec.norm_squared)
+    return kernels.PyFrozenVector(ids, ws, vec.norm_squared)
+
+
+#: Two documents whose shared-term products, summed in set-intersection
+#: order (which follows the left operand), read 18.8 one way and
+#: 18.799999999999997 the other.
+_TIE_A = dict(zip((10, 52, 56, 60, 101, 154), (1.8, 2.7, 2.1, 2.8, 2.6, 3.0)))
+_TIE_B = dict(zip((10, 52, 56, 60, 156, 199), (2.0, 0.6, 2.6, 2.9, 2.7, 1.8)))
+
+
+def test_python_kernel_sum_ignores_operand_order():
+    a = _frozen_as(_TIE_A, "python")
+    b = _frozen_as(_TIE_B, "python")
+    assert a.dot(b) == b.dot(a) == 18.8
+    assert a.ext_jaccard(b) == b.ext_jaccard(a)
+    assert a.sum_min(b) == b.sum_min(a)
+
+
+@settings(max_examples=300, deadline=None)
+@example(pair=(_TIE_A, _TIE_B), forms=("python", "python"))
+@given(
+    pair=_doc_pairs(),
+    forms=st.sampled_from(
+        [(f, g) for f in ("python", "numpy") for g in ("python", "numpy")]
+        if kernels.numpy_available()
+        else [("python", "python")]
+    ),
+)
+def test_kernels_are_bitwise_symmetric(pair, forms):
+    a = _frozen_as(pair[0], forms[0])
+    b = _frozen_as(pair[1], forms[1])
+    for name in ("dot", "sum_min", "sum_max", "ext_jaccard", "overlap_count"):
+        assert getattr(a, name)(b) == getattr(b, name)(a), name
+
+
+_SYMMETRY_TREES = {}
+
+
+def _symmetry_tree(form):
+    """``(backend, tree)`` whose object vectors are frozen in ``form``;
+    ``mixed`` runs ``auto`` with a crossover of 3 terms, so short
+    documents take the python form and longer ones the numpy form."""
+    from unittest import mock
+
+    from repro.index.iurtree import IURTree
+    from repro.workloads import gn_like
+
+    if form not in _SYMMETRY_TREES:
+        backend = "auto" if form == "mixed" else form
+        with kernels.use_backend(backend), mock.patch.object(
+            kernels, "_crossover", 3
+        ):
+            tree = IURTree.build(gn_like(n=40, seed=11))
+            snap = tree.snapshot()
+        kinds = {f.backend for f, o in zip(snap.obj_frozen, snap.is_obj) if o}
+        assert kinds == ({"python", "numpy"} if form == "mixed" else {form})
+        _SYMMETRY_TREES[form] = (backend, tree)
+    return _SYMMETRY_TREES[form]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    form=st.sampled_from(_FORMS),
+    measure=st.sampled_from(_MEASURES),
+    alpha=st.sampled_from((0.0, 0.5, 1.0)),
+)
+def test_snapshot_exact_is_bitwise_symmetric(form, measure, alpha):
+    from repro.text.similarity import make_measure
+
+    backend, tree = _symmetry_tree(form)
+    with kernels.use_backend(backend):
+        snap = tree.snapshot()
+        engine = snap.engine_for(tree, make_measure(measure), alpha, 0.0)
+        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+        for i, a in enumerate(objs):
+            for b in objs[i + 1:]:
+                assert engine._exact(a, b) == engine._exact(b, a), (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.dictionaries(_term, _weight, min_size=1, max_size=12),
+    backend=st.sampled_from(
+        ("python", "numpy") if kernels.numpy_available() else ("python",)
+    ),
+    measure=st.sampled_from(_MEASURES),
+)
+def test_equal_documents_score_exactly_one(weights, backend, measure):
+    # Bounds cap similarities at 1.0, so an equal pair must not round
+    # above it: its dot has to equal the squared norm bit for bit.
+    from repro.text.similarity import make_measure
+
+    a, b = SparseVector(weights), SparseVector(dict(weights))
+    with kernels.use_backend(backend):
+        assert a.dot(b) == a.norm_squared
+        assert make_measure(measure).similarity(a, b) == 1.0
