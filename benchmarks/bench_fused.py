@@ -1,13 +1,11 @@
 """Fused batch-traversal benchmark: per-query engines vs the fused walk.
 
 Runs the E3-style batch workload (gn-like dataset, sampled queries)
-through four execution strategies of
+through three execution strategies of
 :class:`repro.perf.BatchSearcher` —
 
 * ``per_query_seed`` — the seed object-graph walk, one query at a time;
-* ``shared_cache`` — the seed walk with the shared pair-bound cache
-  (PR 1's batch mode);
-* ``snapshot`` — the columnar per-query snapshot engine (PR 2);
+* ``snapshot`` — the columnar per-query snapshot engine (the default);
 * ``fused`` — the fused group engine (``mode="fused"``): one snapshot
   walk per spatial-locality group, columnar text-bound matrices, and
   group-shared node work —
@@ -49,7 +47,6 @@ def bench_modes(
 ) -> Dict[str, object]:
     """Median QPS of each batch strategy; fused parity-gated first."""
     per_seed = BatchSearcher(tree, engine="seed")
-    shared = BatchSearcher(tree)  # auto -> seed walk + shared bound cache
     snapshot_bs = BatchSearcher(tree, engine="snapshot")
     fused_bs = BatchSearcher(
         tree, engine="snapshot", mode="fused", group_size=group_size
@@ -70,11 +67,9 @@ def bench_modes(
 
     n = len(queries)
     seed_lat: Dict[str, float] = {}
-    shared_lat: Dict[str, float] = {}
     snapshot_lat: Dict[str, float] = {}
     fused_lat: Dict[str, float] = {}
     seed_qps = median_qps(round_for(per_seed, seed_lat), n, rounds)
-    shared_qps = median_qps(round_for(shared, shared_lat), n, rounds)
     snapshot_qps = median_qps(round_for(snapshot_bs, snapshot_lat), n, rounds)
     fused_qps = median_qps(round_for(fused_bs, fused_lat), n, rounds)
     return {
@@ -83,15 +78,12 @@ def bench_modes(
         "group_size": group_size,
         "parity": "ok",
         "per_query_seed_qps": seed_qps,
-        "shared_cache_qps": shared_qps,
         "snapshot_qps": snapshot_qps,
         "fused_qps": fused_qps,
         "per_query_seed_latency_ms": dict(seed_lat),
-        "shared_cache_latency_ms": dict(shared_lat),
         "snapshot_latency_ms": dict(snapshot_lat),
         "fused_latency_ms": dict(fused_lat),
         "speedup_fused_vs_snapshot": fused_qps / snapshot_qps,
-        "speedup_fused_vs_shared_cache": fused_qps / shared_qps,
         "speedup_fused_vs_seed": fused_qps / seed_qps,
     }
 

@@ -70,7 +70,7 @@ from .core import (
 from .index.costmodel import CostEstimate, RSTkNNCostModel, estimate_rstknn_io
 from .io import load_dataset, load_index, save_dataset, save_index
 from .lsm import LiveIndex, LiveScatterGather
-from .perf import BatchResult, BatchSearcher, BatchStats, BoundCache, CacheStats
+from .perf import BatchResult, BatchSearcher, BatchStats
 from .service import (
     DEGRADATION_CHAIN,
     CancelToken,
@@ -155,8 +155,6 @@ __all__ = [
     "BatchResult",
     "BatchSearcher",
     "BatchStats",
-    "BoundCache",
-    "CacheStats",
     # service
     "DEGRADATION_CHAIN",
     "CancelToken",

@@ -70,7 +70,8 @@ on the same inputs in a different order.  Dot products of ``L``
 non-negative products differ by at most ``2 * gamma_L * d`` (``gamma_L
 = L*u / (1 - L*u)``); Extended Jaccard has relative sensitivity
 ``S / (S - d) <= 2`` to ``d`` (Cauchy–Schwarz), cosine and Dice 1,
-overlap none (integer counts, one correctly rounded division).  Every
+overlap none (integer counts, one correctly rounded division).  Both
+forms cap cosine at 1.0, and a cap never widens a gap.  Every
 measure lies in ``[0, 1]``, so the text gap is at most ``4 * gamma_L +
 4u``; ``hypot``, ``fd`` and the blend add at most ``12u``.  The gap
 ``eps`` is therefore below ``(4.1 L + 16) u``, and ``delta = (16 L + 64)
@@ -123,7 +124,9 @@ _U = 2.0 ** -53
 #: column)``, read only where ``overlap > 0``.
 _ARRAY_TEXT = {
     "extended_jaccard": lambda d, ov, a, b, nsq, n: d / (nsq[a] + nsq[b] - d),
-    "cosine": lambda d, ov, a, b, nsq, n: d / (nsq[a] * nsq[b]) ** 0.5,
+    "cosine": lambda d, ov, a, b, nsq, n: (
+        d / (nsq[a] * nsq[b]) ** 0.5
+    ).clip(max=1.0),
     "dice": lambda d, ov, a, b, nsq, n: 2.0 * d / (nsq[a] + nsq[b]),
     "overlap": lambda d, ov, a, b, nsq, n: ov / (n[a] + n[b] - ov),
 }

@@ -23,9 +23,7 @@ from .meta import bench_metadata
 
 #: Wall time and memo-locality counters legitimately differ per engine,
 #: so decision-parity comparisons exclude them.
-TIMING_KEYS = frozenset(
-    {"elapsed_seconds", "cache_hits", "cache_misses", "cache_evictions"}
-)
+TIMING_KEYS = frozenset({"elapsed_seconds", "cache_hits", "cache_misses"})
 
 
 def decisions(result) -> Dict[str, float]:

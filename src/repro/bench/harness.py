@@ -29,7 +29,6 @@ from ..index.ciurtree import CIURTree
 from ..index.iurtree import IURTree
 from ..model.dataset import STDataset
 from ..model.objects import STObject
-from ..perf.cache import BoundCache
 
 METHODS = ("base", "iur", "ciur", "ciur-oe", "ciur-te", "ciur-oe-te")
 
@@ -118,11 +117,10 @@ def build_tree(
 
 def make_searcher(
     tree: IURTree,
-    bound_cache: Optional[BoundCache] = None,
     engine: Optional[str] = None,
 ) -> RSTkNNSearcher:
     """Searcher wired to the tree's own configuration."""
-    return RSTkNNSearcher(tree, bound_cache=bound_cache, engine=engine)
+    return RSTkNNSearcher(tree, engine=engine)
 
 
 def run_queries(
@@ -131,18 +129,15 @@ def run_queries(
     k: int,
     method: str = "iur",
     cold: bool = True,
-    bound_cache: Optional[BoundCache] = None,
     engine: Optional[str] = None,
 ) -> QueryRun:
     """Run the branch-and-bound searcher over a workload and aggregate.
 
-    Passing a ``bound_cache`` shares tree-pair bounds across the whole
-    workload (and across calls, if the same cache is reused); the run's
-    cache counters land in :attr:`QueryRun.extra`.  ``engine`` selects
-    the traversal implementation (see
+    The run's memo hit/miss totals land in :attr:`QueryRun.extra`.
+    ``engine`` selects the traversal implementation (see
     :data:`repro.core.rstknn.ENGINE_CHOICES`).
     """
-    searcher = make_searcher(tree, bound_cache=bound_cache, engine=engine)
+    searcher = make_searcher(tree, engine=engine)
     total_ms = 0.0
     total_reads = 0
     total_results = 0
@@ -169,9 +164,6 @@ def run_queries(
         "cache_hits": float(total_hits),
         "cache_misses": float(total_misses),
     }
-    if bound_cache is not None:
-        for key, value in bound_cache.stats().as_dict().items():
-            extra[f"shared_{key}"] = float(value)
     return QueryRun(
         method=method,
         queries=len(queries),
@@ -191,7 +183,6 @@ def run_batch_queries(
     k: int,
     method: str = "iur",
     workers: int = 1,
-    cache_entries: Optional[int] = None,
     engine: Optional[str] = None,
     mode: str = "per-query",
     group_size: int = 8,
@@ -200,25 +191,19 @@ def run_batch_queries(
     """Run a workload through :class:`repro.perf.BatchSearcher`.
 
     Unlike :func:`run_queries` this measures *throughput* (warm buffer
-    pool, shared bound cache, optional process fan-out, or the fused
-    group engine with ``mode="fused"``), so I/O and per-query decision
+    pool and pair memo, optional process fan-out, or the fused group
+    engine with ``mode="fused"``), so I/O and per-query decision
     statistics are not reported.  The per-phase timing breakdown
     (``phase_*_seconds``) lands in :attr:`QueryRun.extra`; pass a
     :class:`repro.obs.MetricsRegistry` as ``metrics`` to additionally
-    record counters, latency histograms, and phase/cache gauges for
-    export (see ``docs/OBSERVABILITY.md``).
+    record counters, latency histograms, and phase gauges for export
+    (see ``docs/OBSERVABILITY.md``).
     """
     from ..perf import BatchSearcher
-    from ..perf.cache import DEFAULT_BOUND_CACHE_ENTRIES
 
     searcher = BatchSearcher(
         tree,
         workers=workers,
-        cache_entries=(
-            cache_entries
-            if cache_entries is not None
-            else DEFAULT_BOUND_CACHE_ENTRIES
-        ),
         engine=engine,
         mode=mode,
         group_size=group_size,

@@ -147,7 +147,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = BatchSearcher(
         tree,
         workers=args.workers,
-        cache_entries=args.cache,
         engine=args.engine,
         mode=args.mode,
         group_size=args.group_size,
@@ -192,11 +191,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if stats.fallback_reason:
         rows.append(["fallback", stats.fallback_reason])
     rows.extend(live_rows)
-    if stats.cache:
-        rows.append(["cache hits", int(stats.cache["hits"])])
-        rows.append(["cache misses", int(stats.cache["misses"])])
-        rows.append(["cache hit rate", f"{stats.cache['hit_rate']:.3f}"])
-        rows.append(["cache evictions", int(stats.cache["evictions"])])
     print(
         format_table(
             ["metric", "value"],
@@ -648,13 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process fan-out; 1 = sequential with the shared bound cache",
-    )
-    p_batch.add_argument(
-        "--cache",
-        type=int,
-        default=262144,
-        help="shared pair-bound cache capacity (entries)",
+        help="process fan-out; 1 = sequential",
     )
     p_batch.add_argument(
         "--method", choices=("iur", "ciur"), default="iur", help="index variant"

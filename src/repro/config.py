@@ -152,11 +152,8 @@ class PerfConfig:
             environment variable overrides the library default at
             process level; this knob records an explicit choice for a
             run (apply it with :func:`repro.perf.set_backend`).
-        bound_cache_entries: Capacity of the shared LRU pair-bound cache
-            used by :class:`repro.perf.BatchSearcher` and any searcher
-            constructed with a :class:`repro.perf.BoundCache`.
         batch_workers: Default process fan-out of the batch engine
-            (``1`` = sequential with the shared cache).
+            (``1`` = sequential).
         engine: One of :data:`ENGINES`; which searcher traversal
             implementation to run.  The ``REPRO_ENGINE`` environment
             variable overrides the library default at process level;
@@ -227,7 +224,6 @@ class PerfConfig:
     """
 
     kernel_backend: str = "python"
-    bound_cache_entries: int = 262144
     batch_workers: int = 1
     engine: str = "auto"
     batch_mode: str = "per-query"
@@ -254,10 +250,6 @@ class PerfConfig:
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
-        if self.bound_cache_entries < 2:
-            raise ConfigError(
-                f"bound_cache_entries must be >= 2, got {self.bound_cache_entries}"
             )
         if self.batch_workers < 1:
             raise ConfigError(

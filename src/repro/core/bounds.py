@@ -19,13 +19,12 @@ Because an object entry's interval vector is degenerate (int == uni ==
 its document), the same formulas yield *exact* similarities for
 object-object pairs — no special cases in the searcher.
 
-Memoization happens at two levels.  Each computer keeps a private
-per-query memo; additionally a :class:`~repro.perf.cache.BoundCache` may
-be shared across queries (owned by the searcher or batch engine).  Only
-*tree-resident* pairs — both refs >= 0 — go to the shared cache: query
-entries use negative refs that collide between queries.  Both bounds and
-exact scores are symmetric, so pairs are keyed canonically (smaller
-``(ref, is_object)`` first).
+Each computer memoizes text bounds and exact scores for one query:
+query entries use negative refs that collide between queries, so the
+memo never outlives a search.  (The cross-query memo of tree-pair
+bounds lives in the snapshot engine, :mod:`repro.core.traversal`.)  Both
+bounds and exact scores are symmetric, so pairs are keyed canonically
+(smaller ``(ref, is_object)`` first).
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ import math
 from typing import Dict, Optional, Tuple
 
 from ..index.entry import Entry
-from ..perf.cache import BoundCache
 from ..spatial import SpatialProximity
 from ..text import TextMeasure
 
 #: Canonical symmetric pair key: two ``(ref << 1) | is_object`` codes
-#: packed into one integer.  Integers hash to themselves, so cache
+#: packed into one integer.  Integers hash to themselves, so memo
 #: probes skip the tuple allocation and tuple hashing a 4-tuple key
 #: would pay on every lookup of the hot path.
 PairKey = int
@@ -47,13 +45,6 @@ PairKey = int
 #: Radix separating the two packed entry codes; node refs and object
 #: ids stay far below 2**40 for any dataset this library can hold.
 _KEY_RADIX = 1 << 40
-
-#: Radix separating the tree-generation salt from the packed pair codes
-#: (a full pair key stays below 2**82).  Shared-cache keys carry the
-#: salt so entries cached against an older tree generation can never be
-#: returned after an insert/delete mutated the node summaries — stale
-#: keys simply stop being probed and age out of the LRU.
-_GEN_RADIX = 1 << 82
 
 
 class BoundComputer:
@@ -65,41 +56,21 @@ class BoundComputer:
         measure: TextMeasure,
         alpha: float,
         enable_cache: bool = True,
-        shared_cache: Optional[BoundCache] = None,
-        generation: int = 0,
     ) -> None:
         """``enable_cache=False`` disables memoization entirely.
 
-        The caches key on ``(entry.ref, entry.is_object)`` pairs, which is
+        The memos key on ``(entry.ref, entry.is_object)`` pairs, which is
         sound only while every entry comes from a single id namespace
         (one tree plus one query).  Bichromatic search mixes two trees
-        whose node/object ids collide, so it must switch the caches off.
-
-        ``shared_cache`` is an optional cross-query
-        :class:`~repro.perf.cache.BoundCache`: tree-pair bounds computed
-        by this query become hits for every later query on the same tree.
-        ``generation`` (the tree's mutation counter) salts every shared
-        key, so bounds cached before a structural update cannot leak into
-        queries running after it.
+        whose node/object ids collide, so it must switch the memos off.
         """
         self.proximity = proximity
         self.measure = measure
         self.alpha = alpha
         self.enable_cache = enable_cache
-        self.shared_cache = shared_cache if enable_cache else None
-        self._salt = generation * _GEN_RADIX
-        # Hot-path aliases: st_bounds probes the shared pairs LRU's dict
-        # directly (one C-level get per hit) and only falls into the
-        # LRUCache methods on insert.
-        self._pairs_lru = (
-            self.shared_cache.pairs if self.shared_cache is not None else None
-        )
-        self._pairs_data = (
-            self._pairs_lru._data if self._pairs_lru is not None else None
-        )
         self._text_cache: Dict[PairKey, Tuple[float, float]] = {}
         self._exact_cache: Dict[PairKey, float] = {}
-        #: Lifetime lookup counters across both memo levels.
+        #: Lifetime lookup counters across both memos.
         self.hits = 0
         self.misses = 0
 
@@ -118,16 +89,10 @@ class BoundComputer:
 
     def text_bounds(self, a: Entry, b: Entry) -> Tuple[float, float]:
         """``(MinSimT, MaxSimT)`` over every document pair of ``a × b``."""
-        shared = None
         key: Optional[PairKey] = None
         if self.enable_cache:
             key = self._pair_key(a, b)
-            if self.shared_cache is not None and a.ref >= 0 and b.ref >= 0:
-                shared = self.shared_cache.text
-                key += self._salt
-                cached = shared.get(key)
-            else:
-                cached = self._text_cache.get(key)
+            cached = self._text_cache.get(key)
             if cached is not None:
                 self.hits += 1
                 return cached
@@ -142,10 +107,7 @@ class BoundComputer:
                 hi = max(hi, pair_hi)
         result = (lo if lo is not None else 0.0, hi)
         if key is not None:
-            if shared is not None:
-                shared.put(key, result)
-            else:
-                self._text_cache[key] = result
+            self._text_cache[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -154,16 +116,10 @@ class BoundComputer:
 
     def exact_score(self, a: Entry, b: Entry) -> float:
         """Exact SimST between two object entries (memoized)."""
-        shared = None
         key: Optional[PairKey] = None
         if self.enable_cache:
             key = self._pair_key(a, b)
-            if self.shared_cache is not None and a.ref >= 0 and b.ref >= 0:
-                shared = self.shared_cache.exact
-                key += self._salt
-                cached = shared.get(key)
-            else:
-                cached = self._exact_cache.get(key)
+            cached = self._exact_cache.get(key)
             if cached is not None:
                 self.hits += 1
                 return cached
@@ -179,44 +135,14 @@ class BoundComputer:
                 a.exact_vector(), b.exact_vector()
             )
         if key is not None:
-            if shared is not None:
-                shared.put(key, score)
-            else:
-                self._exact_cache[key] = score
+            self._exact_cache[key] = score
         return score
 
     def st_bounds(self, a: Entry, b: Entry) -> Tuple[float, float]:
         """``(MinST, MaxST)`` over every object pair of ``a × b``.
 
-        Exact (``MinST == MaxST``) when both entries are objects.  The
-        blended tuple is the hottest lookup of the searcher (every kNN
-        tightening round re-derives it), so tree-resident pairs are
-        cached whole in the shared ``pairs`` LRU — one probe replaces
-        the text-bound lookup, two MBR distance computations, and the
-        alpha blend.
+        Exact (``MinST == MaxST``) when both entries are objects.
         """
-        pairs = self._pairs_lru
-        if pairs is not None:
-            ar, br = a.ref, b.ref
-            if ar >= 0 and br >= 0:
-                ka = (ar << 1) | a.is_object
-                kb = (br << 1) | b.is_object
-                if kb < ka:
-                    ka, kb = kb, ka
-                key = ka * _KEY_RADIX + kb + self._salt
-                cached = self._pairs_data.get(key)
-                if cached is not None:
-                    pairs.hits += 1
-                    self.hits += 1
-                    return cached
-                pairs.misses += 1
-                self.misses += 1
-                result = self._st_bounds_compute(a, b)
-                pairs.put(key, result)
-                return result
-        return self._st_bounds_compute(a, b)
-
-    def _st_bounds_compute(self, a: Entry, b: Entry) -> Tuple[float, float]:
         if a.is_object and b.is_object:
             score = self.exact_score(a, b)
             return score, score
@@ -248,29 +174,23 @@ class BoundComputer:
     # ------------------------------------------------------------------
 
     def cache_stats(self) -> Dict[str, float]:
-        """Lookup counters plus current occupancy of every memo level.
+        """Lookup counters plus the current size of each memo.
 
-        ``hits`` / ``misses`` count this computer's lookups (private and
-        shared); the ``shared_*`` keys describe the cross-query cache
-        when one is attached.
+        ``hits`` / ``misses`` count this computer's lookups over its
+        lifetime; the ``*_entries`` keys are the current memo sizes.
         """
-        out: Dict[str, float] = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "text_entries": len(self._text_cache),
             "exact_entries": len(self._exact_cache),
         }
-        if self.shared_cache is not None:
-            for key, value in self.shared_cache.stats().as_dict().items():
-                out[f"shared_{key}"] = value
-        return out
 
     def clear(self) -> None:
         """Drop the private per-query memos.
 
         Long-lived computers (analysis loops, services) call this between
-        queries so the unbounded private dicts cannot grow without limit;
-        the shared cache is size-bounded and is left intact.
+        queries so the unbounded private dicts cannot grow without limit.
         """
         self._text_cache.clear()
         self._exact_cache.clear()

@@ -50,7 +50,6 @@ from ..index.entry import Entry
 from ..index.iurtree import IURTree
 from ..model.objects import STObject
 from ..obs.metrics import record_approx, record_search, record_sketch_build
-from ..perf.cache import BoundCache
 from ..text import make_measure
 from ..text.entropy import normalized_cluster_entropy
 from .bounds import BoundComputer
@@ -66,14 +65,11 @@ _NONRESULT = "nonresult"
 #: Traversal engine knob values: ``seed`` is the reference object-graph
 #: walk below; ``snapshot`` runs the columnar SnapshotEngine
 #: (:mod:`repro.core.traversal`); ``auto`` picks snapshot whenever the
-#: request has no feature that requires the seed walk; ``approx`` runs
-#: the kNNL sketch filter (:mod:`repro.approx`), exact by construction
-#: for ``k`` within the sketch and the snapshot walk above it.  Since
-#: the observability layer (:mod:`repro.obs`) generalized tracing into
-#: the TraceSink protocol, every engine emits decision events, so a
-#: trace no longer forces ``seed`` — only an attached cross-query
-#: BoundCache does (its cache-stat contract belongs to the seed's
-#: BoundComputer).
+#: tree can freeze one; ``approx`` runs the kNNL sketch filter
+#: (:mod:`repro.approx`), exact by construction for ``k`` within the
+#: sketch and the snapshot walk above it.  Every engine emits decision
+#: events through the TraceSink protocol (:mod:`repro.obs`), so a trace
+#: never forces ``seed``.
 ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 
 #: Environment override for the default engine.
@@ -126,7 +122,6 @@ class SearchStats:
     elapsed_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
 
     def group_decided_objects(self) -> int:
         """Objects decided purely by bounds (no per-object probe)."""
@@ -146,7 +141,6 @@ class SearchStats:
             "elapsed_seconds": self.elapsed_seconds,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
         }
 
 
@@ -187,21 +181,18 @@ class RSTkNNSearcher:
         tree: IURTree,
         config: Optional[SimilarityConfig] = None,
         te_weight: float = 0.05,
-        bound_cache: Optional[BoundCache] = None,
         engine: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
         warm_floors: Optional[bool] = None,
         sketch_kmax: Optional[int] = None,
     ) -> None:
-        """``bound_cache`` shares tree-pair bounds across this searcher's
-        queries (see :class:`repro.perf.cache.BoundCache`); ``None`` keeps
-        the seed behaviour of per-query memoization only.  ``engine``
-        picks the traversal implementation (:data:`ENGINE_CHOICES`);
-        ``None`` defers to ``REPRO_ENGINE`` and then ``auto``.
-        ``metrics`` attaches a :class:`repro.obs.MetricsRegistry`: each
-        search then records per-engine query counters, decision
-        counters, and a latency histogram (``None`` records nothing —
-        see ``docs/OBSERVABILITY.md``).
+        """``engine`` picks the traversal implementation
+        (:data:`ENGINE_CHOICES`); ``None`` defers to ``REPRO_ENGINE``
+        and then ``auto``.  ``metrics`` attaches a
+        :class:`repro.obs.MetricsRegistry`: each search then records
+        per-engine query counters, decision counters, and a latency
+        histogram (``None`` records nothing — see
+        ``docs/OBSERVABILITY.md``).
 
         ``warm_floors`` arms the frozen kNNL floor sketch
         (:mod:`repro.approx`) on the exact snapshot engine — results
@@ -216,7 +207,6 @@ class RSTkNNSearcher:
         self.measure = make_measure(cfg.text_measure)
         self.alpha = cfg.alpha
         self.te_weight = te_weight if tree.config.use_entropy_priority else 0.0
-        self.bound_cache = bound_cache
         if engine is None:
             engine = _default_engine()
         elif engine not in ENGINE_CHOICES:
@@ -231,13 +221,9 @@ class RSTkNNSearcher:
         self.sketch_kmax = sketch_kmax
 
     def _bound_computer(self) -> BoundComputer:
-        """A per-query computer attached to the shared cache, if any."""
+        """A fresh per-query bound computer."""
         return BoundComputer(
-            self.tree.dataset.proximity,
-            self.measure,
-            self.alpha,
-            shared_cache=self.bound_cache,
-            generation=getattr(self.tree, "generation", 0),
+            self.tree.dataset.proximity, self.measure, self.alpha
         )
 
     def _resolve_engine(self, trace: Optional["TraceSink"]) -> str:
@@ -245,9 +231,8 @@ class RSTkNNSearcher:
 
         Every engine emits decision events through the TraceSink
         protocol (:mod:`repro.obs.trace`), so a traced request is *not*
-        downgraded.  Under ``auto``, an attached BoundCache selects
-        ``seed`` — its cache-stat contract belongs to the seed's
-        BoundComputer — as does a tree that cannot produce snapshots.
+        downgraded.  ``auto`` runs ``snapshot`` whenever the tree can
+        freeze one, and ``seed`` otherwise.
         """
         del trace  # every engine can trace; kept for signature stability
         engine = self.engine
@@ -262,9 +247,7 @@ class RSTkNNSearcher:
             return "seed"
         can_snapshot = getattr(self.tree, "snapshot", None) is not None
         if engine == "auto":
-            if self.bound_cache is not None or not can_snapshot:
-                return "seed"
-            return "snapshot"
+            engine = "snapshot"
         if engine in ("snapshot", "approx") and not can_snapshot:
             return "seed"
         return engine
@@ -351,11 +334,6 @@ class RSTkNNSearcher:
         if cancel is not None and cancel.expired():
             raise DeadlineExceeded(cancel_message(cancel), stats=stats)
         bounds = self._bound_computer()
-        evictions_before = (
-            self.bound_cache.stats().evictions
-            if self.bound_cache is not None
-            else 0
-        )
         q_entry = Entry.for_object(-1, query.mbr(), query.vector)
 
         roots = self._initial_entries()
@@ -490,10 +468,6 @@ class RSTkNNSearcher:
         stats.result_count = len(ids)
         stats.cache_hits = bounds.hits
         stats.cache_misses = bounds.misses
-        if self.bound_cache is not None:
-            stats.cache_evictions = (
-                self.bound_cache.stats().evictions - evictions_before
-            )
         stats.elapsed_seconds = time.perf_counter() - started
         record_search(self.metrics, "seed", stats)
         return SearchResult(ids, stats, self.tree.io.snapshot())

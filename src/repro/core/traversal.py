@@ -25,20 +25,19 @@ construction*, not by tolerance.  What changes is the representation:
   decide them (group-pruned or group-counted) never pay for a text
   bound at all — provably the same decision the full bound reaches;
 * pair bounds are memoized in a snapshot-resident symmetric table, so
-  later queries reuse earlier queries' work (the cross-query analogue
-  of PR 1's shared :class:`~repro.perf.cache.BoundCache`, with the same
-  staleness story: snapshots are generation-tagged and rebuilt on
-  index mutation).
+  later queries reuse earlier queries' work; the memo cannot go stale,
+  because snapshots are generation-tagged and rebuilt on index
+  mutation, and the memo lives and dies with its snapshot.
 
 Floating-point parity notes: every arithmetic expression (clamps,
 blends, hypot finishes, kernel reductions) is copied from the seed call
 sites with the same operand order, so values match bit-for-bit within a
-query.  Like the PR 1 shared bound cache, the persistent pair memo may
-serve a value first computed by an *earlier* query with the operands in
-the other order; that is exact because every bound kernel is bitwise
-symmetric (the python kernels sum shared terms with correctly rounded
-``math.fsum``, so set-iteration order cannot matter, and
-``tests/test_perf_kernels.py`` checks the symmetry).
+query.  The persistent pair memo may serve a value first computed by
+an *earlier* query with the operands in the other order; that is exact
+because every bound kernel is bitwise symmetric (the python kernels sum
+shared terms with correctly rounded ``math.fsum``, so set-iteration
+order cannot matter, and ``tests/test_perf_kernels.py`` checks the
+symmetry).
 """
 
 from __future__ import annotations

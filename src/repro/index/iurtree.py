@@ -96,9 +96,10 @@ class IURTree:
         self._root_entry_cache: Optional[Entry] = None
         #: Structural version: bumped by every mutation that can change a
         #: stored summary (insert/delete, incl. the outlier side list).
-        #: Generation-tagged consumers — the shared pair-bound cache and
-        #: frozen :class:`~repro.perf.snapshot.IndexSnapshot` forms — use
-        #: it to detect staleness without node-level dirty tracking.
+        #: Generation-tagged consumers — the frozen
+        #: :class:`~repro.perf.snapshot.IndexSnapshot` forms and the shm
+        #: segments exported from them — use it to detect staleness
+        #: without node-level dirty tracking.
         self.generation = 0
         self._snapshot_cache = None
         if not config.store_intersections:

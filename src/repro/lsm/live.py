@@ -320,7 +320,7 @@ class EpochView:
 
     @property
     def generation(self) -> int:
-        """The owner's write generation (salts shared bound caches)."""
+        """The owner's write generation (bumped by every write)."""
         return self._owner.generation
 
     @property

@@ -1,16 +1,14 @@
-"""Performance subsystem: similarity kernels, bound caching, batch engine.
+"""Performance subsystem: similarity kernels, snapshots, batch engine.
 
-Three layers, each usable on its own:
+Four layers, each usable on its own:
 
 * :mod:`repro.perf.kernels` — frozen sparse-vector forms and the
   merge-free reduction kernels behind every text similarity, with a
   pure-python backend and an optional numpy backend selected by the
   ``REPRO_KERNEL`` environment variable;
-* :mod:`repro.perf.cache` — size-bounded LRU pair-bound caches shared
-  across queries by a searcher or batch engine;
 * :mod:`repro.perf.batch` — :class:`BatchSearcher`, which runs a query
-  workload over one index sequentially (shared bound cache) or fanned
-  out across worker processes;
+  workload over one index sequentially or fanned out across worker
+  processes;
 * :mod:`repro.perf.snapshot` — :class:`IndexSnapshot`, the immutable
   struct-of-arrays freeze of a built tree that the ``snapshot``
   traversal engine (:mod:`repro.core.traversal`) runs over;
@@ -22,12 +20,6 @@ Three layers, each usable on its own:
 on layers that transitively use the kernels.
 """
 
-from .cache import (
-    DEFAULT_BOUND_CACHE_ENTRIES,
-    BoundCache,
-    CacheStats,
-    LRUCache,
-)
 from .kernels import (
     KERNEL_BACKENDS,
     KERNEL_ENV_VAR,
@@ -44,10 +36,6 @@ __all__ = [
     "numpy_available",
     "set_backend",
     "use_backend",
-    "DEFAULT_BOUND_CACHE_ENTRIES",
-    "BoundCache",
-    "CacheStats",
-    "LRUCache",
     "BatchSearcher",
     "BatchResult",
     "BatchStats",

@@ -1,12 +1,13 @@
 """Batch query engine: run a workload of RSTkNN queries over one index.
 
-Query *streams* are where the shared-cache and kernel work pays off:
+Query *streams* are where the snapshot memo and kernel work pay off:
 
 * **Sequential mode** (``workers=1``) runs every query through one
-  :class:`~repro.core.rstknn.RSTkNNSearcher` wired to a shared
-  :class:`~repro.perf.cache.BoundCache`, so tree-pair bounds computed by
-  early queries are hits for later ones (the per-query caches of the
-  seed recomputed them every time).
+  long-lived :class:`~repro.core.rstknn.RSTkNNSearcher`.  Under the
+  default ``engine="auto"`` that is the snapshot engine
+  (:mod:`repro.core.traversal`), whose snapshot-resident pair memo
+  turns tree-pair bounds computed by early queries into hits for later
+  ones.
 * **Parallel mode** (``workers > 1``) fans the workload out over a
   ``concurrent.futures.ProcessPoolExecutor``.  The index reaches the
   workers through one of two transports (``share=``): the default
@@ -30,7 +31,7 @@ Query *streams* are where the shared-cache and kernel work pays off:
   per-query ``snapshot`` engine by construction.
 
 Results come back in query order regardless of mode, with aggregate
-throughput and cache statistics in :class:`BatchStats`.
+throughput and latency statistics in :class:`BatchStats`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from ..obs.metrics import MetricsRegistry, latency_percentiles, record_search
 from ..obs.timers import PhaseTimer
 from ..service.faults import maybe_fail_worker
 from ..service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .cache import DEFAULT_BOUND_CACHE_ENTRIES, BoundCache
 
 #: Per-process worker state: the index handle (unpickled tree or
 #: shared-memory attachment) and the searcher built over it.
@@ -92,13 +92,11 @@ def _init_worker(payload: bytes) -> None:
             warm_floors=warm_floors,
         )
     else:
-        (_tag, tree, config, te_weight, cache_entries,
-         engine, warm_floors) = spec
+        _tag, tree, config, te_weight, engine, warm_floors = spec
         _WORKER["searcher"] = RSTkNNSearcher(
             tree,
             config,
             te_weight=te_weight,
-            bound_cache=BoundCache(cache_entries),
             engine=engine,
             warm_floors=warm_floors,
         )
@@ -146,7 +144,6 @@ class BatchStats:
     queries_per_second: float
     mean_ms: float
     total_result_ids: int
-    cache: Dict[str, float] = field(default_factory=dict)
     #: Execution mode that actually ran (one of ``BATCH_MODES``).
     mode: str = "per-query"
     #: Queries per fused group (``None`` outside fused mode).
@@ -204,8 +201,6 @@ class BatchStats:
             out["worker_rss_bytes"] = self.worker_rss_bytes
         if self.retries:
             out["retries"] = self.retries
-        for key, value in self.cache.items():
-            out[f"cache_{key}"] = value
         for name, seconds in self.phases.items():
             out[f"phase_{name}_seconds"] = seconds
         for point, ms in self.latency_ms.items():
@@ -231,10 +226,10 @@ class BatchResult:
 class BatchSearcher:
     """Runs query workloads over one (C)IUR-tree, amortizing shared work.
 
-    One instance owns a long-lived searcher with a shared
-    :class:`~repro.perf.cache.BoundCache`; call :meth:`run` as many
-    times as needed — the cache keeps warming across runs.  Clear it
-    with :meth:`invalidate` after index updates.
+    One instance owns a long-lived searcher; call :meth:`run` as many
+    times as needed.  Under the snapshot engine the pair memo keeps
+    warming across runs, and an index update retires it with the
+    snapshot.
     """
 
     def __init__(
@@ -242,7 +237,6 @@ class BatchSearcher:
         tree: IURTree,
         config: Optional[SimilarityConfig] = None,
         workers: int = 1,
-        cache_entries: int = DEFAULT_BOUND_CACHE_ENTRIES,
         te_weight: float = 0.05,
         warm: bool = True,
         engine: Optional[str] = None,
@@ -254,15 +248,13 @@ class BatchSearcher:
         warm_floors: Optional[bool] = None,
         sketch_kmax: Optional[int] = None,
     ) -> None:
-        """``workers=1`` runs sequentially with the shared bound cache;
+        """``workers=1`` runs sequentially in this process;
         ``workers>1`` fans out over that many processes, each holding its
         own index handle.  ``warm=True`` pre-freezes the tree's kernel
         forms so the first query does not pay freezing costs.  ``engine``
         picks the traversal implementation per query (see
-        :data:`repro.core.rstknn.ENGINE_CHOICES`); note that under
-        ``auto`` the attached bound cache selects the seed walk — pass
-        ``engine="snapshot"`` explicitly to batch over the columnar
-        engine (whose snapshot-resident memo replaces the bound cache).
+        :data:`repro.core.rstknn.ENGINE_CHOICES`); ``auto`` runs the
+        snapshot engine whenever the tree can freeze one.
         ``mode="fused"`` runs the workload through the fused group
         engine instead of one query at a time: spatial-locality groups
         of ``group_size`` queries share one snapshot walk (sequential
@@ -280,8 +272,8 @@ class BatchSearcher:
         and decision counters by the engine parity contract).
         ``metrics`` attaches a
         :class:`repro.obs.MetricsRegistry`: each run then records
-        per-query counters/latencies, phase-timer gauges, and bound
-        cache gauges (``None`` records nothing).  ``retry_policy``
+        per-query counters/latencies and phase-timer gauges (``None``
+        records nothing).  ``retry_policy``
         governs how parallel mode re-enqueues the query chunks a
         crashed or erroring pool worker lost (``None`` uses
         :data:`repro.service.retry.DEFAULT_RETRY_POLICY`); an exhausted
@@ -331,7 +323,6 @@ class BatchSearcher:
         self.tree = tree
         self.config = config
         self.workers = workers
-        self.cache_entries = cache_entries
         self.te_weight = te_weight
         self.engine = engine
         self.mode = mode
@@ -342,7 +333,6 @@ class BatchSearcher:
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
         self.sketch_kmax = sketch_kmax
-        self.bound_cache = BoundCache(cache_entries)
         self._pickle_error: Optional[str] = None
         self._last_retries = 0
         self._retry_note: Optional[str] = None
@@ -355,7 +345,6 @@ class BatchSearcher:
             tree,
             config,
             te_weight=te_weight,
-            bound_cache=self.bound_cache,
             engine=engine,
             warm_floors=warm_floors,
             sketch_kmax=sketch_kmax,
@@ -377,8 +366,7 @@ class BatchSearcher:
     ) -> "BatchSearcher":
         """Build a batch searcher from a :class:`~repro.config.PerfConfig`.
 
-        Applies the bundle's engine, worker, cache-size, and batch-mode
-        knobs; when ``perf.observability`` is true and no ``metrics``
+        Applies the bundle's engine, worker, and batch-mode knobs; when ``perf.observability`` is true and no ``metrics``
         registry is passed, a live
         :class:`~repro.obs.metrics.MetricsRegistry` is created and
         exposed as ``searcher.metrics`` for export after the run.
@@ -398,7 +386,6 @@ class BatchSearcher:
             tree,
             config,
             workers=perf.batch_workers,
-            cache_entries=perf.bound_cache_entries,
             te_weight=te_weight,
             warm=warm,
             engine=perf.engine,
@@ -415,10 +402,6 @@ class BatchSearcher:
             warm_floors=perf.warm_floors or None,
             sketch_kmax=perf.sketch_kmax,
         )
-
-    def invalidate(self) -> None:
-        """Drop shared bounds (call after inserting/deleting objects)."""
-        self.bound_cache.clear()
 
     def run(self, queries: Sequence[STObject], k: int) -> BatchResult:
         """Execute the workload; results align with ``queries`` order.
@@ -522,9 +505,6 @@ class BatchSearcher:
             queries_per_second=(n / elapsed) if elapsed > 0 else 0.0,
             mean_ms=(elapsed * 1000.0 / n) if n else 0.0,
             total_result_ids=sum(len(r.ids) for r in results),
-            cache=self.bound_cache.stats().as_dict()
-            if workers_used == 1 and not fused
-            else {},
             mode=self.mode,
             group_size=self.group_size if fused else None,
             groups=groups,
@@ -540,7 +520,7 @@ class BatchSearcher:
                 ).items()
             },
         )
-        self._record_run(results, timer, fused, workers_used)
+        self._record_run(results, timer, fused)
         return BatchResult(results=results, stats=stats)
 
     def _record_run(
@@ -548,7 +528,6 @@ class BatchSearcher:
         results: List[SearchResult],
         timer: PhaseTimer,
         fused: bool,
-        workers_used: int,
     ) -> None:
         """Mirror one run's outcome into the attached metrics registry."""
         metrics = self.metrics
@@ -561,8 +540,6 @@ class BatchSearcher:
         for result in results:
             record_search(metrics, engine_label, result.stats)
         timer.publish(metrics)
-        if workers_used == 1 and not fused:
-            self.bound_cache.publish(metrics)
         self._publish_frontier(metrics)
 
     def _publish_frontier(self, metrics: MetricsRegistry) -> None:
@@ -745,7 +722,6 @@ class BatchSearcher:
                         getattr(self.tree, "frozen_tree", self.tree),
                         self.config,
                         self.te_weight,
-                        self.cache_entries,
                         self.engine,
                         self.warm_floors,
                     )
@@ -791,7 +767,7 @@ class BatchSearcher:
         workers = min(self.workers, n)
         results: List[Optional[SearchResult]] = [None] * n
         # Chunking keeps per-task IPC overhead low while still spreading
-        # the workload; each worker's bound cache warms on its own chunk.
+        # the workload; each worker's pair memo warms on its own chunk.
         chunksize = max(1, n // (workers * 4))
         pending: List[Tuple[List[Tuple[int, STObject, int, int]], int]] = [
             (

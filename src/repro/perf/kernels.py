@@ -34,8 +34,11 @@ backends agree bit for bit, and an equal pair's dot is exactly its
 squared norm, so self-similarity is exactly 1.0 (the bounds that cap a
 similarity at 1.0 rely on it).
 
-``sum_max`` never walks the union: with per-vector weight sums ``W``
-precomputed at freeze time, ``Σ max = W_a + W_b - Σ_shared min``.
+``sum_max`` walks the union and sums ``max(a[t], b[t])`` in one
+``math.fsum``.  The shortcut ``W_a + W_b - Σ_shared min`` rounds three
+times, so a document pair's ``Σ max`` could round past the ``Σ max`` of
+its summaries and break the weighted-Jaccard bounds; one correctly
+rounded sum is monotone in the exact value, so it cannot.
 
 Backend selection: the ``REPRO_KERNEL`` environment variable
 (``python`` | ``numpy`` | ``auto``), overridable at runtime with
@@ -248,8 +251,12 @@ class PyFrozenVector:
 
     def sum_max(self, other) -> float:
         """``Σ_t max(a[t], b[t])`` over the union of terms."""
-        # Σ max = Σa + Σb − Σ_shared min; never walks the union.
-        return self.wsum + other.wsum - self.sum_min(other)
+        if type(other) is not PyFrozenVector:
+            other = other._py()
+        a, b = self.weights, other.weights
+        top = [w if t not in b or b[t] < w else b[t] for t, w in a.items()]
+        top.extend([w for t, w in b.items() if t not in a])
+        return math.fsum(top)
 
     def overlap_count(self, other) -> int:
         """Number of shared terms."""
@@ -360,8 +367,13 @@ class NumpyFrozenVector:
         return math.fsum(_numpy().minimum(wa, wb).tolist())
 
     def sum_max(self, other) -> float:
-        """``Σ_t max(a[t], b[t])`` over the union of terms."""
-        return self.wsum + other.wsum - self.sum_min(other)
+        """``Σ_t max(a[t], b[t])`` over the union of terms.
+
+        Reduced through the python form: the union walk has no array
+        shortcut, and one ``fsum`` over the same values keeps the two
+        backends bit for bit equal.
+        """
+        return self._py().sum_max(other)
 
     def overlap_count(self, other) -> int:
         """Number of shared terms."""

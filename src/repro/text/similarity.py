@@ -100,8 +100,10 @@ class CosineMeasure(TextMeasure):
         if d == 0.0:
             return 0.0
         # sqrt(|u|² |v|²), not |u| |v|: sqrt(x * x) == x exactly, so an
-        # equal pair scores exactly 1.0 (the bounds cap at 1.0).
-        return d / math.sqrt(a.norm_squared * b.norm_squared)
+        # equal pair scores exactly 1.0.  Parallel but unequal documents
+        # can still round above 1.0, past bounds that cap at 1.0, so the
+        # score is capped too.
+        return min(1.0, d / math.sqrt(a.norm_squared * b.norm_squared))
 
     def min_similarity(self, a: IntervalVector, b: IntervalVector) -> float:
         # cos = d / (|u| |v|) >= d_min / (|u| |v|) >= d_min / (U_a U_b)

@@ -490,8 +490,14 @@ def _corpus(kind: str, n: int):
     term by term, lands one rounding step below its correctly rounded
     self dot product (so a copy would score above 1.0 against another).
     ``copies`` is nine copies of one document, six of which fill a leaf
-    of their own, next to 25 random documents; the copied document has
-    the same norm property.
+    of their own, next to 25 random documents drawn from
+    ``random.Random(n)``; at ``n=12`` the copied document has the same
+    norm property, and at ``n=68`` a weighted Jaccard ``Σmax`` computed
+    as ``Σa + Σb - Σmin`` rounded a pair past its node's bound.
+    ``scaled`` is seven records at one point whose texts repeat one term
+    list 1 to 7 times — parallel, unequal vectors whose cosine used to
+    round above 1.0 — next to 20 random documents from
+    ``random.Random(n)``.
     """
     from repro.config import IndexConfig
     from repro.index.ciurtree import CIURTree
@@ -516,7 +522,7 @@ def _corpus(kind: str, n: int):
         elif kind == "copies":
             import random
 
-            rng = random.Random(12)
+            rng = random.Random(n)
             vocab = [f"w{i}" for i in range(40)]
             text = " ".join(rng.choice(vocab) for _ in range(rng.randint(3, 9)))
             others = [
@@ -526,6 +532,20 @@ def _corpus(kind: str, n: int):
             ]
             here = Point(rng.random(), rng.random())
             dataset = STDataset.from_corpus([(here, text)] * 9 + others)
+        elif kind == "scaled":
+            import random
+
+            rng = random.Random(n)
+            vocab = [f"w{i}" for i in range(30)]
+            terms = [rng.choice(vocab) for _ in range(rng.randint(2, 5))]
+            here = Point(rng.random(), rng.random())
+            scaled = [(here, " ".join(terms * r)) for r in range(1, 8)]
+            others = [
+                (Point(rng.random(), rng.random()),
+                 " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 6))))
+                for _ in range(20)
+            ]
+            dataset = STDataset.from_corpus(scaled + others)
         else:
             dataset = gn_like(n=n, seed=5)
         small = IndexConfig(max_entries=6, min_entries=2)
@@ -650,13 +670,24 @@ def _probe_queries(dataset):
 class TestApproxExactness:
     @settings(deadline=None, max_examples=120)
     @example(  # an all-copies leaf: prunable only if a copy scores > 1.0
-        alpha=0.0, measure="extended_jaccard", corpus=("copies", 0),
+        alpha=0.0, measure="extended_jaccard", corpus=("copies", 12),
+        ciur=False, backend="python", k=1, qi=3,
+    )
+    @example(  # a copy's Σmax rounded below its node's bound
+        alpha=0.5, measure="weighted_jaccard", corpus=("copies", 68),
+        ciur=False, backend="python", k=1, qi=3,
+    )
+    @example(  # parallel unequal documents scored cosine > 1.0
+        alpha=0.0, measure="cosine", corpus=("scaled", 59),
         ciur=False, backend="python", k=1, qi=3,
     )
     @given(
         alpha=st.sampled_from((0.0, 0.4, 0.9, 1.0)),
         measure=st.sampled_from(_MEASURES),
-        corpus=st.sampled_from((("gn", 70), ("dup", 0), ("copies", 0))),
+        corpus=st.sampled_from((
+            ("gn", 70), ("dup", 0), ("copies", 12), ("copies", 68),
+            ("scaled", 59),
+        )),
         ciur=st.booleans(),
         backend=st.sampled_from(_BACKENDS),
         k=st.sampled_from((1, DEFAULT_SKETCH_KMAX, DEFAULT_SKETCH_KMAX + 1)),

@@ -114,3 +114,32 @@ def test_disabled_cache_still_correct(small_dataset):
     ea = Entry.for_object(a.oid, a.mbr(), a.vector)
     eb = Entry.for_object(b.oid, b.mbr(), b.vector)
     assert cached.st_bounds(ea, eb) == uncached.st_bounds(ea, eb)
+
+
+def test_bound_computer_cache_stats_and_clear(tiny_dataset):
+    tree = IURTree.build(tiny_dataset)
+    entries = tree.rtree.nodes[tree.rtree.root_id].entries
+    comp = BoundComputer(
+        tiny_dataset.proximity,
+        make_measure(SimilarityConfig().text_measure),
+        alpha=0.5,
+    )
+    comp.text_bounds(entries[0], entries[0])
+    comp.text_bounds(entries[0], entries[0])
+    stats = comp.cache_stats()
+    assert stats["hits"] == 1 and stats["misses"] == 1
+    assert stats["text_entries"] == 1
+    comp.clear()
+    assert comp.cache_stats()["text_entries"] == 0
+    # Lifetime counters survive the clear.
+    assert comp.cache_stats()["hits"] == 1
+    comp.clear_cache()  # the seed API alias still works
+
+
+def test_symmetric_pair_key_canonical(tiny_dataset):
+    tree = IURTree.build(tiny_dataset)
+    entries = tree.rtree.nodes[tree.rtree.root_id].entries
+    if len(entries) < 2:
+        pytest.skip("need two sibling entries")
+    a, b = entries[0], entries[1]
+    assert BoundComputer._pair_key(a, b) == BoundComputer._pair_key(b, a)

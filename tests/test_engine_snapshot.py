@@ -27,7 +27,6 @@ from repro.core.rstknn import ENGINE_CHOICES, ENGINE_ENV_VAR
 from repro.core.traversal import SnapshotEngine
 from repro.core.explain import SearchTrace
 from repro.errors import ConfigError
-from repro.perf import BoundCache
 from repro.perf.snapshot import IndexSnapshot
 from repro.spatial import Point
 from repro.workloads import sample_queries
@@ -37,7 +36,7 @@ from tests.conftest import random_corpus
 #: Decision counters that must match bit-for-bit across engines.
 #: (``elapsed_seconds`` is wall time; the ``cache_*`` counters describe
 #: each engine's own memo, whose hit pattern legitimately differs.)
-_TIMING_KEYS = {"elapsed_seconds", "cache_hits", "cache_misses", "cache_evictions"}
+_TIMING_KEYS = {"elapsed_seconds", "cache_hits", "cache_misses"}
 
 
 def _decisions(result):
@@ -126,11 +125,6 @@ class TestEngineResolution:
         tree = IURTree.build(small_dataset)
         searcher = RSTkNNSearcher(tree, engine="auto")
         assert searcher._resolve_engine(None) == "snapshot"
-
-    def test_auto_falls_back_for_bound_cache(self, small_dataset):
-        tree = IURTree.build(small_dataset)
-        searcher = RSTkNNSearcher(tree, bound_cache=BoundCache(64), engine="auto")
-        assert searcher._resolve_engine(None) == "seed"
 
     def test_traced_requests_stay_on_snapshot(self, small_dataset):
         # Since the TraceSink generalization (repro.obs), tracing works
@@ -221,37 +215,6 @@ class TestStalenessAfterUpdates:
         for q in queries:
             assert victim.oid not in searcher.search(q, 3).ids
         assert_parity(tree, queries, k=3)
-
-    def test_shared_cache_survives_inserts(self):
-        # A shared BoundCache's entries are generation-salted, so bounds
-        # computed before an insert can never serve the rebuilt tree.
-        ds = STDataset.from_corpus(random_corpus(80, seed=37))
-        tree = IURTree.build(ds)
-        cache = BoundCache(4096)
-        cached = RSTkNNSearcher(tree, bound_cache=cache, engine="seed")
-        queries = sample_queries(ds, 3, seed=5)
-        for query in queries:
-            cached.search(query, 3)
-        obj = ds.append_record(Point(61.0, 44.0), "curry noodles salad")
-        tree.insert_object(obj)
-        fresh = RSTkNNSearcher(tree, engine="seed")
-        for query in sample_queries(ds, 3, seed=6):
-            assert cached.search(query, 3).ids == fresh.search(query, 3).ids
-
-    def test_shared_cache_survives_deletes(self):
-        # Deletes bump the generation exactly like inserts; pre-delete
-        # cached bounds must never serve the shrunken tree.
-        ds = STDataset.from_corpus(random_corpus(80, seed=37))
-        tree = IURTree.build(ds)
-        cache = BoundCache(4096)
-        cached = RSTkNNSearcher(tree, bound_cache=cache, engine="seed")
-        queries = sample_queries(ds, 3, seed=5)
-        for query in queries:
-            cached.search(query, 3)
-        assert tree.delete_object(ds.objects[11].oid)
-        fresh = RSTkNNSearcher(tree, engine="seed")
-        for query in sample_queries(ds, 3, seed=6):
-            assert cached.search(query, 3).ids == fresh.search(query, 3).ids
 
 
 TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rstknn import RSTkNNSearcher
+from repro.core.baseline import ThresholdBaseline
+from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
 from repro.errors import QueryError
 from repro.index.iurtree import IURTree
 from repro.perf import BatchSearcher
+from repro.spatial.point import Point
 from repro.workloads import gn_like, sample_queries
 
 _STATE = {}
@@ -32,7 +34,7 @@ def _reference_ids(tree, queries, k):
 def test_sequential_batch_matches_per_query(k, count):
     env = _fixture()
     queries = env["queries"][:count]
-    engine = BatchSearcher(env["tree"], workers=1, cache_entries=4096)
+    engine = BatchSearcher(env["tree"], workers=1)
     batch = engine.run(queries, k)
     assert batch.id_lists() == _reference_ids(env["tree"], queries, k)
     assert len(batch) == count
@@ -47,28 +49,63 @@ def test_parallel_batch_matches_per_query():
     batch = engine.run(queries, 4)
     assert batch.id_lists() == _reference_ids(env["tree"], queries, 4)
     assert batch.stats.workers == 2
-    # Parallel runs keep no shared cache, so no cache stats are claimed.
-    assert batch.stats.cache == {}
+
+
+def test_sequential_default_runs_snapshot_engine(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    env = _fixture()
+    tree, queries = env["tree"], env["queries"]
+    engine = BatchSearcher(tree, workers=1)
+    assert engine._searcher._resolve_engine(None) == "snapshot"
+    seed = RSTkNNSearcher(tree, engine="seed")
+    baseline = ThresholdBaseline(tree)
+    for _ in range(2):  # the second run reads a warm pair memo
+        batch = engine.run(queries, 3)
+        assert batch.id_lists() == [seed.search(q, 3).ids for q in queries]
+        assert batch.id_lists() == [baseline.search(q, 3) for q in queries]
+
+
+def _memo_counts(batch):
+    hits = sum(r.stats.cache_hits for r in batch.results)
+    misses = sum(r.stats.cache_misses for r in batch.results)
+    return hits, misses
 
 
 def test_sequential_cache_warms_across_runs():
-    env = _fixture()
-    engine = BatchSearcher(env["tree"], workers=1)
-    first = engine.run(env["queries"], 3)
-    again = engine.run(env["queries"], 3)
+    # A private tree: the insert below must not leak into the fixture.
+    dataset = gn_like(n=120)
+    tree = IURTree.build(dataset)
+    queries = sample_queries(dataset, 5, seed=17)
+    engine = BatchSearcher(tree, workers=1, engine="snapshot")
+    first = engine.run(queries, 3)
+    again = engine.run(queries, 3)
     assert again.id_lists() == first.id_lists()
-    assert again.stats.cache["hits"] > first.stats.cache["hits"]
-    engine.invalidate()
-    assert engine.bound_cache.stats().entries == 0
+    first_hits, first_misses = _memo_counts(first)
+    again_hits, again_misses = _memo_counts(again)
+    assert first_misses > 0
+    assert again_hits > first_hits
+    assert again_misses == 0  # every pair bound was memoized by run one
+    # An index update retires the memo with its snapshot.
+    tree.insert_object(dataset.append_record(Point(42.0, 58.0), "coffee"))
+    after = engine.run(queries, 3)
+    assert _memo_counts(after)[1] > 0
+    assert after.id_lists() == [
+        RSTkNNSearcher(tree, engine="seed").search(q, 3).ids for q in queries
+    ]
 
 
 def test_batch_stats_as_dict_flattens_cache_counters():
     env = _fixture()
-    engine = BatchSearcher(env["tree"], workers=1)
-    stats = engine.run(env["queries"][:2], 3).stats
-    flat = stats.as_dict()
+    engine = BatchSearcher(env["tree"], workers=1, engine="snapshot")
+    batch = engine.run(env["queries"][:2], 3)
+    flat = batch.stats.as_dict()
     assert flat["queries"] == 2
-    assert "cache_hits" in flat and "cache_hit_rate" in flat
+    assert "phase_walk_seconds" in flat and "latency_p50_ms" in flat
+    # Memo counters are per query; the batch-level dict carries none.
+    assert not [key for key in flat if key.startswith("cache_")]
+    per_query = [r.stats.as_dict() for r in batch.results]
+    assert all("cache_hits" in d and "cache_misses" in d for d in per_query)
+    assert sum(d["cache_hits"] + d["cache_misses"] for d in per_query) > 0
 
 
 def test_rejects_nonpositive_workers():
@@ -113,7 +150,6 @@ def test_fused_mode_matches_per_query():
     assert stats.mode == "fused"
     assert stats.group_size == 3
     assert stats.groups == 2  # ceil(5 / 3) locality groups
-    assert stats.cache == {}  # fused runs bypass the shared bound cache
     flat = stats.as_dict()
     assert flat["mode"] == "fused" and flat["groups"] == 2
 
@@ -157,7 +193,7 @@ def test_cli_batch_smoke(capsys):
 
     assert main(["batch", "--n", "100", "--queries", "2", "--k", "3"]) == 0
     out = capsys.readouterr().out
-    assert "throughput" in out and "cache hit rate" in out
+    assert "throughput" in out and "mean latency" in out
 
 
 def test_cli_batch_fused_smoke(capsys):

@@ -101,6 +101,24 @@ def test_backends_agree_with_each_other(wa, wb):
     assert py == np_
 
 
+@settings(max_examples=150, deadline=None)
+@given(doc, doc)
+@example(  # Σa + Σb - Σmin rounded below this pair's true Σmax
+    {2: 0.31710948553920126, 3: 1.48, 4: 0.7268494400673278},
+    {0: 1.75, 1: 2.6958356351657704, 2: 2.5},
+)
+def test_sum_max_is_one_correctly_rounded_sum(wa, wb):
+    # Weighted Jaccard bounds need Σmax monotone in the exact value, so
+    # every backend must return the correctly rounded sum over the union.
+    expected = math.fsum(
+        max(wa.get(t, 0.0), wb.get(t, 0.0)) for t in set(wa) | set(wb)
+    )
+    backends = ["python"] + (["numpy"] if kernels.numpy_available() else [])
+    for backend in backends:
+        with kernels.use_backend(backend):
+            assert SparseVector(wa).sum_max(SparseVector(wb)) == expected
+
+
 def test_frozen_form_precomputes_norm_and_weight_sum():
     v = SparseVector({1: 0.5, 9: 2.0, 70: 1.5})
     with kernels.use_backend("python"):

@@ -22,9 +22,10 @@ import warnings
 
 import pytest
 
-from repro.core.rstknn import RSTkNNSearcher
+from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
 from repro.errors import QueryError, SnapshotSegmentError, StaleSegmentError
 from repro.index.iurtree import IURTree
+from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
 from repro.perf import batch as batch_mod
 from repro.perf import shm as shm_mod
@@ -41,12 +42,7 @@ requires_shm = pytest.mark.skipif(
     reason=f"shm transport unavailable: {shm_available()[1]}",
 )
 
-_TIMING_KEYS = {
-    "elapsed_seconds",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-}
+_TIMING_KEYS = {"elapsed_seconds", "cache_hits", "cache_misses"}
 
 _STATE = {}
 
@@ -136,6 +132,22 @@ class TestAttachParity:
             assert run.id_lists() == sequential.id_lists()
             for a, b in zip(sequential.results, run.results):
                 assert _decisions(a) == _decisions(b)
+
+    def test_shm_run_records_snapshot_engine_label(self, monkeypatch):
+        # shm workers run the snapshot engine, and the default parent
+        # searcher resolves to it too, so the run's queries are counted
+        # under ``snapshot`` and never under ``seed``.
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        dataset = gn_like(n=300)
+        tree = IURTree.build(dataset)
+        registry = MetricsRegistry()
+        run = BatchSearcher(tree, workers=2, metrics=registry).run(
+            sample_queries(dataset, 8, seed=3), 3
+        )
+        assert run.stats.share == "shm"
+        counters = registry.snapshot()["counters"]
+        assert counters["search.queries.snapshot"] == 8
+        assert not [name for name in counters if name.endswith(".seed")]
 
     def test_stats_surface_share_and_rss(self):
         env = _fixture()

@@ -136,6 +136,9 @@ class TestStatsAndIO:
         )
         assert decided == len(medium_dataset)
         assert result.io["reads"] == tree.io.reads
+        as_dict = stats.as_dict()
+        assert "cache_hits" in as_dict and "cache_misses" in as_dict
+        assert "cache_evictions" not in as_dict
 
     def test_io_charged(self, medium_dataset):
         tree = IURTree.build(medium_dataset)
@@ -161,3 +164,14 @@ class TestStatsAndIO:
         result = RSTkNNSearcher(tree).search(q, len(small_dataset))
         assert len(result) == len(result.ids)
         assert result.ids[0] in result
+
+
+def test_search_result_contains_uses_lazy_set(small_dataset):
+    tree = IURTree.build(small_dataset)
+    query = sample_queries(small_dataset, 1, seed=5)[0]
+    result = RSTkNNSearcher(tree).search(query, 3)
+    for oid in result.ids:
+        assert oid in result
+    assert -12345 not in result
+    # The memoized set is built once and reused.
+    assert result._id_set == set(result.ids)

@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry
 from repro.perf.batch import BatchSearcher
+from repro.perf.shm import shm_available
 from repro.service import (
     DEGRADATION_CHAIN,
     AdmissionQueue,
@@ -487,7 +488,12 @@ class TestBatchRetries:
         batch = searcher.run(batch_env["queries"], 3)
         assert batch.id_lists() == batch_env["clean"].id_lists()
         assert batch.stats.retries >= 1
-        assert batch.stats.fallback_reason is None
+        # A retried crash never exhausts the budget.  Without numpy the
+        # run still records why it shipped a pickle instead of shm.
+        reason = batch.stats.fallback_reason
+        assert "retry budget" not in (reason or "")
+        if shm_available()[0]:
+            assert reason is None
         assert metrics.snapshot()["counters"]["service.retries"] >= 1
 
     def test_worker_error_slice_is_retried_in_surviving_pool(
