@@ -71,7 +71,8 @@ non-negative products differ by at most ``2 * gamma_L * d`` (``gamma_L
 = L*u / (1 - L*u)``); Extended Jaccard has relative sensitivity
 ``S / (S - d) <= 2`` to ``d`` (Cauchy–Schwarz), cosine and Dice 1,
 overlap none (integer counts, one correctly rounded division).  Both
-forms cap cosine at 1.0, and a cap never widens a gap.  Every
+forms cap cosine, Extended Jaccard and Dice at 1.0, and a cap never
+widens a gap.  Every
 measure lies in ``[0, 1]``, so the text gap is at most ``4 * gamma_L +
 4u``; ``hypot``, ``fd`` and the blend add at most ``12u``.  The gap
 ``eps`` is therefore below ``(4.1 L + 16) u``, and ``delta = (16 L + 64)
@@ -123,11 +124,15 @@ _U = 2.0 ** -53
 #: candidate rows ``b``: ``f(dot, overlap, a, b, |.|^2 column, len
 #: column)``, read only where ``overlap > 0``.
 _ARRAY_TEXT = {
-    "extended_jaccard": lambda d, ov, a, b, nsq, n: d / (nsq[a] + nsq[b] - d),
+    "extended_jaccard": lambda d, ov, a, b, nsq, n: (
+        d / (nsq[a] + nsq[b] - d)
+    ).clip(max=1.0),
     "cosine": lambda d, ov, a, b, nsq, n: (
         d / (nsq[a] * nsq[b]) ** 0.5
     ).clip(max=1.0),
-    "dice": lambda d, ov, a, b, nsq, n: 2.0 * d / (nsq[a] + nsq[b]),
+    "dice": lambda d, ov, a, b, nsq, n: (
+        2.0 * d / (nsq[a] + nsq[b])
+    ).clip(max=1.0),
     "overlap": lambda d, ov, a, b, nsq, n: ov / (n[a] + n[b] - ov),
 }
 

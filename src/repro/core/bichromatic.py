@@ -137,13 +137,12 @@ class BichromaticRSTkNN:
             clist = lists[ukey]
             q_lo, q_hi = qbounds[ukey]
             while True:
-                knnl = clist.knn_lower(k)
-                if q_hi < knnl:
+                decision = clist.decide(q_lo, q_hi, k)
+                if decision < 0:
                     result.pruned_user_entries += 1
                     self._drop_user(ukey, user_live, lists, qbounds)
                     break
-                knnu = clist.knn_upper(k)
-                if q_lo >= knnu:
+                if decision > 0:
                     result.accepted_user_entries += 1
                     accepted.append(uentry)
                     self._drop_user(ukey, user_live, lists, qbounds)

@@ -20,25 +20,58 @@ From the multiset of contributions:
 The bounds drive the two decision rules: prune ``E`` when
 ``MaxST(q,E) < kNNL(E)``; accept all of ``E`` when ``MinST(q,E) >= kNNU(E)``.
 
+**The rules are decided by counting** (:func:`decide_by_count`), not by
+selecting the two k-th largest values.  Every contribution carries
+``count >= 1`` and every query bound lies in ``[0, 1]``, so with ``q_hi
+= MaxST(q,E)`` and ``q_lo = MinST(q,E)``:
+
+* ``q_hi < kNNL(E)`` iff the contributions with ``min_st > q_hi`` cover
+  at least ``k`` objects.  When the list covers ``k`` or more objects,
+  the k-th largest lower end exceeds ``q_hi`` exactly when the ``k``
+  largest all do.  When it covers fewer, ``kNNL`` is 0 and
+  ``q_hi >= 0`` keeps the rule silent, as does the count (< k).
+* ``q_lo >= kNNU(E)`` iff the contributions with ``max_st > q_lo`` cover
+  fewer than ``k`` objects — the negation of the same statement for the
+  upper ends, with ``q_lo >= 0`` making a short list accept on both
+  sides.
+
+Counts only grow, so the pass stops as soon as ``k`` objects beat
+``q_hi``; it builds no lists, and it returns the same -1/0/+1 as the
+two selections.  The band values themselves (:func:`_kth_largest`,
+:meth:`ContributionList.knn_lower`/``knn_upper``) are still computed
+where they are reported: trace events, ``explain`` and shard summaries.
+
 Lists support the paper's *lazy effect-list refinement*: a contribution
 records the entry that produced it, so an inherited (loose but valid)
 contribution can later be tightened in place — either by recomputing the
 bounds directly against its entry, or by substituting the entry's
 recorded children.  Only the few contributions that actually gate a
-decision ever get tightened.
+decision ever get tightened; :func:`_top_by` picks them.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple, TYPE_CHECKING
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Set,
+    Tuple,
+    TypeVar,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..index.entry import Entry
 
 #: A live-entry key: (ref, is_object).
 SourceKey = Tuple[int, bool]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -55,6 +88,10 @@ class Contribution:
     min_st: float
     max_st: float
     count: int
+
+
+_by_min = attrgetter("min_st")
+_by_max = attrgetter("max_st")
 
 
 class ContributionList:
@@ -113,11 +150,29 @@ class ContributionList:
 
     def top_by_min(self, m: int) -> List[Contribution]:
         """The ``m`` contributions with the largest lower bounds."""
-        return heapq.nlargest(m, self._by_source.values(), key=_by_min)
+        return _top_by(self._by_source.values(), m, _by_min)
 
     def top_by_max(self, m: int) -> List[Contribution]:
         """The ``m`` contributions with the largest upper bounds."""
-        return heapq.nlargest(m, self._by_source.values(), key=_by_max)
+        return _top_by(self._by_source.values(), m, _by_max)
+
+    def decide(self, q_lo: float, q_hi: float, k: int) -> int:
+        """The two decision rules: -1 prune, +1 accept, 0 undecided.
+
+        See :func:`decide_by_count`; newest contributions are read
+        first, because the ones an expansion adds end most prunes.
+        """
+        # A generator, not ``map(attrgetter(...))``: on CPython 3.11 the
+        # specialized attribute loads here run faster than the C getter.
+        return decide_by_count(
+            (
+                (c.min_st, c.max_st, c.count)
+                for c in reversed(self._by_source.values())
+            ),
+            q_lo,
+            q_hi,
+            k,
+        )
 
     # ------------------------------------------------------------------
     # kNN bounds
@@ -140,12 +195,41 @@ class ContributionList:
         )
 
 
-def _by_min(c: Contribution) -> float:
-    return c.min_st
+def decide_by_count(
+    contributions: Iterable[Tuple[float, float, int]],
+    q_lo: float,
+    q_hi: float,
+    k: int,
+) -> int:
+    """Prune (-1), accept (+1) or leave undecided (0) one frontier entry.
+
+    ``contributions`` yields ``(min_st, max_st, count)`` triples with
+    ``count >= 1``; ``0 <= q_lo`` and ``0 <= q_hi`` bound the query's
+    similarity to the entry, and ``k >= 1``.  Returns exactly
+    ``-1 if q_hi < kNNL else (1 if q_lo >= kNNU else 0)`` (proof in the
+    module docstring) in one pass that stops once ``k`` objects are
+    certain to beat ``q_hi``.
+    """
+    beat_hi = 0  # objects certainly more similar than q_hi
+    beat_lo = 0  # objects possibly more similar than q_lo
+    for lo, hi, count in contributions:
+        if lo > q_hi:
+            beat_hi += count
+            if beat_hi >= k:
+                return -1
+        if hi > q_lo:
+            beat_lo += count
+    return 1 if beat_lo < k else 0
 
 
-def _by_max(c: Contribution) -> float:
-    return c.max_st
+def _top_by(items: Iterable[_T], m: int, key: Callable[[_T], float]) -> List[_T]:
+    """The ``m`` items with the largest keys, ties in iteration order.
+
+    ``sorted(..., reverse=True)[:m]`` is what the :mod:`heapq` docs
+    define ``heapq.nlargest(m, items, key=key)`` to equal, tie order
+    included (the sort is stable), and it runs in C.
+    """
+    return sorted(items, key=key, reverse=True)[:m]
 
 
 def _kth_largest(weighted: List[Tuple[float, int]], k: int) -> float:
@@ -155,6 +239,11 @@ def _kth_largest(weighted: List[Tuple[float, int]], k: int) -> float:
     encodes "the k-th neighbor does not exist": a query is then trivially
     within the top-k, and 0 makes the accept rule fire (every SimST >= 0)
     while keeping the prune rule silent.
+
+    The searchers decide with :func:`decide_by_count`; this selection
+    serves where the band value itself is reported (trace events,
+    ``explain``, shard summaries) and is the oracle the tests hold the
+    counting rule to.
     """
     if k <= 0:
         raise ValueError(f"k must be >= 1, got {k}")

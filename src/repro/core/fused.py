@@ -31,13 +31,12 @@ repeats for each query in a batch:
 * **Columnar candidate books** — each query's per-entry contribution
   list is a struct-of-arrays *book* (slot/lo/hi/count columns plus
   alive/tight masks and a slot->row position table) instead of a dict
-  of tuples.  The prune/accept decision reduces the live columns with a
-  vectorized weighted k-th largest (``argpartition``), and the lazy
-  tightening pass selects its candidates with a stable argsort —
-  both provably value-identical to the seed's ``heapq.nlargest`` over
-  insertion-ordered items (stability reproduces the tie-breaks, and
-  every contribution count is >= 1 so any top-k-by-value selection
-  yields the same weighted k-th value).
+  of tuples.  The prune/accept decision is the seed's counting rule
+  (:func:`repro.core.contributions.decide_by_count`), summed over the
+  live columns by numpy, and the lazy tightening pass selects its
+  candidates with a stable argsort — value-identical to the seed's
+  ``heapq.nlargest`` over insertion-ordered items (stability
+  reproduces the tie-breaks).
 * **Bitset frontiers** — per-query entry statuses live in integer
   bitsets over snapshot slots (plus one append-only discovery-order
   list that replays the seed's result-gathering and page-charge order).
@@ -69,7 +68,7 @@ from ..text.interval import IntervalVector
 from ..text.similarity import ExtendedJaccard
 from ..errors import DeadlineExceeded
 from .cancel import cancel_message
-from .contributions import _kth_largest
+from .contributions import _kth_largest, decide_by_count
 from .rstknn import SearchResult, SearchStats
 from .traversal import _frontier_lookahead_from_env, tighten_width_for
 
@@ -138,35 +137,6 @@ def make_groups(queries: Sequence[STObject], group_size: int) -> List[List[int]]
     return [
         order[i : i + group_size] for i in range(0, len(order), group_size)
     ]
-
-
-def _np_kth(np, values, counts, k: int) -> float:
-    """Weighted k-th largest over columnar (values, counts) — the
-    vectorized twin of :func:`repro.core.contributions._kth_largest`.
-
-    Every count is >= 1 (entry counts, or ``count - 1`` of an entry
-    with ``count >= 2``), so the weighted k-th element always lies
-    within the ``k`` largest entries by value and ``argpartition``
-    selection is exact; the returned float is one of the stored bound
-    values, untouched by arithmetic, hence bit-identical.
-    """
-    m = values.shape[0]
-    if m == 0:
-        return 0.0
-    if m > k:
-        sel = np.argpartition(values, m - k)[m - k :]
-        values = values[sel]
-        counts = counts[sel]
-    order = np.argsort(-values, kind="stable")
-    remaining = k
-    for j in order:
-        c = int(counts[j])
-        if c <= 0:
-            continue
-        remaining -= c
-        if remaining <= 0:
-            return float(values[j])
-    return 0.0
 
 
 class _NpBook:
@@ -269,26 +239,25 @@ class _NpBook:
         self.tight[p] = True
 
     def decide(self, q_lo: float, q_hi: float, k: int) -> int:
+        """:func:`decide_by_count` over the live rows, its two object
+        counts summed by numpy (feeding the rows through the scalar
+        pass would cost more in ``tolist()`` than the count itself)."""
         n = self.n
-        mask = self.alive[:n]
-        np = self.np
-        counts = self.cnt[:n][mask]
-        if q_hi < _np_kth(np, self.lo[:n][mask], counts, k):
+        live = self.alive[:n]
+        cnt = self.cnt[:n]
+        if cnt[live & (self.lo[:n] > q_hi)].sum() >= k:
             return -1
-        if q_lo >= _np_kth(np, self.hi[:n][mask], counts, k):
-            return 1
-        return 0
+        return 1 if cnt[live & (self.hi[:n] > q_lo)].sum() < k else 0
 
     def knn_bounds(self, k: int) -> Tuple[float, float]:
         """Current ``(kNNL, kNNU)`` band over the live rows (for trace
-        events; same selection the decision rules consume)."""
+        events)."""
         n = self.n
         mask = self.alive[:n]
-        np = self.np
-        counts = self.cnt[:n][mask]
+        counts = self.cnt[:n][mask].tolist()
         return (
-            _np_kth(np, self.lo[:n][mask], counts, k),
-            _np_kth(np, self.hi[:n][mask], counts, k),
+            _kth_largest(list(zip(self.lo[:n][mask].tolist(), counts)), k),
+            _kth_largest(list(zip(self.hi[:n][mask].tolist(), counts)), k),
         )
 
     def candidate_slots(self, width: int) -> List[int]:
@@ -367,22 +336,22 @@ class _PyBook:
         self.tight[p] = True
 
     def decide(self, q_lo: float, q_hi: float, k: int) -> int:
-        lows: List[Tuple[float, int]] = []
-        highs: List[Tuple[float, int]] = []
+        """:func:`decide_by_count` over the live rows, newest first."""
         lo, hi, cnt, alive = self.lo, self.hi, self.cnt, self.alive
-        for i in range(self.n):
-            if alive[i]:
-                lows.append((lo[i], cnt[i]))
-                highs.append((hi[i], cnt[i]))
-        if q_hi < _kth_largest(lows, k):
-            return -1
-        if q_lo >= _kth_largest(highs, k):
-            return 1
-        return 0
+        return decide_by_count(
+            (
+                (lo[i], hi[i], cnt[i])
+                for i in range(self.n - 1, -1, -1)
+                if alive[i]
+            ),
+            q_lo,
+            q_hi,
+            k,
+        )
 
     def knn_bounds(self, k: int) -> Tuple[float, float]:
         """Current ``(kNNL, kNNU)`` band over the live rows (for trace
-        events; same selection the decision rules consume)."""
+        events)."""
         lows: List[Tuple[float, int]] = []
         highs: List[Tuple[float, int]] = []
         lo, hi, cnt, alive = self.lo, self.hi, self.cnt, self.alive
@@ -663,7 +632,8 @@ class FusedBatchEngine:
                     else:
                         d = dots[r]
                         if d != 0.0:
-                            obj_sim[r] = d / (q_nsq + obj_nsq[r] - d)
+                            sim = d / (q_nsq + obj_nsq[r] - d)
+                            obj_sim[r] = sim if sim < 1.0 else 1.0
             tables.append((int_d, uni_d, obj_sim))
         return tables
 
@@ -703,6 +673,8 @@ class FusedBatchEngine:
                 else:
                     s_max = q_nsq + unsq[r]
                     pair_lo = d_min / (s_max - d_min)
+                    if pair_lo > 1.0:
+                        pair_lo = 1.0
                 d_max = uni_d[r]
                 if d_max == 0.0:
                     pair_hi = 0.0

@@ -574,11 +574,7 @@ class RSTkNNSearcher:
     @staticmethod
     def _decide(clist: ContributionList, q_lo: float, q_hi: float, k: int) -> int:
         """Apply the two decision rules: -1 prune, +1 accept, 0 undecided."""
-        if q_hi < clist.knn_lower(k):
-            return -1
-        if q_lo >= clist.knn_upper(k):
-            return 1
-        return 0
+        return clist.decide(q_lo, q_hi, k)
 
     def _initial_entries(self) -> List[Entry]:
         roots: List[Entry] = []

@@ -17,6 +17,12 @@ construction*, not by tolerance.  What changes is the representation:
   all of its children come from one vectorized array pass (numpy when
   available) over the snapshot's coordinate columns, finished with
   scalar ``math.hypot`` so every value is bit-identical to the seed's;
+* the two decision rules are one early-exit counting pass over the
+  slot dict, newest contribution first, and tightening candidates come
+  from one C-level sort per bound — the seed walk's helpers
+  ``decide_by_count`` and ``_top_by`` from
+  :mod:`repro.core.contributions`, whose docstrings prove them equal to
+  the paper's k-th-largest selections and to ``heapq.nlargest``;
 * textual bounds are evaluated from the snapshot's pre-frozen kernel
   forms, with the Extended Jaccard formulas inlined over precomputed
   squared norms (the production default measure);
@@ -57,7 +63,7 @@ from ..text.interval import IntervalVector
 from ..text.similarity import ExtendedJaccard
 from ..errors import DeadlineExceeded
 from .cancel import cancel_message
-from .contributions import _kth_largest
+from .contributions import _kth_largest, _top_by, decide_by_count
 from .rstknn import SearchResult, SearchStats
 
 _UNDECIDED = "undecided"
@@ -278,6 +284,8 @@ class SnapshotEngine:
                     else:
                         s_max = unsq_a + unsq_b
                         pair_lo = d_min / (s_max - d_min)
+                        if pair_lo > 1.0:
+                            pair_lo = 1.0
                     d_max = uni_a.dot(uni_b)
                     if d_max == 0.0:
                         pair_hi = 0.0
@@ -365,6 +373,8 @@ class SnapshotEngine:
                     else:
                         s_max = q_nsq + unsq_b
                         pair_lo = d_min / (s_max - d_min)
+                        if pair_lo > 1.0:
+                            pair_lo = 1.0
                     d_max = q_frozen.dot(uni_b)
                     if d_max == 0.0:
                         pair_hi = 0.0
@@ -702,12 +712,12 @@ class SnapshotEngine:
 
     @staticmethod
     def _decide(d: Dict[int, _Contrib], q_lo: float, q_hi: float, k: int) -> int:
-        """Seed decision rules over the slot contribution dict."""
-        if q_hi < _kth_largest([(c[0], c[2]) for c in d.values()], k):
-            return -1
-        if q_lo >= _kth_largest([(c[1], c[2]) for c in d.values()], k):
-            return 1
-        return 0
+        """Seed decision rules over the slot contribution dict.
+
+        Newest contribution first: the sibling and self terms an
+        expansion adds end most prunes early.
+        """
+        return decide_by_count(reversed(d.values()), q_lo, q_hi, k)
 
     def _tighten(
         self,
@@ -719,10 +729,7 @@ class SnapshotEngine:
         """Lazy effect-list refinement (seed ``_tighten`` over slots)."""
         d = clist.d
         tight = clist.tight
-        items = list(d.items())
-        candidates = heapq.nlargest(
-            width, items, key=_cand_min
-        ) + heapq.nlargest(width, items, key=_cand_max)
+        candidates = _tighten_candidates(d, width)
         changed = False
         seen: Set[int] = set()
         st = self._st
@@ -834,6 +841,14 @@ class SnapshotEngine:
             tree.buffer.get(snap.record_id[e], "verify")
             stack.extend(range(snap.first_child[e], snap.last_child[e]))
         return count <= k - 1
+
+
+def _tighten_candidates(
+    d: Dict[int, _Contrib], width: int
+) -> List[Tuple[int, _Contrib]]:
+    """The seed's ``top_by_min(width) + top_by_max(width)`` over slots."""
+    items = list(d.items())
+    return _top_by(items, width, _cand_min) + _top_by(items, width, _cand_max)
 
 
 def _cand_min(item: Tuple[int, _Contrib]) -> float:

@@ -283,7 +283,11 @@ class PyFrozenVector:
         a, b = self.weights, other.weights
         d = math.fsum([a[t] * b[t] for t in common])
         # denom >= d > 0 by Cauchy-Schwarz when the vectors share terms.
-        return d / (self.norm_sq + other.norm_sq - d)
+        # Near-equal but unequal vectors can round above 1.0, past upper
+        # bounds that cap at 1.0, so the score is capped too (a
+        # conditional: ``min()`` costs a call on this hot path).
+        sim = d / (self.norm_sq + other.norm_sq - d)
+        return sim if sim < 1.0 else 1.0
 
 
 class NumpyFrozenVector:
@@ -394,7 +398,8 @@ class NumpyFrozenVector:
         if wa.size == 0:
             return 0.0
         d = math.fsum((wa * wb).tolist())
-        return d / (self.norm_sq + other.norm_sq - d)
+        sim = d / (self.norm_sq + other.norm_sq - d)
+        return sim if sim < 1.0 else 1.0
 
 
 def freeze(

@@ -171,6 +171,8 @@ class ShardProbe:
                 else:
                     s_max = nsq + unsq_b
                     pair_lo = d_min / (s_max - d_min)
+                    if pair_lo > 1.0:
+                        pair_lo = 1.0
                 d_max = frozen.dot(uni_b)
                 if d_max == 0.0:
                     pair_hi = 0.0

@@ -50,7 +50,9 @@ class TextMeasure(ABC):
 class ExtendedJaccard(TextMeasure):
     """Extended Jaccard: ``EJ(u, v) = <u,v> / (|u|^2 + |v|^2 - <u,v>)``.
 
-    ``EJ`` is 1 iff ``u == v != 0`` and 0 when the vectors share no terms.
+    ``EJ`` is 1 iff ``u == v != 0`` and 0 when the vectors share no terms;
+    the computed value of a near-equal pair can round above 1.0, so the
+    score and the lower bound are capped there.
     Writing ``f(d, S) = d / (S - d)`` with ``d = <u,v>`` and
     ``S = |u|^2 + |v|^2``, ``f`` is increasing in ``d`` (for ``S`` fixed,
     ``d < S``) and decreasing in ``S`` — the bounds below follow by
@@ -73,7 +75,10 @@ class ExtendedJaccard(TextMeasure):
         if d_min == 0.0:
             return 0.0
         s_max = a.union.norm_squared + b.union.norm_squared
-        return d_min / (s_max - d_min)
+        # On a degenerate summary this is the score's own expression,
+        # so it is capped like the score.
+        sim = d_min / (s_max - d_min)
+        return sim if sim < 1.0 else 1.0
 
     def max_similarity(self, a: IntervalVector, b: IntervalVector) -> float:
         # d <= d_max (unions dominate) and S >= S_min (documents dominate
@@ -174,7 +179,9 @@ class DiceMeasure(TextMeasure):
     """Dice coefficient on weighted vectors: ``2<u,v> / (|u|² + |v|²)``.
 
     Writing ``f(d, S) = 2d / S``, increasing in ``d`` and decreasing in
-    ``S``; Cauchy–Schwarz gives ``2d <= S`` so the value stays in [0, 1].
+    ``S``; Cauchy–Schwarz gives ``2d <= S`` so the value stays in [0, 1]
+    (the computed one is capped there, as rounding can break the
+    inequality for near-equal vectors).
     """
 
     name = "dice"
@@ -183,13 +190,15 @@ class DiceMeasure(TextMeasure):
         d = a.dot(b)
         if d == 0.0:
             return 0.0
-        return 2.0 * d / (a.norm_squared + b.norm_squared)
+        sim = 2.0 * d / (a.norm_squared + b.norm_squared)
+        return sim if sim < 1.0 else 1.0
 
     def min_similarity(self, a: IntervalVector, b: IntervalVector) -> float:
         d_min = a.intersection.dot(b.intersection)
         if d_min == 0.0:
             return 0.0
-        return 2.0 * d_min / (a.union.norm_squared + b.union.norm_squared)
+        sim = 2.0 * d_min / (a.union.norm_squared + b.union.norm_squared)
+        return sim if sim < 1.0 else 1.0
 
     def max_similarity(self, a: IntervalVector, b: IntervalVector) -> float:
         d_max = a.union.dot(b.union)

@@ -1,10 +1,24 @@
-"""Contribution lists and the weighted k-th-largest selection."""
+"""Contribution lists, the weighted k-th-largest selection, and the
+counting decision rule that replaces it on the search path."""
+
+import heapq
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Point, Rect, SparseVector
-from repro.core.contributions import Contribution, ContributionList, _kth_largest
+from repro.core.contributions import (
+    Contribution,
+    ContributionList,
+    _kth_largest,
+    decide_by_count,
+)
+from repro.core.fused import _NpBook, _PyBook
+from repro.core.rstknn import RSTkNNSearcher
+from repro.core.traversal import SnapshotEngine, _tighten_candidates
 from repro.index import Entry
+from repro.perf import kernels
 
 
 def make_entry(ref=0):
@@ -99,3 +113,136 @@ class TestContributionList:
         assert lowers == sorted(lowers, reverse=True)
         uppers = [clist.knn_upper(k) for k in range(1, 8)]
         assert uppers == sorted(uppers, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# The counting decision rule against the two k-th-largest selections.
+# ----------------------------------------------------------------------
+
+#: A few shared values make ties between contributions (and between a
+#: contribution and the query bounds) common.
+_TIED = (0.0, 0.25, 0.5, 0.75, 1.0)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _bounds(draw, max_size=60, max_count=20):
+    """``(lo, hi, count)`` triples with ``0 <= lo <= hi <= 1``."""
+    value = st.one_of(st.sampled_from(_TIED), _unit)
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        a, b = draw(value), draw(value)
+        count = draw(st.integers(min_value=1, max_value=max_count))
+        out.append((min(a, b), max(a, b), count))
+    return out
+
+
+@st.composite
+def _decision_cases(draw):
+    triples = draw(_bounds())
+    stored = [v for lo, hi, _ in triples for v in (lo, hi)]
+    q = st.one_of(_unit, st.sampled_from(stored + list(_TIED)))
+    a, b = draw(q), draw(q)
+    return triples, min(a, b), max(a, b), draw(st.integers(1, 10))
+
+
+def _reference(triples, q_lo, q_hi, k):
+    """The paper's rules, literally: compare against kNNL and kNNU."""
+    if q_hi < _kth_largest([(lo, c) for lo, _, c in triples], k):
+        return -1
+    if q_lo >= _kth_largest([(hi, c) for _, hi, c in triples], k):
+        return 1
+    return 0
+
+
+def _clist(triples):
+    clist = ContributionList()
+    for i, (lo, hi, count) in enumerate(triples):
+        clist.set(contrib(i, lo, hi, count))
+    return clist
+
+
+def _fused_books(triples):
+    """The fused engine's columnar books over ``triples``, each with a
+    killed row in the middle that a decision must not count."""
+    books = [_PyBook(len(triples) + 1)]
+    np = kernels._numpy()
+    if np is not None:
+        books.append(_NpBook(np, len(triples) + 1, 0))
+    half = len(triples) // 2
+    rows = triples[:half] + [(1.0, 1.0, 20)] + triples[half:]
+    for book in books:
+        book.extend(
+            (
+                list(range(len(rows))),
+                [t[0] for t in rows],
+                [t[1] for t in rows],
+                [t[2] for t in rows],
+            )
+        )
+        book.kill(half)
+    return books
+
+
+class TestDecideByCount:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_decision_cases())
+    @example(case=([], 0.0, 0.0, 1))  # nothing covered: accept
+    @example(case=([(0.5, 0.5, 2)], 0.5, 0.5, 3))  # fewer than k objects
+    @example(case=([(0.5, 0.9, 3)], 0.2, 0.4, 3))  # exactly k beat q_hi
+    @example(case=([(0.5, 0.9, 3)], 0.2, 0.5, 3))  # tie with kNNL: no prune
+    @example(case=([(0.2, 0.6, 3)], 0.6, 0.7, 3))  # tie with kNNU: accept
+    def test_matches_kth_largest_rules(self, case):
+        triples, q_lo, q_hi, k = case
+        expected = _reference(triples, q_lo, q_hi, k)
+        assert decide_by_count(triples, q_lo, q_hi, k) == expected
+        # The seed walk's list, against its own band values.
+        clist = _clist(triples)
+        band = -1 if q_hi < clist.knn_lower(k) else (
+            1 if q_lo >= clist.knn_upper(k) else 0
+        )
+        assert band == expected
+        assert clist.decide(q_lo, q_hi, k) == expected
+        assert RSTkNNSearcher._decide(clist, q_lo, q_hi, k) == expected
+        # The snapshot engine's slot dict.
+        d = {7 * i + 3: t for i, t in enumerate(triples)}
+        assert SnapshotEngine._decide(d, q_lo, q_hi, k) == expected
+        # The fused engine's books, and their reported band values.
+        for book in _fused_books(triples):
+            assert book.decide(q_lo, q_hi, k) == expected
+            assert book.knn_bounds(k) == (clist.knn_lower(k), clist.knn_upper(k))
+
+    def test_stops_once_k_objects_beat_q_hi(self):
+        seen = []
+
+        def triples():
+            for t in [(0.9, 0.95, 2), (0.8, 0.9, 1), (0.1, 0.2, 5)]:
+                seen.append(t)
+                yield t
+
+        assert decide_by_count(triples(), 0.3, 0.5, 3) == -1
+        assert len(seen) == 2
+
+
+class TestCandidateSelection:
+    """``_top_by`` must pick what ``heapq.nlargest`` picks, in its order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        triples=_bounds(max_size=40, max_count=5),
+        m=st.integers(min_value=1, max_value=24),
+    )
+    def test_matches_heapq_nlargest_with_ties(self, triples, m):
+        clist = _clist(triples)
+        values = list(clist.contributions())
+        for got, key in (
+            (clist.top_by_min(m), lambda c: c.min_st),
+            (clist.top_by_max(m), lambda c: c.max_st),
+        ):
+            want = heapq.nlargest(m, values, key=key)
+            assert [c.source for c in got] == [c.source for c in want]
+        d = {7 * i + 3: t for i, t in enumerate(triples)}
+        items = list(d.items())
+        assert _tighten_candidates(d, m) == heapq.nlargest(
+            m, items, key=lambda it: it[1][0]
+        ) + heapq.nlargest(m, items, key=lambda it: it[1][1])

@@ -414,3 +414,29 @@ def test_equal_documents_score_exactly_one(weights, backend, measure):
     with kernels.use_backend(backend):
         assert a.dot(b) == a.norm_squared
         assert make_measure(measure).similarity(a, b) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.dictionaries(_term, _weight, min_size=1, max_size=12),
+    ulps=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+    measure=st.sampled_from(_MEASURES),
+)
+@example(weights={0: 0.36}, ulps=[1] * 12, measure="extended_jaccard")
+@example(weights={0: 0.36}, ulps=[1] * 12, measure="dice")
+def test_near_equal_documents_never_score_above_one(weights, ulps, measure):
+    # A copy nudged a few ulps per weight can make 2<u,v> round above
+    # |u|^2 + |v|^2; the upper bounds return exactly 1.0 there, so the
+    # score must not exceed it on either backend.
+    from repro.text.similarity import make_measure
+
+    nudged = {}
+    for (t, w), steps in zip(sorted(weights.items()), ulps):
+        for _ in range(abs(steps)):
+            w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        nudged[t] = w
+    a, b = SparseVector(weights), SparseVector(nudged)
+    backends = ("python", "numpy") if kernels.numpy_available() else ("python",)
+    for backend in backends:
+        with kernels.use_backend(backend):
+            assert 0.0 <= make_measure(measure).similarity(a, b) <= 1.0
