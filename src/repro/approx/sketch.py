@@ -86,8 +86,7 @@ eps``, above the computed ``theta - delta``: all of them are rescored,
 so the exact top-``kmax`` is recovered bit for bit.
 
 The floors feed three consumers: warm-start pruning in the exact
-engines (:class:`~repro.core.traversal.SnapshotEngine` /
-:class:`~repro.core.fused.FusedBatchEngine`, results bit-identical
+:class:`~repro.core.traversal.SnapshotEngine` (results bit-identical
 because a pruned slot provably holds no result), tightened
 :class:`~repro.shard.summaries.ShardSummary` admission floors, and the
 ``engine="approx"`` filter tier (:class:`~repro.approx.engine.ApproxEngine`).

@@ -184,17 +184,14 @@ def run_batch_queries(
     method: str = "iur",
     workers: int = 1,
     engine: Optional[str] = None,
-    mode: str = "per-query",
-    group_size: int = 8,
     metrics=None,
 ) -> QueryRun:
     """Run a workload through :class:`repro.perf.BatchSearcher`.
 
     Unlike :func:`run_queries` this measures *throughput* (warm buffer
-    pool and pair memo, optional process fan-out, or the fused group
-    engine with ``mode="fused"``), so I/O and per-query decision
-    statistics are not reported.  The per-phase timing breakdown
-    (``phase_*_seconds``) lands in :attr:`QueryRun.extra`; pass a
+    pool and pair memo, optional process fan-out), so I/O and per-query
+    decision statistics are not reported.  The per-phase timing
+    breakdown (``phase_*_seconds``) lands in :attr:`QueryRun.extra`; pass a
     :class:`repro.obs.MetricsRegistry` as ``metrics`` to additionally
     record counters, latency histograms, and phase gauges for export
     (see ``docs/OBSERVABILITY.md``).
@@ -205,17 +202,13 @@ def run_batch_queries(
         tree,
         workers=workers,
         engine=engine,
-        mode=mode,
-        group_size=group_size,
         metrics=metrics,
     )
     batch = searcher.run(queries, k)
     stats = batch.stats
     n = max(stats.queries, 1)
     return QueryRun(
-        method=f"{method}-batch"
-        + (f"-w{workers}" if workers > 1 else "")
-        + (f"-fused{group_size}" if mode == "fused" else ""),
+        method=f"{method}-batch" + (f"-w{workers}" if workers > 1 else ""),
         queries=stats.queries,
         mean_ms=stats.mean_ms,
         mean_reads=0.0,
@@ -237,7 +230,7 @@ def run_service_queries(
 
     The reliability counterpart of :func:`run_batch_queries`: every
     query goes through the bounded admission queue, the per-query
-    deadline, and the ``fused -> snapshot -> seed`` degradation chain
+    deadline, and the ``snapshot -> seed`` degradation chain
     (see ``docs/RELIABILITY.md``).  Degradations, deadline expiries,
     and sheds land in :attr:`QueryRun.extra` — and in ``metrics`` under
     the ``service.*`` names when a registry is passed.  Queries lost to

@@ -148,8 +148,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         tree,
         workers=args.workers,
         engine=args.engine,
-        mode=args.mode,
-        group_size=args.group_size,
         share=args.share,
         warm_floors=True if args.warm_floors else None,
     )
@@ -172,18 +170,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     stats = batch.stats
     rows = [
         ["queries", stats.queries],
-        ["mode", stats.mode],
         ["workers", stats.workers],
         ["elapsed (s)", f"{stats.elapsed_seconds:.3f}"],
         ["throughput (q/s)", f"{stats.queries_per_second:.1f}"],
         ["mean latency (ms)", f"{stats.mean_ms:.2f}"],
         ["result ids (total)", stats.total_result_ids],
     ]
-    if stats.groups is not None:
-        rows.insert(2, ["groups", stats.groups])
-        rows.insert(2, ["group size", stats.group_size])
     if stats.share is not None:
-        rows.insert(3, ["share", stats.share])
+        rows.insert(2, ["share", stats.share])
     if stats.worker_rss_bytes is not None:
         rows.append(
             ["worker peak RSS (MiB)", f"{stats.worker_rss_bytes / 2**20:.1f}"]
@@ -207,16 +201,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _service_chain(engine: str):
     """Map a ``--engine`` choice to a degradation chain.
 
-    ``auto``/``fused`` keep the full chain; ``snapshot`` and ``seed``
-    start the chain at that engine (later hops remain available — every
-    chain engine is parity-identical, so this only pins the first
-    attempt, never the answer).  ``approx`` prepends the sketch-guided
-    filter to the full chain: the service runs it with exact
-    verification, so its answers match the others bit for bit.
+    ``auto`` keeps the full chain; ``snapshot`` and ``seed`` start the
+    chain at that engine (later hops remain available — every chain
+    engine is parity-identical, so this only pins the first attempt,
+    never the answer).  ``approx`` prepends the sketch-guided filter to
+    the full chain: it reads the answer off the sketch's exact kNN
+    profiles (``k > kmax`` runs the snapshot walk), so its ids match
+    the others bit for bit.
     """
     from .service import DEGRADATION_CHAIN
 
-    if engine in ("auto", "fused"):
+    if engine == "auto":
         return DEGRADATION_CHAIN
     if engine == "approx":
         return ("approx",) + DEGRADATION_CHAIN
@@ -246,7 +241,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             inserted, deleted = _apply_live_writes(live, dataset, args.writes)
             print(
                 f"live writes applied: {inserted} inserts, {deleted} deletes "
-                f"({live.pending()} pending; fused/snapshot hops degrade to "
+                f"({live.pending()} pending; the snapshot hop degrades to "
                 "the merged seed walk until the overlay folds)"
             )
     queries = sample_queries(dataset, args.queries)
@@ -334,13 +329,6 @@ def _serve_batch_parallel(args, tree, queries, registry) -> int:
         print(
             "serve-batch: --deadline requires the sequential service path "
             "(drop --workers)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine == "fused":
-        print(
-            "serve-batch: fused mode runs in-process only; "
-            "--engine fused cannot combine with --workers > 1",
             file=sys.stderr,
         )
         return 2
@@ -657,21 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--warm-floors",
         action="store_true",
-        help="arm frozen kNNL floors on exact snapshot/fused walks "
+        help="arm frozen kNNL floors on exact snapshot walks "
         "(bit-identical results, earlier pruning; also REPRO_WARM_FLOORS)",
-    )
-    p_batch.add_argument(
-        "--mode",
-        choices=("per-query", "fused"),
-        default="per-query",
-        help="batch execution mode; fused walks the snapshot once per "
-        "spatial-locality group of queries",
-    )
-    p_batch.add_argument(
-        "--group-size",
-        type=int,
-        default=8,
-        help="queries fused into one snapshot walk (fused mode only)",
     )
     p_batch.add_argument(
         "--share",
@@ -715,11 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--engine",
-        choices=("fused", "snapshot", "seed", "auto", "approx"),
+        choices=("snapshot", "seed", "auto", "approx"),
         default="auto",
         help="first engine of the degradation chain (auto = full "
-        "fused -> snapshot -> seed chain; approx prepends the "
-        "kNNL sketch filter)",
+        "snapshot -> seed chain; approx prepends the kNNL sketch "
+        "filter, which answers from exact kNN profiles)",
     )
     p_serve.add_argument(
         "--alpha",

@@ -36,11 +36,6 @@ KERNEL_BACKENDS = ("python", "numpy", "auto")
 #: frozen kNNL sketch tier of :mod:`repro.approx`).
 ENGINES = ("seed", "snapshot", "auto", "approx")
 
-#: Batch execution modes of :class:`repro.perf.BatchSearcher`
-#: (``per-query`` runs one traversal per query; ``fused`` walks the
-#: index snapshot once per spatial-locality group of queries).
-BATCH_MODES = ("per-query", "fused")
-
 #: Index transports for parallel batch mode (:mod:`repro.perf.shm`).
 #: ``auto`` ships a zero-copy shared-memory snapshot segment when the
 #: platform supports it and falls back to pickling the tree otherwise;
@@ -160,11 +155,6 @@ class PerfConfig:
             this knob records an explicit choice for a run (pass it to
             :class:`repro.core.rstknn.RSTkNNSearcher` or
             :class:`repro.perf.BatchSearcher`).
-        batch_mode: One of :data:`BATCH_MODES`; how
-            :class:`repro.perf.BatchSearcher` executes a workload
-            (``per-query`` or the fused group-traversal engine).
-        fused_group_size: Queries fused into one snapshot walk when
-            ``batch_mode="fused"`` (see ``docs/TUNING.md``).
         batch_share: One of :data:`BATCH_SHARE_MODES`; how parallel
             batch mode ships the index to its worker processes
             (``auto`` prefers the zero-copy shared-memory snapshot
@@ -195,8 +185,8 @@ class PerfConfig:
         shard_kmax: Largest ``k`` the per-shard admission-pruning
             tables cover — queries with bigger ``k`` scatter to every
             shard (still exact, just unpruned).
-        warm_floors: Seed the exact engines (snapshot/fused, and the
-            shard admission summaries) with the frozen kNNL floors of
+        warm_floors: Seed the exact snapshot engine (and the shard
+            admission summaries) with the frozen kNNL floors of
             :mod:`repro.approx` — result ids are unchanged by
             construction, subtrees and candidates below the floor are
             pruned before any contribution-list work.  The
@@ -226,8 +216,6 @@ class PerfConfig:
     kernel_backend: str = "python"
     batch_workers: int = 1
     engine: str = "auto"
-    batch_mode: str = "per-query"
-    fused_group_size: int = 8
     batch_share: str = "auto"
     observability: bool = False
     retry_attempts: int = 3
@@ -255,19 +243,10 @@ class PerfConfig:
             raise ConfigError(
                 f"batch_workers must be >= 1, got {self.batch_workers}"
             )
-        if self.batch_mode not in BATCH_MODES:
-            raise ConfigError(
-                f"unknown batch mode {self.batch_mode!r}; "
-                f"expected one of {BATCH_MODES}"
-            )
         if self.batch_share not in BATCH_SHARE_MODES:
             raise ConfigError(
                 f"unknown batch share mode {self.batch_share!r}; "
                 f"expected one of {BATCH_SHARE_MODES}"
-            )
-        if self.fused_group_size < 1:
-            raise ConfigError(
-                f"fused_group_size must be >= 1, got {self.fused_group_size}"
             )
         if not isinstance(self.observability, bool):
             raise ConfigError(

@@ -4,10 +4,8 @@ The engines deliberately do not import :mod:`repro.service` (the
 service imports them); they only agree on a *duck-typed* token
 protocol: anything with an ``expired() -> bool`` method can be passed
 as ``cancel`` to :meth:`RSTkNNSearcher.search
-<repro.core.rstknn.RSTkNNSearcher.search>`, :meth:`SnapshotEngine.search
-<repro.core.traversal.SnapshotEngine.search>`, or
-:meth:`FusedBatchEngine.run_group
-<repro.core.fused.FusedBatchEngine.run_group>`.  Engines poll the token
+<repro.core.rstknn.RSTkNNSearcher.search>` or :meth:`SnapshotEngine.search
+<repro.core.traversal.SnapshotEngine.search>`.  Engines poll the token
 once at search start and once per node expansion — the unit of work
 that dominates query cost — and raise
 :class:`repro.errors.DeadlineExceeded` carrying the partial

@@ -1,10 +1,10 @@
 """Query explanation: a structured trace of the searcher's decisions.
 
 :class:`SearchTrace` is the reference implementation of the
-:class:`repro.obs.TraceSink` protocol — every traversal engine (the seed
-walk, the snapshot engine, and the fused batch engine) emits the same
-stream of group-level decision events, so a trace can be attached to any
-of them; :meth:`RSTkNNSearcher.search` no longer changes engines when a
+:class:`repro.obs.TraceSink` protocol — both traversal engines (the seed
+walk and the snapshot engine) emit the same stream of group-level
+decision events, so a trace can be attached to either of them;
+:meth:`RSTkNNSearcher.search` no longer changes engines when a
 trace is passed.  Every decision — prune, accept, expand, verify — is
 recorded with the bounds that justified it, and the multiset of events
 one query produces is identical across engines (see

@@ -76,7 +76,7 @@ ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: Environment override that arms kNNL warm-start floors on the exact
-#: snapshot/fused engines (``1``/``true``/``yes`` arm, anything else
+#: snapshot engine (``1``/``true``/``yes`` arm, anything else
 #: leaves them off).  Floors never change result ids, only how early
 #: subtrees are discarded, so this is safe to flip fleet-wide.
 WARM_FLOORS_ENV_VAR = "REPRO_WARM_FLOORS"

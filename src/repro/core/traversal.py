@@ -120,16 +120,6 @@ def _frontier_lookahead_from_env() -> int:
         return DEFAULT_FRONTIER_LOOKAHEAD
 
 
-def tighten_width_for(k: int) -> int:
-    """Candidate width of one lazy-tightening pass.
-
-    Shared with :class:`repro.core.fused.FusedBatchEngine` — both
-    engines must refine the same candidate prefix per pass for the
-    fused walk to stay decision-for-decision identical to this one.
-    """
-    return max(16, 4 * k)
-
-
 class _CList:
     """Slot-keyed contribution list (dict + tight set), seed-ordered."""
 
@@ -488,7 +478,9 @@ class SnapshotEngine:
                 prio = qb[1] + te * snap.ent_root[r]
             heapq.heappush(heap, (-prio, next(counter), r))
 
-        tighten_width = tighten_width_for(k)
+        # The seed walk's width: both refine the same candidate prefix
+        # per pass, so their decisions stay identical.
+        tighten_width = max(16, 4 * k)
         np_cols = snap.np_xlo
         np = kernels._numpy() if np_cols is not None else None
 

@@ -74,7 +74,7 @@ class OverlayPendingError(ReproError):
     first (``freeze_step()`` / the background freezer) or use the merged
     seed walk.  Deliberately *not* a :class:`QueryError` — the query
     service's degradation chain treats it as an engine failure and
-    degrades fused/snapshot hops to the merged seed walk.
+    degrades the snapshot hop to the merged seed walk.
     """
 
 

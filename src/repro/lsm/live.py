@@ -44,7 +44,7 @@ admission summaries) are derived from the pre-write snapshot and are
 **not** re-derived per write; while the overlay is dirty the searcher
 resolves to the seed walk (see ``RSTkNNSearcher._resolve_engine``),
 which uses none of them.  After a freeze the view is clean again and the
-frozen fast paths (snapshot / warm / approx / fused / shm) all re-apply.
+frozen fast paths (snapshot / warm / approx / shm) all re-apply.
 
 See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 """
@@ -392,7 +392,7 @@ class EpochView:
         objects or tombstones are pending: the columnar snapshot cannot
         represent the union, and silently serving the stale frozen one
         would drop live writes.  ``QueryService`` catches this and
-        degrades the fused/snapshot hops to the merged seed walk.
+        degrades the snapshot hop to the merged seed walk.
         """
         if self.overlay_dirty:
             raise OverlayPendingError(

@@ -1,8 +1,8 @@
 """Engine-wide observability: metrics, trace sinks, and phase timers.
 
 ``repro.obs`` is the shared low-overhead introspection layer of the
-three traversal engines (seed walk, snapshot engine, fused group
-engine).  Three pieces, each independent:
+traversal engines (seed walk, snapshot engine, approx filter).  Three
+pieces, each independent:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket histograms with JSON-snapshot and

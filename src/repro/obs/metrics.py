@@ -6,8 +6,8 @@ fixed-bucket :class:`Histogram`\\ s — and exports their state as either a
 JSON-friendly snapshot (:meth:`MetricsRegistry.snapshot`) or
 Prometheus-style exposition text (:meth:`MetricsRegistry.to_prometheus`).
 The same registry object is shared by every engine of one process: the
-seed walk, the snapshot engine, the fused group engine, the batch
-engine, and the CLI all record through the identical instrument API (see
+seed walk, the snapshot engine, the approx filter, the batch engine,
+and the CLI all record through the identical instrument API (see
 ``docs/OBSERVABILITY.md`` for the metric name catalogue).
 
 Observability must cost nothing when it is off, so the disabled form is
@@ -395,8 +395,8 @@ def record_search(
 
     ``stats`` is the :class:`~repro.core.rstknn.SearchStats` any of the
     engines return; ``engine`` labels the per-engine query counter and
-    latency histogram (``seed`` / ``snapshot`` / ``fused`` /
-    ``approx``).  A ``None`` or null registry makes this a no-op.
+    latency histogram (``seed`` / ``snapshot`` / ``approx``).  A
+    ``None`` or null registry makes this a no-op.
     """
     if metrics is None or not metrics.enabled:
         return

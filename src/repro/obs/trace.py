@@ -1,9 +1,8 @@
 """The TraceSink protocol: structured decision events from any engine.
 
-Every traversal engine — the seed object-graph walk
-(:class:`~repro.core.rstknn.RSTkNNSearcher`), the columnar
-:class:`~repro.core.traversal.SnapshotEngine`, and the
-:class:`~repro.core.fused.FusedBatchEngine` — emits the same stream of
+Both traversal engines — the seed object-graph walk
+(:class:`~repro.core.rstknn.RSTkNNSearcher`) and the columnar
+:class:`~repro.core.traversal.SnapshotEngine` — emit the same stream of
 group-level decision events into whatever *sink* the caller attaches:
 
     sink.record(action, ref, is_object, count, q_lo, q_hi,

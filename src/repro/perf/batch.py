@@ -23,12 +23,6 @@ Query *streams* are where the snapshot memo and kernel work pay off:
   to sequential execution rather than failing the workload (reason
   recorded, and a :class:`RuntimeWarning` is emitted once per
   searcher).
-* **Fused mode** (``mode="fused"``) groups the workload by spatial
-  locality (Morton order, ``group_size`` queries per group) and walks
-  the index snapshot once per group through
-  :class:`repro.core.fused.FusedBatchEngine`, amortizing node-level
-  bound work across the group.  Results are bit-identical to the
-  per-query ``snapshot`` engine by construction.
 
 Results come back in query order regardless of mode, with aggregate
 throughput and latency statistics in :class:`BatchStats`.
@@ -45,7 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import BATCH_MODES, BATCH_SHARE_MODES, PerfConfig, SimilarityConfig
+from ..config import BATCH_SHARE_MODES, PerfConfig, SimilarityConfig
 from ..core.rstknn import RSTkNNSearcher, SearchResult
 from ..errors import QueryError
 from ..index.iurtree import IURTree
@@ -144,12 +138,6 @@ class BatchStats:
     queries_per_second: float
     mean_ms: float
     total_result_ids: int
-    #: Execution mode that actually ran (one of ``BATCH_MODES``).
-    mode: str = "per-query"
-    #: Queries per fused group (``None`` outside fused mode).
-    group_size: Optional[int] = None
-    #: Number of fused groups executed (``None`` outside fused mode).
-    groups: Optional[int] = None
     #: Why a requested execution strategy was downgraded (``None`` when
     #: the run executed as requested) — e.g. parallel mode shipping a
     #: pickled tree because shared memory was unavailable
@@ -167,14 +155,13 @@ class BatchStats:
     #: Query chunks re-enqueued after transient worker failures
     #: (crashed or erroring pool workers); 0 on clean runs.
     retries: int = 0
-    #: Per-phase wall-clock breakdown (seconds): ``walk`` always; fused
-    #: runs add ``freeze`` (snapshot + engine setup) and ``group``
-    #: (locality ordering).  Schema documented in ``docs/TUNING.md``.
+    #: Per-phase wall-clock breakdown (seconds): ``walk`` always;
+    #: parallel runs add ``share`` (segment export or pickling).
+    #: Schema documented in ``docs/TUNING.md``.
     phases: Dict[str, float] = field(default_factory=dict)
     #: Per-query latency percentiles in milliseconds (``p50``/``p95``/
     #: ``p99``, nearest-rank over each query's own ``elapsed_seconds``)
     #: — the tail-latency companion to the throughput figures above.
-    #: Fused runs report group-walk time per member query.
     latency_ms: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, float]:
@@ -183,16 +170,11 @@ class BatchStats:
             "queries": self.queries,
             "k": self.k,
             "workers": self.workers,
-            "mode": self.mode,
             "elapsed_seconds": self.elapsed_seconds,
             "queries_per_second": self.queries_per_second,
             "mean_ms": self.mean_ms,
             "total_result_ids": self.total_result_ids,
         }
-        if self.group_size is not None:
-            out["group_size"] = self.group_size
-        if self.groups is not None:
-            out["groups"] = self.groups
         if self.fallback_reason is not None:
             out["fallback_reason"] = self.fallback_reason
         if self.share is not None:
@@ -240,8 +222,6 @@ class BatchSearcher:
         te_weight: float = 0.05,
         warm: bool = True,
         engine: Optional[str] = None,
-        mode: str = "per-query",
-        group_size: int = 8,
         share: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -254,14 +234,9 @@ class BatchSearcher:
         forms so the first query does not pay freezing costs.  ``engine``
         picks the traversal implementation per query (see
         :data:`repro.core.rstknn.ENGINE_CHOICES`); ``auto`` runs the
-        snapshot engine whenever the tree can freeze one.
-        ``mode="fused"`` runs the workload through the fused group
-        engine instead of one query at a time: spatial-locality groups
-        of ``group_size`` queries share one snapshot walk (sequential
-        only — fused mode is incompatible with ``workers>1`` and with
-        ``engine="seed"``, since it is by construction a batch form of
-        the snapshot engine).  ``share`` picks parallel mode's index
-        transport (one of :data:`repro.config.BATCH_SHARE_MODES`):
+        snapshot engine whenever the tree can freeze one.  ``share``
+        picks parallel mode's index transport (one of
+        :data:`repro.config.BATCH_SHARE_MODES`):
         ``auto`` ships a zero-copy shared-memory snapshot segment when
         numpy and ``multiprocessing.shared_memory`` are present and the
         engine is not the seed walk, recording
@@ -281,52 +256,24 @@ class BatchSearcher:
         a batch always completes.
 
         ``warm_floors`` arms the frozen kNNL floor sketch
-        (:mod:`repro.approx`) on exact snapshot/fused walks — results
-        stay bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
+        (:mod:`repro.approx`) on exact snapshot walks — results stay
+        bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
         ``sketch_kmax`` overrides the sketch's largest covered ``k``
         for the sequential searcher and pickled workers (shm workers
         use the segment's exported sketch or the
         :mod:`repro.approx.sketch` default)."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if mode not in BATCH_MODES:
-            raise QueryError(
-                f"unknown batch mode {mode!r}; expected one of {BATCH_MODES}"
-            )
         if share not in BATCH_SHARE_MODES:
             raise QueryError(
                 f"unknown batch share mode {share!r}; "
                 f"expected one of {BATCH_SHARE_MODES}"
             )
-        if mode == "fused":
-            if workers > 1:
-                raise QueryError(
-                    "fused batch mode is sequential; it is incompatible "
-                    f"with workers={workers}"
-                )
-            if engine == "seed":
-                raise QueryError(
-                    "fused batch mode runs over the index snapshot; it is "
-                    "incompatible with engine='seed'"
-                )
-            if engine == "approx":
-                raise QueryError(
-                    "fused batch mode runs the exact fused engine; it is "
-                    "incompatible with engine='approx' (use "
-                    "mode='per-query', or warm_floors=True to accelerate "
-                    "fused walks exactly)"
-                )
-            if group_size < 1:
-                raise QueryError(
-                    f"group_size must be >= 1, got {group_size}"
-                )
         self.tree = tree
         self.config = config
         self.workers = workers
         self.te_weight = te_weight
         self.engine = engine
-        self.mode = mode
-        self.group_size = group_size
         self.share = share
         self.metrics = metrics
         self.retry_policy = (
@@ -366,7 +313,8 @@ class BatchSearcher:
     ) -> "BatchSearcher":
         """Build a batch searcher from a :class:`~repro.config.PerfConfig`.
 
-        Applies the bundle's engine, worker, and batch-mode knobs; when ``perf.observability`` is true and no ``metrics``
+        Applies the bundle's engine, worker and share knobs; when
+        ``perf.observability`` is true and no ``metrics``
         registry is passed, a live
         :class:`~repro.obs.metrics.MetricsRegistry` is created and
         exposed as ``searcher.metrics`` for export after the run.
@@ -389,8 +337,6 @@ class BatchSearcher:
             te_weight=te_weight,
             warm=warm,
             engine=perf.engine,
-            mode=perf.batch_mode,
-            group_size=perf.fused_group_size,
             share=perf.batch_share,
             metrics=metrics,
             retry_policy=RetryPolicy(
@@ -409,8 +355,8 @@ class BatchSearcher:
         Live trees (:class:`repro.lsm.LiveIndex`) run under one epoch
         pin, so a background fold cannot retire the epoch — or the shm
         segment parallel workers are attached to — mid-batch.  While
-        the overlay is dirty, fused and parallel dispatch degrade to
-        the sequential merged seed walk (recorded as
+        the overlay is dirty, parallel dispatch degrades to the
+        sequential merged seed walk (recorded as
         ``fallback_reason="live_overlay_dirty (...)"``); clean live
         trees run every mode, shipping the epoch's frozen tree.
         """
@@ -426,31 +372,24 @@ class BatchSearcher:
         timer = PhaseTimer()
         workers_used = self.workers
         fallback_reason: Optional[str] = None
-        groups: Optional[int] = None
         self._last_retries = 0
         self._retry_note = None
         self._share_used = None
         self._share_note = None
         self._worker_rss = None
         live_dirty = bool(getattr(self.tree, "overlay_dirty", False))
-        if live_dirty and queries and (
-            self.mode == "fused" or (self.workers > 1 and len(queries) > 1)
-        ):
-            # Fused and shm/pickle-parallel dispatch all run over the
-            # frozen snapshot, which cannot represent pending overlay
-            # writes; the merged seed walk is the only sound executor
-            # until the next fold.
+        if live_dirty and self.workers > 1 and len(queries) > 1:
+            # shm/pickle-parallel dispatch runs over the frozen snapshot,
+            # which cannot represent pending overlay writes; the merged
+            # seed walk is the only sound executor until the next fold.
             workers_used = 1
             fallback_reason = (
                 "live_overlay_dirty (merged seed walk; fold the overlay "
-                "to restore fused/parallel dispatch)"
+                "to restore parallel dispatch)"
             )
             self._count_fallback("live_overlay_dirty")
             with timer.phase("walk"):
                 results = self._run_sequential(queries, k)
-        elif self.mode == "fused" and queries:
-            workers_used = 1
-            results, groups = self._run_fused(queries, k, timer)
         elif self.workers > 1 and len(queries) > 1:
             results = self._run_parallel(queries, k, timer)
             if results is None:  # unpicklable index — degrade gracefully
@@ -496,7 +435,6 @@ class BatchSearcher:
                 results = self._run_sequential(queries, k)
         elapsed = time.perf_counter() - started
         n = len(queries)
-        fused = self.mode == "fused"
         stats = BatchStats(
             queries=n,
             k=k,
@@ -505,9 +443,6 @@ class BatchSearcher:
             queries_per_second=(n / elapsed) if elapsed > 0 else 0.0,
             mean_ms=(elapsed * 1000.0 / n) if n else 0.0,
             total_result_ids=sum(len(r.ids) for r in results),
-            mode=self.mode,
-            group_size=self.group_size if fused else None,
-            groups=groups,
             fallback_reason=fallback_reason,
             share=self._share_used,
             worker_rss_bytes=self._worker_rss,
@@ -520,23 +455,17 @@ class BatchSearcher:
                 ).items()
             },
         )
-        self._record_run(results, timer, fused)
+        self._record_run(results, timer)
         return BatchResult(results=results, stats=stats)
 
     def _record_run(
-        self,
-        results: List[SearchResult],
-        timer: PhaseTimer,
-        fused: bool,
+        self, results: List[SearchResult], timer: PhaseTimer
     ) -> None:
         """Mirror one run's outcome into the attached metrics registry."""
         metrics = self.metrics
         if metrics is None or not metrics.enabled:
             return
-        if fused:
-            engine_label = "fused"
-        else:
-            engine_label = self._searcher._resolve_engine(None)
+        engine_label = self._searcher._resolve_engine(None)
         for result in results:
             record_search(metrics, engine_label, result.stats)
         timer.publish(metrics)
@@ -545,7 +474,7 @@ class BatchSearcher:
     def _publish_frontier(self, metrics: MetricsRegistry) -> None:
         """Drain engine frontier-batch histograms into the registry.
 
-        The snapshot/fused engines count how many node expansions each
+        The snapshot engines count how many node expansions each
         batched kernel call covered (``engine.frontier_hist``); this
         folds those counts into the ``engine.frontier.batch_size``
         histogram and resets them, so repeated runs don't double-count.
@@ -576,40 +505,6 @@ class BatchSearcher:
         self, queries: Sequence[STObject], k: int
     ) -> List[SearchResult]:
         return [self._searcher.search(query, k) for query in queries]
-
-    def _run_fused(
-        self, queries: Sequence[STObject], k: int, timer: PhaseTimer
-    ) -> Tuple[List[SearchResult], int]:
-        """Run locality groups through the fused engine; input order."""
-        from ..core.fused import make_groups
-
-        searcher = self._searcher
-        with timer.phase("freeze"):
-            snap = self.tree.snapshot()
-            if self.warm_floors:
-                engine = snap.warm_fused_engine_for(
-                    self.tree,
-                    searcher.measure,
-                    searcher.alpha,
-                    searcher.te_weight,
-                    kmax=self.sketch_kmax,
-                )
-            else:
-                engine = snap.fused_engine_for(
-                    self.tree,
-                    searcher.measure,
-                    searcher.alpha,
-                    searcher.te_weight,
-                )
-        results: List[Optional[SearchResult]] = [None] * len(queries)
-        with timer.phase("group"):
-            groups = make_groups(queries, self.group_size)
-        with timer.phase("walk"):
-            for member_ids in groups:
-                group = [queries[i] for i in member_ids]
-                for i, result in zip(member_ids, engine.run_group(group, k)):
-                    results[i] = result
-        return [r for r in results if r is not None], len(groups)
 
     def _count_fallback(self, reason: str) -> None:
         """Publish a ``batch.fallback.<reason>`` counter increment."""

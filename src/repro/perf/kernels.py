@@ -466,59 +466,15 @@ def group_text_dots(postings, ids, weights, n_rows, np=None):
     return (dots, overlaps) if touched else None
 
 
-def group_spatial_components(
-    qxlo, qylo, qxhi, qyhi, bxlo, bylo, bxhi, byhi, np=None
-):
-    """Spatial bound components of G query rects vs C block rects.
-
-    Returns six ``(G, C)`` tables ``(dx_min, dy_min, dx_max, dy_max,
-    pdx, pdy)`` — the per-axis separations feeding the min/max distance
-    ``hypot`` finishes plus the point deltas for exact object scores —
-    as numpy arrays when ``np`` is passed, nested lists otherwise.  The
-    expressions mirror the scalar ``q_st``/``q_exact`` call sites of
-    :class:`repro.core.traversal.SnapshotEngine` term for term
-    (subtraction, ``abs`` and ``max`` are exactly rounded, so each
-    component is bit-identical to its scalar counterpart); callers
-    finish with scalar ``math.hypot`` and clamps for full bit parity.
-    """
-    if np is not None:
-        qxlo = np.asarray(qxlo)[:, None]
-        qylo = np.asarray(qylo)[:, None]
-        qxhi = np.asarray(qxhi)[:, None]
-        qyhi = np.asarray(qyhi)[:, None]
-        bxlo = np.asarray(bxlo)[None, :]
-        bylo = np.asarray(bylo)[None, :]
-        bxhi = np.asarray(bxhi)[None, :]
-        byhi = np.asarray(byhi)[None, :]
-        return (
-            np.maximum(np.maximum(qxlo - bxhi, 0.0), bxlo - qxhi),
-            np.maximum(np.maximum(qylo - byhi, 0.0), bylo - qyhi),
-            np.maximum(np.abs(qxhi - bxlo), np.abs(bxhi - qxlo)),
-            np.maximum(np.abs(qyhi - bylo), np.abs(byhi - qylo)),
-            qxlo - bxlo,
-            qylo - bylo,
-        )
-    dxm_t, dym_t, dxM_t, dyM_t, pdx_t, pdy_t = [], [], [], [], [], []
-    for g in range(len(qxlo)):
-        gx0, gy0, gx1, gy1 = qxlo[g], qylo[g], qxhi[g], qyhi[g]
-        dxm_t.append([max(gx0 - bxhi[c], 0.0, bxlo[c] - gx1) for c in range(len(bxlo))])
-        dym_t.append([max(gy0 - byhi[c], 0.0, bylo[c] - gy1) for c in range(len(bxlo))])
-        dxM_t.append([max(abs(gx1 - bxlo[c]), abs(bxhi[c] - gx0)) for c in range(len(bxlo))])
-        dyM_t.append([max(abs(gy1 - bylo[c]), abs(byhi[c] - gy0)) for c in range(len(bxlo))])
-        pdx_t.append([gx0 - bxlo[c] for c in range(len(bxlo))])
-        pdy_t.append([gy0 - bylo[c] for c in range(len(bxlo))])
-    return dxm_t, dym_t, dxM_t, dyM_t, pdx_t, pdy_t
-
-
 def frontier_spatial_components(
     qxlo, qylo, qxhi, qyhi, bxlo, bylo, bxhi, byhi, np
 ):
     """Spatial bound components of ONE query rect vs a batch of rects.
 
-    The single-query row of :func:`group_spatial_components`: ``qxlo``…
-    are scalars, ``bxlo``… are aligned arrays gathered from any set of
-    snapshot slots (one node's children, or the concatenated children of
-    several frontier nodes — the batched-expansion path of
+    ``qxlo``… are the query rect's scalar edges, ``bxlo``… are aligned
+    numpy arrays of rect edges gathered from any set of snapshot slots
+    (one node's children, or the concatenated children of several
+    frontier nodes — the batched-expansion path of
     :class:`repro.core.traversal.SnapshotEngine`).  Returns six 1-D
     arrays ``(dx_min, dy_min, dx_max, dy_max, pdx, pdy)``.  Every
     expression mirrors the scalar ``q_st``/``q_exact`` call sites term

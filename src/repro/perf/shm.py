@@ -72,8 +72,9 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 #: per-sketch profile, row-count and term-signature arrays; 04 keys
 #: sketches on ``kmax`` alone and drops the sampling/budget metadata of
 #: the retired approximate build; 05 drops the fitted-curve and
-#: term-signature arrays, leaving four arrays per sketch).
-SEGMENT_MAGIC = b"RSTSHM05"
+#: term-signature arrays, leaving four arrays per sketch; 06 drops the
+#: text matrix's cluster rows, leaving the object rows the sketch reads).
+SEGMENT_MAGIC = b"RSTSHM06"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -224,22 +225,15 @@ def _export_arrays(tree, snap: IndexSnapshot, matrix: SnapshotTextMatrix):
     arrays["cl_docs"] = np.asarray(cl_docs, dtype=np.int64)
     arrays["obj_vecidx"] = np.asarray(obj_vecidx, dtype=np.int64)
 
-    # Text matrix: squared norms and the three postings families in CSR
-    # form, so attach builds zero-copy ``term -> (rows, weights)`` views.
-    arrays["tm_insq"] = np.asarray(matrix.insq, dtype=np.float64)
-    arrays["tm_unsq"] = np.asarray(matrix.unsq, dtype=np.float64)
+    # Text matrix: object rows and their postings in CSR form, so attach
+    # builds zero-copy ``term -> (rows, weights)`` views.
     arrays["tm_obj_row"] = np.asarray(matrix.obj_row, dtype=np.int64)
     arrays["tm_obj_nsq"] = np.asarray(matrix.obj_nsq, dtype=np.float64)
-    for family, post in (
-        ("int", matrix.int_postings),
-        ("uni", matrix.uni_postings),
-        ("obj", matrix.obj_postings),
-    ):
-        terms, indptr, rows, weights = _pack_postings(post, np)
-        arrays[f"tm_{family}_terms"] = terms
-        arrays[f"tm_{family}_indptr"] = indptr
-        arrays[f"tm_{family}_rows"] = rows
-        arrays[f"tm_{family}_weights"] = weights
+    terms, indptr, rows, weights = _pack_postings(matrix.obj_postings, np)
+    arrays["tm_obj_terms"] = terms
+    arrays["tm_obj_indptr"] = indptr
+    arrays["tm_obj_rows"] = rows
+    arrays["tm_obj_weights"] = weights
 
     # Record page table: the worker-side buffer mirror charges the same
     # page spans the live tree's DiskManager would.
@@ -341,7 +335,6 @@ class SharedSnapshotSegment:
             "n_slots": snap.n_slots,
             "root_slots": tuple(int(r) for r in snap.root_slots),
             "kernel_backend": snap.kernel_backend,
-            "n_rows": matrix.n_rows,
             "n_obj_rows": matrix.n_obj_rows,
             "sim_config": cfg,
             "te_weight": te_weight,
@@ -473,55 +466,31 @@ class _LazySeq:
 
 
 class AttachedTextMatrix(SnapshotTextMatrix):
-    """Text matrix mapped from a segment: postings zero-copy, frozen
-    rows lazy (same contract as :class:`SnapshotTextMatrix`)."""
+    """Text matrix mapped from a segment: columns and postings zero-copy
+    (same contract as :class:`SnapshotTextMatrix`)."""
 
     __slots__ = ()
 
     @classmethod
-    def from_segment(cls, snap: "AttachedSnapshot", header, views) -> "AttachedTextMatrix":
+    def from_segment(cls, header, views) -> "AttachedTextMatrix":
         """Rebuild the matrix over segment-backed columns (no copies)."""
         matrix = cls.__new__(cls)
         matrix.generation = header["generation"]
-        matrix.n_rows = header["n_rows"]
         matrix.n_obj_rows = header["n_obj_rows"]
-        matrix.indptr = views.cast("cl_indptr", "q")
-        matrix.insq = views.cast("tm_insq", "d")
-        matrix.unsq = views.cast("tm_unsq", "d")
         matrix.obj_row = views.cast("tm_obj_row", "q")
         matrix.obj_nsq = views.cast("tm_obj_nsq", "d")
         matrix.backend = "numpy"
-
-        cl_int = views.cast("cl_int", "q")
-        cl_uni = views.cast("cl_uni", "q")
-        matrix.int_frozen = _LazySeq(
-            matrix.n_rows, lambda r: snap._frozen_vector(cl_int[r])
-        )
-        matrix.uni_frozen = _LazySeq(
-            matrix.n_rows, lambda r: snap._frozen_vector(cl_uni[r])
-        )
-        obj_vecidx = views.cast("obj_vecidx", "q")
-        obj_vec_rows = [v for v in obj_vecidx if v >= 0]
-        matrix.obj_frozen = _LazySeq(
-            matrix.n_obj_rows, lambda r: snap._frozen_vector(obj_vec_rows[r])
-        )
-        for family, attr in (
-            ("int", "int_postings"),
-            ("uni", "uni_postings"),
-            ("obj", "obj_postings"),
-        ):
-            terms = views.np(f"tm_{family}_terms")
-            indptr = views.np(f"tm_{family}_indptr")
-            rows = views.np(f"tm_{family}_rows")
-            weights = views.np(f"tm_{family}_weights")
-            post = {
-                int(tid): (
-                    rows[indptr[i] : indptr[i + 1]],
-                    weights[indptr[i] : indptr[i + 1]],
-                )
-                for i, tid in enumerate(terms)
-            }
-            setattr(matrix, attr, post)
+        terms = views.np("tm_obj_terms")
+        indptr = views.np("tm_obj_indptr")
+        rows = views.np("tm_obj_rows")
+        weights = views.np("tm_obj_weights")
+        matrix.obj_postings = {
+            int(tid): (
+                rows[indptr[i] : indptr[i + 1]],
+                weights[indptr[i] : indptr[i + 1]],
+            )
+            for i, tid in enumerate(terms)
+        }
         return matrix
 
 
@@ -667,7 +636,7 @@ class AttachedSnapshot(IndexSnapshot):
         matrix = self._text_matrix
         if matrix is None:
             matrix = AttachedTextMatrix.from_segment(
-                self, self._seg_header, self._views
+                self._seg_header, self._views
             )
             self._text_matrix = matrix
         return matrix
@@ -885,8 +854,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM04 parent feeding an
-                # RSTSHM05 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM05 parent feeding an
+                # RSTSHM06 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "

@@ -245,12 +245,12 @@ class IndexSnapshot:
         return plan
 
     def text_matrix(self) -> "SnapshotTextMatrix":
-        """The columnar text-summary matrix of this snapshot (lazy).
+        """The columnar object-vector matrix of this snapshot (lazy).
 
         Built once per snapshot and cached on it — because snapshots are
         memoized per tree :attr:`generation`, any index mutation rebuilds
-        the snapshot and therefore this matrix too; a fused run can never
-        observe postings from a previous generation.
+        the snapshot and therefore this matrix too; a sketch build can
+        never observe postings from a previous generation.
         """
         matrix = self._text_matrix
         if matrix is None:
@@ -271,22 +271,6 @@ class IndexSnapshot:
             from ..core.traversal import SnapshotEngine
 
             engine = SnapshotEngine(tree, self, measure, alpha, te_weight)
-            self._engines[key] = engine
-        return engine
-
-    def fused_engine_for(self, tree, measure, alpha: float, te_weight: float):
-        """The memoized fused group engine for one similarity setting.
-
-        The fused engine wraps (and shares the pair memo of) the
-        per-query :meth:`engine_for` engine with the same key, so the two
-        always agree on every cached bound value.
-        """
-        key = ("fused", measure.name, alpha, te_weight)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..core.fused import FusedBatchEngine
-
-            engine = FusedBatchEngine(tree, self, measure, alpha, te_weight)
             self._engines[key] = engine
         return engine
 
@@ -336,29 +320,6 @@ class IndexSnapshot:
                 tree, self, measure, alpha, te_weight, floors=sketch
             )
             engine._memo = base._memo
-            self._engines[key] = engine
-        return engine
-
-    def warm_fused_engine_for(
-        self,
-        tree,
-        measure,
-        alpha: float,
-        te_weight: float,
-        kmax: Optional[int] = None,
-    ):
-        """The fused group engine with warm-start floors (see
-        :meth:`warm_engine_for` for the memo-sharing contract)."""
-        key = ("fused-floors", measure.name, alpha, te_weight, kmax)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..core.fused import FusedBatchEngine
-
-            base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(base, kmax=kmax)
-            engine = FusedBatchEngine(
-                tree, self, measure, alpha, te_weight, floors=sketch
-            )
             self._engines[key] = engine
         return engine
 
@@ -428,129 +389,72 @@ class IndexSnapshot:
 
 
 class SnapshotTextMatrix:
-    """Term-aligned columnar view of every text summary in a snapshot.
+    """Term-aligned columnar view of the object vectors in a snapshot.
 
-    Rows come in two families, both laid out in slot order:
-
-    * **cluster rows** — one per ``(slot, cluster)`` pair, holding the
-      squared norms and frozen forms of the cluster's intersection and
-      union summaries; the rows of slot ``s`` are exactly
-      ``range(indptr[s], indptr[s + 1])``, in the same order the scalar
-      engine iterates ``snap.clusters[s]``;
-    * **object rows** — one per object slot (``obj_row[s]``, ``-1`` for
-      directory slots), holding the object vector's squared norm and
-      frozen form.
-
-    The term axis is inverted into *postings*: ``term_id -> (rows,
-    weights)`` maps for the intersection, union, and object families.
-    A whole group's query-vs-row dot products then evaluate as one
-    sparse accumulation per query
-    (:func:`repro.perf.kernels.group_text_dots`) instead of per
-    ``(query, node)`` frozen-set intersections.
+    One **object row** per object slot (``obj_row[s]``, ``-1`` for
+    directory slots) holds the object vector's squared norm.  The term
+    axis is inverted into *postings*: ``term_id -> (rows, weights)``.
+    The kNNL sketch build (:mod:`repro.approx.sketch`) evaluates one
+    object's dot products against every other object as one sparse
+    accumulation (:func:`repro.perf.kernels.group_text_dots`) instead of
+    per-pair frozen-set intersections.
 
     The matrix is reached through :meth:`IndexSnapshot.text_matrix` and
     inherits the snapshot's staleness story: it is cached on the
     snapshot, and snapshots are memoized per tree generation, so index
-    mutations can never leak stale postings into a fused run.
+    mutations can never leak stale postings into a sketch build.
     """
 
     __slots__ = (
         "generation",
-        "n_rows",
         "n_obj_rows",
-        "indptr",
-        "insq",
-        "unsq",
-        "int_frozen",
-        "uni_frozen",
-        "int_postings",
-        "uni_postings",
         "obj_row",
         "obj_nsq",
-        "obj_frozen",
         "obj_postings",
         "backend",
     )
 
     def __init__(self) -> None:
         self.generation = 0
-        self.n_rows = 0
         self.n_obj_rows = 0
-        self.indptr: List[int] = [0]
-        self.insq: List[float] = []
-        self.unsq: List[float] = []
-        self.int_frozen: List = []
-        self.uni_frozen: List = []
-        self.int_postings: Dict[int, Tuple] = {}
-        self.uni_postings: Dict[int, Tuple] = {}
         self.obj_row: List[int] = []
         self.obj_nsq: List[float] = []
-        self.obj_frozen: List = []
         self.obj_postings: Dict[int, Tuple] = {}
         self.backend = "python"
 
     @classmethod
     def from_snapshot(cls, snap: IndexSnapshot) -> "SnapshotTextMatrix":
-        """Invert one snapshot's summaries into postings form."""
+        """Invert one snapshot's object vectors into postings form."""
         matrix = cls()
         matrix.generation = snap.generation
-        int_post: Dict[int, Tuple[List[int], List[float]]] = {}
-        uni_post: Dict[int, Tuple[List[int], List[float]]] = {}
         obj_post: Dict[int, Tuple[List[int], List[float]]] = {}
-
-        def post(table, tid, row, weight):
-            cell = table.get(tid)
-            if cell is None:
-                cell = ([], [])
-                table[tid] = cell
-            cell[0].append(row)
-            cell[1].append(weight)
-
-        row = 0
-        for slot in range(snap.n_slots):
-            for iv, int_f, uni_f, insq, unsq in snap.clusters[slot]:
-                matrix.insq.append(insq)
-                matrix.unsq.append(unsq)
-                matrix.int_frozen.append(int_f)
-                matrix.uni_frozen.append(uni_f)
-                for tid, weight in iv.intersection.items():
-                    post(int_post, tid, row, weight)
-                for tid, weight in iv.union.items():
-                    post(uni_post, tid, row, weight)
-                row += 1
-            matrix.indptr.append(row)
-            vec = snap.obj_vec[slot]
+        for vec in snap.obj_vec:
             if vec is None:
                 matrix.obj_row.append(-1)
-            else:
-                orow = len(matrix.obj_nsq)
-                matrix.obj_row.append(orow)
-                matrix.obj_nsq.append(vec.norm_squared)
-                matrix.obj_frozen.append(snap.obj_frozen[slot])
-                for tid, weight in vec.items():
-                    post(obj_post, tid, orow, weight)
-        matrix.n_rows = row
+                continue
+            orow = len(matrix.obj_nsq)
+            matrix.obj_row.append(orow)
+            matrix.obj_nsq.append(vec.norm_squared)
+            for tid, weight in vec.items():
+                cell = obj_post.get(tid)
+                if cell is None:
+                    cell = ([], [])
+                    obj_post[tid] = cell
+                cell[0].append(orow)
+                cell[1].append(weight)
         matrix.n_obj_rows = len(matrix.obj_nsq)
 
         np = kernels._numpy()
         if np is not None:
             matrix.backend = "numpy"
-
-            def pack(table):
-                return {
-                    tid: (
-                        np.asarray(rows, dtype=np.intp),
-                        np.asarray(weights, dtype=np.float64),
-                    )
-                    for tid, (rows, weights) in table.items()
-                }
-
-            matrix.int_postings = pack(int_post)
-            matrix.uni_postings = pack(uni_post)
-            matrix.obj_postings = pack(obj_post)
+            matrix.obj_postings = {
+                tid: (
+                    np.asarray(rows, dtype=np.intp),
+                    np.asarray(weights, dtype=np.float64),
+                )
+                for tid, (rows, weights) in obj_post.items()
+            }
         else:
-            matrix.int_postings = int_post
-            matrix.uni_postings = uni_post
             matrix.obj_postings = obj_post
         return matrix
 
@@ -558,10 +462,7 @@ class SnapshotTextMatrix:
         """Summary counters for logs and docs."""
         return {
             "generation": self.generation,
-            "cluster_rows": self.n_rows,
             "object_rows": self.n_obj_rows,
-            "intersection_terms": len(self.int_postings),
-            "union_terms": len(self.uni_postings),
             "object_terms": len(self.obj_postings),
             "backend": self.backend,
         }

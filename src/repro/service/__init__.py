@@ -1,4 +1,4 @@
-"""Fault-tolerant query serving in front of the three RSTkNN engines.
+"""Fault-tolerant query serving in front of the RSTkNN engines.
 
 The engines of :mod:`repro.core` answer queries fast but assume a
 perfect world: no slow nodes, no crashed workers, no snapshot-freeze
@@ -15,7 +15,7 @@ contracts:
   :class:`repro.perf.BatchSearcher` to re-enqueue only the query
   slices a crashed pool worker lost.
 * :mod:`repro.service.service` — the :class:`QueryService` facade with
-  its **graceful-degradation chain** ``fused -> snapshot -> seed``
+  its **graceful-degradation chain** ``snapshot -> seed``
   (recorded per query in :attr:`ServiceResult.degraded_path`) and the
   bounded **admission queue** (:class:`repro.service.queue.AdmissionQueue`,
   shedding with :class:`repro.errors.QueueFull`).

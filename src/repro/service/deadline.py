@@ -2,13 +2,11 @@
 
 A :class:`CancelToken` is the cooperative-cancellation handle every
 engine understands: :meth:`RSTkNNSearcher.search
-<repro.core.rstknn.RSTkNNSearcher.search>`,
+<repro.core.rstknn.RSTkNNSearcher.search>` and
 :meth:`SnapshotEngine.search <repro.core.traversal.SnapshotEngine.search>`
-and :meth:`FusedBatchEngine.run_group
-<repro.core.fused.FusedBatchEngine.run_group>` all accept one as
-``cancel`` and poll :meth:`CancelToken.expired` once per **node
-expansion** — the unit of work that dominates query cost — so an
-expired token stops the walk within one expansion, raising
+both accept one as ``cancel`` and poll :meth:`CancelToken.expired`
+once per **node expansion** — the unit of work that dominates query
+cost — so an expired token stops the walk within one expansion, raising
 :class:`repro.errors.DeadlineExceeded` with the partial
 :class:`~repro.core.rstknn.SearchStats` accumulated so far.
 

@@ -18,8 +18,8 @@ and deadline paths of :mod:`repro.service` and
                            survives).
 ``freeze_fail=N``          The next ``N`` snapshot freezes requested by the
                            service raise, forcing the degradation chain
-                           ``fused -> snapshot -> seed`` (``N=1`` degrades
-                           one hop, ``N=2`` lands on the seed walk).
+                           ``snapshot -> seed`` (each failure degrades one
+                           hop; ``N=1`` lands on the seed walk).
 ``slow_node=SECONDS``      Every cancellation poll — one per node expansion
                            — sleeps ``SECONDS`` first, simulating slow node
                            reads for wall-clock deadline tests.

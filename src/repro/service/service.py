@@ -1,6 +1,6 @@
 """The fault-tolerant query service facade (:class:`QueryService`).
 
-:class:`QueryService` fronts the three engines with the reliability
+:class:`QueryService` fronts the search engines with the reliability
 behaviours a long-running index server needs:
 
 * **Per-query deadlines.**  ``serve(..., deadline_seconds=...)`` builds
@@ -9,10 +9,10 @@ behaviours a long-running index server needs:
   :class:`~repro.errors.DeadlineExceeded` within one node expansion,
   carrying the partial stats.
 * **Graceful degradation.**  Each query walks
-  :data:`DEGRADATION_CHAIN` — ``fused -> snapshot -> seed`` — falling
-  back when an engine fails transiently (snapshot freeze failure,
-  numpy kernel trouble, injected faults).  The three engines return
-  identical ids by construction, so a degraded answer is *correct*,
+  :data:`DEGRADATION_CHAIN` — ``snapshot -> seed`` — falling back
+  when an engine fails transiently (snapshot freeze failure, numpy
+  kernel trouble, injected faults).  The engines return identical ids
+  by construction, so a degraded answer is *correct*,
   just slower; the hops taken are recorded in
   :attr:`ServiceResult.degraded_path`.  Deadlines and invalid-query
   errors are never degraded away: a ``DeadlineExceeded`` or
@@ -31,8 +31,7 @@ underneath).  Deterministic failures for exercising all of this come
 from :mod:`repro.service.faults` (``REPRO_FAULTS``).
 
 Layering note: this module imports the engines; the engines never
-import it.  Queries with deadlines run the fused engine as singleton
-groups, so one query's deadline can never cancel another's work.
+import it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .queue import AdmissionQueue
 #: Engine fallback order: fastest first, most robust last.  The seed
 #: walk needs neither a snapshot freeze nor numpy, so it terminates the
 #: chain as the always-available engine of last resort.
-DEGRADATION_CHAIN: Tuple[str, ...] = ("fused", "snapshot", "seed")
+DEGRADATION_CHAIN: Tuple[str, ...] = ("snapshot", "seed")
 
 #: Every engine a custom ``chain=`` may name.  ``approx`` is opt-in
 #: (never in the default chain); it returns exact ids like the others.
@@ -75,9 +74,8 @@ class ServiceResult:
             (identical ids whichever engine produced it).
         engine: Name of the engine that answered.
         degraded_path: Engines that failed before ``engine`` answered,
-            in attempt order — empty on the happy path, ``("fused",)``
-            after one hop, ``("fused", "snapshot")`` when the seed walk
-            had to answer.
+            in attempt order — empty on the happy path,
+            ``("snapshot",)`` when the seed walk had to answer.
         failures: ``(engine, reason)`` per failed hop, for diagnostics.
         elapsed_seconds: End-to-end service latency, including failed
             hops (the engine's own ``stats.elapsed_seconds`` covers only
@@ -146,7 +144,7 @@ class QueryService:
         clock: Monotonic time source for deadlines — injectable for
             deterministic tests.
         warm_floors: Arm the frozen kNNL floor sketch
-            (:mod:`repro.approx`) on the exact snapshot/fused hops —
+            (:mod:`repro.approx`) on the exact snapshot hop —
             ids stay bit-identical, pruning happens earlier.
     """
 
@@ -210,7 +208,7 @@ class QueryService:
         When ``perf.live_updates`` is true (or ``REPRO_LIVE_UPDATES``
         arms it), the tree is wrapped in a
         :class:`repro.lsm.LiveIndex` first: while its overlay is dirty,
-        the fused/snapshot hops raise
+        the snapshot hop raises
         :class:`~repro.errors.OverlayPendingError` and the chain
         degrades to the merged seed walk — honest
         ``service.degraded.*`` counters included — until the next fold.
@@ -247,17 +245,6 @@ class QueryService:
             return seed.search(query, k, cancel=token)
         check_freeze(plan)
         snap = self.tree.snapshot()
-        if engine == "fused":
-            if self.warm_floors:
-                runner = snap.warm_fused_engine_for(
-                    self.tree, seed.measure, seed.alpha, seed.te_weight
-                )
-            else:
-                runner = snap.fused_engine_for(
-                    self.tree, seed.measure, seed.alpha, seed.te_weight
-                )
-            # Singleton group: per-query deadlines stay per-query.
-            return runner.run_group([query], k, cancel=token)[0]
         if engine == "approx":
             runner = snap.approx_engine_for(
                 self.tree, seed.measure, seed.alpha, seed.te_weight

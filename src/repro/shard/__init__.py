@@ -4,10 +4,9 @@ The package lifts the paper's subtree pruning one level up, to whole
 shards of a Morton partition:
 
 * :mod:`repro.shard.planner` — :class:`ShardPlanner` cuts the dataset
-  along the fused engine's Morton order into balanced, spatially
-  coherent shards, each an ordinary (C)IUR-tree over a sub-dataset
-  that shares the parent's region/vocabulary/config (the bit-parity
-  keystone);
+  along a Morton order into balanced, spatially coherent shards,
+  each an ordinary (C)IUR-tree over a sub-dataset that shares the
+  parent's region/vocabulary/config (the bit-parity keystone);
 * :mod:`repro.shard.summaries` — precomputed per-shard competitor
   floors (`kNNL` tables over a node frontier) for admission-time shard
   pruning;

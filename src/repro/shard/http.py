@@ -5,7 +5,7 @@ A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams and
 :class:`ShardQueryService`, which lifts PR 5's reliability policies to
 per-shard granularity: every admitted shard's round-1 search runs
 through that shard's own :class:`~repro.service.QueryService`, so one
-slow or faulty shard degrades (fused → snapshot → seed) or deadlines
+slow or faulty shard degrades (snapshot → seed) or deadlines
 *individually* while the other shards answer normally, and the shared
 deadline budget spans the whole scatter–gather (admission, scatter,
 merge) the same way a single service call spans its degradation chain.

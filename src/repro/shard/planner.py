@@ -1,9 +1,8 @@
 """Morton-partitioned shard planning and per-shard index construction.
 
 :class:`ShardPlanner` splits a dataset into ``S`` spatially coherent
-shards by sorting objects along the same Morton curve the fused engine
-uses to group queries (:func:`repro.core.fused.locality_order`) and
-cutting the order into ``S`` balanced contiguous runs.  Spatial
+shards by sorting objects along a Morton curve (:func:`locality_order`)
+and cutting the order into ``S`` balanced contiguous runs.  Spatial
 coherence is what makes shard admission pruning
 (:mod:`repro.shard.summaries`) bite: a shard whose objects cluster
 tightly has a tight frontier MBR and a high within-shard competitor
@@ -27,19 +26,57 @@ segments, the scatter searcher — works per shard unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import IndexConfig
-from ..core.fused import locality_order
 from ..errors import ConfigError
 from ..index.iurtree import IURTree
 from ..model.dataset import STDataset
+from ..model.objects import STObject
 from .summaries import (
     DEFAULT_FRONTIER,
     DEFAULT_KMAX,
     ShardSummary,
     build_summary,
 )
+
+
+def _interleave16(v: int) -> int:
+    """Spread the low 16 bits of ``v`` into the even bit positions."""
+    v &= 0xFFFF
+    v = (v | (v << 8)) & 0x00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F
+    v = (v | (v << 2)) & 0x33333333
+    v = (v | (v << 1)) & 0x55555555
+    return v
+
+
+def locality_order(queries: Sequence[STObject]) -> List[int]:
+    """Indices of ``queries`` sorted by Morton code of their centers.
+
+    Runs cut from this order hold spatially close objects, which is
+    what gives each shard a tight frontier MBR.  Deterministic (stable
+    on code ties) so the same input always yields the same order.
+    """
+    pts = []
+    for q in queries:
+        m = q.mbr()
+        pts.append(((m.xlo + m.xhi) / 2.0, (m.ylo + m.yhi) / 2.0))
+    if not pts:
+        return []
+    xmin = min(p[0] for p in pts)
+    xmax = max(p[0] for p in pts)
+    ymin = min(p[1] for p in pts)
+    ymax = max(p[1] for p in pts)
+    xspan = (xmax - xmin) or 1.0
+    yspan = (ymax - ymin) or 1.0
+    coded = []
+    for i, (x, y) in enumerate(pts):
+        xi = int((x - xmin) / xspan * 0xFFFF)
+        yi = int((y - ymin) / yspan * 0xFFFF)
+        coded.append((_interleave16(xi) | (_interleave16(yi) << 1), i))
+    coded.sort()
+    return [i for _, i in coded]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ above:
   queries that copy a dataset object included; ``k > kmax`` runs the
   snapshot walk;
 * **plumbing** — filter counters, env knobs (``REPRO_ENGINE=approx``,
-  ``REPRO_WARM_FLOORS``), fused+approx rejection, and the shm segment
-  round-trip of the sketch arrays.
+  ``REPRO_WARM_FLOORS``), the shm segment round-trip of the sketch
+  arrays, and the object-row text matrix the sketch build reads (a
+  sketch built after an insert or delete never reads a stale matrix).
 """
 
 from __future__ import annotations
@@ -33,12 +34,17 @@ from repro import SimilarityConfig
 from repro.approx import KnnlSketch, build_sketch
 from repro.approx.sketch import DEFAULT_SKETCH_KMAX
 from repro.core.rstknn import RSTkNNSearcher
-from repro.errors import QueryError
 from repro.index.iurtree import IURTree
+from repro.model.dataset import STDataset
+from repro.perf import kernels
 from repro.perf.batch import BatchSearcher
 from repro.perf.kernels import numpy_available
+from repro.perf.snapshot import SnapshotTextMatrix
+from repro.spatial.point import Point
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
+
+from tests.conftest import random_corpus
 
 _ALPHAS = (0.0, 0.4, 1.0)
 _STATE = {}
@@ -159,16 +165,6 @@ class TestWarmFloorParity:
         warm = _searcher(alpha, engine="snapshot", warm_floors=True)
         assert warm.search(query, k).ids == plain.search(query, k).ids
 
-    def test_warm_fused_batch_parity(self):
-        env = _env()
-        plain = BatchSearcher(env["tree"], engine="snapshot", mode="fused")
-        warm = BatchSearcher(
-            env["tree"], engine="snapshot", mode="fused", warm_floors=True
-        )
-        ref = [r.ids for r in plain.run(env["queries"], 4).results]
-        got = [r.ids for r in warm.run(env["queries"], 4).results]
-        assert got == ref
-
     def test_env_knob_arms_warm_floors(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARM_FLOORS", "1")
         assert _searcher(0.4, engine="snapshot").warm_floors
@@ -266,11 +262,6 @@ class TestApproxEngine:
         q = env["queries"][1]
         assert searcher.search(q, 3).ids == exact.search(q, 3).ids
 
-    def test_fused_batch_rejects_approx(self):
-        env = _env()
-        with pytest.raises(QueryError):
-            BatchSearcher(env["tree"], engine="approx", mode="fused")
-
     def test_approx_batch_matches_exact(self):
         env = _env()
         exact = BatchSearcher(env["tree"], engine="snapshot")
@@ -278,6 +269,88 @@ class TestApproxEngine:
         ref = [r.ids for r in exact.run(env["queries"], 4).results]
         got = [r.ids for r in approx.run(env["queries"], 4).results]
         assert got == ref
+
+
+# ----------------------------------------------------------------------
+# The object-row text matrix the sketch build reads
+# ----------------------------------------------------------------------
+
+
+class TestTextMatrix:
+    def test_structure_and_memoization(self):
+        snap = _env()["tree"].snapshot()
+        tm = snap.text_matrix()
+        assert tm is snap.text_matrix()  # lazy, built once
+        assert isinstance(tm, SnapshotTextMatrix)
+        assert tm.generation == snap.generation
+        assert tm.n_obj_rows == sum(snap.is_obj)
+        # Object rows carry the exact norms, in slot order.
+        row = 0
+        for slot in range(snap.n_slots):
+            if snap.is_obj[slot]:
+                assert tm.obj_row[slot] == row
+                assert tm.obj_nsq[row] == snap.obj_vec[slot].norm_squared
+                row += 1
+            else:
+                assert tm.obj_row[slot] == -1
+
+    def test_backend_tracks_numpy(self):
+        tm = _env()["tree"].snapshot().text_matrix()
+        expected = "numpy" if kernels._numpy() is not None else "python"
+        assert tm.backend == expected
+
+    def test_describe_keys(self):
+        desc = _env()["tree"].snapshot().text_matrix().describe()
+        for key in ("generation", "object_rows", "object_terms", "backend"):
+            assert key in desc
+
+
+class TestStalenessAfterInsert:
+    def _run_then_mutate(self, corpus_seed, query_seed, mutate):
+        """Approx-run, mutate the tree, approx-run again; returns the
+        matrices before/after and the post-mutation batch result."""
+        dataset = STDataset.from_corpus(random_corpus(80, seed=corpus_seed))
+        tree = IURTree.build(dataset)
+        approx = BatchSearcher(tree, engine="approx")
+        queries = sample_queries(dataset, 4, seed=query_seed)
+        approx.run(queries, 3)  # sketch built from the pre-write matrix
+        before = tree.snapshot()
+        matrix_before = before.text_matrix()
+
+        victim = mutate(dataset, tree)
+
+        # The rebuilt snapshot owns a rebuilt matrix — the generation
+        # bump invalidates the postings along with everything else.
+        result = approx.run(queries, 3)
+        after = tree.snapshot()
+        assert after is not before
+        matrix_after = after.text_matrix()
+        assert matrix_after is not matrix_before
+        assert matrix_after.generation > matrix_before.generation
+        # The approx ids match the exact snapshot walk's (itself pinned
+        # against the seed walk elsewhere).
+        exact = BatchSearcher(tree, engine="snapshot")
+        assert result.id_lists() == exact.run(queries, 3).id_lists()
+        return matrix_before, matrix_after, result, victim
+
+    def test_approx_run_never_reads_stale_matrix(self):
+        def insert(dataset, tree):
+            tree.insert_object(
+                dataset.append_record(Point(42.0, 58.0), "coffee bakery")
+            )
+
+        before, after, _, _ = self._run_then_mutate(41, 5, insert)
+        assert after.n_obj_rows == before.n_obj_rows + 1
+
+    def test_approx_run_never_reads_stale_matrix_after_delete(self):
+        def delete(dataset, tree):
+            victim = dataset.objects[23]
+            assert tree.delete_object(victim.oid)
+            return victim
+
+        before, after, result, victim = self._run_then_mutate(43, 7, delete)
+        assert after.n_obj_rows == before.n_obj_rows - 1
+        assert all(victim.oid not in ids for ids in result.id_lists())
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +419,7 @@ class TestShmSketchRoundTrip:
             # A segment written by a previous layout version (same
             # RSTSHM family, older version byte pair) is *stale*, not
             # foreign: the remedy is re-exporting with this build.
-            for stale in (b"RSTSHM02", b"RSTSHM03", b"RSTSHM04"):
+            for stale in (b"RSTSHM02", b"RSTSHM03", b"RSTSHM04", b"RSTSHM05"):
                 seg.shm.buf[: len(SEGMENT_MAGIC)] = stale
                 with pytest.raises(StaleSegmentError):
                     attach(seg.name)

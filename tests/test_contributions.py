@@ -14,11 +14,9 @@ from repro.core.contributions import (
     _kth_largest,
     decide_by_count,
 )
-from repro.core.fused import _NpBook, _PyBook
 from repro.core.rstknn import RSTkNNSearcher
 from repro.core.traversal import SnapshotEngine, _tighten_candidates
 from repro.index import Entry
-from repro.perf import kernels
 
 
 def make_entry(ref=0):
@@ -162,28 +160,6 @@ def _clist(triples):
     return clist
 
 
-def _fused_books(triples):
-    """The fused engine's columnar books over ``triples``, each with a
-    killed row in the middle that a decision must not count."""
-    books = [_PyBook(len(triples) + 1)]
-    np = kernels._numpy()
-    if np is not None:
-        books.append(_NpBook(np, len(triples) + 1, 0))
-    half = len(triples) // 2
-    rows = triples[:half] + [(1.0, 1.0, 20)] + triples[half:]
-    for book in books:
-        book.extend(
-            (
-                list(range(len(rows))),
-                [t[0] for t in rows],
-                [t[1] for t in rows],
-                [t[2] for t in rows],
-            )
-        )
-        book.kill(half)
-    return books
-
-
 class TestDecideByCount:
     @settings(max_examples=400, deadline=None)
     @given(case=_decision_cases())
@@ -207,10 +183,6 @@ class TestDecideByCount:
         # The snapshot engine's slot dict.
         d = {7 * i + 3: t for i, t in enumerate(triples)}
         assert SnapshotEngine._decide(d, q_lo, q_hi, k) == expected
-        # The fused engine's books, and their reported band values.
-        for book in _fused_books(triples):
-            assert book.decide(q_lo, q_hi, k) == expected
-            assert book.knn_bounds(k) == (clist.knn_lower(k), clist.knn_upper(k))
 
     def test_stops_once_k_objects_beat_q_hi(self):
         seen = []

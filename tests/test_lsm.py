@@ -333,23 +333,6 @@ class TestServiceDegradation:
 
 
 class TestBatchLive:
-    def test_dirty_fused_falls_back_to_merged_walk(self):
-        ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, mode="fused", group_size=4)
-        try:
-            churn(live, ds, seed=21)
-            queries = sample_queries(ds, 5, seed=6)
-            batch = engine.run(queries, 4)
-            assert batch.stats.fallback_reason.startswith(
-                "live_overlay_dirty"
-            )
-            for query, ids in zip(queries, batch.id_lists()):
-                assert ids == BruteForceRSTkNN(ds).search(query, 4)
-            live.freeze_step()
-            assert engine.run(queries, 4).stats.fallback_reason is None
-        finally:
-            live.close()
-
     def test_dirty_parallel_falls_back_sequential(self):
         ds, live = make_live(n=100, seed=51)
         engine = BatchSearcher(live, workers=2)

@@ -2,9 +2,9 @@
 
 Three contracts pinned here:
 
-1. **Cross-engine trace parity** — the seed walk, the snapshot engine,
-   and the fused batch engine emit the *same multiset* of decision
-   events for one query (same actions, refs, counts, and bounds).
+1. **Cross-engine trace parity** — the seed walk and the snapshot
+   engine emit the *same multiset* of decision events for one query
+   (same actions, refs, counts, and bounds).
 2. **Zero-cost off-switch** — the null registry returns the shared
    no-op instruments for every name, stores nothing, exports nothing.
 3. **Exporter fidelity** — the JSON snapshot round-trips and the
@@ -78,28 +78,17 @@ def _trace_all_engines(tree, query, k):
     RSTkNNSearcher(tree, engine="seed").search(query, k, trace=seed)
 
     snap_trace = SearchTrace()
-    snap_searcher = RSTkNNSearcher(tree, engine="snapshot")
-    snap_searcher.search(query, k, trace=snap_trace)
-
-    fused_trace = SearchTrace()
-    engine = tree.snapshot().fused_engine_for(
-        tree,
-        snap_searcher.measure,
-        snap_searcher.alpha,
-        snap_searcher.te_weight,
-    )
-    engine.run_group([query], k, traces=[fused_trace])
-    return seed, snap_trace, fused_trace
+    RSTkNNSearcher(tree, engine="snapshot").search(query, k, trace=snap_trace)
+    return seed, snap_trace
 
 
 class TestCrossEngineTraceParity:
     def test_decision_multisets_identical(self):
         env = _env()
         for query in env["queries"]:
-            seed, snap, fused = _trace_all_engines(env["tree"], query, k=3)
+            seed, snap = _trace_all_engines(env["tree"], query, k=3)
             assert seed.events, "seed walk emitted no events"
             assert _multiset(seed) == _multiset(snap)
-            assert _multiset(seed) == _multiset(fused)
 
     def test_counts_match_search_stats(self):
         env = _env()

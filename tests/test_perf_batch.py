@@ -140,32 +140,6 @@ def test_picklable_run_reports_no_fallback():
     assert "fallback_reason" not in batch.stats.as_dict()
 
 
-def test_fused_mode_matches_per_query():
-    env = _fixture()
-    queries = env["queries"]
-    fused = BatchSearcher(env["tree"], mode="fused", group_size=3)
-    batch = fused.run(queries, 4)
-    assert batch.id_lists() == _reference_ids(env["tree"], queries, 4)
-    stats = batch.stats
-    assert stats.mode == "fused"
-    assert stats.group_size == 3
-    assert stats.groups == 2  # ceil(5 / 3) locality groups
-    flat = stats.as_dict()
-    assert flat["mode"] == "fused" and flat["groups"] == 2
-
-
-def test_fused_mode_rejects_bad_combinations():
-    env = _fixture()
-    with pytest.raises(QueryError):
-        BatchSearcher(env["tree"], mode="fused", workers=2)
-    with pytest.raises(QueryError):
-        BatchSearcher(env["tree"], mode="fused", engine="seed")
-    with pytest.raises(QueryError):
-        BatchSearcher(env["tree"], mode="fused", group_size=0)
-    with pytest.raises(QueryError):
-        BatchSearcher(env["tree"], mode="bogus")
-
-
 def test_harness_run_batch_queries():
     from repro.bench.harness import run_batch_queries
 
@@ -176,41 +150,9 @@ def test_harness_run_batch_queries():
     assert run.extra["queries_per_second"] > 0
 
 
-def test_harness_run_batch_queries_fused():
-    from repro.bench.harness import run_batch_queries
-
-    env = _fixture()
-    run = run_batch_queries(
-        env["tree"], env["queries"][:4], 3, mode="fused", group_size=2
-    )
-    assert run.method == "iur-batch-fused2"
-    assert run.extra["mode"] == "fused"
-    assert run.extra["groups"] == 2
-
-
 def test_cli_batch_smoke(capsys):
     from repro.cli import main
 
     assert main(["batch", "--n", "100", "--queries", "2", "--k", "3"]) == 0
     out = capsys.readouterr().out
     assert "throughput" in out and "mean latency" in out
-
-
-def test_cli_batch_fused_smoke(capsys):
-    from repro.cli import main
-
-    assert (
-        main(
-            [
-                "batch",
-                "--n", "100",
-                "--queries", "4",
-                "--k", "3",
-                "--mode", "fused",
-                "--group-size", "2",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "fused" in out and "groups" in out

@@ -440,3 +440,36 @@ def test_near_equal_documents_never_score_above_one(weights, ulps, measure):
     for backend in backends:
         with kernels.use_backend(backend):
             assert 0.0 <= make_measure(measure).similarity(a, b) <= 1.0
+
+
+def test_group_text_dots_backends_agree():
+    # The sketch build's call: one object's dots against every object
+    # row of the snapshot's text matrix.
+    from repro.index.iurtree import IURTree
+    from repro.model.dataset import STDataset
+    from repro.workloads import sample_queries
+
+    from tests.conftest import random_corpus
+
+    np = kernels._numpy()
+    if np is None:
+        pytest.skip("numpy unavailable")
+    dataset = STDataset.from_corpus(random_corpus(120, seed=19))
+    tm = IURTree.build(dataset).snapshot().text_matrix()
+    query = sample_queries(dataset, 6, seed=3)[0].vector
+    ids, ws = query.term_ids(), tuple(w for _, w in query.items())
+    n = tm.n_obj_rows
+    got_np = kernels.group_text_dots(tm.obj_postings, ids, ws, n, np)
+    # The python path needs list-backed postings.
+    py_postings = {
+        tid: (list(rows), list(weights))
+        for tid, (rows, weights) in tm.obj_postings.items()
+    }
+    got_py = kernels.group_text_dots(py_postings, ids, ws, n, None)
+    assert (got_np is None) == (got_py is None)
+    if got_np is not None:
+        dots_np, over_np = got_np
+        dots_py, over_py = got_py
+        assert over_np.tolist() == list(over_py)
+        for a, b in zip(dots_np.tolist(), dots_py):
+            assert a == pytest.approx(b, abs=1e-12)

@@ -149,6 +149,46 @@ class TestAttachParity:
         assert counters["search.queries.snapshot"] == 8
         assert not [name for name in counters if name.endswith(".seed")]
 
+    def test_attached_text_matrix_matches_parent(self):
+        # The kNNL sketch build reads the snapshot's object rows and
+        # postings; an attached worker rebuilding a sketch the parent
+        # did not bake into the segment must read the same values.
+        from repro.text.similarity import make_measure
+
+        env = _fixture()
+        tree = env["tree"]
+        snap = tree.snapshot()
+        tm = snap.text_matrix()
+        measure = make_measure(env["dataset"].config.text_measure)
+        kmax = 3
+        with SharedSnapshotSegment.create(tree) as seg:
+            attached = attach(seg.name, expected_generation=seg.generation)
+            asnap = atm = twin = None
+            try:
+                asnap = attached.snapshot
+                atm = asnap.text_matrix()
+                assert atm.generation == tm.generation
+                assert atm.n_obj_rows == tm.n_obj_rows
+                assert list(atm.obj_row) == list(tm.obj_row)
+                assert list(atm.obj_nsq) == list(tm.obj_nsq)
+                assert atm.obj_postings.keys() == tm.obj_postings.keys()
+                for tid, (rows, weights) in tm.obj_postings.items():
+                    assert [list(col) for col in atm.obj_postings[tid]] == [
+                        list(rows), list(weights)
+                    ]
+                assert (measure.name, 0.5, 0.0, kmax) not in asnap._sketches
+                twin = asnap.sketch_for(
+                    asnap.engine_for(attached.tree, measure, 0.5, 0.0),
+                    kmax=kmax,
+                )
+                parent = snap.sketch_for(
+                    snap.engine_for(tree, measure, 0.5, 0.0), kmax=kmax
+                )
+                assert list(twin.obj_profile) == list(parent.obj_profile)
+            finally:
+                asnap = atm = twin = None
+                attached.close()
+
     def test_stats_surface_share_and_rss(self):
         env = _fixture()
         run = BatchSearcher(

@@ -301,17 +301,6 @@ class TestEngineCancellation:
             ),
         )
 
-    def test_fused_budget(self, env):
-        def run(tree, q, c):
-            snap = tree.snapshot()
-            seed = RSTkNNSearcher(tree, engine="seed")
-            engine = snap.fused_engine_for(
-                tree, seed.measure, seed.alpha, seed.te_weight
-            )
-            return engine.run_group([q], 3, cancel=c)[0]
-
-        _expansion_budget_check(env, "fused", run)
-
     def test_expired_before_start_raises_with_empty_stats(self, env):
         token = CancelToken()
         token.cancel()
@@ -342,10 +331,11 @@ class TestEngineCancellation:
 
 
 class TestQueryService:
-    def test_happy_path_serves_fused(self, env):
+    def test_happy_path_serves_snapshot(self, env):
         service = QueryService(env["tree"])
         result = service.serve(env["queries"][0], 3)
-        assert result.engine == "fused"
+        assert service.chain == DEGRADATION_CHAIN == ("snapshot", "seed")
+        assert result.engine == "snapshot"
         assert result.degraded_path == () and not result.degraded
         assert result.ids == RSTkNNSearcher(env["tree"]).search(
             env["queries"][0], 3
@@ -368,24 +358,26 @@ class TestQueryService:
         service = QueryService(env["tree"], metrics=metrics)
         set_plan(FaultPlan(freeze_fail=1))
         one_hop = service.serve(env["queries"][0], 3)
-        assert one_hop.engine == "snapshot"
-        assert one_hop.degraded_path == ("fused",)
+        assert one_hop.engine == "seed"
+        assert one_hop.degraded_path == ("snapshot",)
         assert one_hop.ids == clean.ids  # parity survives degradation
 
-        set_plan(FaultPlan(freeze_fail=2))
-        two_hops = service.serve(env["queries"][0], 3)
-        assert two_hops.engine == "seed"
-        assert two_hops.degraded_path == ("fused", "snapshot")
-        assert two_hops.ids == clean.ids
-        assert ("fused", "FaultInjected: injected snapshot-freeze failure") in (
-            two_hops.failures
+        approx_first = QueryService(
+            env["tree"], chain=("approx", "snapshot", "seed"), metrics=metrics
         )
+        set_plan(FaultPlan(freeze_fail=2))
+        two_hops = approx_first.serve(env["queries"][0], 3)
+        assert two_hops.engine == "seed"
+        assert two_hops.degraded_path == ("approx", "snapshot")
+        assert two_hops.ids == clean.ids
+        failure = ("approx", "FaultInjected: injected snapshot-freeze failure")
+        assert failure in two_hops.failures
         counters = metrics.snapshot()["counters"]
         assert counters["service.degraded"] == 3
         assert counters["service.served"] == 2
 
     def test_exhausted_chain_raises_service_error(self, env):
-        service = QueryService(env["tree"], chain=("fused", "snapshot"))
+        service = QueryService(env["tree"], chain=("approx", "snapshot"))
         set_plan(FaultPlan(freeze_fail=2))
         with pytest.raises(ServiceError) as exc:
             service.serve(env["queries"][0], 3)
@@ -587,4 +579,4 @@ class TestIntegration:
         assert main(["serve-batch", "--n", "200", "--queries", "3"]) == 0
         out = capsys.readouterr().out
         assert "fault plan armed" in out
-        assert "fused -> snapshot" in out
+        assert "snapshot -> seed" in out

@@ -39,6 +39,7 @@ from repro.shard import (
     exact_similarity,
     query_upper,
 )
+from repro.shard.planner import locality_order
 from repro.spatial import Point
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
@@ -274,6 +275,17 @@ class TestPlanner:
             ShardPlanner(env["dataset"], 0)
         with pytest.raises(ConfigError):
             ShardPlanner(env["dataset"], len(env["dataset"]) + 1)
+
+
+class TestLocalityOrder:
+    def test_order_is_permutation_and_deterministic(self):
+        queries = _env()["queries"]
+        order = locality_order(queries)
+        assert sorted(order) == list(range(len(queries)))
+        assert order == locality_order(queries)
+
+    def test_empty_workload(self):
+        assert locality_order([]) == []
 
 
 # ----------------------------------------------------------------------
