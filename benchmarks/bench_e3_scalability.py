@@ -3,7 +3,8 @@
 Shape: group-level query cost grows sublinearly in |D| (pruning decides
 whole subtrees), while the per-object baseline grows linearly — the
 paper's headline separation.  The batch rows measure workload throughput
-through :class:`repro.perf.BatchSearcher` (shared bound cache), vs the
+through :class:`repro.perf.BatchSearcher` (one long-lived snapshot
+engine whose pair memo warms across queries), vs the
 fresh-searcher-per-query harness path.
 """
 

@@ -152,7 +152,7 @@ def bench_exact_similarity(
     out["speedup_frozen_auto_vs_seed"] = (
         out["frozen_auto_ops_per_sec"] / out["seed_ops_per_sec"]
     )
-    out["auto_crossover_terms"] = kernels.auto_crossover()
+    out["auto_numpy_min_terms"] = kernels.AUTO_NUMPY_MIN_TERMS
     # Leave the vectors frozen under the default backend again.
     for a, b in pairs_v:
         a.frozen(), b.frozen()

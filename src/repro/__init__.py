@@ -20,13 +20,7 @@ Quickstart::
     print(result.ids, result.stats.as_dict())
 """
 
-from .config import (
-    DEFAULT_CONFIG,
-    IndexConfig,
-    PerfConfig,
-    ReproConfig,
-    SimilarityConfig,
-)
+from .config import IndexConfig, SimilarityConfig
 from .errors import (
     BufferPoolError,
     ConfigError,
@@ -86,10 +80,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # config
-    "DEFAULT_CONFIG",
     "IndexConfig",
-    "PerfConfig",
-    "ReproConfig",
     "SimilarityConfig",
     # errors
     "BufferPoolError",

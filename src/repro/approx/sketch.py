@@ -85,13 +85,10 @@ with exact score ``>= s_kmax`` has approximate score ``>= theta - 2 *
 eps``, above the computed ``theta - delta``: all of them are rescored,
 so the exact top-``kmax`` is recovered bit for bit.
 
-The floors feed three consumers: warm-start pruning in the exact
-:class:`~repro.core.traversal.SnapshotEngine` (results bit-identical
-because a pruned slot provably holds no result), tightened
-:class:`~repro.shard.summaries.ShardSummary` admission floors, and the
-``engine="approx"`` filter tier (:class:`~repro.approx.engine.ApproxEngine`).
+The floors have one consumer, the ``engine="approx"`` filter tier
+(:class:`~repro.approx.engine.ApproxEngine`).
 
-Soundness rule (used by every consumer): a query with upper bound
+Soundness rule: a query with upper bound
 ``q_hi`` on a slot may skip that slot iff ``q_hi < floor`` — then for
 every object ``o`` under the slot, ``SimST(q, o) < floor <= s_k(o)``,
 so at least ``k`` competitors are strictly more similar to ``o`` than
@@ -107,6 +104,7 @@ import time
 from array import array
 from typing import Dict, List
 
+from ..errors import ConfigError
 from ..perf import kernels
 
 #: Largest ``k`` the sketch covers; beyond it floors read 0.0 (never
@@ -195,12 +193,6 @@ class KnnlSketch:
 
     #: Object slots read their own profile through the same lookup.
     obj_floor = node_floor
-
-    def global_floor(self, k: int) -> float:
-        """Lower bound on ``s_k`` valid for *every* object (last row)."""
-        if k > self.kmax:
-            return 0.0
-        return self.floor_table[len(self.floor_table) - self.kmax + (k - 1)]
 
     def nbytes(self) -> int:
         """Resident bytes of the sketch arrays."""
@@ -428,7 +420,10 @@ def build_sketch(engine, kmax: int = DEFAULT_SKETCH_KMAX) -> KnnlSketch:
     ``engine`` is the :class:`~repro.core.traversal.SnapshotEngine` of
     the similarity setting being served; its ``_exact`` supplies every
     profile value, so the profiles match the exact engines bit for bit.
+    ``kmax`` below 1 raises :class:`~repro.errors.ConfigError`.
     """
+    if kmax < 1:
+        raise ConfigError(f"sketch kmax must be >= 1, got {kmax}")
     started = time.perf_counter()
     snap = engine.snap
     n_slots = snap.n_slots

@@ -17,7 +17,8 @@ from typing import List, Optional
 
 from .bench.experiments import EXPERIMENTS, run_experiment
 from .bench.report import format_table
-from .core.rstknn import RSTkNNSearcher
+from .config import BATCH_SHARE_MODES
+from .core.rstknn import ENGINE_CHOICES, RSTkNNSearcher
 from .index.iurtree import IURTree
 from .workloads import gn_like, sample_queries
 
@@ -120,7 +121,7 @@ def _add_live_args(parser) -> None:
         "--live-updates",
         action="store_true",
         help="wrap the index in the LSM live-update path "
-        "(repro.lsm.LiveIndex; also REPRO_LIVE_UPDATES)",
+        "(repro.lsm.LiveIndex)",
     )
     parser.add_argument(
         "--writes",
@@ -149,7 +150,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         engine=args.engine,
         share=args.share,
-        warm_floors=True if args.warm_floors else None,
     )
     live_rows = []
     if live is not None and args.writes:
@@ -637,20 +637,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--engine",
-        choices=("seed", "snapshot", "auto", "approx"),
+        choices=ENGINE_CHOICES,
         default=None,
         help="traversal engine (default: REPRO_ENGINE, then auto); "
         "approx runs the sketch-guided filter of repro.approx",
     )
     p_batch.add_argument(
-        "--warm-floors",
-        action="store_true",
-        help="arm frozen kNNL floors on exact snapshot walks "
-        "(bit-identical results, earlier pruning; also REPRO_WARM_FLOORS)",
-    )
-    p_batch.add_argument(
         "--share",
-        choices=("auto", "shm", "pickle"),
+        choices=BATCH_SHARE_MODES,
         default="auto",
         help="parallel-mode index transport: shared-memory snapshot "
         "segment (zero-copy) or a pickled tree per worker",
@@ -690,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--engine",
-        choices=("snapshot", "seed", "auto", "approx"),
+        choices=ENGINE_CHOICES,
         default="auto",
         help="first engine of the degradation chain (auto = full "
         "snapshot -> seed chain; approx prepends the kNNL sketch "
@@ -711,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--share",
-        choices=("auto", "shm", "pickle"),
+        choices=BATCH_SHARE_MODES,
         default="auto",
         help="parallel-mode index transport (see `batch --share`)",
     )
@@ -747,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--share",
-        choices=("auto", "shm", "pickle"),
+        choices=BATCH_SHARE_MODES,
         default="auto",
         help="shard snapshot transport for the worker pool",
     )
@@ -789,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--queries", type=int, default=10)
     p_obs.add_argument(
         "--engine",
-        choices=("seed", "snapshot", "auto", "approx"),
+        choices=ENGINE_CHOICES,
         default="auto",
         help="traversal engine the workload runs on",
     )
@@ -807,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--queries", type=int, default=3)
     p_demo.add_argument(
         "--engine",
-        choices=("seed", "snapshot", "auto", "approx"),
+        choices=ENGINE_CHOICES,
         default=None,
         help="traversal engine (default: REPRO_ENGINE, then auto)",
     )

@@ -75,20 +75,6 @@ ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 #: Environment override for the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
-#: Environment override that arms kNNL warm-start floors on the exact
-#: snapshot engine (``1``/``true``/``yes`` arm, anything else
-#: leaves them off).  Floors never change result ids, only how early
-#: subtrees are discarded, so this is safe to flip fleet-wide.
-WARM_FLOORS_ENV_VAR = "REPRO_WARM_FLOORS"
-
-
-def _default_warm_floors() -> bool:
-    """Warm-floor default from ``REPRO_WARM_FLOORS`` (off when unset)."""
-    raw = os.environ.get(WARM_FLOORS_ENV_VAR)
-    if raw is None:
-        return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
 
 def _default_engine() -> str:
     """Engine named by ``REPRO_ENGINE``, else ``auto`` (warn on typos)."""
@@ -183,7 +169,6 @@ class RSTkNNSearcher:
         te_weight: float = 0.05,
         engine: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        warm_floors: Optional[bool] = None,
         sketch_kmax: Optional[int] = None,
     ) -> None:
         """``engine`` picks the traversal implementation
@@ -194,13 +179,11 @@ class RSTkNNSearcher:
         histogram (``None`` records nothing — see
         ``docs/OBSERVABILITY.md``).
 
-        ``warm_floors`` arms the frozen kNNL floor sketch
-        (:mod:`repro.approx`) on the exact snapshot engine — results
-        stay bit-identical, only pruning gets earlier; ``None`` defers
-        to ``REPRO_WARM_FLOORS`` and then off.  ``sketch_kmax``
-        overrides the sketch's largest covered ``k`` (``None`` keeps the
-        :mod:`repro.approx.sketch` default); under ``engine="approx"``
-        larger ``k`` is answered by the snapshot walk."""
+        ``sketch_kmax`` overrides the largest ``k`` the kNNL sketch of
+        ``engine="approx"`` covers (``None`` keeps the
+        :mod:`repro.approx.sketch` default; values below 1 raise
+        :class:`~repro.errors.ConfigError`); larger ``k`` is answered
+        by the snapshot walk."""
         self.tree = tree
         cfg = config if config is not None else tree.dataset.config
         self.config = cfg
@@ -215,9 +198,8 @@ class RSTkNNSearcher:
             )
         self.engine = engine
         self.metrics = metrics
-        if warm_floors is None:
-            warm_floors = _default_warm_floors()
-        self.warm_floors = bool(warm_floors)
+        if sketch_kmax is not None and sketch_kmax < 1:
+            raise ConfigError(f"sketch_kmax must be >= 1, got {sketch_kmax}")
         self.sketch_kmax = sketch_kmax
 
     def _bound_computer(self) -> BoundComputer:
@@ -239,11 +221,11 @@ class RSTkNNSearcher:
         if getattr(self.tree, "overlay_dirty", False):
             # A live overlay/tombstone set is pending (repro.lsm): only
             # the seed walk merges the frozen and overlay sources under
-            # the bound logic, and the frozen-side fast paths — columnar
-            # snapshot, warm kNNL floors, the approx sketch — are all
-            # derived from the pre-write snapshot, so they are unsound
-            # against the union.  After a fold the view is clean and the
-            # requested engine applies again.
+            # the bound logic, and the frozen-side fast paths — the
+            # columnar snapshot and the approx sketch — are derived from
+            # the pre-write snapshot, so they are unsound against the
+            # union.  After a fold the view is clean and the requested
+            # engine applies again.
             return "seed"
         can_snapshot = getattr(self.tree, "snapshot", None) is not None
         if engine == "auto":
@@ -292,22 +274,9 @@ class RSTkNNSearcher:
                 return pinned.search(query, k, trace=trace, cancel=cancel)
         resolved = self._resolve_engine(trace)
         if resolved == "snapshot":
-            snap = self.tree.snapshot()
-            if self.warm_floors:
-                sketches = len(snap._sketches)
-                runner = snap.warm_engine_for(
-                    self.tree,
-                    self.measure,
-                    self.alpha,
-                    self.te_weight,
-                    kmax=self.sketch_kmax,
-                )
-                if len(snap._sketches) != sketches:
-                    record_sketch_build(self.metrics, runner.floors)
-            else:
-                runner = snap.engine_for(
-                    self.tree, self.measure, self.alpha, self.te_weight
-                )
+            runner = self.tree.snapshot().engine_for(
+                self.tree, self.measure, self.alpha, self.te_weight
+            )
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "snapshot", result.stats)
             return result

@@ -93,31 +93,8 @@ _VECTOR_MIN_CHILDREN = 4
 #: precomputed if and when they expand.  Purely a batching knob — the
 #: heap pop order, every bound value, and every decision are unchanged
 #: (the components are elementwise, so a gathered batch is bit-identical
-#: to per-node slices).  Overridable via ``REPRO_FRONTIER_BATCH``.
+#: to per-node slices).
 DEFAULT_FRONTIER_LOOKAHEAD = 4
-
-#: Environment variable overriding :data:`DEFAULT_FRONTIER_LOOKAHEAD`.
-FRONTIER_ENV_VAR = "REPRO_FRONTIER_BATCH"
-
-
-def _frontier_lookahead_from_env() -> int:
-    import os
-
-    raw = os.environ.get(FRONTIER_ENV_VAR)
-    if raw is None:
-        return DEFAULT_FRONTIER_LOOKAHEAD
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"{FRONTIER_ENV_VAR}={raw!r} is not an integer; using the "
-            f"default lookahead {DEFAULT_FRONTIER_LOOKAHEAD}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_FRONTIER_LOOKAHEAD
 
 
 class _CList:
@@ -145,21 +122,12 @@ class SnapshotEngine:
         measure,
         alpha: float,
         te_weight: float,
-        floors=None,
     ) -> None:
         self.tree = tree
         self.snap = snap
         self.measure = measure
         self.alpha = alpha
         self.te_weight = te_weight
-        #: Optional frozen :class:`~repro.approx.sketch.KnnlSketch`: when
-        #: set, slots whose query upper bound falls below the sketch's
-        #: conservative kNNL floor are pruned *before* any contribution
-        #: list is built.  Result ids are unchanged (a floored slot
-        #: provably holds no result); decision counters differ, so
-        #: floored engines are memoized separately from the parity
-        #: engine (:meth:`IndexSnapshot.warm_engine_for`).
-        self.floors = floors
         self._ej = isinstance(measure, ExtendedJaccard)
         #: Symmetric tree-pair memo: canonical key ``min*n + max`` over
         #: slots -> blended ``(MinST, MaxST)`` (exact pairs store
@@ -170,7 +138,7 @@ class SnapshotEngine:
         #: Frontier nodes whose children share one spatial kernel call
         #: (see :data:`DEFAULT_FRONTIER_LOOKAHEAD`); engine-local so the
         #: knob can never perturb :class:`SearchStats` parity.
-        self.frontier_lookahead = _frontier_lookahead_from_env()
+        self.frontier_lookahead = DEFAULT_FRONTIER_LOOKAHEAD
         #: batch size -> kernel calls; published to the observability
         #: layer as the frontier batch-size histogram.
         self.frontier_hist: Dict[int, int] = {}
@@ -425,37 +393,10 @@ class SnapshotEngine:
         counter = itertools.count()
         heap: List[Tuple[float, int, int]] = []
 
-        # Warm-start floors: a slot whose optimistic query bound cannot
-        # reach the frozen kNNL floor of its subtree holds no result
-        # (>= k competitors strictly beat the query for every object
-        # there), so it is pruned before any contribution-list work.
-        # ``q_st`` never touches the pair memo, so evaluating it ahead
-        # of the list build leaves all cached-bound accounting intact.
-        floors = self.floors
-        use_floors = floors is not None and k <= floors.kmax
-        if use_floors:
-            f_idx = floors.floor_idx
-            f_tbl = floors.floor_table
-            f_prof = floors.obj_profile
-            f_kmax = floors.kmax
-            f_koff = k - 1
-
-            def floor_of(slot: int) -> float:
-                if is_obj[slot]:
-                    # The object's own exact k-distance profile, which
-                    # is never below the global row it points at.
-                    return f_prof[slot * f_kmax + f_koff]
-                return f_tbl[f_idx[slot] * f_kmax + f_koff]
-
         for r in roots:
             status[r] = _UNDECIDED
         for r in roots:
             qb = q_st(r)
-            if use_floors and qb[1] < floor_of(r):
-                status[r] = _PRUNED
-                stats.pruned_entries += 1
-                stats.pruned_objects += cnt[r]
-                continue
             d: Dict[int, _Contrib] = {}
             tight: Set[int] = set()
             for o in roots:
@@ -624,10 +565,9 @@ class SnapshotEngine:
 
             parent_d = parent.d
             for i, c in enumerate(children):
-                # Query bound first: the floor gate can then skip the
-                # whole sibling contribution pass for floored children.
-                # (``q_st``/the sp finishes never touch the pair memo,
-                # so the reorder is value- and counter-invisible.)
+                # ``q_st`` and the sp finishes never touch the pair memo,
+                # so evaluating the query bound ahead of the sibling pass
+                # leaves every value and counter as in the seed order.
                 if sp is None:
                     qb = q_st(c)
                 elif is_obj[c]:
@@ -652,14 +592,6 @@ class SnapshotEngine:
                             alpha * s_lo + (1.0 - alpha) * t_lo,
                             alpha * s_hi + (1.0 - alpha) * t_hi,
                         )
-                if use_floors and qb[1] < floor_of(c):
-                    # Floored child: no list, no heap entry — but it
-                    # stays a *contributor* in its siblings' lists (each
-                    # surviving sibling's pass covers the full range).
-                    status[c] = _PRUNED
-                    stats.pruned_entries += 1
-                    stats.pruned_objects += cnt[c]
-                    continue
                 d = dict(parent_d)
                 tight = set()
                 for sib in children:

@@ -13,23 +13,19 @@ lifecycle.
 from .live import (
     DEFAULT_FREEZE_THRESHOLD,
     FREEZE_BUCKETS,
-    LIVE_UPDATES_ENV_VAR,
     OVERLAY_REF_BASE,
     DeltaOverlay,
     EpochView,
     LiveIndex,
     Tombstones,
     adjust_entry,
-    default_live_updates,
     frozen_path,
-    maybe_wrap_live,
 )
 from .scatter import LiveScatterGather
 
 __all__ = [
     "DEFAULT_FREEZE_THRESHOLD",
     "FREEZE_BUCKETS",
-    "LIVE_UPDATES_ENV_VAR",
     "OVERLAY_REF_BASE",
     "DeltaOverlay",
     "EpochView",
@@ -37,7 +33,5 @@ __all__ = [
     "LiveScatterGather",
     "Tombstones",
     "adjust_entry",
-    "default_live_updates",
     "frozen_path",
-    "maybe_wrap_live",
 ]

@@ -39,12 +39,12 @@ therefore
   summaries are built from the live overlay R-tree, so overlay objects
   participate in every contribution list with exact counts.
 
-Frozen-side *floors* (warm kNNL floors, the approx sketch tier, shard
-admission summaries) are derived from the pre-write snapshot and are
-**not** re-derived per write; while the overlay is dirty the searcher
-resolves to the seed walk (see ``RSTkNNSearcher._resolve_engine``),
-which uses none of them.  After a freeze the view is clean again and the
-frozen fast paths (snapshot / warm / approx / shm) all re-apply.
+Frozen-side *floors* (the approx sketch tier, shard admission
+summaries) are derived from the pre-write snapshot and are **not**
+re-derived per write; while the overlay is dirty the searcher resolves
+to the seed walk (see ``RSTkNNSearcher._resolve_engine``), which uses
+none of them.  After a freeze the view is clean again and the frozen
+fast paths (snapshot / approx / shm) all re-apply.
 
 See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 """
@@ -52,7 +52,6 @@ See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -75,11 +74,6 @@ from ..text import IntervalVector
 #: entries by ``(ref, is_object)``, so both sources must stay disjoint.
 OVERLAY_REF_BASE = 1 << 40
 
-#: Environment override that turns live-update wrapping on for the CLI
-#: and ``from_perf_config`` construction paths (``1``/``true``/``yes``/
-#: ``on`` arm it; anything else, or unset, leaves it off).
-LIVE_UPDATES_ENV_VAR = "REPRO_LIVE_UPDATES"
-
 #: Buckets for the ``lsm.freeze.seconds`` histogram: freezes run
 #: 0.07-0.09 s at n=400 and superlinearly above, so the range spans
 #: milliseconds (tests) to tens of seconds (n=10^6 folds).
@@ -88,14 +82,6 @@ FREEZE_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
 #: Default overlay size (objects + tombstones) at which the background
 #: freezer folds; explicit :meth:`LiveIndex.freeze_step` ignores it.
 DEFAULT_FREEZE_THRESHOLD = 256
-
-
-def default_live_updates() -> bool:
-    """Live-update default from ``REPRO_LIVE_UPDATES`` (off when unset)."""
-    raw = os.environ.get(LIVE_UPDATES_ENV_VAR)
-    if raw is None:
-        return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
 def adjust_entry(entry: Entry, decrements: Dict[int, int]) -> Optional[Entry]:
@@ -791,25 +777,3 @@ class LiveIndex:
     def _publish_sizes(self, view: EpochView) -> None:
         self._gauge_overlay.set(float(len(view.overlay)))
         self._gauge_tombstones.set(float(len(view.tombstones)))
-
-
-def maybe_wrap_live(tree, perf=None, metrics=None):
-    """Wrap ``tree`` in a :class:`LiveIndex` when live updates are on.
-
-    ``perf.live_updates`` arms it explicitly; otherwise the
-    ``REPRO_LIVE_UPDATES`` environment default applies (mirroring the
-    warm-floor knob).  Already-live trees pass through unchanged.
-    """
-    if getattr(tree, "is_live", False):
-        return tree
-    armed = bool(perf is not None and perf.live_updates)
-    if not armed and (perf is None or not perf.live_updates):
-        armed = default_live_updates()
-    if not armed:
-        return tree
-    threshold = (
-        perf.lsm_freeze_threshold
-        if perf is not None
-        else DEFAULT_FREEZE_THRESHOLD
-    )
-    return LiveIndex(tree, metrics=metrics, freeze_threshold=threshold)

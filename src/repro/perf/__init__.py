@@ -4,11 +4,12 @@ Four layers, each usable on its own:
 
 * :mod:`repro.perf.kernels` — frozen sparse-vector forms and the
   merge-free reduction kernels behind every text similarity, with a
-  pure-python backend and an optional numpy backend selected by the
-  ``REPRO_KERNEL`` environment variable;
+  pure-python backend and an optional numpy backend (names in
+  :data:`KERNEL_BACKENDS`) selected by the ``REPRO_KERNEL`` environment
+  variable or :func:`set_backend`;
 * :mod:`repro.perf.batch` — :class:`BatchSearcher`, which runs a query
   workload over one index sequentially or fanned out across worker
-  processes;
+  processes, every setting passed to its constructor;
 * :mod:`repro.perf.snapshot` — :class:`IndexSnapshot`, the immutable
   struct-of-arrays freeze of a built tree that the ``snapshot``
   traversal engine (:mod:`repro.core.traversal`) runs over;

@@ -39,7 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import BATCH_SHARE_MODES, PerfConfig, SimilarityConfig
+from ..config import BATCH_SHARE_MODES, SimilarityConfig
 from ..core.rstknn import RSTkNNSearcher, SearchResult
 from ..errors import QueryError
 from ..index.iurtree import IURTree
@@ -57,8 +57,9 @@ _WORKER: Dict[str, object] = {}
 RETRIES_COUNTER = "service.retries"
 
 #: Bucket bounds of the ``engine.frontier.batch_size`` histogram —
-#: nodes per batched frontier kernel call; the lookahead default is 4
-#: and ``REPRO_FRONTIER_BATCH`` rarely exceeds a few dozen.
+#: nodes per batched frontier kernel call, at most
+#: :data:`~repro.core.traversal.DEFAULT_FRONTIER_LOOKAHEAD` (4) unless an
+#: engine's ``frontier_lookahead`` is raised.
 FRONTIER_HIST_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -69,12 +70,14 @@ def _init_worker(payload: bytes) -> None:
     carries the whole object graph; ``("shm", name, generation, ...)``
     carries only the name of a :mod:`repro.perf.shm` segment that this
     worker maps zero-copy (generation-checked, so a segment exported
-    from a since-mutated index is refused rather than served).
+    from a since-mutated index is refused rather than served).  Both
+    carry the parent's resolved engine and ``sketch_kmax``, so a worker
+    finds the sketch the parent baked into the segment.
     """
     spec = pickle.loads(payload)
     if spec[0] == "shm":
         (_tag, name, generation, config, te_weight,
-         engine, warm_floors) = spec
+         engine, sketch_kmax) = spec
         from .shm import attach  # noqa: PLC0415 — worker-side only
 
         attached = attach(name, expected_generation=generation)
@@ -83,16 +86,16 @@ def _init_worker(payload: bytes) -> None:
             config,
             te_weight=te_weight,
             engine=engine,
-            warm_floors=warm_floors,
+            sketch_kmax=sketch_kmax,
         )
     else:
-        _tag, tree, config, te_weight, engine, warm_floors = spec
+        _tag, tree, config, te_weight, engine, sketch_kmax = spec
         _WORKER["searcher"] = RSTkNNSearcher(
             tree,
             config,
             te_weight=te_weight,
             engine=engine,
-            warm_floors=warm_floors,
+            sketch_kmax=sketch_kmax,
         )
 
 
@@ -225,7 +228,6 @@ class BatchSearcher:
         share: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        warm_floors: Optional[bool] = None,
         sketch_kmax: Optional[int] = None,
     ) -> None:
         """``workers=1`` runs sequentially in this process;
@@ -233,8 +235,10 @@ class BatchSearcher:
         own index handle.  ``warm=True`` pre-freezes the tree's kernel
         forms so the first query does not pay freezing costs.  ``engine``
         picks the traversal implementation per query (see
-        :data:`repro.core.rstknn.ENGINE_CHOICES`); ``auto`` runs the
-        snapshot engine whenever the tree can freeze one.  ``share``
+        :data:`repro.core.rstknn.ENGINE_CHOICES`; ``None`` defers to
+        ``REPRO_ENGINE`` and then ``auto``, and :attr:`engine` holds the
+        name that applied); ``auto`` runs the snapshot engine whenever
+        the tree can freeze one.  ``share``
         picks parallel mode's index transport (one of
         :data:`repro.config.BATCH_SHARE_MODES`):
         ``auto`` ships a zero-copy shared-memory snapshot segment when
@@ -255,13 +259,10 @@ class BatchSearcher:
         budget runs the surviving chunks sequentially in the parent, so
         a batch always completes.
 
-        ``warm_floors`` arms the frozen kNNL floor sketch
-        (:mod:`repro.approx`) on exact snapshot walks — results stay
-        bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
-        ``sketch_kmax`` overrides the sketch's largest covered ``k``
-        for the sequential searcher and pickled workers (shm workers
-        use the segment's exported sketch or the
-        :mod:`repro.approx.sketch` default)."""
+        ``sketch_kmax`` overrides the largest ``k`` the kNNL sketch of
+        ``engine="approx"`` covers (values below 1 raise
+        :class:`~repro.errors.ConfigError`); parallel mode bakes that
+        sketch into the shm segment once, and every worker reads it."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         if share not in BATCH_SHARE_MODES:
@@ -273,7 +274,6 @@ class BatchSearcher:
         self.config = config
         self.workers = workers
         self.te_weight = te_weight
-        self.engine = engine
         self.share = share
         self.metrics = metrics
         self.retry_policy = (
@@ -293,61 +293,13 @@ class BatchSearcher:
             config,
             te_weight=te_weight,
             engine=engine,
-            warm_floors=warm_floors,
             sketch_kmax=sketch_kmax,
         )
-        # Resolved (env applied) on the inner searcher; workers reuse it.
-        self.warm_floors = self._searcher.warm_floors
+        # Resolved (env applied) on the inner searcher: the transport
+        # choice, the baked sketch and the workers all follow it.
+        self.engine = self._searcher.engine
         if warm:
             tree.warm_kernels()
-
-    @classmethod
-    def from_perf_config(
-        cls,
-        tree: IURTree,
-        perf: PerfConfig,
-        config: Optional[SimilarityConfig] = None,
-        te_weight: float = 0.05,
-        warm: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> "BatchSearcher":
-        """Build a batch searcher from a :class:`~repro.config.PerfConfig`.
-
-        Applies the bundle's engine, worker and share knobs; when
-        ``perf.observability`` is true and no ``metrics``
-        registry is passed, a live
-        :class:`~repro.obs.metrics.MetricsRegistry` is created and
-        exposed as ``searcher.metrics`` for export after the run.
-        ``perf.kernel_backend`` is process-wide state — apply it
-        separately with :func:`repro.perf.set_backend`.  When
-        ``perf.live_updates`` is true (or ``REPRO_LIVE_UPDATES`` arms
-        it), the tree is first wrapped in a
-        :class:`repro.lsm.LiveIndex` so the returned searcher serves
-        mixed read/write traffic without per-write re-freezes.
-        """
-        if metrics is None and perf.observability:
-            metrics = MetricsRegistry()
-        from ..lsm import maybe_wrap_live  # noqa: PLC0415 — avoid cycle
-
-        tree = maybe_wrap_live(tree, perf, metrics=metrics)
-        return cls(
-            tree,
-            config,
-            workers=perf.batch_workers,
-            te_weight=te_weight,
-            warm=warm,
-            engine=perf.engine,
-            share=perf.batch_share,
-            metrics=metrics,
-            retry_policy=RetryPolicy(
-                max_attempts=perf.retry_attempts,
-                base_delay=perf.retry_base_delay,
-            ),
-            # False (the default) defers to REPRO_WARM_FLOORS, so the
-            # env knob can arm floors fleet-wide without config edits.
-            warm_floors=perf.warm_floors or None,
-            sketch_kmax=perf.sketch_kmax,
-        )
 
     def run(self, queries: Sequence[STObject], k: int) -> BatchResult:
         """Execute the workload; results align with ``queries`` order.
@@ -552,10 +504,10 @@ class BatchSearcher:
 
                 try:
                     with timer.phase("share"):
-                        if self.warm_floors or self.engine == "approx":
-                            # Bake the floor sketch into the segment so
-                            # workers attach it zero-copy instead of
-                            # rebuilding it once per process.
+                        if self.engine == "approx":
+                            # Bake the sketch into the segment so workers
+                            # attach it zero-copy instead of rebuilding
+                            # it once per process.
                             s = self._searcher
                             snap = self.tree.snapshot()
                             snap.sketch_for(
@@ -594,7 +546,7 @@ class BatchSearcher:
                                 "approx"
                                 if self.engine == "approx"
                                 else "snapshot",
-                                self.warm_floors,
+                                self.sketch_kmax,
                             )
                         )
                     self._share_used = "shm"
@@ -618,7 +570,7 @@ class BatchSearcher:
                         self.config,
                         self.te_weight,
                         self.engine,
-                        self.warm_floors,
+                        self.sketch_kmax,
                     )
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:

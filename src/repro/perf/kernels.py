@@ -67,20 +67,16 @@ KERNEL_BACKENDS = ("python", "numpy", "auto")
 #: Environment variable consulted for the default backend.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: Vector length at which the numpy reduction starts beating the
-#: pure-python one (measured on this container: python wins up to ~128
-#: terms, parity near 256, numpy ~2x faster at 1024).  ``auto`` freezes
-#: vectors below this length into the python form.  Overridable via
-#: ``REPRO_KERNEL_CROSSOVER`` for different hardware.
+#: Vector length at which the numpy reduction started beating the
+#: pure-python one when measured (python won up to ~128 terms, parity
+#: near 256, numpy ~2x faster at 1024 — before the ``math.fsum``
+#: summation).  ``auto`` freezes vectors below this length into the
+#: python form.
 AUTO_NUMPY_MIN_TERMS = 256
-
-#: Environment variable overriding :data:`AUTO_NUMPY_MIN_TERMS`.
-CROSSOVER_ENV_VAR = "REPRO_KERNEL_CROSSOVER"
 
 _np = None
 _np_checked = False
 _backend: Optional[str] = None  # resolved lazily; None = not yet resolved
-_crossover: Optional[int] = None  # resolved lazily from the environment
 
 
 def _numpy():
@@ -121,27 +117,6 @@ def _resolve(name: str) -> str:
         )
         return "python"
     return name
-
-
-def auto_crossover() -> int:
-    """Vector length above which ``auto`` freezes into the numpy form."""
-    global _crossover
-    if _crossover is None:
-        raw = os.environ.get(CROSSOVER_ENV_VAR)
-        if raw is None:
-            _crossover = AUTO_NUMPY_MIN_TERMS
-        else:
-            try:
-                _crossover = max(0, int(raw))
-            except ValueError:
-                warnings.warn(
-                    f"{CROSSOVER_ENV_VAR}={raw!r} is not an integer; using "
-                    f"the measured default {AUTO_NUMPY_MIN_TERMS}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                _crossover = AUTO_NUMPY_MIN_TERMS
-    return _crossover
 
 
 def is_current(form) -> bool:
@@ -407,12 +382,15 @@ def freeze(
 ):
     """Build the active backend's frozen form of one sparse vector.
 
-    Under ``auto``, short vectors (below :func:`auto_crossover` terms)
-    freeze into the python form and long ones into the numpy form; the
-    two interoperate, mixed pairs reducing through the python path.
+    Under ``auto``, short vectors (below :data:`AUTO_NUMPY_MIN_TERMS`
+    terms) freeze into the python form and long ones into the numpy
+    form; the two interoperate, mixed pairs reducing through the python
+    path.
     """
     name = backend_name()
-    if name == "numpy" or (name == "auto" and len(ids) >= auto_crossover()):
+    if name == "numpy" or (
+        name == "auto" and len(ids) >= AUTO_NUMPY_MIN_TERMS
+    ):
         return NumpyFrozenVector(ids, weights, norm_sq)
     return PyFrozenVector(ids, weights, norm_sq)
 

@@ -292,8 +292,8 @@ class SharedSnapshotSegment:
         arrays = _export_arrays(tree, snap, matrix)
 
         # Frozen kNNL sketches ride along so attached workers can serve
-        # warm-floor and approx engines without re-running the
-        # freeze-time build: one array quartet per memoized sketch plus
+        # the approx engine without re-running the freeze-time build:
+        # one array quartet per memoized sketch plus
         # a header row carrying its key and scalar metadata.
         sketch_rows: List[Tuple] = []
         for key, sketch in snap._sketches.items():
@@ -733,12 +733,14 @@ class ShmSearcher:
     :class:`~repro.core.rstknn.RSTkNNSearcher`: it runs the snapshot
     engine of the header's similarity setting (result ids and decision
     counters are engine-parity-identical to the seed walk, which the
-    engine test suite enforces).
+    engine test suite enforces), or the approx engine over the sketch
+    of ``sketch_kmax`` (``None`` = the :mod:`repro.approx.sketch`
+    default) when ``engine="approx"``.
     """
 
     def __init__(self, attached: "AttachedIndex", config: Optional[SimilarityConfig],
                  te_weight: float, engine: str = "snapshot",
-                 warm_floors: bool = False) -> None:
+                 sketch_kmax: Optional[int] = None) -> None:
         header = attached.header
         cfg = config if config is not None else header["sim_config"]
         self.config = cfg
@@ -749,13 +751,11 @@ class ShmSearcher:
         snapshot = attached.snapshot
         if engine == "approx":
             # Served from the segment's frozen sketch when the parent
-            # exported one; rebuilt worker-side otherwise (memoized).
+            # exported one of this kmax; rebuilt worker-side otherwise
+            # (memoized).
             self.engine = snapshot.approx_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight
-            )
-        elif warm_floors:
-            self.engine = snapshot.warm_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight
+                attached.tree, self.measure, self.alpha, self.te_weight,
+                kmax=sketch_kmax,
             )
         else:
             self.engine = snapshot.engine_for(
@@ -784,12 +784,12 @@ class AttachedIndex:
         config: Optional[SimilarityConfig] = None,
         te_weight: Optional[float] = None,
         engine: str = "snapshot",
-        warm_floors: bool = False,
+        sketch_kmax: Optional[int] = None,
     ) -> ShmSearcher:
         """A searcher over this attachment (header defaults apply)."""
         te = self.header["te_weight"] if te_weight is None else te_weight
         return ShmSearcher(
-            self, config, te, engine=engine, warm_floors=warm_floors
+            self, config, te, engine=engine, sketch_kmax=sketch_kmax
         )
 
     def refcount(self) -> int:

@@ -280,9 +280,10 @@ class IndexSnapshot:
 
         Sketches depend on the same ``(measure, alpha)`` values the pair
         memo does, so they key on the engine's setting plus ``kmax``
-        (``None`` keeps :data:`~repro.approx.sketch.DEFAULT_SKETCH_KMAX`);
-        an attached shared-memory snapshot pre-populates this table from
-        the segment instead of rebuilding.
+        (``None`` keeps :data:`~repro.approx.sketch.DEFAULT_SKETCH_KMAX`;
+        below 1 raises :class:`~repro.errors.ConfigError`); an attached
+        shared-memory snapshot pre-populates this table from the segment
+        instead of rebuilding.
         """
         from ..approx.sketch import DEFAULT_SKETCH_KMAX, build_sketch
 
@@ -293,35 +294,6 @@ class IndexSnapshot:
             sketch = build_sketch(engine, kmax=kmax)
             self._sketches[key] = sketch
         return sketch
-
-    def warm_engine_for(
-        self,
-        tree,
-        measure,
-        alpha: float,
-        te_weight: float,
-        kmax: Optional[int] = None,
-    ):
-        """A traversal engine seeded with frozen kNNL warm-start floors.
-
-        Separate from :meth:`engine_for` (floor pruning changes decision
-        *counters*, though never result ids, so the parity engine stays
-        pristine) but sharing its pair-bound memo — work done by either
-        engine warms the other.
-        """
-        key = ("floors", measure.name, alpha, te_weight, kmax)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..core.traversal import SnapshotEngine
-
-            base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(base, kmax=kmax)
-            engine = SnapshotEngine(
-                tree, self, measure, alpha, te_weight, floors=sketch
-            )
-            engine._memo = base._memo
-            self._engines[key] = engine
-        return engine
 
     def approx_engine_for(
         self,

@@ -129,7 +129,10 @@ class QueryService:
     """Deadline-aware, degrading, load-shedding front end to the engines.
 
     Args:
-        tree: The (C)IUR-tree to serve.
+        tree: The (C)IUR-tree to serve, or a :class:`repro.lsm.LiveIndex`:
+            while its overlay is dirty the snapshot hop raises
+            :class:`~repro.errors.OverlayPendingError` and the chain
+            degrades to the merged seed walk until the next fold.
         config: Similarity configuration (defaults to the dataset's).
         te_weight: Entropy-priority weight (as in
             :class:`~repro.core.rstknn.RSTkNNSearcher`).
@@ -143,9 +146,6 @@ class QueryService:
             no-op instruments).
         clock: Monotonic time source for deadlines — injectable for
             deterministic tests.
-        warm_floors: Arm the frozen kNNL floor sketch
-            (:mod:`repro.approx`) on the exact snapshot hop —
-            ids stay bit-identical, pruning happens earlier.
     """
 
     def __init__(
@@ -159,7 +159,6 @@ class QueryService:
         max_pending: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
-        warm_floors: bool = False,
     ) -> None:
         chain = tuple(chain)
         if not chain:
@@ -177,7 +176,6 @@ class QueryService:
         self.tree = tree
         self.chain = chain
         self.deadline_seconds = deadline_seconds
-        self.warm_floors = bool(warm_floors)
         self.metrics = registry_or_null(metrics)
         self._clock = clock
         # The seed searcher doubles as the resolved similarity setting
@@ -191,40 +189,6 @@ class QueryService:
         self._deadline_hit = self.metrics.counter(DEADLINE_COUNTER)
         self._failed = self.metrics.counter(FAILED_COUNTER)
         self._latency = self.metrics.histogram(LATENCY_HISTOGRAM)
-
-    @classmethod
-    def from_perf_config(
-        cls,
-        tree,
-        perf,
-        config=None,
-        te_weight: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> "QueryService":
-        """Build a service from a :class:`repro.config.PerfConfig`.
-
-        Honors ``perf.service_max_pending``,
-        ``perf.service_deadline_seconds`` and ``perf.warm_floors``.
-        When ``perf.live_updates`` is true (or ``REPRO_LIVE_UPDATES``
-        arms it), the tree is wrapped in a
-        :class:`repro.lsm.LiveIndex` first: while its overlay is dirty,
-        the snapshot hop raises
-        :class:`~repro.errors.OverlayPendingError` and the chain
-        degrades to the merged seed walk — honest
-        ``service.degraded.*`` counters included — until the next fold.
-        """
-        from ..lsm import maybe_wrap_live  # noqa: PLC0415 — avoid cycle
-
-        tree = maybe_wrap_live(tree, perf, metrics=metrics)
-        return cls(
-            tree,
-            config,
-            te_weight,
-            deadline_seconds=perf.service_deadline_seconds,
-            max_pending=perf.service_max_pending,
-            metrics=metrics,
-            warm_floors=perf.warm_floors,
-        )
 
     # ------------------------------------------------------------------
     # Engine hops
@@ -250,14 +214,9 @@ class QueryService:
                 self.tree, seed.measure, seed.alpha, seed.te_weight
             )
             return runner.search(query, k, cancel=token)
-        if self.warm_floors:
-            runner = snap.warm_engine_for(
-                self.tree, seed.measure, seed.alpha, seed.te_weight
-            )
-        else:
-            runner = snap.engine_for(
-                self.tree, seed.measure, seed.alpha, seed.te_weight
-            )
+        runner = snap.engine_for(
+            self.tree, seed.measure, seed.alpha, seed.te_weight
+        )
         return runner.search(query, k, cancel=token)
 
     # ------------------------------------------------------------------

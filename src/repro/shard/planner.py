@@ -19,8 +19,9 @@ without tolerance.
 
 Shard trees are ordinary (C)IUR-trees; freezing them yields ordinary
 :class:`~repro.perf.snapshot.IndexSnapshot` columns, so every
-downstream consumer — the snapshot engine, PR 6's shared-memory
-segments, the scatter searcher — works per shard unchanged.
+downstream consumer — the snapshot engine, the shared-memory
+segments of :mod:`repro.perf.shm`, the scatter searcher — works per
+shard unchanged.
 """
 
 from __future__ import annotations
@@ -232,35 +233,16 @@ class ShardedIndex:
         *,
         kmax: int = DEFAULT_KMAX,
         frontier_size: int = DEFAULT_FRONTIER,
-        warm_floors: bool = False,
     ) -> Tuple[ShardSummary, ...]:
         """Admission-pruning tables for every shard, built once per
-        ``(measure, alpha, te_weight, kmax, frontier_size, warm_floors)``
-        setting.  ``warm_floors=True`` tightens each table with the
-        shard's frozen :class:`~repro.approx.KnnlSketch` global floor
-        (still a sound lower bound — see
-        :func:`~repro.shard.summaries.build_summary`)."""
-        key = (measure.name, alpha, te_weight, kmax, frontier_size,
-               warm_floors)
+        ``(measure, alpha, te_weight, kmax, frontier_size)`` setting."""
+        key = (measure.name, alpha, te_weight, kmax, frontier_size)
         cached = self._summaries.get(key)
         if cached is not None:
             return cached
-        engines = self.engines(measure, alpha, te_weight)
-        sketches = [None] * len(engines)
-        if warm_floors:
-            sketches = [
-                shard.snapshot().sketch_for(engine, kmax=kmax)
-                for shard, engine in zip(self.shards, engines)
-            ]
         built = tuple(
-            build_summary(
-                i,
-                engine,
-                kmax=kmax,
-                frontier_size=frontier_size,
-                sketch=sketches[i],
-            )
-            for i, engine in enumerate(engines)
+            build_summary(i, engine, kmax=kmax, frontier_size=frontier_size)
+            for i, engine in enumerate(self.engines(measure, alpha, te_weight))
         )
         self._summaries[key] = built
         return built

@@ -26,8 +26,9 @@ One query runs in two exact rounds over the shards of a
 
 With ``workers > 0`` both rounds fan out over a persistent process
 pool whose workers attach **all** shard snapshots zero-copy through
-PR 6's :class:`~repro.perf.shm.SharedSnapshotSegment` (one segment per
-shard; pickle transport is the recorded fallback when shared memory is
+:class:`~repro.perf.shm.SharedSnapshotSegment` (one segment per shard;
+``share`` takes :data:`~repro.config.BATCH_SHARE_MODES`, and pickle
+transport is the recorded fallback when shared memory is
 unavailable).  Any worker failure falls back to in-process execution
 of the affected task — the parent keeps the live shard trees — so
 results never depend on pool health.
@@ -41,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import SimilarityConfig
+from ..config import BATCH_SHARE_MODES, SimilarityConfig
 from ..core.rstknn import SearchStats
 from ..errors import ConfigError
 from ..model.objects import STObject
@@ -53,8 +54,6 @@ from .summaries import DEFAULT_FRONTIER, DEFAULT_KMAX, query_upper
 
 #: Fan-out histogram buckets: how many shards one query searched.
 SHARD_FANOUT_BUCKETS = (1, 2, 4, 8, 16, 32)
-
-_SHARE_CHOICES = ("auto", "shm", "pickle")
 
 
 @dataclass
@@ -184,13 +183,11 @@ class ScatterGatherSearcher:
             error if unavailable), ``"pickle"``, or ``"auto"`` (shm
             with recorded pickle fallback).
         kmax: Largest ``k`` admission pruning covers
-            (:data:`~repro.shard.summaries.DEFAULT_KMAX`).
+            (:data:`~repro.shard.summaries.DEFAULT_KMAX`; must be
+            ``>= 1``).
         frontier_size: Summary frontier width per shard.
         metrics: Optional :class:`~repro.obs.MetricsRegistry` receiving
             the ``shard.*`` instruments (see ``docs/OBSERVABILITY.md``).
-        warm_floors: Tighten each shard's admission table with its
-            frozen kNNL sketch (:mod:`repro.approx`) — results stay
-            bit-identical, admission can only prune more shards.
 
     Use as a context manager (or call :meth:`close`) when ``workers >
     0`` so segments are unlinked deterministically.
@@ -207,14 +204,15 @@ class ScatterGatherSearcher:
         kmax: int = DEFAULT_KMAX,
         frontier_size: int = DEFAULT_FRONTIER,
         metrics: Optional[MetricsRegistry] = None,
-        warm_floors: bool = False,
     ) -> None:
         if workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
-        if share not in _SHARE_CHOICES:
+        if share not in BATCH_SHARE_MODES:
             raise ConfigError(
-                f"share must be one of {_SHARE_CHOICES}, got {share!r}"
+                f"share must be one of {BATCH_SHARE_MODES}, got {share!r}"
             )
+        if kmax < 1:
+            raise ConfigError(f"kmax must be >= 1, got {kmax}")
         self.index = index
         cfg = config if config is not None else index.dataset.config
         self.config = cfg
@@ -231,52 +229,18 @@ class ScatterGatherSearcher:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.fallback_reason: Optional[str] = None
         self._engines = index.engines(self.measure, self.alpha, self.te_weight)
-        self.warm_floors = bool(warm_floors)
         self._summaries = index.summaries(
             self.measure,
             self.alpha,
             self.te_weight,
             kmax=kmax,
             frontier_size=frontier_size,
-            warm_floors=self.warm_floors,
         )
         self._maxD = index.dataset.proximity.max_distance
         self._slot_maps: List[Optional[Dict[int, int]]] = [None] * len(index)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._segments: List = []
         self._closed = False
-
-    @classmethod
-    def from_perf_config(
-        cls,
-        index: ShardedIndex,
-        perf,
-        config: Optional[SimilarityConfig] = None,
-        te_weight: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> "ScatterGatherSearcher":
-        """Build from a :class:`repro.config.PerfConfig`.
-
-        Honors ``perf.shard_kmax`` (admission-table depth),
-        ``perf.batch_workers`` (``1`` = in-process scatter),
-        ``perf.batch_share`` (pool snapshot transport) and
-        ``perf.warm_floors`` (sketch-tightened admission tables); when
-        ``perf.observability`` is set and no registry is passed, a live
-        one is attached, mirroring ``BatchSearcher.from_perf_config``.
-        """
-        if metrics is None and perf.observability:
-            metrics = MetricsRegistry()
-        workers = perf.batch_workers if perf.batch_workers > 1 else 0
-        return cls(
-            index,
-            config,
-            te_weight,
-            workers=workers,
-            share=perf.batch_share,
-            kmax=perf.shard_kmax,
-            metrics=metrics,
-            warm_floors=perf.warm_floors,
-        )
 
     # ------------------------------------------------------------------
     # Pool / transport lifecycle

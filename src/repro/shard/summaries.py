@@ -133,7 +133,6 @@ def build_summary(
     engine,
     kmax: int = DEFAULT_KMAX,
     frontier_size: int = DEFAULT_FRONTIER,
-    sketch=None,
 ) -> ShardSummary:
     """Compute one shard's :class:`ShardSummary` from its snapshot engine.
 
@@ -141,19 +140,6 @@ def build_summary(
     for the similarity setting being served — its memoized pair-bound
     table supplies every ``MinST`` the template needs (and keeps the
     values it computes for the scatter walk to reuse).
-
-    ``sketch`` optionally tightens the table with the shard's frozen
-    :class:`~repro.approx.KnnlSketch` (built over the *same* engine, so
-    the same snapshot and similarity setting).  Tightening happens at
-    two levels: per frontier node, ``sketch.node_floor(f, k)`` (the
-    minimum exact k-distance profile of the objects under ``f``)
-    lower-bounds the k-th best within-shard competitor of every object
-    under ``f`` exactly like the pair-template bound does, so each
-    node's contribution is the maximum of the two; globally,
-    ``sketch.global_floor(k)`` (the minimum profile over every shard
-    object) lower-bounds every shard object, so the finished table
-    entry takes that maximum too.  Both combinations are sound — each side independently
-    lower-bounds the same quantity — and possibly tighter.
     """
     snap = engine.snap
     frontier = _peel_frontier(snap, frontier_size)
@@ -173,19 +159,10 @@ def build_summary(
             contribs.append((lo, cf - 1))
         for k in range(1, kmax + 1):
             bound = _kth_largest(contribs, k)
-            if sketch is not None and k <= sketch.kmax:
-                node_floor = sketch.node_floor(f, k)
-                if node_floor > bound:
-                    bound = node_floor
             if bound < knnl[k - 1]:
                 knnl[k - 1] = bound
     n_objects = sum(cnt[r] for r in snap.root_slots)
     table = [0.0 if b == float("inf") else b for b in knnl]
-    if sketch is not None:
-        for k in range(1, min(kmax, sketch.kmax) + 1):
-            floor = sketch.global_floor(k)
-            if floor > table[k - 1]:
-                table[k - 1] = floor
     return ShardSummary(
         shard_id=shard_id,
         n_objects=int(n_objects),

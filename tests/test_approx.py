@@ -1,27 +1,25 @@
-"""The approx tier: kNNL sketch soundness, warm-floor parity, recall.
+"""The approx tier: kNNL sketch soundness, exactness, plumbing.
 
-The sketch (:mod:`repro.approx.sketch`) is only allowed to influence
-the exact engines because every floor it stores is a *provably
-conservative* lower bound on each object's true k-th competitor
-similarity ``s_k``.  These tests pin that contract from below and
-above:
+The sketch (:mod:`repro.approx.sketch`) is only allowed to decide
+answers because every floor it stores is a *provably conservative*
+lower bound on each object's true k-th competitor similarity ``s_k``.
+These tests pin that contract from below and above:
 
 * **floor conservativeness** (hypothesis) — every object's
-  ``obj_floor``/``node_floor``/``global_floor`` is bounded by a brute
-  force ``s_k`` computed from pairwise exact similarities, across
-  alphas and ``k``; ``k > kmax`` always reads 0.0 (never prunes);
-* **warm-floor parity** (hypothesis) — the snapshot engine with
-  ``warm_floors=True`` returns ids bit-identical to the plain engine
-  for every query/alpha/``k``, including ``k`` beyond the sketch;
+  ``obj_floor``/``node_floor`` and the global (last) ``floor_table``
+  row are bounded by a brute force ``s_k`` computed from pairwise exact
+  similarities, across alphas and ``k``; ``k > kmax`` always reads 0.0
+  (never prunes);
 * **approx exactness** (hypothesis) — ``engine="approx"`` returns the
   ids of the snapshot engine and of :class:`ThresholdBaseline` for every
   measure, alpha, tree kind and kernel backend, tie-heavy corpora and
   queries that copy a dataset object included; ``k > kmax`` runs the
   snapshot walk;
-* **plumbing** — filter counters, env knobs (``REPRO_ENGINE=approx``,
-  ``REPRO_WARM_FLOORS``), the shm segment round-trip of the sketch
-  arrays, and the object-row text matrix the sketch build reads (a
-  sketch built after an insert or delete never reads a stale matrix).
+* **plumbing** — filter counters, the ``REPRO_ENGINE=approx`` env knob,
+  ``sketch_kmax`` validation and its path to shm workers, the shm
+  segment round-trip of the sketch arrays, and the object-row text
+  matrix the sketch build reads (a sketch built after an insert or
+  delete never reads a stale matrix).
 """
 
 from __future__ import annotations
@@ -87,6 +85,12 @@ def _cell(alpha: float):
     return cell
 
 
+def _global_row(sketch, k: int) -> float:
+    """The last ``floor_table`` row — the minimum profile over every
+    object, which object slots read through ``node_floor``."""
+    return sketch.floor_table[len(sketch.floor_table) - sketch.kmax + k - 1]
+
+
 def _searcher(alpha: float, **kwargs) -> RSTkNNSearcher:
     env = _env()
     config = SimilarityConfig(
@@ -114,7 +118,7 @@ class TestFloorConservativeness:
             s_k = sims[k - 1] if len(sims) >= k else 0.0
             assert sketch.obj_floor(slot, k) <= s_k + 1e-12
             assert sketch.node_floor(slot, k) <= s_k + 1e-12
-            assert sketch.global_floor(k) <= s_k + 1e-12
+            assert _global_row(sketch, k) <= s_k + 1e-12
 
     @settings(deadline=None, max_examples=10)
     @given(alpha=st.sampled_from(_ALPHAS), extra=st.integers(1, 50))
@@ -122,7 +126,6 @@ class TestFloorConservativeness:
         cell = _cell(alpha)
         sketch = cell["sketch"]
         k = sketch.kmax + extra
-        assert sketch.global_floor(k) == 0.0
         for slot in cell["objs"][:5]:
             assert sketch.obj_floor(slot, k) == 0.0
             assert sketch.node_floor(slot, k) == 0.0
@@ -144,36 +147,6 @@ class TestFloorConservativeness:
         assert desc["nbytes"] == sketch.nbytes() > 0
         assert desc["rows"] == len(sketch.row_objects)
         assert len(sketch.floor_table) == (desc["rows"] + 1) * sketch.kmax
-
-
-# ----------------------------------------------------------------------
-# Warm-floor bit-parity on the exact engines (hypothesis)
-# ----------------------------------------------------------------------
-
-
-class TestWarmFloorParity:
-    @settings(deadline=None, max_examples=30)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX + 4),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_warm_floors_ids_bit_identical(self, alpha, k, qi):
-        env = _env()
-        query = env["queries"][qi]
-        plain = _searcher(alpha, engine="snapshot")
-        warm = _searcher(alpha, engine="snapshot", warm_floors=True)
-        assert warm.search(query, k).ids == plain.search(query, k).ids
-
-    def test_env_knob_arms_warm_floors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARM_FLOORS", "1")
-        assert _searcher(0.4, engine="snapshot").warm_floors
-        monkeypatch.setenv("REPRO_WARM_FLOORS", "off")
-        assert not _searcher(0.4, engine="snapshot").warm_floors
-        # An explicit argument beats the environment.
-        assert not _searcher(
-            0.4, engine="snapshot", warm_floors=False
-        ).warm_floors
 
 
 # ----------------------------------------------------------------------
@@ -694,7 +667,7 @@ class TestExactProfiles:
                 assert got == want
             every = [min(col) for col in zip(*profile.values())] if objs else []
             assert every == [
-                sketch.global_floor(k) for k in range(1, len(every) + 1)
+                _global_row(sketch, k) for k in range(1, len(every) + 1)
             ]
 
     def test_directory_floors_skip_empty_nodes(self):
@@ -800,13 +773,56 @@ class TestApproxExactness:
 
 
 class TestSketchKnobs:
-    def test_perf_config_validates_sketch_knobs(self):
-        from repro.config import PerfConfig
+    def test_constructors_reject_sketch_kmax_below_one(self):
         from repro.errors import ConfigError
 
-        assert PerfConfig(sketch_kmax=4).sketch_kmax == 4
+        env = _env()
+        tree = env["tree"]
+        assert _searcher(0.4, engine="approx", sketch_kmax=4).sketch_kmax == 4
+        for bad in (0, -3):
+            with pytest.raises(ConfigError):
+                _searcher(0.4, engine="approx", sketch_kmax=bad)
+            with pytest.raises(ConfigError):
+                BatchSearcher(tree, engine="approx", sketch_kmax=bad)
+        snap = tree.snapshot()
+        engine = snap.engine_for(
+            tree, make_measure(env["dataset"].config.text_measure), 0.4, 0.0
+        )
         with pytest.raises(ConfigError):
-            PerfConfig(sketch_kmax=0)
+            build_sketch(engine, kmax=0)
+        with pytest.raises(ConfigError):
+            snap.sketch_for(engine, kmax=0)
+
+    def test_shm_workers_read_the_baked_sketch(self, tmp_path, monkeypatch):
+        # The parent bakes the sketch_kmax sketch into the segment once;
+        # workers must find it there instead of building their own.
+        # Forked workers inherit the counting wrapper.
+        import os
+
+        from repro.approx import sketch as sketch_mod
+        from repro.perf.shm import shm_available
+
+        ok, why = shm_available()
+        if not ok:
+            pytest.skip(f"shm unavailable: {why}")
+        log = tmp_path / "builds"
+        real = sketch_mod.build_sketch
+
+        def counted(engine, kmax=DEFAULT_SKETCH_KMAX):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {kmax}\n")
+            return real(engine, kmax=kmax)
+
+        monkeypatch.setattr(sketch_mod, "build_sketch", counted)
+        dataset = gn_like(n=120)
+        tree = IURTree.build(dataset)  # private: no memoized sketch yet
+        queries = sample_queries(dataset, 6, seed=17)
+        batch = BatchSearcher(tree, engine="approx", workers=2, sketch_kmax=8)
+        result = batch.run(queries, 3)
+        assert result.stats.share == "shm"
+        assert log.read_text().split() == [str(os.getpid()), "8"]
+        exact = BatchSearcher(tree, engine="snapshot").run(queries, 3)
+        assert result.id_lists() == exact.id_lists()
 
     def test_kmax_memoizes_distinct_sketches(self):
         env = _env()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConfigError, IndexConfig, ReproConfig, SimilarityConfig
+from repro import ConfigError, IndexConfig, SimilarityConfig
 
 
 class TestSimilarityConfig:
@@ -71,12 +71,3 @@ class TestIndexConfig:
             IndexConfig(outlier_threshold=1.5)
         assert IndexConfig(outlier_threshold=0.5).outlier_threshold == 0.5
         assert IndexConfig(outlier_threshold=None).outlier_threshold is None
-
-
-class TestReproConfig:
-    def test_describe_flattens_all_knobs(self):
-        desc = ReproConfig().describe()
-        assert desc["sim.alpha"] == 0.5
-        assert desc["idx.page_size"] == 4096
-        assert any(key.startswith("sim.") for key in desc)
-        assert any(key.startswith("idx.") for key in desc)

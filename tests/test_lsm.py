@@ -5,8 +5,8 @@ builds a *brand new* tree over the mutated dataset, so "byte-identical
 to a fresh build" is checkable at any point — while dirty (merged walk
 over overlay + tombstone-masked frozen tree) and after folds.  The
 suite also pins the operational surface: the engine resolver forcing
-the merged seed walk while dirty (warm floors, snapshots, and shard
-admission all carry frozen-side state that deletes invalidate), the
+the merged seed walk while dirty (the approx sketch, snapshots, and
+shard admission all carry frozen-side state that deletes invalidate), the
 ``freeze_fail`` fault point leaving the old generation serving, epoch
 pins keeping shm segments alive across a swap, and the ``lsm.*``
 metrics.
@@ -22,19 +22,12 @@ from repro import (
     IndexConfig,
     IURTree,
     OverlayPendingError,
-    PerfConfig,
     QueryService,
     RSTkNNSearcher,
     STDataset,
 )
 from repro.errors import FaultInjected
-from repro.lsm import (
-    DEFAULT_FREEZE_THRESHOLD,
-    LiveIndex,
-    LiveScatterGather,
-    default_live_updates,
-    maybe_wrap_live,
-)
+from repro.lsm import LiveIndex, LiveScatterGather
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
 from repro.service.faults import FaultPlan, set_plan
@@ -47,7 +40,6 @@ from tests.conftest import random_corpus
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_LIVE_UPDATES", raising=False)
     set_plan(None, clear=True)
     yield
     set_plan(None, clear=True)
@@ -161,23 +153,24 @@ class TestLiveParity:
             live.close()
 
 
-class TestWarmFloorHazard:
-    def test_stale_warm_floors_never_touch_dirty_answers(self):
-        """Deletes make frozen kNNL floors overstate the neighborhood:
-        a floored snapshot walk would over-prune.  The resolver must
-        route warm searchers through the merged seed walk while dirty,
-        and the post-fold floors are rebuilt from the new snapshot."""
+class TestStaleSketchHazard:
+    def test_stale_sketch_never_touches_dirty_answers(self):
+        """Deletes make the frozen kNNL sketch overstate the
+        neighborhood: answering from it would drop results.  The
+        resolver must route approx searchers through the merged seed
+        walk while dirty, and the post-fold sketch is rebuilt from the
+        new snapshot."""
         ds, live = make_live(n=150, seed=23)
         try:
-            warm = RSTkNNSearcher(live, warm_floors=True)
+            approx = RSTkNNSearcher(live, engine="approx")
             churn(live, ds, inserts=0, deletes=20, seed=7)
             for query in sample_queries(ds, 4, seed=11):
-                assert warm.search(query, 4).ids == BruteForceRSTkNN(
+                assert approx.search(query, 4).ids == BruteForceRSTkNN(
                     ds
                 ).search(query, 4)
             live.freeze_step()
             for query in sample_queries(ds, 4, seed=11):
-                assert warm.search(query, 4).ids == BruteForceRSTkNN(
+                assert approx.search(query, 4).ids == BruteForceRSTkNN(
                     ds
                 ).search(query, 4)
         finally:
@@ -366,50 +359,6 @@ class TestBatchLive:
             assert len(live._view._segments) == 1  # reused, not recreated
         finally:
             live.close()
-
-
-class TestKnobs:
-    def test_perf_config_validation(self):
-        assert PerfConfig().live_updates is False
-        assert PerfConfig().lsm_freeze_threshold == DEFAULT_FREEZE_THRESHOLD
-        with pytest.raises(ConfigError):
-            PerfConfig(live_updates="yes")
-        with pytest.raises(ConfigError):
-            PerfConfig(lsm_freeze_threshold=0)
-
-    def test_env_default(self, monkeypatch):
-        assert default_live_updates() is False
-        monkeypatch.setenv("REPRO_LIVE_UPDATES", "1")
-        assert default_live_updates() is True
-        monkeypatch.setenv("REPRO_LIVE_UPDATES", "off")
-        assert default_live_updates() is False
-
-    def test_maybe_wrap_live(self, monkeypatch):
-        ds = STDataset.from_corpus(random_corpus(40, seed=8))
-        tree = IURTree.build(ds)
-        assert maybe_wrap_live(tree) is tree
-        live = maybe_wrap_live(tree, PerfConfig(live_updates=True))
-        assert isinstance(live, LiveIndex)
-        assert maybe_wrap_live(live) is live  # idempotent
-        live.close()
-        monkeypatch.setenv("REPRO_LIVE_UPDATES", "1")
-        env_live = maybe_wrap_live(tree)
-        assert isinstance(env_live, LiveIndex)
-        env_live.close()
-
-    def test_from_perf_config_wraps_batch_and_service(self):
-        ds = STDataset.from_corpus(random_corpus(40, seed=8))
-        tree = IURTree.build(ds)
-        perf = PerfConfig(live_updates=True, lsm_freeze_threshold=7)
-        engine = BatchSearcher.from_perf_config(tree, perf)
-        try:
-            assert isinstance(engine.tree, LiveIndex)
-            assert engine.tree.freeze_threshold == 7
-        finally:
-            engine.tree.close()
-        service = QueryService.from_perf_config(tree, perf)
-        assert isinstance(service.tree, LiveIndex)
-        service.tree.close()
 
 
 class TestMetrics:

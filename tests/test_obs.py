@@ -307,38 +307,6 @@ class TestSearchMetrics:
         assert "phase.walk.seconds" in snap["gauges"]
 
 
-class TestPerfConfigObservability:
-    def test_flag_attaches_live_registry(self):
-        from repro.config import PerfConfig
-
-        env = _env()
-        batch = BatchSearcher.from_perf_config(
-            env["tree"], PerfConfig(observability=True, engine="snapshot")
-        )
-        assert isinstance(batch.metrics, MetricsRegistry)
-        assert batch.metrics.enabled
-        batch.run(env["queries"][:2], k=3)
-        counters = batch.metrics.snapshot()["counters"]
-        assert counters["search.queries.snapshot"] == 2
-
-    def test_flag_off_records_nothing(self):
-        from repro.config import PerfConfig
-
-        env = _env()
-        batch = BatchSearcher.from_perf_config(env["tree"], PerfConfig())
-        assert batch.metrics is None
-
-    def test_explicit_registry_wins(self):
-        from repro.config import PerfConfig
-
-        env = _env()
-        mine = MetricsRegistry()
-        batch = BatchSearcher.from_perf_config(
-            env["tree"], PerfConfig(observability=True), metrics=mine
-        )
-        assert batch.metrics is mine
-
-
 class TestPhaseTimer:
     def test_phases_accumulate(self):
         timer = PhaseTimer()
@@ -476,14 +444,10 @@ class TestSketchBuildGauges:
         # snapshot another test warmed.
         return IURTree.build(STDataset.from_corpus(random_corpus(60, seed=23)))
 
-    @pytest.mark.parametrize("kwargs", [
-        {"engine": "approx"},
-        {"engine": "snapshot", "warm_floors": True},
-    ])
-    def test_building_search_publishes_cost(self, kwargs):
+    def test_building_search_publishes_cost(self):
         tree = self._tree()
         reg = MetricsRegistry()
-        searcher = RSTkNNSearcher(tree, metrics=reg, **kwargs)
+        searcher = RSTkNNSearcher(tree, engine="approx", metrics=reg)
         query = sample_queries(tree.dataset, 1, seed=3)[0]
         searcher.search(query, 3)
         snap = tree.snapshot()

@@ -65,6 +65,44 @@ def test_sequential_default_runs_snapshot_engine(monkeypatch):
         assert batch.id_lists() == [baseline.search(q, 3) for q in queries]
 
 
+def _decisions(result):
+    stats = result.stats
+    return (
+        stats.expansions,
+        stats.pruned_entries,
+        stats.pruned_objects,
+        stats.accepted_entries,
+        stats.accepted_objects,
+        stats.verified_objects,
+    )
+
+
+def test_parallel_run_follows_env_seed_engine(monkeypatch):
+    # REPRO_ENGINE=seed must reach the transport choice: the seed walk
+    # needs the object graph, so the workers get a pickled tree.
+    monkeypatch.setenv(ENGINE_ENV_VAR, "seed")
+    env = _fixture()
+    engine = BatchSearcher(env["tree"], workers=2)
+    batch = engine.run(env["queries"], 3)
+    assert batch.stats.share == "pickle"
+    assert engine.engine == "seed"
+    assert batch.id_lists() == _reference_ids(env["tree"], env["queries"], 3)
+
+
+def test_parallel_run_follows_env_approx_engine(monkeypatch):
+    # REPRO_ENGINE=approx must reach the workers: every query's decision
+    # counters equal a sequential engine="approx" run's.
+    monkeypatch.setenv(ENGINE_ENV_VAR, "approx")
+    env = _fixture()
+    queries = env["queries"]
+    parallel = BatchSearcher(env["tree"], workers=2).run(queries, 3)
+    sequential = BatchSearcher(env["tree"], engine="approx").run(queries, 3)
+    assert parallel.id_lists() == sequential.id_lists()
+    assert [_decisions(r) for r in parallel.results] == [
+        _decisions(r) for r in sequential.results
+    ]
+
+
 def _memo_counts(batch):
     hits = sum(r.stats.cache_hits for r in batch.results)
     misses = sum(r.stats.cache_misses for r in batch.results)

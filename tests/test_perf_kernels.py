@@ -206,7 +206,7 @@ def test_sparse_vector_pickles_without_frozen_form():
 def test_auto_backend_dispatches_by_length():
     if not kernels.numpy_available():
         pytest.skip("numpy backend unavailable")
-    cross = kernels.auto_crossover()
+    cross = kernels.AUTO_NUMPY_MIN_TERMS
     short = SparseVector({t: 1.0 for t in range(4)})
     long = SparseVector({t: 1.0 + (t % 7) * 0.1 for t in range(cross)})
     with kernels.use_backend("auto"):
@@ -214,17 +214,6 @@ def test_auto_backend_dispatches_by_length():
         assert long.frozen().backend == "numpy"
         assert kernels.is_current(short.frozen())
         assert kernels.is_current(long.frozen())
-
-
-def test_auto_crossover_env_override(monkeypatch):
-    monkeypatch.setattr(kernels, "_crossover", None)
-    monkeypatch.setenv(kernels.CROSSOVER_ENV_VAR, "8")
-    assert kernels.auto_crossover() == 8
-    monkeypatch.setattr(kernels, "_crossover", None)
-    monkeypatch.setenv(kernels.CROSSOVER_ENV_VAR, "zero")
-    with pytest.warns(RuntimeWarning, match="not an integer"):
-        assert kernels.auto_crossover() == kernels.AUTO_NUMPY_MIN_TERMS
-    monkeypatch.setattr(kernels, "_crossover", None)
 
 
 @given(
@@ -368,7 +357,7 @@ def _symmetry_tree(form):
     if form not in _SYMMETRY_TREES:
         backend = "auto" if form == "mixed" else form
         with kernels.use_backend(backend), mock.patch.object(
-            kernels, "_crossover", 3
+            kernels, "AUTO_NUMPY_MIN_TERMS", 3
         ):
             tree = IURTree.build(gn_like(n=40, seed=11))
             snap = tree.snapshot()

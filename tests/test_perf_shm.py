@@ -413,17 +413,22 @@ class TestFallback:
 
 
 class TestFrontierBatching:
-    def test_lookahead_one_matches_default(self, monkeypatch):
+    def test_lookahead_one_matches_default(self):
         env = _fixture()
         reference = BatchSearcher(
             env["tree"], workers=1, engine="snapshot"
         ).run(env["queries"], 4)
-        monkeypatch.setenv("REPRO_FRONTIER_BATCH", "1")
-        # A fresh tree so memoized engines re-read the env knob.
+        # A fresh tree whose memoized engine expands one node per
+        # spatial kernel call.
         tree = IURTree.build(env["dataset"])
-        run = BatchSearcher(tree, workers=1, engine="snapshot").run(
-            env["queries"], 4
+        searcher = BatchSearcher(tree, workers=1, engine="snapshot")
+        s = searcher._searcher
+        engine = tree.snapshot().engine_for(
+            tree, s.measure, s.alpha, s.te_weight
         )
+        engine.frontier_lookahead = 1
+        run = searcher.run(env["queries"], 4)
+        assert set(engine.frontier_histogram()) <= {1}
         assert run.id_lists() == reference.id_lists()
         for a, b in zip(reference.results, run.results):
             assert _decisions(a) == _decisions(b)

@@ -131,6 +131,8 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigError):
+            RetryPolicy(base_delay=-0.01)
+        with pytest.raises(ConfigError):
             RetryPolicy(jitter=1.0)
         with pytest.raises(ConfigError):
             RetryPolicy(base_delay=3.0, max_delay=1.0)
@@ -435,19 +437,16 @@ class TestQueryService:
         batch = service.drain()  # the middle request dies, others serve
         assert len(batch.results) == 2
 
-    def test_from_perf_config(self, env):
-        from repro import PerfConfig
-
-        perf = PerfConfig(service_max_pending=2, service_deadline_seconds=9.0)
-        service = QueryService.from_perf_config(env["tree"], perf)
+    def test_constructor_knobs(self, env):
+        service = QueryService(
+            env["tree"], max_pending=2, deadline_seconds=9.0
+        )
         assert service.queue.max_pending == 2
         assert service.deadline_seconds == 9.0
         with pytest.raises(ConfigError):
-            PerfConfig(service_max_pending=0)
+            QueryService(env["tree"], max_pending=0)
         with pytest.raises(ConfigError):
-            PerfConfig(service_deadline_seconds=-1.0)
-        with pytest.raises(ConfigError):
-            PerfConfig(retry_attempts=0)
+            QueryService(env["tree"], deadline_seconds=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -533,12 +532,10 @@ class TestBatchRetries:
         counters = metrics.snapshot()["counters"]
         assert counters["batch.fallback.unpicklable"] == 1
 
-    def test_retry_knobs_flow_from_perf_config(self, batch_env):
-        from repro import PerfConfig
-
-        searcher = BatchSearcher.from_perf_config(
+    def test_retry_knobs_flow_from_constructor(self, batch_env):
+        searcher = BatchSearcher(
             batch_env["tree"],
-            PerfConfig(retry_attempts=5, retry_base_delay=0.01),
+            retry_policy=RetryPolicy(max_attempts=5, base_delay=0.01),
         )
         assert searcher.retry_policy.max_attempts == 5
         assert searcher.retry_policy.base_delay == 0.01

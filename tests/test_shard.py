@@ -27,10 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import STDataset, SimilarityConfig
-from repro.config import PerfConfig
 from repro.errors import ConfigError
 from repro.index.iurtree import IURTree
 from repro.shard import (
+    DEFAULT_KMAX,
     ScatterGatherSearcher,
     ShardPlanner,
     ShardProbe,
@@ -294,23 +294,20 @@ class TestLocalityOrder:
 
 
 class TestConfig:
-    def test_perf_config_validates_shard_knobs(self):
-        with pytest.raises(ConfigError):
-            PerfConfig(shard_count=0)
-        with pytest.raises(ConfigError):
-            PerfConfig(shard_kmax=0)
-        perf = PerfConfig()
-        assert perf.shard_count == 1
-        assert perf.shard_kmax == 16
-
-    def test_from_perf_config_honors_knobs(self):
+    def test_constructors_validate_shard_knobs(self):
         env = _env()
-        perf = PerfConfig(shard_kmax=4, batch_workers=1)
-        searcher = ScatterGatherSearcher.from_perf_config(
-            env["indexes"][2], perf
-        )
+        with pytest.raises(ConfigError):
+            build_sharded_index(env["dataset"], 0)
+        for bad in (0, -2):
+            with pytest.raises(ConfigError):
+                ScatterGatherSearcher(env["indexes"][2], kmax=bad)
+        assert ScatterGatherSearcher(env["indexes"][2]).kmax == DEFAULT_KMAX
+
+    def test_constructor_honors_kmax(self):
+        env = _env()
+        searcher = ScatterGatherSearcher(env["indexes"][2], kmax=4)
         assert searcher.kmax == 4
-        assert searcher.workers == 0  # batch_workers=1 -> in-process
+        assert searcher.workers == 0  # in-process scatter
         query = env["queries"][0]
         reference = _unsharded_ids(
             env, env["dataset"].config.alpha, query, 3
@@ -383,26 +380,3 @@ class TestSingleObjectShards:
                 assert searcher.search(query, k).ids == list(
                     engine.search(query, k).ids
                 )
-
-
-class TestSketchTightenedSummaries:
-    def test_warm_floors_dominate_and_preserve_parity(self):
-        env = _env()
-        alpha = 0.5
-        plain = _searcher(env, 3, alpha)
-        config = SimilarityConfig(
-            alpha=alpha, text_measure=env["dataset"].config.text_measure
-        )
-        warm = ScatterGatherSearcher(
-            env["indexes"][3], config, warm_floors=True
-        )
-        for cold, hot in zip(plain._summaries, warm._summaries):
-            assert len(hot.knnl) == len(cold.knnl)
-            for a, b in zip(cold.knnl, hot.knnl):
-                assert b >= a  # tightened floors only ever rise
-            assert list(hot.knnl) == sorted(hot.knnl, reverse=True)
-        for query in env["queries"][:4]:
-            for k in (1, 3):
-                assert warm.search(query, k).ids == plain.search(
-                    query, k
-                ).ids

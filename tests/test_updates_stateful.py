@@ -95,10 +95,10 @@ class LiveIndexMachine(RuleBasedStateMachine):
     folds.
 
     The searcher runs over a :class:`repro.lsm.LiveIndex` (overlay +
-    tombstone-masked frozen tree, merged at query time) with warm kNNL
-    floors armed — while the overlay is dirty the engine resolver must
-    force the merged seed walk, so stale frozen-side floors (the
-    tombstone-masked warm-floor hazard) never touch a live answer.  At
+    tombstone-masked frozen tree, merged at query time) on
+    ``engine="approx"`` — while the overlay is dirty the engine resolver
+    must force the merged seed walk, so a stale frozen-side sketch (the
+    tombstone-masked sketch hazard) never touches a live answer.  At
     every query the live ids are byte-compared against a tree freshly
     built from the mutated dataset AND brute force over it.
     """
@@ -117,7 +117,7 @@ class LiveIndexMachine(RuleBasedStateMachine):
         self.live = LiveIndex(
             IURTree.build(self.dataset, self.config), freeze_threshold=10**9
         )
-        self.searcher = RSTkNNSearcher(self.live, warm_floors=True)
+        self.searcher = RSTkNNSearcher(self.live, engine="approx")
 
     @rule(x=coords, y=coords, text=texts)
     def insert(self, x, y, text):
