@@ -2,8 +2,9 @@
 
 Runs an interleaved insert/delete/query workload through
 :class:`repro.lsm.LiveIndex` — writes land in the delta overlay (deletes
-as tombstones), reads run the merged walk while dirty and the frozen
-fast paths when clean, and the overlay folds into a fresh frozen
+as tombstones), reads walk the union snapshot of overlay and frozen
+tree while dirty (one freeze per write generation) and the frozen
+snapshot when clean, and the overlay folds into a fresh frozen
 generation whenever it reaches the freeze threshold (the deterministic
 stand-in for the background freezer: ``freeze_step()`` is exactly what
 the thread calls).  Writes ``BENCH_lsm.json``.
@@ -14,8 +15,8 @@ the thread calls).  Writes ``BENCH_lsm.json``.
    dirty checkpoint AND after the final fold, the live index's answers
    must be byte-identical to a tree *freshly built* from the mutated
    dataset.  This is the subsystem's anchor: a fold literally is a
-   fresh build, so the merged overlay/tombstone walk has an exact
-   reference at every point in the workload.
+   fresh build, so the union snapshot of overlay and tombstones has an
+   exact reference at every point in the workload.
 2. **No per-write re-freeze — always armed.**  The fold count must be
    bounded by ``writes / freeze_threshold`` (+1 for the final explicit
    fold), i.e. maintenance is amortized across the threshold, never

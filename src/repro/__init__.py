@@ -28,7 +28,6 @@ from .errors import (
     DeadlineExceeded,
     FaultInjected,
     IndexCorruptionError,
-    OverlayPendingError,
     PageFormatError,
     QueryError,
     QueueFull,
@@ -89,7 +88,6 @@ __all__ = [
     "DeadlineExceeded",
     "FaultInjected",
     "IndexCorruptionError",
-    "OverlayPendingError",
     "PageFormatError",
     "QueryError",
     "QueueFull",

@@ -163,7 +163,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         live_rows = [
             ["live writes", f"{inserted} inserts, {deleted} deletes"],
             ["dirty throughput (q/s)", f"{dirty.queries_per_second:.1f}"],
-            ["dirty fallback", dirty.fallback_reason or "-"],
+            ["dirty run", f"{dirty.workers} worker(s), share "
+             f"{dirty.share or '-'}, fallback {dirty.fallback_reason or '-'}"],
             ["fold (s)", f"{fold_seconds:.3f}"],
         ]
     batch = engine.run(queries, args.k)
@@ -241,8 +242,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             inserted, deleted = _apply_live_writes(live, dataset, args.writes)
             print(
                 f"live writes applied: {inserted} inserts, {deleted} deletes "
-                f"({live.pending()} pending; the snapshot hop degrades to "
-                "the merged seed walk until the overlay folds)"
+                f"({live.pending()} pending; reads walk the union snapshot "
+                "of the frozen tree and the overlay until it folds)"
             )
     queries = sample_queries(dataset, args.queries)
     if args.workers > 1:
@@ -388,7 +389,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     if args.live_updates or args.writes:
         # Pre-serve churn leg: absorb writes through the live scatter
-        # path (merged seed walk while dirty), fold, then serve the
+        # path (union snapshot while dirty), fold, then serve the
         # post-fold dataset through the regular sharded stack below.
         _serve_http_live_churn(args, dataset, tree_cls, registry)
     index = build_sharded_index(dataset, args.shards, tree_cls=tree_cls)

@@ -26,6 +26,11 @@ answer.  Membership semantics are tie-inclusive and shared with every
 baseline: ``q`` is in the reverse set of ``o`` iff strictly fewer than
 ``k`` dataset objects (excluding ``o``) are strictly more similar to
 ``o`` than ``q`` is.
+
+This object-graph walk is the reference; reads, a dirty live index's
+included, run its columnar port (:mod:`repro.core.traversal`).  It runs
+for ``engine="seed"``, as ``QueryService``'s last hop and as the oracle
+of the parity tests.
 """
 
 from __future__ import annotations
@@ -65,11 +70,11 @@ _NONRESULT = "nonresult"
 #: Traversal engine knob values: ``seed`` is the reference object-graph
 #: walk below; ``snapshot`` runs the columnar SnapshotEngine
 #: (:mod:`repro.core.traversal`); ``auto`` picks snapshot whenever the
-#: tree can freeze one; ``approx`` runs the kNNL sketch filter
-#: (:mod:`repro.approx`), exact by construction for ``k`` within the
-#: sketch and the snapshot walk above it.  Every engine emits decision
-#: events through the TraceSink protocol (:mod:`repro.obs`), so a trace
-#: never forces ``seed``.
+#: tree can freeze one (a dirty live index freezes its union view);
+#: ``approx`` runs the kNNL sketch filter (:mod:`repro.approx`), exact
+#: by construction for ``k`` within the sketch and the snapshot walk
+#: above it.  Every engine emits decision events through the TraceSink
+#: protocol (:mod:`repro.obs`), so a trace never forces ``seed``.
 ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 
 #: Environment override for the default engine.
@@ -214,24 +219,20 @@ class RSTkNNSearcher:
         Every engine emits decision events through the TraceSink
         protocol (:mod:`repro.obs.trace`), so a traced request is *not*
         downgraded.  ``auto`` runs ``snapshot`` whenever the tree can
-        freeze one, and ``seed`` otherwise.
+        freeze one, and ``seed`` otherwise.  While a live index
+        (:mod:`repro.lsm`) has writes pending, ``approx`` runs
+        ``snapshot``: a sketch is a fold-time artifact, and rebuilding
+        it per write would cost far more than the walk it saves.
         """
         del trace  # every engine can trace; kept for signature stability
         engine = self.engine
-        if getattr(self.tree, "overlay_dirty", False):
-            # A live overlay/tombstone set is pending (repro.lsm): only
-            # the seed walk merges the frozen and overlay sources under
-            # the bound logic, and the frozen-side fast paths — the
-            # columnar snapshot and the approx sketch — are derived from
-            # the pre-write snapshot, so they are unsound against the
-            # union.  After a fold the view is clean and the requested
-            # engine applies again.
-            return "seed"
         can_snapshot = getattr(self.tree, "snapshot", None) is not None
         if engine == "auto":
             engine = "snapshot"
         if engine in ("snapshot", "approx") and not can_snapshot:
             return "seed"
+        if engine == "approx" and getattr(self.tree, "overlay_dirty", False):
+            return "snapshot"
         return engine
 
     # ------------------------------------------------------------------
@@ -263,11 +264,10 @@ class RSTkNNSearcher:
             raise QueryError(f"k must be >= 1, got {k}")
         pin = getattr(self.tree, "pin", None)
         if pin is not None:
-            # Live trees (repro.lsm.LiveIndex) are searched through a
-            # pinned epoch view: the pin keeps the background freezer
-            # from retiring the epoch (and its shm segments) mid-walk.
-            # The view has no ``pin`` of its own, so the recursion runs
-            # the normal path exactly once.
+            # Live trees (repro.lsm.LiveIndex) are searched through one
+            # pinned epoch view, so a concurrent fold cannot swap the
+            # union out mid-walk.  The view has no ``pin`` of its own,
+            # so the recursion runs the normal path exactly once.
             with pin() as view:
                 pinned = copy.copy(self)
                 pinned.tree = view

@@ -497,7 +497,9 @@ class SnapshotEngine:
             if trace is not None:
                 t_record("expand", key, q_lo, q_hi)
             fc, lc = snap.first_child[key], snap.last_child[key]
-            tree.buffer.get(snap.record_id[key], "node")
+            rid = snap.record_id[key]
+            if rid >= 0:  # -1: a live overlay node, charged nothing
+                tree.buffer.get(rid, "node")
             stats.expansions += 1
             status[key] = _EXPANDED
             expanded[key] = (fc, lc)
@@ -762,7 +764,9 @@ class SnapshotEngine:
                 count += cnt[e]
                 continue
             stats.verify_node_reads += 1
-            tree.buffer.get(snap.record_id[e], "verify")
+            rid = snap.record_id[e]
+            if rid >= 0:
+                tree.buffer.get(rid, "verify")
             stack.extend(range(snap.first_child[e], snap.last_child[e]))
         return count <= k - 1
 

@@ -64,20 +64,6 @@ class StaleSegmentError(SnapshotSegmentError):
     """
 
 
-class OverlayPendingError(ReproError):
-    """A frozen-only artifact was requested from a dirty live index.
-
-    Raised by :class:`repro.lsm.LiveIndex` when ``snapshot()`` or
-    ``export_segment()`` is called while overlay objects or tombstones
-    are pending: the columnar snapshot cannot represent the live union,
-    and serving the stale frozen one would silently drop writes.  Fold
-    first (``freeze_step()`` / the background freezer) or use the merged
-    seed walk.  Deliberately *not* a :class:`QueryError` — the query
-    service's degradation chain treats it as an engine failure and
-    degrades the snapshot hop to the merged seed walk.
-    """
-
-
 class QueryError(ReproError):
     """A query was issued with invalid parameters."""
 

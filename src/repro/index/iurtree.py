@@ -17,7 +17,7 @@ machinery: every document gets cluster label 0.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import IndexConfig
 from ..errors import DatasetError, IndexError_, QueryError
@@ -239,6 +239,19 @@ class IURTree:
         self.buffer.get(record_id, tag)
         return list(self._rtree.node(entry.ref).entries)
 
+    def peek_children(self, entry: Entry) -> Tuple[int, List[Entry]]:
+        """``(record id, children)`` of a directory entry, charging no I/O.
+
+        The snapshot freeze reads the structure through this accessor,
+        so the slots it lays out are the entries :meth:`children` hands
+        the seed walk, and the record id is the page it would charge
+        (an unpersisted node raises, as it does there).
+        """
+        record_id = self._record_ids.get(entry.ref)
+        if record_id is None:
+            raise IndexError_(f"node {entry.ref} was never persisted")
+        return record_id, self._rtree.node(entry.ref).entries
+
     def object(self, oid: int) -> STObject:
         """Fetch the concrete object (its I/O was paid by the leaf read)."""
         return self.dataset.get(oid)
@@ -430,16 +443,8 @@ class IURTree:
         searcher running ``engine="snapshot"`` against an unchanged tree
         shares one snapshot.
         """
-        from ..perf import kernels
-
         cached = self._snapshot_cache
-        if (
-            cached is not None
-            and cached.generation == self.generation
-            # A backend switch invalidates the pre-frozen kernel forms
-            # captured in the snapshot (parity runs flip REPRO_KERNEL).
-            and cached.kernel_backend == kernels.backend_name()
-        ):
+        if cached is not None and cached.is_current(self.generation):
             return cached
         from ..perf.snapshot import IndexSnapshot
 

@@ -8,14 +8,15 @@ keeps a warm snapshot.  :class:`LiveIndex` is the standard LSM answer:
 * **inserts** land in a small in-memory :class:`DeltaOverlay` IUR-tree;
 * **deletes** of frozen objects become :class:`Tombstones` that mask the
   frozen entries (the frozen structure is never touched);
-* **queries** run the unmodified branch-and-bound walk over the *union*
-  of both sources through an :class:`EpochView` that implements the tree
-  traversal protocol; and
+* **queries** see the *union* of both sources through an
+  :class:`EpochView` that implements the tree traversal protocol; while
+  writes are pending, :meth:`EpochView.snapshot` freezes that view into
+  one columnar union snapshot per write generation, so every reader runs
+  the snapshot engine whatever the overlay holds; and
 * a **freezer** (:meth:`LiveIndex.freeze_step`, or the background thread
   started by :meth:`LiveIndex.start_freezer`) folds the overlay into a
-  freshly built frozen generation and atomically swaps it behind a
-  read-side epoch pin, retiring the old generation's shm segments only
-  once the last pinned reader drains.
+  freshly built frozen generation and atomically swaps in a new view;
+  readers holding the old view finish on it, and nothing needs retiring.
 
 Why pruning stays sound against the union
 -----------------------------------------
@@ -39,12 +40,21 @@ therefore
   summaries are built from the live overlay R-tree, so overlay objects
   participate in every contribution list with exact counts.
 
+The union snapshot is frozen from those very entries:
+:meth:`~repro.perf.snapshot.IndexSnapshot.from_tree` reads the view
+through :meth:`EpochView.peek_children`, which serves what
+:meth:`EpochView.children` serves without charging I/O, in the order
+the seed walk expands it.  The snapshot engine is a line-faithful port
+of the seed walk, so over one view both walks take the same decisions
+and charge the same pages (overlay nodes carry record id ``-1`` and
+charge none).
+
 Frozen-side *floors* (the approx sketch tier, shard admission
-summaries) are derived from the pre-write snapshot and are **not**
-re-derived per write; while the overlay is dirty the searcher resolves
-to the seed walk (see ``RSTkNNSearcher._resolve_engine``), which uses
-none of them.  After a freeze the view is clean again and the frozen
-fast paths (snapshot / approx / shm) all re-apply.
+summaries) are fold-time artifacts and are **not** re-derived per
+write: while the overlay is dirty an ``approx`` searcher resolves to
+the snapshot engine (see ``RSTkNNSearcher._resolve_engine``), and
+:class:`~repro.lsm.scatter.LiveScatterGather` skips shard admission.
+After a fold the view is clean again and both re-apply.
 
 See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 """
@@ -52,20 +62,17 @@ See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 from __future__ import annotations
 
 import contextlib
+import pickle
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..errors import (
-    ConfigError,
-    DatasetError,
-    IndexError_,
-    OverlayPendingError,
-)
+from ..errors import ConfigError, DatasetError, IndexError_
 from ..index.entry import Entry
 from ..index.rtree import RTree
 from ..model.objects import STObject
 from ..obs.metrics import registry_or_null
+from ..perf.snapshot import IndexSnapshot
 from ..service.faults import check_freeze, current_plan
 from ..text import IntervalVector
 
@@ -257,11 +264,10 @@ class EpochView:
     """One immutable epoch: frozen tree + overlay + tombstones.
 
     Implements the tree traversal protocol (``root_entry`` /
-    ``outlier_entries`` / ``children`` / ``object`` / ``num_clusters`` /
-    ``snapshot`` / ...) so the unmodified seed walk — and every consumer
-    that duck-types a tree — runs over the union of both sources.
-    Readers obtain a view via :meth:`LiveIndex.pin`, which keeps the
-    freezer from retiring the epoch (and its shm segments) mid-walk.
+    ``outlier_entries`` / ``children`` / ``peek_children`` / ``object``
+    / ``num_clusters`` / ``snapshot`` / ...) so every walk — and every
+    consumer that duck-types a tree — runs over the union of both
+    sources.  Readers obtain a view via :meth:`LiveIndex.pin`.
     """
 
     def __init__(self, owner: "LiveIndex", frozen) -> None:
@@ -274,8 +280,12 @@ class EpochView:
         #: Memoized tombstone-adjusted directory entries, keyed by frozen
         #: node id; cleared by every delete (decrements change).
         self._adjust_memo: Dict[int, Optional[Entry]] = {}
-        self._pins = 0
-        self._segments: Dict[Tuple[str, float], object] = {}
+        #: The owner's write generation when this view last changed; a
+        #: fold's swap leaves a swapped-out view's generation as it was.
+        self.generation = owner.generation
+        #: The last union snapshot a dirty read froze (``None`` until
+        #: one asks); stale once :attr:`generation` moves past it.
+        self._union: Optional[IndexSnapshot] = None
 
     # -- traversal protocol (delegating reads) -------------------------
 
@@ -300,14 +310,14 @@ class EpochView:
         return self.frozen.buffer
 
     @property
+    def disk(self):
+        """The frozen tree's simulated disk (shm page tables read it)."""
+        return self.frozen.disk
+
+    @property
     def kind(self) -> str:
         """The frozen tree's kind tag (``"iur"`` / ``"ciur"``)."""
         return self.frozen.kind
-
-    @property
-    def generation(self) -> int:
-        """The owner's write generation (bumped by every write)."""
-        return self._owner.generation
 
     @property
     def overlay_dirty(self) -> bool:
@@ -343,17 +353,15 @@ class EpochView:
             raise IndexError_(f"cannot expand object entry {entry.ref}")
         if entry.ref >= OVERLAY_REF_BASE:
             return self.overlay.children(entry.ref)
-        dead = self.tombstones.oids
-        out: List[Entry] = []
-        for child in self.frozen.children(entry, tag):
-            if child.is_object:
-                if child.ref not in dead:
-                    out.append(child)
-            else:
-                adjusted = self._adjusted(child)
-                if adjusted is not None:
-                    out.append(adjusted)
-        return out
+        return self._masked(self.frozen.children(entry, tag))
+
+    def peek_children(self, entry: Entry) -> Tuple[int, List[Entry]]:
+        """``(record id, children)`` as :meth:`children` serves them,
+        charging no I/O; overlay nodes live in memory (record id ``-1``)."""
+        if entry.ref >= OVERLAY_REF_BASE:
+            return -1, self.overlay.children(entry.ref)
+        record_id, children = self.frozen.peek_children(entry)
+        return record_id, self._masked(children)
 
     def object(self, oid: int) -> STObject:
         """Fetch the concrete object from the shared dataset."""
@@ -371,29 +379,52 @@ class EpochView:
             frozen += 1
         return frozen
 
-    def snapshot(self):
-        """The frozen snapshot — only legal while the view is clean.
+    def snapshot(self) -> IndexSnapshot:
+        """The frozen tree's snapshot while clean; while dirty, this
+        view frozen into a union snapshot, memoized until the next write.
 
-        Raises :class:`~repro.errors.OverlayPendingError` while overlay
-        objects or tombstones are pending: the columnar snapshot cannot
-        represent the union, and silently serving the stale frozen one
-        would drop live writes.  ``QueryService`` catches this and
-        degrades the snapshot hop to the merged seed walk.
+        The freeze holds the owner's view lock (see :class:`LiveIndex`),
+        so it never sees half a write nor waits for a fold's rebuild.
+        The read that replaces a stale union releases it after letting
+        go of the lock, so no write pays for freeing its pair memos.
         """
-        if self.overlay_dirty:
-            raise OverlayPendingError(
-                f"live overlay has {len(self.overlay)} objects and "
-                f"{len(self.tombstones)} tombstones pending; run "
-                "freeze_step() (or let the background freezer fold) "
-                "before taking a frozen snapshot"
-            )
-        return self.frozen.snapshot()
+        owner = self._owner
+        stale = None
+        with owner._view_lock:
+            if not self.overlay_dirty:
+                union = None
+            else:
+                union = self._union
+                if union is None or not union.is_current(self.generation):
+                    stale, union = union, IndexSnapshot.from_tree(self)
+                    self._union = union
+                    if owner._view is not self:
+                        # A fold swapped this view out and released its
+                        # union; a late reader's freeze memoizes nothing.
+                        union.release()
+        if stale is not None:
+            stale.release()
+        return union if union is not None else self.frozen.snapshot()
 
     def reset_io(self, cold: bool = True) -> None:
         """Zero the frozen tree's I/O counters."""
         self.frozen.reset_io(cold)
 
     # -- internal ------------------------------------------------------
+
+    def _masked(self, children: List[Entry]) -> List[Entry]:
+        """Frozen children minus tombstoned objects and dead subtrees."""
+        dead = self.tombstones.oids
+        out: List[Entry] = []
+        for child in children:
+            if child.is_object:
+                if child.ref not in dead:
+                    out.append(child)
+            else:
+                adjusted = self._adjusted(child)
+                if adjusted is not None:
+                    out.append(adjusted)
+        return out
 
     def _adjusted(self, entry: Entry) -> Optional[Entry]:
         decrements = self.tombstones.node_decrements.get(entry.ref)
@@ -406,10 +437,10 @@ class EpochView:
         memo[entry.ref] = adjusted
         return adjusted
 
-    def _release_segments(self) -> None:
-        segments, self._segments = self._segments, {}
-        for segment in segments.values():
-            segment.release()
+
+def _unpickled(tree):
+    """What an unpickled clean :class:`LiveIndex` becomes: its frozen tree."""
+    return tree
 
 
 class LiveIndex:
@@ -420,15 +451,17 @@ class LiveIndex:
         live = LiveIndex(IURTree.build(dataset))
         obj = live.insert(Point(1.0, 2.0), "coffee wifi")
         live.delete_object(victim_oid)
-        searcher = RSTkNNSearcher(live)       # merged walk while dirty
-        live.freeze_step()                    # fold -> clean fast paths
+        searcher = RSTkNNSearcher(live)       # union snapshot while dirty
+        live.freeze_step()                    # fold -> frozen snapshot
 
     Concurrency model: **one writer** (inserts/deletes, possibly the
     application thread) plus the **background freezer** plus any number
-    of **readers**.  Readers never take the writer lock — :meth:`pin`
-    touches only a small pin lock, so queries stay off the freeze path;
-    writers and the freezer serialize on the writer lock (a writer
-    blocks for the duration of a fold, which is the LSM trade).
+    of **readers**.  Writers and the freezer serialize on the writer
+    lock (a writer blocks for the duration of a fold, which is the LSM
+    trade).  Readers never take it: a union freeze takes only the view
+    lock, which each write holds around its view mutation and
+    generation bump and a fold only around its swap, so queries stay
+    off the fold path; a write arriving during a freeze waits it out.
     Concurrent writers, or a reader mutating the dataset mid-walk, are
     not supported — the same contract as the underlying tree.
     """
@@ -460,11 +493,10 @@ class LiveIndex:
         self.freeze_threshold = int(freeze_threshold)
         self._build_method = build_method
         self._lock = threading.RLock()  # writers + freezer
-        self._pin_lock = threading.Lock()  # readers (epoch pin/retire)
+        self._view_lock = threading.Lock()  # view mutations, swaps, freezes
         self.generation = getattr(tree, "generation", 0)
         self.epoch = 0
         self._view = EpochView(self, tree)
-        self._retired: List[EpochView] = []
         self._freezer: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.metrics = registry_or_null(metrics)
@@ -495,13 +527,18 @@ class LiveIndex:
         return self._view.buffer
 
     @property
+    def disk(self):
+        """The current epoch's simulated disk."""
+        return self._view.disk
+
+    @property
     def kind(self) -> str:
         """The frozen tree's kind tag."""
         return self._view.kind
 
     @property
     def frozen_tree(self):
-        """The current epoch's frozen tree (shm/pickle transports)."""
+        """The current epoch's frozen tree."""
         return self._view.frozen
 
     @property
@@ -533,37 +570,44 @@ class LiveIndex:
         """Warm both sources of the current epoch."""
         return self._view.warm_kernels()
 
-    def snapshot(self):
-        """Frozen snapshot of the current epoch (clean epochs only)."""
+    def snapshot(self) -> IndexSnapshot:
+        """The current view's snapshot (the union one while dirty)."""
         return self._view.snapshot()
 
     def reset_io(self, cold: bool = True) -> None:
         """Zero the current epoch's I/O counters."""
         self._view.reset_io(cold)
 
+    def __reduce_ex__(self, protocol):
+        """Pickle as the plain frozen tree while clean (the pickle
+        transport); a dirty index raises :class:`pickle.PicklingError`,
+        as the frozen tree alone would drop the pending writes."""
+        view = self._view
+        if view.overlay_dirty:
+            raise pickle.PicklingError(
+                f"live overlay has {len(view.overlay)} objects and "
+                f"{len(view.tombstones)} tombstones pending; only a "
+                "folded index pickles"
+            )
+        return _unpickled, (view.frozen,)
+
     # -- reads ---------------------------------------------------------
 
     @contextlib.contextmanager
     def pin(self) -> Iterator[EpochView]:
-        """Pin the current epoch for one read and yield its view.
+        """Yield the current epoch's view for one read.
 
-        While pinned, :meth:`freeze_step` may swap in a new epoch but
-        will not retire this one (its shm segments stay mapped); the
-        last unpin releases retired epochs.  The yielded view has no
-        ``pin`` of its own, so searchers recurse through it exactly
-        once.
+        A fold swaps in a new view and leaves this one as it was, and
+        the snapshot walk reads the union snapshot it took whole under
+        the view lock, so a reader sees one state for its whole walk.
+        Reads of a dirty view count as ``lsm.reads.merged``.  The
+        yielded view has no ``pin`` of its own, so searchers recurse
+        through it exactly once.
         """
-        with self._pin_lock:
-            view = self._view
-            view._pins += 1
-            if view.overlay_dirty:
-                self._ctr_merged.inc()
-        try:
-            yield view
-        finally:
-            with self._pin_lock:
-                view._pins -= 1
-                self._drain_retired()
+        view = self._view
+        if view.overlay_dirty:
+            self._ctr_merged.inc()
+        yield view
 
     # -- writes --------------------------------------------------------
 
@@ -592,8 +636,9 @@ class LiveIndex:
                 )
             view = self._view
             label, _ = view.frozen.assign_cluster(obj)
-            view.overlay.insert(obj, label)
-            self.generation += 1
+            with self._view_lock:
+                view.overlay.insert(obj, label)
+                self._written(view)
             self._publish_sizes(view)
 
     def delete_object(self, oid: int) -> bool:
@@ -610,25 +655,22 @@ class LiveIndex:
             except DatasetError:
                 return False
             view = self._view
-            if oid in view.overlay:
-                if not view.overlay.delete(obj):  # pragma: no cover
-                    return False
+            with self._view_lock:
+                if oid in view.overlay:
+                    if not view.overlay.delete(obj):  # pragma: no cover
+                        return False
+                elif any(o.oid == oid for o in view.frozen.outliers):
+                    view.tombstones.add_outlier(oid)
+                else:
+                    path = frozen_path(view.frozen.rtree, oid, obj.mbr())
+                    if path is None:
+                        return False
+                    view.tombstones.add(
+                        oid, view.frozen.cluster_label(oid), path
+                    )
+                    view._adjust_memo.clear()
                 self.dataset.remove_object(oid)
-                self.generation += 1
-                self._publish_sizes(view)
-                return True
-            if any(o.oid == oid for o in view.frozen.outliers):
-                view.tombstones.add_outlier(oid)
-            else:
-                path = frozen_path(view.frozen.rtree, oid, obj.mbr())
-                if path is None:
-                    return False
-                view.tombstones.add(
-                    oid, view.frozen.cluster_label(oid), path
-                )
-                view._adjust_memo.clear()
-            self.dataset.remove_object(oid)
-            self.generation += 1
+                self._written(view)
             self._publish_sizes(view)
             return True
 
@@ -641,8 +683,7 @@ class LiveIndex:
         (the background thread calls the same method).  Builds a brand
         new tree over the current logical dataset — the parity anchor:
         post-fold trees *are* freshly built — warms it, then atomically
-        swaps the epoch.  Readers pinned to the old epoch keep serving
-        it; its shm segments are released when the last pin drains.
+        swaps the epoch.  Readers holding the old view finish on it.
 
         The ``REPRO_FAULTS`` ``freeze_fail`` fault point sits after the
         rebuild and **before** any visible state change, so an injected
@@ -665,13 +706,12 @@ class LiveIndex:
             except Exception:
                 self._ctr_failures.inc()
                 raise
-            new_view = EpochView(self, rebuilt)
-            with self._pin_lock:
-                self._view = new_view
+            with self._view_lock:
                 self.epoch += 1
                 self.generation += 1
-                self._retired.append(view)
-                self._drain_retired()
+                new_view = self._view = EpochView(self, rebuilt)
+            if view._union is not None:  # pinned readers may still use it
+                view._union.release()
             self._hist_freeze.observe(time.perf_counter() - started)
             self._ctr_swaps.inc()
             self._publish_sizes(new_view)
@@ -709,47 +749,13 @@ class LiveIndex:
         self._freezer = None
 
     def close(self) -> None:
-        """Stop the freezer and release every epoch's shm segments."""
+        """Stop the background freezer (the index stays usable)."""
         self.stop_freezer()
-        with self._pin_lock:
-            retired, self._retired = self._retired, []
-            current = self._view
-        for view in retired:
-            view._release_segments()
-        current._release_segments()
 
     def pending(self) -> int:
         """Overlay objects + tombstones awaiting the next fold."""
         view = self._view
         return len(view.overlay) + len(view.tombstones)
-
-    # -- transports ----------------------------------------------------
-
-    def export_segment(self, config=None, te_weight: float = 0.05):
-        """Epoch-owned shm segment over the frozen snapshot (memoized).
-
-        Reused across batch runs of the same epoch and released by the
-        refcounted epoch retirement instead of per-run — callers must
-        *not* call ``release()`` themselves.  Raises
-        :class:`~repro.errors.OverlayPendingError` while dirty.
-        """
-        with self._lock:
-            view = self._view
-            if view.overlay_dirty:
-                raise OverlayPendingError(
-                    "cannot export a shared segment while the overlay "
-                    "is dirty; freeze first"
-                )
-            key = (repr(config), te_weight)
-            segment = view._segments.get(key)
-            if segment is None:
-                from ..perf.shm import SharedSnapshotSegment
-
-                segment = SharedSnapshotSegment.create(
-                    view.frozen, config=config, te_weight=te_weight
-                )
-                view._segments[key] = segment
-            return segment
 
     # -- internal ------------------------------------------------------
 
@@ -764,15 +770,10 @@ class LiveIndex:
                 # retries the fold.
                 continue
 
-    def _drain_retired(self) -> None:
-        # Caller holds _pin_lock.
-        keep: List[EpochView] = []
-        for view in self._retired:
-            if view._pins > 0:
-                keep.append(view)
-            else:
-                view._release_segments()
-        self._retired = keep
+    def _written(self, view: EpochView) -> None:
+        # Caller holds _view_lock: one write changed ``view``.
+        self.generation += 1
+        view.generation = self.generation
 
     def _publish_sizes(self, view: EpochView) -> None:
         self._gauge_overlay.set(float(len(view.overlay)))

@@ -10,9 +10,11 @@ both directions are unsound for admission against the live union.
   over a sharded index built from the epoch's dataset, rebuilt lazily
   whenever the frozen epoch advances (the shard build is freeze-time
   work, not query-time work);
-* **dirty epoch** — the merged seed walk over the epoch view
-  (overlay + tombstone-masked frozen tree), bypassing shard admission
-  entirely; counted by ``lsm.scatter.merged``.
+* **dirty epoch** — one unsharded searcher over the epoch view
+  (overlay + tombstone-masked frozen tree), which walks the view's
+  union snapshot; shard admission is bypassed entirely, because its
+  summaries are fold-time artifacts too.  Counted by
+  ``lsm.scatter.merged``.
 
 Both regimes return :class:`~repro.shard.ShardSearchResult`, so callers
 keep one result shape across folds.
@@ -82,7 +84,7 @@ class LiveScatterGather:
     # -- reads ---------------------------------------------------------
 
     def search(self, query, k: int) -> ShardSearchResult:
-        """Scatter–gather when the epoch is clean, merged walk when not.
+        """Scatter–gather when the epoch is clean, the union when not.
 
         The dirty-path result reports ``shards_searched = 0`` — no shard
         admission ran, because freeze-time admission bounds are unsound
@@ -92,13 +94,9 @@ class LiveScatterGather:
             if view.overlay_dirty:
                 self._ctr_merged.inc()
                 started = time.perf_counter()
-                seed = RSTkNNSearcher(
-                    view,
-                    config=self._config,
-                    te_weight=self._te_weight,
-                    engine="seed",
-                )
-                result = seed.search(query, k)
+                result = RSTkNNSearcher(
+                    view, config=self._config, te_weight=self._te_weight
+                ).search(query, k)
                 stats = ShardQueryStats(
                     shards_total=self.shard_count,
                     shards_searched=0,

@@ -16,13 +16,21 @@ Query *streams* are where the snapshot memo and kernel work pay off:
   initializer ships only the segment *name* — and falls back to
   pickling the whole object graph when shared memory is unavailable
   (``BatchStats.fallback_reason`` records why, e.g.
-  ``"shm_unavailable (numpy is not importable)"``).  Either way each
+  ``"shm_unavailable (numpy is not importable)"``).  A seed-engine
+  batch ships pickle without a recorded fallback: the seed walk reads
+  the object graph, so pickle is its only transport.  Either way each
   worker keeps its own searcher for the queries routed to it, so no
   mutable state is shared and results are bit-identical to sequential
   runs.  When the tree cannot be pickled either, the engine falls back
   to sequential execution rather than failing the workload (reason
   recorded, and a :class:`RuntimeWarning` is emitted once per
   searcher).
+
+A live index (:class:`repro.lsm.LiveIndex`) is batched like any tree.
+Each run exports the snapshot current at dispatch — the union snapshot
+while writes are pending — into a segment it owns and releases.  A
+dirty index does not pickle (it names the pending overlay), so under
+the pickle transport a dirty batch runs sequentially.
 
 Results come back in query order regardless of mode, with aggregate
 throughput and latency statistics in :class:`BatchStats`.
@@ -41,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import BATCH_SHARE_MODES, SimilarityConfig
 from ..core.rstknn import RSTkNNSearcher, SearchResult
-from ..errors import QueryError
+from ..errors import ConfigError
 from ..index.iurtree import IURTree
 from ..model.objects import STObject
 from ..obs.metrics import MetricsRegistry, latency_percentiles, record_search
@@ -242,13 +250,16 @@ class BatchSearcher:
         picks parallel mode's index transport (one of
         :data:`repro.config.BATCH_SHARE_MODES`):
         ``auto`` ships a zero-copy shared-memory snapshot segment when
-        numpy and ``multiprocessing.shared_memory`` are present and the
-        engine is not the seed walk, recording
-        ``fallback_reason="shm_unavailable (...)"`` when it has to
-        pickle instead; ``shm`` does the same but warns on fallback;
-        ``pickle`` always ships the pickled object graph (workers under
-        shm run the snapshot engine, which is bit-identical on results
-        and decision counters by the engine parity contract).
+        numpy and ``multiprocessing.shared_memory`` are present,
+        recording ``fallback_reason="shm_unavailable (...)"`` when it
+        has to pickle instead, and ships a seed-engine batch by pickle
+        with nothing recorded (pickle is the seed walk's only
+        transport); ``shm`` warns on fallback and records the seed
+        engine as one; ``pickle`` always ships the pickled object graph
+        (workers under shm run the snapshot engine, which is
+        bit-identical on results and decision counters by the engine
+        parity contract).  ``workers < 1`` or an unknown ``share``
+        raise :class:`~repro.errors.ConfigError`.
         ``metrics`` attaches a
         :class:`repro.obs.MetricsRegistry`: each run then records
         per-query counters/latencies and phase-timer gauges (``None``
@@ -264,9 +275,9 @@ class BatchSearcher:
         :class:`~repro.errors.ConfigError`); parallel mode bakes that
         sketch into the shm segment once, and every worker reads it."""
         if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers}")
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         if share not in BATCH_SHARE_MODES:
-            raise QueryError(
+            raise ConfigError(
                 f"unknown batch share mode {share!r}; "
                 f"expected one of {BATCH_SHARE_MODES}"
             )
@@ -285,7 +296,6 @@ class BatchSearcher:
         self._retry_note: Optional[str] = None
         self._share_used: Optional[str] = None
         self._share_note: Optional[str] = None
-        self._seg_owned = True
         self._worker_rss: Optional[int] = None
         self._warned_reasons: Set[str] = set()
         self._searcher = RSTkNNSearcher(
@@ -302,23 +312,7 @@ class BatchSearcher:
             tree.warm_kernels()
 
     def run(self, queries: Sequence[STObject], k: int) -> BatchResult:
-        """Execute the workload; results align with ``queries`` order.
-
-        Live trees (:class:`repro.lsm.LiveIndex`) run under one epoch
-        pin, so a background fold cannot retire the epoch — or the shm
-        segment parallel workers are attached to — mid-batch.  While
-        the overlay is dirty, parallel dispatch degrades to the
-        sequential merged seed walk (recorded as
-        ``fallback_reason="live_overlay_dirty (...)"``); clean live
-        trees run every mode, shipping the epoch's frozen tree.
-        """
-        pin = getattr(self.tree, "pin", None)
-        if pin is None:
-            return self._run_impl(queries, k)
-        with pin():
-            return self._run_impl(queries, k)
-
-    def _run_impl(self, queries: Sequence[STObject], k: int) -> BatchResult:
+        """Execute the workload; results align with ``queries`` order."""
         queries = list(queries)
         started = time.perf_counter()
         timer = PhaseTimer()
@@ -329,20 +323,7 @@ class BatchSearcher:
         self._share_used = None
         self._share_note = None
         self._worker_rss = None
-        live_dirty = bool(getattr(self.tree, "overlay_dirty", False))
-        if live_dirty and self.workers > 1 and len(queries) > 1:
-            # shm/pickle-parallel dispatch runs over the frozen snapshot,
-            # which cannot represent pending overlay writes; the merged
-            # seed walk is the only sound executor until the next fold.
-            workers_used = 1
-            fallback_reason = (
-                "live_overlay_dirty (merged seed walk; fold the overlay "
-                "to restore parallel dispatch)"
-            )
-            self._count_fallback("live_overlay_dirty")
-            with timer.phase("walk"):
-                results = self._run_sequential(queries, k)
-        elif self.workers > 1 and len(queries) > 1:
+        if self.workers > 1 and len(queries) > 1:
             results = self._run_parallel(queries, k, timer)
             if results is None:  # unpicklable index — degrade gracefully
                 workers_used = 1
@@ -476,11 +457,11 @@ class BatchSearcher:
         self._warned_reasons.add(message)
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
-    def _share_eligibility(self) -> Tuple[bool, str]:
-        """Whether the shm transport can serve this searcher's setup."""
+    def _share_eligibility(self, engine: str) -> Tuple[bool, str]:
+        """Whether the shm transport can serve ``engine``."""
         from .shm import shm_available  # noqa: PLC0415 — lazy perf layer
 
-        if self.engine == "seed":
+        if engine == "seed":
             return False, "engine 'seed' walks the object graph, not a snapshot"
         return shm_available()
 
@@ -492,19 +473,20 @@ class BatchSearcher:
         the pool drains (``None`` under the pickle transport), and
         ``payload`` is ``None`` when even pickling failed (the caller
         degrades to sequential).  Export/pickle time lands in the
-        ``share`` phase so it is visible next to ``walk``.
+        ``share`` phase so it is visible next to ``walk``.  Both
+        payloads carry the engine this run resolves to (a dirty live
+        index resolves ``approx`` to ``snapshot``).
         """
+        engine = self._searcher._resolve_engine(None)
         seg = None
-        why = ""
-        self._seg_owned = True
-        if self.share != "pickle":
-            ok, why = self._share_eligibility()
+        if self.share == "shm" or (self.share == "auto" and engine != "seed"):
+            ok, why = self._share_eligibility(engine)
             if ok:
                 from .shm import SharedSnapshotSegment  # noqa: PLC0415
 
                 try:
                     with timer.phase("share"):
-                        if self.engine == "approx":
+                        if engine == "approx":
                             # Bake the sketch into the segment so workers
                             # attach it zero-copy instead of rebuilding
                             # it once per process.
@@ -517,25 +499,11 @@ class BatchSearcher:
                                 ),
                                 kmax=self.sketch_kmax,
                             )
-                        exporter = getattr(
-                            self.tree, "export_segment", None
+                        seg = SharedSnapshotSegment.create(
+                            self.tree,
+                            config=self.config,
+                            te_weight=self.te_weight,
                         )
-                        if exporter is not None:
-                            # Live trees own their segment per epoch:
-                            # it is reused across runs and released by
-                            # the refcounted epoch retirement, not at
-                            # the end of this run.
-                            seg = exporter(
-                                config=self.config,
-                                te_weight=self.te_weight,
-                            )
-                            self._seg_owned = False
-                        else:
-                            seg = SharedSnapshotSegment.create(
-                                self.tree,
-                                config=self.config,
-                                te_weight=self.te_weight,
-                            )
                         payload = pickle.dumps(
                             (
                                 "shm",
@@ -543,9 +511,7 @@ class BatchSearcher:
                                 seg.generation,
                                 self.config,
                                 self.te_weight,
-                                "approx"
-                                if self.engine == "approx"
-                                else "snapshot",
+                                engine,
                                 self.sketch_kmax,
                             )
                         )
@@ -553,7 +519,7 @@ class BatchSearcher:
                     self._record_shm_created(seg)
                     return payload, seg
                 except Exception as exc:  # degrade to pickle, loudly
-                    if seg is not None and self._seg_owned:
+                    if seg is not None:
                         seg.release()
                     seg = None
                     why = f"{type(exc).__name__}: {exc}"
@@ -563,13 +529,10 @@ class BatchSearcher:
                 payload = pickle.dumps(
                     (
                         "pickle",
-                        # Clean live trees ship their epoch's frozen
-                        # tree — the LiveIndex itself holds locks and a
-                        # freezer thread, which do not pickle.
-                        getattr(self.tree, "frozen_tree", self.tree),
+                        self.tree,
                         self.config,
                         self.te_weight,
-                        self.engine,
+                        engine,
                         self.sketch_kmax,
                     )
                 )
@@ -680,11 +643,9 @@ class BatchSearcher:
                         pending.append((retried, next_attempt))
         finally:
             pool.shutdown()
-            if seg is not None and self._seg_owned:
+            if seg is not None:
                 # Workers' mappings died with their processes; the
                 # parent's unlink is the last reference to the segment.
-                # (Epoch-owned segments of a live tree are released by
-                # epoch retirement instead, so later runs re-attach.)
                 seg.release()
         if seg is not None:
             metrics = self.metrics

@@ -43,8 +43,8 @@ pickle-backed and sequential runs; only I/O cache temperature differs
 unpickled tree would after ``reset_io``).
 
 Availability: the transport needs numpy (for in-place array views) and
-an engine that runs over snapshots; :func:`shm_available` reports the
-reason when it cannot run, which
+an engine that runs over snapshots (a seed-engine batch ships pickle);
+:func:`shm_available` reports the reason when it cannot run, which
 :class:`~repro.perf.batch.BatchSearcher` records as
 ``BatchStats.fallback_reason = "shm_unavailable (...)"`` while falling
 back to the pickle transport.

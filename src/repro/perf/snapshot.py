@@ -29,9 +29,12 @@ the seed searcher reasons about.
 Snapshots are immutable and generation-tagged: they are built via
 :meth:`IURTree.snapshot`, which memoizes per structural
 :attr:`~repro.index.iurtree.IURTree.generation`, so index updates
-invalidate them automatically.  A snapshot holds no reference to the
-buffer pool — the traversal engine charges I/O through the live tree so
-page accounting stays identical to the seed engine.
+invalidate them automatically.  A dirty live index freezes its
+overlay-plus-tombstones view the same way (:meth:`EpochView.snapshot
+<repro.lsm.live.EpochView.snapshot>`, memoized per write).  A snapshot
+holds no reference to the buffer pool — the traversal engine charges
+I/O through the live tree so page accounting stays identical to the
+seed engine.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class IndexSnapshot:
         "root_slots",
         "_collect_plans",
         "_engines",
+        "_released",
         "_sketches",
         "_text_matrix",
     )
@@ -107,6 +111,7 @@ class IndexSnapshot:
         self.root_slots: Tuple[int, ...] = ()
         self._collect_plans: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         self._engines: Dict[Tuple, object] = {}
+        self._released = False
         self._sketches: Dict[Tuple, object] = {}
         self._text_matrix: Optional["SnapshotTextMatrix"] = None
 
@@ -118,20 +123,22 @@ class IndexSnapshot:
     def from_tree(cls, tree) -> "IndexSnapshot":
         """Freeze the current generation of ``tree`` into columnar form.
 
-        Reads node structure directly (no simulated I/O is charged); the
-        live tree's record ids are captured so the traversal engine can
-        replay the seed's exact page-charge sequence at query time.
+        ``tree`` is an :class:`~repro.index.iurtree.IURTree` or a live
+        :class:`~repro.lsm.live.EpochView`, read through the uncharged
+        ``peek_children``: slots are the entries the seed walk expands,
+        and each directory slot keeps the record id its expansion
+        charges (``-1`` charges nothing), so the traversal engine can
+        replay the seed's page-charge sequence at query time.
         """
         snap = cls()
         snap.generation = tree.generation
         snap.kind = tree.kind
         snap.maxD = tree.dataset.proximity.max_distance
 
-        rtree = tree.rtree
-        record_ids = tree._record_ids
         entries: List = []
         first: List[int] = []
         last: List[int] = []
+        record_ids: List[int] = []
         queue: deque = deque()
 
         def add(entry) -> int:
@@ -139,6 +146,7 @@ class IndexSnapshot:
             entries.append(entry)
             first.append(0)
             last.append(0)
+            record_ids.append(-1)
             if not entry.is_object:
                 queue.append(slot)
             return slot
@@ -152,9 +160,9 @@ class IndexSnapshot:
         # Level-order expansion keeps every node's children contiguous.
         while queue:
             slot = queue.popleft()
-            node = rtree.node(entries[slot].ref)
+            record_ids[slot], children = tree.peek_children(entries[slot])
             first[slot] = len(entries)
-            for child in node.entries:
+            for child in children:
                 add(child)
             last[slot] = len(entries)
         snap.root_slots = tuple(root_slots)
@@ -172,15 +180,14 @@ class IndexSnapshot:
             snap.is_obj.append(1 if entry.is_object else 0)
             snap.first_child.append(first[slot])
             snap.last_child.append(last[slot])
+            snap.record_id.append(record_ids[slot])
             if entry.is_object:
-                snap.record_id.append(-1)
                 snap.ent_root.append(0.0)
                 snap.ent_child.append(0.0)
                 vec = entry.exact_vector()
                 snap.obj_vec.append(vec)
                 snap.obj_frozen.append(vec.frozen())
             else:
-                snap.record_id.append(record_ids.get(entry.ref, -1))
                 hist = {
                     cid: iv.doc_count for cid, iv in entry.clusters.items()
                 }
@@ -224,7 +231,9 @@ class IndexSnapshot:
         Replays the seed's ``_collect`` stack traversal over the offset
         tables once per slot and memoizes: the page-charge order and the
         id enumeration order are byte-for-byte the sequences the seed
-        engine produces for the same accepted entry.
+        engine produces for the same accepted entry.  Slots with record
+        id ``-1`` (a live overlay's in-memory nodes) charge no page, as
+        the seed walk's overlay visits charge none.
         """
         plan = self._collect_plans.get(slot)
         if plan is None:
@@ -238,7 +247,8 @@ class IndexSnapshot:
                 if is_obj[s]:
                     ids.append(ref[s])
                 else:
-                    charges.append(self.record_id[s])
+                    if self.record_id[s] >= 0:
+                        charges.append(self.record_id[s])
                     stack.extend(range(self.first_child[s], self.last_child[s]))
             plan = (tuple(charges), tuple(ids))
             self._collect_plans[slot] = plan
@@ -258,6 +268,26 @@ class IndexSnapshot:
             self._text_matrix = matrix
         return matrix
 
+    def is_current(self, generation: int) -> bool:
+        """Whether this snapshot serves ``generation`` under the active
+        kernel backend (its pre-frozen kernel forms are per backend)."""
+        return self.generation == generation and (
+            self.kernel_backend == kernels.backend_name()
+        )
+
+    def release(self) -> None:
+        """Drop the memoized engines, which point back at this snapshot,
+        and memoize none from now on: a replaced snapshot and its pair
+        memos then go with their last reader, not the cyclic GC."""
+        self._released = True  # before the swap, see _memoize
+        self._engines = {}
+
+    def _memoize(self, key: Tuple, engine):
+        engines = self._engines  # a release from here on detaches it
+        if not self._released:
+            engines[key] = engine
+        return engine
+
     def engine_for(self, tree, measure, alpha: float, te_weight: float):
         """The memoized traversal engine for one similarity setting.
 
@@ -270,8 +300,9 @@ class IndexSnapshot:
         if engine is None:
             from ..core.traversal import SnapshotEngine
 
-            engine = SnapshotEngine(tree, self, measure, alpha, te_weight)
-            self._engines[key] = engine
+            engine = self._memoize(
+                key, SnapshotEngine(tree, self, measure, alpha, te_weight)
+            )
         return engine
 
     def sketch_for(self, engine, kmax: Optional[int] = None):
@@ -318,10 +349,10 @@ class IndexSnapshot:
 
             base = self.engine_for(tree, measure, alpha, te_weight)
             sketch = self.sketch_for(base, kmax=kmax)
-            engine = ApproxEngine(
-                tree, self, measure, alpha, te_weight, sketch
+            engine = self._memoize(
+                key,
+                ApproxEngine(tree, self, measure, alpha, te_weight, sketch),
             )
-            self._engines[key] = engine
         return engine
 
     def nbytes(self) -> int:

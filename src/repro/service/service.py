@@ -11,9 +11,12 @@ behaviours a long-running index server needs:
 * **Graceful degradation.**  Each query walks
   :data:`DEGRADATION_CHAIN` — ``snapshot -> seed`` — falling back
   when an engine fails transiently (snapshot freeze failure, numpy
-  kernel trouble, injected faults).  The engines return identical ids
-  by construction, so a degraded answer is *correct*,
-  just slower; the hops taken are recorded in
+  kernel trouble, injected faults).  Every hop is an
+  :class:`~repro.core.rstknn.RSTkNNSearcher` pinned to its engine, so
+  a live index is pinned on every hop (a dirty one is served from its
+  union snapshot) and every hop records ``search.*``.  The engines
+  return identical ids by construction, so a degraded answer is
+  *correct*, just slower; the hops taken are recorded in
   :attr:`ServiceResult.degraded_path`.  Deadlines and invalid-query
   errors are never degraded away: a ``DeadlineExceeded`` or
   ``QueryError`` re-raises immediately.
@@ -129,10 +132,9 @@ class QueryService:
     """Deadline-aware, degrading, load-shedding front end to the engines.
 
     Args:
-        tree: The (C)IUR-tree to serve, or a :class:`repro.lsm.LiveIndex`:
-            while its overlay is dirty the snapshot hop raises
-            :class:`~repro.errors.OverlayPendingError` and the chain
-            degrades to the merged seed walk until the next fold.
+        tree: The (C)IUR-tree to serve, or a :class:`repro.lsm.LiveIndex`
+            (while writes are pending, the snapshot hop walks its union
+            snapshot and an ``approx`` hop resolves to ``snapshot``).
         config: Similarity configuration (defaults to the dataset's).
         te_weight: Entropy-priority weight (as in
             :class:`~repro.core.rstknn.RSTkNNSearcher`).
@@ -178,11 +180,12 @@ class QueryService:
         self.deadline_seconds = deadline_seconds
         self.metrics = registry_or_null(metrics)
         self._clock = clock
-        # The seed searcher doubles as the resolved similarity setting
-        # (measure/alpha/te_weight) shared by every hop of the chain.
-        self._seed = RSTkNNSearcher(
-            tree, config, te_weight, engine="seed", metrics=metrics
-        )
+        self._searchers = {
+            name: RSTkNNSearcher(
+                tree, config, te_weight, engine=name, metrics=metrics
+            )
+            for name in chain
+        }
         self.queue = AdmissionQueue(max_pending, metrics=self.metrics)
         self._served = self.metrics.counter(SERVED_COUNTER)
         self._degraded = self.metrics.counter(DEGRADED_COUNTER)
@@ -204,20 +207,9 @@ class QueryService:
     ) -> SearchResult:
         """Run one engine of the chain (fault hooks live here, not in
         the engines: freezes are the service's to request and fail)."""
-        seed = self._seed
-        if engine == "seed":
-            return seed.search(query, k, cancel=token)
-        check_freeze(plan)
-        snap = self.tree.snapshot()
-        if engine == "approx":
-            runner = snap.approx_engine_for(
-                self.tree, seed.measure, seed.alpha, seed.te_weight
-            )
-            return runner.search(query, k, cancel=token)
-        runner = snap.engine_for(
-            self.tree, seed.measure, seed.alpha, seed.te_weight
-        )
-        return runner.search(query, k, cancel=token)
+        if engine != "seed":
+            check_freeze(plan)
+        return self._searchers[engine].search(query, k, cancel=token)
 
     # ------------------------------------------------------------------
     # Serving

@@ -26,7 +26,7 @@ from repro.config import TEXT_MEASURES
 from repro.core.rstknn import ENGINE_CHOICES, ENGINE_ENV_VAR
 from repro.core.traversal import SnapshotEngine
 from repro.core.explain import SearchTrace
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IndexError_
 from repro.perf.snapshot import IndexSnapshot
 from repro.spatial import Point
 from repro.workloads import sample_queries
@@ -106,6 +106,12 @@ class TestSnapshotStructure:
         assert after is not before
         assert after.generation > before.generation
         assert sum(after.is_obj) == sum(before.is_obj) + 1
+
+    def test_unpersisted_node_fails_the_freeze(self, small_dataset):
+        tree = IURTree.build(small_dataset)
+        del tree._record_ids[tree.rtree.root_id]
+        with pytest.raises(IndexError_, match="never persisted"):
+            IndexSnapshot.from_tree(tree)
 
     def test_pickle_drops_cached_snapshot(self, small_dataset):
         tree = IURTree.build(small_dataset)

@@ -2,34 +2,41 @@
 
 Every parity assertion here leans on the subsystem's anchor: a fold
 builds a *brand new* tree over the mutated dataset, so "byte-identical
-to a fresh build" is checkable at any point — while dirty (merged walk
-over overlay + tombstone-masked frozen tree) and after folds.  The
-suite also pins the operational surface: the engine resolver forcing
-the merged seed walk while dirty (the approx sketch, snapshots, and
-shard admission all carry frozen-side state that deletes invalidate), the
-``freeze_fail`` fault point leaving the old generation serving, epoch
-pins keeping shm segments alive across a swap, and the ``lsm.*``
-metrics.
+to a fresh build" is checkable at any point — while dirty (the snapshot
+walk over the union snapshot frozen from overlay + tombstone-masked
+frozen tree) and after folds.  The suite also pins the union snapshot
+itself: equal to the seed walk over the same view in ids, decision
+counters and I/O, memoized per write, frozen without waiting on a fold
+and freed without the GC once a read replaces it.  Around it sits the
+operational surface: the resolver sending ``approx`` to the snapshot
+walk while dirty (the sketch and shard admission are fold-time
+artifacts that deletes invalidate), the ``freeze_fail`` fault point
+leaving the old generation serving, batches shipping the union over
+shm, and the ``lsm.*`` metrics.
 """
 
+import gc
+import threading
 import time
 
 import pytest
 
 from repro import (
     BruteForceRSTkNN,
+    CIURTree,
     ConfigError,
     IndexConfig,
     IURTree,
-    OverlayPendingError,
     QueryService,
     RSTkNNSearcher,
+    SimilarityConfig,
     STDataset,
 )
 from repro.errors import FaultInjected
 from repro.lsm import LiveIndex, LiveScatterGather
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
+from repro.perf.snapshot import IndexSnapshot
 from repro.service.faults import FaultPlan, set_plan
 from repro.spatial import Point
 from repro.workloads import sample_queries
@@ -123,22 +130,28 @@ class TestLiveParity:
         finally:
             live.close()
 
-    def test_dirty_search_forces_seed_engine(self):
+    def test_dirty_search_runs_snapshot_engine(self):
         registry = MetricsRegistry()
         ds, live = make_live(n=60)
         try:
             churn(live, ds, inserts=1, deletes=1)
             searcher = RSTkNNSearcher(live, engine="snapshot", metrics=registry)
+            approx = RSTkNNSearcher(live, engine="approx", metrics=registry)
             query = sample_queries(ds, 1, seed=2)[0]
-            result = searcher.search(query, 3)
-            assert result.ids == BruteForceRSTkNN(ds).search(query, 3)
+            expected = BruteForceRSTkNN(ds).search(query, 3)
+            assert searcher.search(query, 3).ids == expected
+            assert approx.search(query, 3).ids == expected
             counters = registry.snapshot()["counters"]
-            assert counters["search.queries.seed"] == 1
-            assert "search.queries.snapshot" not in counters
+            # The approx searcher resolves to the snapshot walk while
+            # dirty: the sketch is a fold-time artifact.
+            assert counters["search.queries.snapshot"] == 2
+            assert "search.queries.seed" not in counters
+            assert "search.queries.approx" not in counters
             live.freeze_step()
-            searcher.search(query, 3)
+            assert approx.search(query, 3).ids == expected
             counters = registry.snapshot()["counters"]
-            assert counters["search.queries.snapshot"] == 1
+            assert counters["search.queries.approx"] == 1
+            assert counters["search.queries.snapshot"] == 2
         finally:
             live.close()
 
@@ -157,7 +170,7 @@ class TestStaleSketchHazard:
     def test_stale_sketch_never_touches_dirty_answers(self):
         """Deletes make the frozen kNNL sketch overstate the
         neighborhood: answering from it would drop results.  The
-        resolver must route approx searchers through the merged seed
+        resolver must route approx searchers through the snapshot
         walk while dirty, and the post-fold sketch is rebuilt from the
         new snapshot."""
         ds, live = make_live(n=150, seed=23)
@@ -257,51 +270,282 @@ class TestEpochRetirement:
     def test_pinned_epoch_survives_a_swap(self):
         ds, live = make_live(n=80)
         try:
+            queries = sample_queries(ds, 2, seed=8)
             with live.pin() as view:
                 churn(live, ds, inserts=3, deletes=0)
+                expected = [BruteForceRSTkNN(ds).search(q, 4) for q in queries]
                 assert live.freeze_step()
-                # The pre-swap view is retired but pinned: still usable.
-                assert live._retired == [view]
                 assert view is not live._view
-            assert live._retired == []  # unpin drained it
+                # The pre-swap view is never mutated after the swap, so a
+                # reader holding it still answers for the same objects.
+                pinned = RSTkNNSearcher(view)
+                for query, ids in zip(queries, expected):
+                    assert pinned.search(query, 4).ids == ids
+            assert_parity(live, ds)
         finally:
             live.close()
 
-    def test_snapshot_refused_while_dirty(self):
+    def test_dirty_snapshot_is_the_union_per_generation(self):
         ds, live = make_live(n=60)
         try:
-            churn(live, ds, inserts=1, deletes=0)
+            churn(live, ds, inserts=2, deletes=2)
             with live.pin() as view:
-                with pytest.raises(OverlayPendingError):
-                    view.snapshot()
-            with pytest.raises(OverlayPendingError):
-                live.export_segment()
+                first = view.snapshot()
+                assert first is not view.frozen.snapshot()
+                objects = {
+                    first.ref[s] for s in range(first.n_slots) if first.is_obj[s]
+                }
+                assert objects == {o.oid for o in ds.objects}
+                assert view.snapshot() is first  # one freeze per generation
+            live.insert(Point(1.0, 1.0), "alpha")
+            second = live.snapshot()
+            assert second is not first  # a write replaces the union
+            assert sum(second.is_obj) == sum(first.is_obj) + 1
             live.freeze_step()
             with live.pin() as view:
-                assert view.snapshot() is not None
+                assert view.snapshot() is view.frozen.snapshot()
         finally:
             live.close()
 
-    def test_export_segment_is_memoized_per_epoch(self):
-        from repro.perf.shm import shm_available
 
-        ok, why = shm_available()
-        if not ok:
-            pytest.skip(f"shm transport unavailable: {why}")
-        ds, live = make_live(n=60)
+def _write_mix(live, ds, writes, seed):
+    """Alternate deletes and donor-cloned inserts through ``live``."""
+    import random
+
+    rng = random.Random(seed)
+    for i in range(writes):
+        if i % 2 == 0:
+            victim = ds.objects[rng.randrange(len(ds.objects))].oid
+            assert live.delete_object(victim)
+        else:
+            donor = ds.objects[rng.randrange(len(ds.objects))]
+            live.insert(donor.point, " ".join(donor.keywords))
+
+
+def _decisions(result):
+    """``SearchStats`` minus wall time and memo hit counts."""
+    stats = result.stats.as_dict()
+    for key in ("elapsed_seconds", "cache_hits", "cache_misses"):
+        del stats[key]
+    return stats
+
+
+class TestUnionSnapshot:
+    """The union snapshot against the seed walk over the same view."""
+
+    @pytest.mark.parametrize("kind", ["iur", "ciur"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+    def test_snapshot_walk_equals_seed_walk_on_dirty_views(self, kind, alpha):
+        ds = STDataset.from_corpus(
+            random_corpus(150, seed=3), SimilarityConfig(alpha=alpha)
+        )
+        if kind == "iur":
+            tree = IURTree.build(ds)
+        else:
+            tree = CIURTree.build(
+                ds,
+                IndexConfig(
+                    num_clusters=4,
+                    outlier_threshold=0.5,
+                    use_entropy_priority=True,
+                ),
+            )
+        live = LiveIndex(tree)
+        registry = MetricsRegistry()
         try:
-            first = live.export_segment()
-            assert live.export_segment() is first
-            churn(live, ds, inserts=1, deletes=0)
-            live.freeze_step()
-            second = live.export_segment()
-            assert second is not first  # new epoch, new segment
+            if kind == "ciur":
+                assert tree.outliers, "the OE threshold should extract outliers"
+                assert live.delete_object(tree.outliers[0].oid)
+            _write_mix(live, ds, 12, seed=5)
+            cases = 0
+            with live.pin() as view:
+                assert view.overlay_dirty
+                seed = RSTkNNSearcher(view, engine="seed")
+                snap = RSTkNNSearcher(view, engine="snapshot", metrics=registry)
+                for query in sample_queries(ds, 3, seed=9):
+                    for k in (1, 4, 9):
+                        view.reset_io()
+                        expected = seed.search(query, k)
+                        view.reset_io()
+                        got = snap.search(query, k)
+                        assert got.ids == expected.ids
+                        assert got.ids == BruteForceRSTkNN(ds).search(query, k)
+                        assert _decisions(got) == _decisions(expected)
+                        assert got.io == expected.io
+                        cases += 1
+            counters = registry.snapshot()["counters"]
+            assert counters["search.queries.snapshot"] == cases
         finally:
             live.close()
+
+    def test_dirty_read_does_not_wait_for_a_fold(self, monkeypatch):
+        ds, live = make_live(n=80)
+        entered = threading.Event()
+        release = threading.Event()
+        build = IURTree.build.__func__
+
+        def blocking_build(cls, *args, **kwargs):
+            entered.set()
+            assert release.wait(30.0), "the test never released the fold"
+            return build(cls, *args, **kwargs)
+
+        churn(live, ds, inserts=3, deletes=3)
+        monkeypatch.setattr(IURTree, "build", classmethod(blocking_build))
+        query = sample_queries(ds, 1, seed=3)[0]
+        answers = []
+
+        def read():
+            searcher = RSTkNNSearcher(live, engine="snapshot")
+            answers.append(searcher.search(query, 4))
+
+        fold = threading.Thread(target=live.freeze_step)
+        fold.start()
+        try:
+            assert entered.wait(10.0), "the fold never started its rebuild"
+            reader = threading.Thread(target=read)
+            reader.start()
+            reader.join(10.0)
+            finished = not reader.is_alive()
+        finally:
+            release.set()
+            fold.join(30.0)
+        assert finished, "a dirty read waited for the fold's rebuild"
+        assert answers[0].ids == BruteForceRSTkNN(ds).search(query, 4)
+        assert live.epoch == 1 and not live.overlay_dirty
+
+    def test_concurrent_freezes_never_see_half_a_write(self):
+        """Readers freezing while a writer writes see whole writes only:
+        every directory count equals the sum of its children's, and
+        every object set is one the writer produced."""
+        import random
+        import sys
+
+        ds, live = make_live(n=80, freeze_threshold=10**9)
+        states = [frozenset(o.oid for o in ds.objects)]
+        seen = []
+        errors = []
+        done = threading.Event()
+
+        def write():
+            rng = random.Random(5)
+            try:
+                for i in range(60):
+                    if i % 2:
+                        victim = ds.objects[rng.randrange(len(ds.objects))]
+                        live.delete_object(victim.oid)
+                    else:
+                        donor = ds.objects[rng.randrange(len(ds.objects))]
+                        live.insert(donor.point, " ".join(donor.keywords))
+                    states.append(frozenset(o.oid for o in ds.objects))
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    snap = live.snapshot()
+                    for s in range(snap.n_slots):
+                        if not snap.is_obj[s]:
+                            children = range(snap.first_child[s], snap.last_child[s])
+                            assert snap.cnt[s] == sum(snap.cnt[c] for c in children)
+                    seen.append(
+                        frozenset(
+                            snap.ref[s] for s in range(snap.n_slots) if snap.is_obj[s]
+                        )
+                    )
+            except Exception as exc:  # reported below, with the thread's name
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert seen and set(seen) <= set(states)
+
+    def test_replaced_unions_are_freed_without_the_gc(self):
+        ds, live = make_live(n=80)
+        queries = sample_queries(ds, 6, seed=12)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+        gc.collect()
+        gc.disable()
+        try:
+            # Snapshots other tests keep alive stay referenced here, so
+            # their ids cannot be reused by this test's snapshots.
+            before = [o for o in gc.get_objects() if isinstance(o, IndexSnapshot)]
+            known = {id(o) for o in before}
+            searcher.search(queries[0], 4)  # the frozen snapshot
+            for i, query in enumerate(queries[1:]):
+                live.insert(Point(float(i), 2.0), "alpha beta")
+                searcher.search(query, 4)  # one union per generation
+            alive = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, IndexSnapshot) and id(o) not in known
+            ]
+            assert len(alive) <= 2
+        finally:
+            gc.enable()
+
+    def test_write_between_freeze_and_engine_fetch_leaks_nothing(self):
+        """A write landing after a reader froze the union but before it
+        fetched its engine must not leave an engine memoized on a union
+        the view no longer holds (the steps of two threads, in order)."""
+        ds, live = make_live(n=80)
+        queries = sample_queries(ds, 4, seed=12)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+        gc.collect()
+        gc.disable()
+        try:
+            before = [o for o in gc.get_objects() if isinstance(o, IndexSnapshot)]
+            known = {id(o) for o in before}
+            searcher.search(queries[0], 4)  # the frozen snapshot
+            for i, query in enumerate(queries[1:]):
+                live.insert(Point(float(i), 2.0), "alpha beta")
+                with live.pin() as view:
+                    union = view.snapshot()  # reader: freeze
+                    live.insert(Point(float(i), 4.0), "beta gamma")  # writer
+                    engine = union.engine_for(  # reader: fetch its engine
+                        view, searcher.measure, searcher.alpha, searcher.te_weight
+                    )
+                    engine.search(query, 4)
+                del union, engine, view
+                searcher.search(query, 4)  # the next read replaces the union
+            alive = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, IndexSnapshot) and id(o) not in known
+            ]
+            assert len(alive) <= 2
+        finally:
+            gc.enable()
+
+    def test_released_snapshot_memoizes_no_engines(self):
+        ds, live = make_live(n=60)
+        churn(live, ds, inserts=2, deletes=1)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+        query = sample_queries(ds, 1, seed=4)[0]
+        searcher.search(query, 3)
+        union = live.snapshot()
+        assert union._engines
+        live.insert(Point(2.0, 2.0), "alpha")
+        searcher.search(query, 3)  # this read replaces and releases it
+        assert live.snapshot() is not union
+        assert not union._engines
+        engine = union.engine_for(live, searcher.measure, 0.5, 0.0)
+        assert engine.snap is union and not union._engines
 
 
 class TestServiceDegradation:
-    def test_dirty_live_tree_degrades_to_merged_seed_walk(self):
+    def test_dirty_live_tree_is_served_by_the_snapshot_hop(self):
         ds, live = make_live(n=100, seed=41)
         registry = MetricsRegistry()
         try:
@@ -313,9 +557,11 @@ class TestServiceDegradation:
             batch = service.drain()
             assert len(batch.results) == len(queries)
             for query, result in zip(queries, batch.results):
-                assert result.degraded
-                assert result.engine == "seed"
+                assert not result.degraded
+                assert result.engine == "snapshot"
                 assert result.ids == BruteForceRSTkNN(ds).search(query, 4)
+            counters = registry.snapshot()["counters"]
+            assert counters["search.queries.snapshot"] == len(queries)
             live.freeze_step()
             for query in queries:
                 service.submit(query, 4)
@@ -326,23 +572,7 @@ class TestServiceDegradation:
 
 
 class TestBatchLive:
-    def test_dirty_parallel_falls_back_sequential(self):
-        ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, workers=2)
-        try:
-            churn(live, ds, seed=21)
-            queries = sample_queries(ds, 4, seed=6)
-            batch = engine.run(queries, 4)
-            assert batch.stats.workers == 1
-            assert batch.stats.fallback_reason.startswith(
-                "live_overlay_dirty"
-            )
-            for query, ids in zip(queries, batch.id_lists()):
-                assert ids == BruteForceRSTkNN(ds).search(query, 4)
-        finally:
-            live.close()
-
-    def test_clean_parallel_reuses_the_epoch_segment(self):
+    def test_dirty_parallel_ships_the_union_over_shm(self):
         from repro.perf.shm import shm_available
 
         ok, why = shm_available()
@@ -351,12 +581,66 @@ class TestBatchLive:
         ds, live = make_live(n=100, seed=51)
         engine = BatchSearcher(live, workers=2, share="shm")
         try:
+            churn(live, ds, seed=21)
             queries = sample_queries(ds, 4, seed=6)
-            expected = [BruteForceRSTkNN(ds).search(q, 4) for q in queries]
-            assert engine.run(queries, 4).id_lists() == expected
-            assert len(live._view._segments) == 1
-            assert engine.run(queries, 4).id_lists() == expected
-            assert len(live._view._segments) == 1  # reused, not recreated
+            for fold in (False, True):
+                if fold:
+                    assert live.freeze_step()  # clean: the frozen snapshot
+                batch = engine.run(queries, 4)
+                assert batch.stats.workers == 2
+                assert batch.stats.share == "shm"
+                assert batch.stats.fallback_reason is None
+                for query, ids in zip(queries, batch.id_lists()):
+                    assert ids == BruteForceRSTkNN(ds).search(query, 4)
+        finally:
+            live.close()
+
+    def test_clean_parallel_ships_the_frozen_tree_by_pickle(self):
+        registry = MetricsRegistry()
+        ds, live = make_live(n=100, seed=51)
+        engine = BatchSearcher(live, workers=2, share="pickle", metrics=registry)
+        try:
+            churn(live, ds, seed=21)
+            assert live.freeze_step()
+            queries = sample_queries(ds, 4, seed=6)
+            batch = engine.run(queries, 4)
+            assert batch.stats.workers == 2
+            assert batch.stats.share == "pickle"
+            assert batch.stats.fallback_reason is None
+            counters = registry.snapshot()["counters"]
+            assert not [c for c in counters if c.startswith("batch.fallback.")]
+            for query, ids in zip(queries, batch.id_lists()):
+                assert ids == BruteForceRSTkNN(ds).search(query, 4)
+        finally:
+            live.close()
+
+    def test_pickles_as_the_frozen_tree_only_while_clean(self):
+        import pickle
+
+        ds, live = make_live(n=60)
+        try:
+            clean = pickle.loads(pickle.dumps(live))
+            assert type(clean) is IURTree
+            assert len(clean.dataset) == len(ds)
+            live.insert(Point(1.0, 1.0), "alpha")
+            with pytest.raises(pickle.PicklingError, match="pending"):
+                pickle.dumps(live)
+        finally:
+            live.close()
+
+    def test_dirty_parallel_falls_back_sequential(self):
+        ds, live = make_live(n=100, seed=51)
+        engine = BatchSearcher(live, workers=2, share="pickle")
+        try:
+            churn(live, ds, seed=21)
+            queries = sample_queries(ds, 4, seed=6)
+            with pytest.warns(RuntimeWarning, match="sequential"):
+                batch = engine.run(queries, 4)
+            assert batch.stats.workers == 1
+            assert "overlay" in batch.stats.fallback_reason
+            assert "pending" in batch.stats.fallback_reason
+            for query, ids in zip(queries, batch.id_lists()):
+                assert ids == BruteForceRSTkNN(ds).search(query, 4)
         finally:
             live.close()
 

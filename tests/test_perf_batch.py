@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.baseline import ThresholdBaseline
 from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
-from repro.errors import QueryError
+from repro.errors import ConfigError
 from repro.index.iurtree import IURTree
 from repro.perf import BatchSearcher
 from repro.spatial.point import Point
@@ -148,8 +148,10 @@ def test_batch_stats_as_dict_flattens_cache_counters():
 
 def test_rejects_nonpositive_workers():
     env = _fixture()
-    with pytest.raises(QueryError):
+    with pytest.raises(ConfigError):
         BatchSearcher(env["tree"], workers=0)
+    with pytest.raises(ConfigError):
+        BatchSearcher(env["tree"], share="x")
 
 
 def test_unpicklable_tree_falls_back_to_sequential(monkeypatch):

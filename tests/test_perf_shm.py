@@ -23,7 +23,7 @@ import warnings
 import pytest
 
 from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
-from repro.errors import QueryError, SnapshotSegmentError, StaleSegmentError
+from repro.errors import ConfigError, SnapshotSegmentError, StaleSegmentError
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
@@ -323,7 +323,7 @@ class TestStaleness:
 class TestFallback:
     def test_share_validation(self):
         env = _fixture()
-        with pytest.raises(QueryError):
+        with pytest.raises(ConfigError):
             BatchSearcher(env["tree"], share="carrier-pigeon")
 
     def test_unavailable_shm_degrades_to_pickle_with_reason(
@@ -381,13 +381,33 @@ class TestFallback:
             assert run.stats.fallback_reason == f"shm_unavailable ({why})"
 
     def test_seed_engine_is_never_shm_eligible(self):
+        """Pickle is the seed walk's only transport: under ``auto`` it
+        ships without a recorded fallback, while an explicit
+        ``share="shm"`` the seed walk cannot honour stays one."""
         env = _fixture()
+        registry = MetricsRegistry()
         bs = BatchSearcher(
-            env["tree"], workers=2, engine="seed", share="auto"
+            env["tree"], workers=2, engine="seed", share="auto",
+            metrics=registry,
         )
-        run = bs.run(env["queries"], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = bs.run(env["queries"], 3)
+        assert run.stats.share == "pickle"
+        assert run.stats.fallback_reason is None
+        counters = registry.snapshot()["counters"]
+        assert not [n for n in counters if n.startswith("batch.fallback.")]
+
+        bs = BatchSearcher(
+            env["tree"], workers=2, engine="seed", share="shm",
+            metrics=registry,
+        )
+        with pytest.warns(RuntimeWarning, match="shm transport unavailable"):
+            run = bs.run(env["queries"], 3)
         assert run.stats.share == "pickle"
         assert "seed" in run.stats.fallback_reason
+        counters = registry.snapshot()["counters"]
+        assert counters["batch.fallback.shm_unavailable"] == 1
 
     def test_poisoned_pickle_cascades_to_sequential(self, monkeypatch):
         env = _fixture()

@@ -95,9 +95,9 @@ class LiveIndexMachine(RuleBasedStateMachine):
     folds.
 
     The searcher runs over a :class:`repro.lsm.LiveIndex` (overlay +
-    tombstone-masked frozen tree, merged at query time) on
-    ``engine="approx"`` — while the overlay is dirty the engine resolver
-    must force the merged seed walk, so a stale frozen-side sketch (the
+    tombstone-masked frozen tree) on ``engine="approx"`` — while the
+    overlay is dirty the engine resolver must send it to the snapshot
+    walk over the union snapshot, so a stale frozen-side sketch (the
     tombstone-masked sketch hazard) never touches a live answer.  At
     every query the live ids are byte-compared against a tree freshly
     built from the mutated dataset AND brute force over it.
