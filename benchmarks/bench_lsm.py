@@ -2,12 +2,18 @@
 
 Runs an interleaved insert/delete/query workload through
 :class:`repro.lsm.LiveIndex` — writes land in the delta overlay (deletes
-as tombstones), reads walk the union snapshot of overlay and frozen
-tree while dirty (one freeze per write generation) and the frozen
-snapshot when clean, and the overlay folds into a fresh frozen
-generation whenever it reaches the freeze threshold (the deterministic
-stand-in for the background freezer: ``freeze_step()`` is exactly what
-the thread calls).  Writes ``BENCH_lsm.json``.
+as tombstones), reads walk the union snapshot while dirty (derived from
+the frozen tree's snapshot once per write generation, at the cost of
+the pending writes plus a column copy) and the frozen snapshot when
+clean, and the overlay folds into a fresh frozen generation whenever it
+reaches the freeze threshold (the deterministic stand-in for the
+background freezer: ``freeze_step()`` is exactly what the thread
+calls).  Each dirty read's union build is timed apart from its walk
+(``reads.union_freeze_ms``; ``reads.union_builds`` lists every build
+with its pending count); the dirty latency stays build plus walk.  The
+frozen snapshot of each generation is frozen once, outside every
+read's timing, right after the initial build and after each fold, so no
+union build includes it.  Writes ``BENCH_lsm.json``.
 
 **Hard gates** (the run exits non-zero on any failure):
 
@@ -24,6 +30,10 @@ the thread calls).  Writes ``BENCH_lsm.json``.
 3. **Write cost << re-freeze cost — armed at ``n >= 50_000``.**  The
    mean per-write latency must be at least 10x cheaper than one fold
    (a full rebuild); below that the overlay would be pointless.
+4. **Dirty reads at least half as fast as clean ones — armed at
+   ``n >= 20_000``.**  Dirty QPS (union build plus walk) must reach
+   half of clean QPS; below ``n = 20_000`` a handful of reads is too
+   noisy to gate.
 
 Usage::
 
@@ -51,6 +61,10 @@ from repro.workloads import gn_like, sample_queries
 #: fold" stops being a meaningful claim, so the cost gate stays off.
 GATE_N = 50_000
 WRITE_VS_FOLD_GATE = 10.0
+
+#: Dirty QPS must reach this share of clean QPS from ``DIRTY_GATE_N`` up.
+DIRTY_VS_CLEAN_GATE = 0.5
+DIRTY_GATE_N = 20_000
 
 
 def parity_checkpoint(
@@ -109,12 +123,16 @@ def main(argv=None) -> int:
         tree = IURTree.build(dataset)
         tree.warm_kernels()
     live = LiveIndex(tree, metrics=registry, freeze_threshold=threshold)
+    with timer.phase("build"):
+        live.snapshot()  # the frozen snapshot every union derives from
     probes = sample_queries(dataset, max(reads, 3), seed=99)
     searcher = RSTkNNSearcher(live)
 
     rng = random.Random(7)
     write_seconds: List[float] = []
     dirty_read_seconds: List[float] = []
+    union_seconds: List[float] = []
+    union_pending: List[int] = []
     fold_seconds: List[float] = []
     inserted = deleted = 0
     read_every = max(1, writes // max(reads, 1))
@@ -136,6 +154,10 @@ def main(argv=None) -> int:
             if (i + 1) % read_every == 0:
                 probe = probes[((i + 1) // read_every - 1) % len(probes)]
                 started = time.perf_counter()
+                if live.overlay_dirty:
+                    live.snapshot()  # the union build, which the read reuses
+                    union_seconds.append(time.perf_counter() - started)
+                    union_pending.append(live.pending())
                 searcher.search(probe, args.k)
                 dirty_read_seconds.append(time.perf_counter() - started)
 
@@ -155,6 +177,7 @@ def main(argv=None) -> int:
                 started = time.perf_counter()
                 live.freeze_step()
                 fold_seconds.append(time.perf_counter() - started)
+                live.snapshot()  # the new generation's frozen snapshot
 
     with timer.phase("fold"):
         if live.overlay_dirty:
@@ -193,6 +216,25 @@ def main(argv=None) -> int:
             f"({fold_mean * 1e3:.1f}ms) at n={n}"
         )
 
+    dirty_qps = (
+        len(dirty_read_seconds) / sum(dirty_read_seconds)
+        if dirty_read_seconds
+        else 0.0
+    )
+    clean_qps = (
+        len(clean_read_seconds) / sum(clean_read_seconds)
+        if clean_read_seconds
+        else 0.0
+    )
+    dirty_ratio = dirty_qps / clean_qps if clean_qps else 0.0
+    dirty_gate_armed = n >= DIRTY_GATE_N
+    if dirty_gate_armed and dirty_ratio < DIRTY_VS_CLEAN_GATE:
+        raise SystemExit(
+            f"dirty-read gate FAILED: dirty {dirty_qps:.3f} QPS is "
+            f"{dirty_ratio:.2f} of clean {clean_qps:.3f} QPS at n={n} "
+            f"(gate {DIRTY_VS_CLEAN_GATE})"
+        )
+
     report = report_header(n, args.quick, timer=timer)
     report["workload"] = {
         "writes": writes,
@@ -210,6 +252,9 @@ def main(argv=None) -> int:
         "write_vs_fold_gate": WRITE_VS_FOLD_GATE,
         "write_vs_fold_gate_armed": cost_gate_armed,
         "write_vs_fold_gate_n": GATE_N,
+        "dirty_vs_clean_gate": DIRTY_VS_CLEAN_GATE,
+        "dirty_vs_clean_gate_armed": dirty_gate_armed,
+        "dirty_vs_clean_gate_n": DIRTY_GATE_N,
     }
     report["writes"] = {
         "mean_ms": write_mean * 1000.0,
@@ -233,16 +278,14 @@ def main(argv=None) -> int:
     report["reads"] = {
         "dirty_latency_ms": latency_ms_of(dirty_read_seconds),
         "clean_latency_ms": latency_ms_of(clean_read_seconds),
-        "dirty_qps": (
-            len(dirty_read_seconds) / sum(dirty_read_seconds)
-            if dirty_read_seconds
-            else 0.0
-        ),
-        "clean_qps": (
-            len(clean_read_seconds) / sum(clean_read_seconds)
-            if clean_read_seconds
-            else 0.0
-        ),
+        "dirty_qps": dirty_qps,
+        "clean_qps": clean_qps,
+        "dirty_vs_clean_qps": dirty_ratio,
+        "union_freeze_ms": latency_ms_of(union_seconds),
+        "union_builds": [
+            {"pending": pending, "ms": seconds * 1000.0}
+            for pending, seconds in zip(union_pending, union_seconds)
+        ],
     }
     report["lsm_metrics"] = registry.snapshot()
 
@@ -250,11 +293,16 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.out}")
+    freeze = report["reads"]["union_freeze_ms"]
     print(
         f"headline: {writes} writes absorbed in {folds} folds "
         f"(budget {fold_budget}); mean write {write_mean * 1e3:.3f}ms vs "
         f"fold {fold_mean * 1e3:.1f}ms "
-        f"({report['folds']['write_vs_fold_ratio']:.0f}x); parity ok"
+        f"({report['folds']['write_vs_fold_ratio']:.0f}x); dirty "
+        f"{dirty_qps:.3f} vs clean {clean_qps:.3f} QPS "
+        f"(ratio {dirty_ratio:.2f}); union build "
+        f"p50 {freeze.get('p50', 0.0):.1f}ms p95 {freeze.get('p95', 0.0):.1f}ms "
+        f"over {len(union_seconds)} builds; parity ok"
     )
     return 0
 

@@ -273,15 +273,20 @@ class RSTkNNSearcher:
                 pinned.tree = view
                 return pinned.search(query, k, trace=trace, cancel=cancel)
         resolved = self._resolve_engine(trace)
+        if resolved != "seed":
+            snap = self.tree.snapshot()
+            if resolved == "approx" and snap.base is not None:
+                # A union: a write landed after the resolve.  Sketches
+                # are fold-time artifacts, so the exact walk serves it.
+                resolved = "snapshot"
         if resolved == "snapshot":
-            runner = self.tree.snapshot().engine_for(
+            runner = snap.engine_for(
                 self.tree, self.measure, self.alpha, self.te_weight
             )
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "snapshot", result.stats)
             return result
         if resolved == "approx":
-            snap = self.tree.snapshot()
             sketches = len(snap._sketches)
             runner = snap.approx_engine_for(
                 self.tree,

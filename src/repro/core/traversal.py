@@ -33,7 +33,19 @@ construction*, not by tolerance.  What changes is the representation:
 * pair bounds are memoized in a snapshot-resident symmetric table, so
   later queries reuse earlier queries' work; the memo cannot go stale,
   because snapshots are generation-tagged and rebuilt on index
-  mutation, and the memo lives and dies with its snapshot.
+  mutation.  A plain snapshot's memo lives and dies with it.  A live
+  index's *union* snapshot (:meth:`IndexSnapshot.union
+  <repro.perf.snapshot.IndexSnapshot.union>`) keeps the frozen slots of
+  its base at their offsets, so its engine serves every pair of frozen
+  slots the tombstones left *stable* from the base engine's memo —
+  which therefore survives writes until the next fold — and keeps only
+  pairs touching the overlay or a slot that lost a cluster in its own;
+  bounds read MBRs, interval vectors and object vectors, which a
+  tombstone leaves unchanged (``docs/UPDATES.md``); and
+* dead slots (``cnt == 0``: a union's tombstoned objects and dead
+  subtrees) are skipped wherever a child range is read — the
+  verification probe counts them as no competitor and never descends
+  into them — exactly as the seed walk never sees them.
 
 Floating-point parity notes: every arithmetic expression (clamps,
 blends, hypot finishes, kernel reductions) is copied from the seed call
@@ -133,6 +145,8 @@ class SnapshotEngine:
         #: slots -> blended ``(MinST, MaxST)`` (exact pairs store
         #: ``(s, s)``).  Persistent across queries.
         self._memo: Dict[int, Tuple[float, float]] = {}
+        #: Set by :class:`UnionEngine` (the pair-owner mask of a union).
+        self._stable: Optional[bytearray] = None
         self.hits = 0
         self.misses = 0
         #: Frontier nodes whose children share one spatial kernel call
@@ -389,7 +403,7 @@ class SnapshotEngine:
         lists: Dict[int, _CList] = {}
         status: Dict[int, str] = {}
         qbounds: Dict[int, Tuple[float, float]] = {}
-        expanded: Dict[int, Tuple[int, int]] = {}
+        expanded: Dict[int, List[int]] = {}
         counter = itertools.count()
         heap: List[Tuple[float, int, int]] = []
 
@@ -502,10 +516,10 @@ class SnapshotEngine:
                 tree.buffer.get(rid, "node")
             stats.expansions += 1
             status[key] = _EXPANDED
-            expanded[key] = (fc, lc)
+            children = [c for c in range(fc, lc) if cnt[c]]  # skip dead
+            expanded[key] = children
             parent = lists.pop(key)
             parent.d.pop(key, None)
-            children = range(fc, lc)
             for c in children:
                 status[c] = _UNDECIDED
 
@@ -566,7 +580,8 @@ class SnapshotEngine:
                             off += span
 
             parent_d = parent.d
-            for i, c in enumerate(children):
+            for c in children:
+                i = c - fc
                 # ``q_st`` and the sp finishes never touch the pair memo,
                 # so evaluating the query bound ahead of the sibling pass
                 # leaves every value and counter as in the seed order.
@@ -649,7 +664,7 @@ class SnapshotEngine:
         self,
         key: int,
         clist: _CList,
-        expanded: Dict[int, Tuple[int, int]],
+        expanded: Dict[int, List[int]],
         width: int,
     ) -> bool:
         """Lazy effect-list refinement (seed ``_tighten`` over slots)."""
@@ -664,11 +679,11 @@ class SnapshotEngine:
             if slot in seen or slot not in d:
                 continue
             seen.add(slot)
-            span = expanded.get(slot)
-            if span is not None and slot != key:
+            children = expanded.get(slot)
+            if children is not None and slot != key:
                 del d[slot]
                 tight.discard(slot)
-                for child in range(span[0], span[1]):
+                for child in children:
                     lo, hi = st(key, child)
                     d[child] = (lo, hi, cnt[child])
                     tight.add(child)
@@ -701,8 +716,10 @@ class SnapshotEngine:
         ref = snap.ref
         cnt = snap.cnt
         xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
-        memo = self._memo
-        n = snap.n_slots
+        memo = own_memo = self._memo
+        n = own_n = snap.n_slots
+        stable = self._stable
+        stable_s = stable is not None and stable[s]
         px = (xlo[s] + xhi[s]) / 2.0
         py = (ylo[s] + yhi[s]) / 2.0
         ref_s = ref[s]
@@ -713,9 +730,14 @@ class SnapshotEngine:
             if is_obj[e]:
                 if ref[e] == ref_s:
                     continue
-                if st(s, e)[1] > q_sim:
+                if st(s, e)[1] > q_sim and cnt[e]:  # a dead object: 0
                     count += 1
                 continue
+            if stable is not None:  # the memo that owns the pair
+                if stable_s and stable[e]:
+                    memo, n = self._base_memo, self._base_n
+                else:
+                    memo, n = own_memo, own_n
             pair_key = s * n + e if s <= e else e * n + s
             cached = memo.get(pair_key)
             if cached is not None:
@@ -763,12 +785,61 @@ class SnapshotEngine:
             ):
                 count += cnt[e]
                 continue
+            if not cnt[e]:  # a dead subtree: nothing to read
+                continue
             stats.verify_node_reads += 1
             rid = snap.record_id[e]
             if rid >= 0:
                 tree.buffer.get(rid, "verify")
             stack.extend(range(snap.first_child[e], snap.last_child[e]))
         return count <= k - 1
+
+
+class UnionEngine(SnapshotEngine):
+    """:class:`SnapshotEngine` over a live index's union snapshot whose
+    pair bounds between stable frozen slots live in the base engine's
+    memo (see the module docstring), so they survive writes.
+
+    :meth:`IndexSnapshot.engine_for
+    <repro.perf.snapshot.IndexSnapshot.engine_for>` builds one for every
+    union; a plain engine over a union is as exact, only colder.
+    """
+
+    def __init__(
+        self,
+        tree,
+        snap,
+        measure,
+        alpha: float,
+        te_weight: float,
+    ) -> None:
+        super().__init__(tree, snap, measure, alpha, te_weight)
+        base = snap.base
+        self._stable = snap.stable
+        self._base_memo = base.engine_for(tree, measure, alpha, te_weight)._memo
+        self._base_n = base.n_slots
+
+    def _st(self, a: int, b: int) -> Tuple[float, float]:
+        """:meth:`SnapshotEngine._st` with one probe of the memo that
+        owns the pair: the base's for two stable frozen slots, else
+        this engine's own."""
+        stable = self._stable
+        if stable[a] and stable[b]:
+            n = self._base_n
+            memo = self._base_memo
+        else:
+            n = self.snap.n_slots
+            memo = self._memo
+        key = a * n + b if a <= b else b * n + a
+        cached = memo.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        result = self._compute_st(a, b)
+        if len(memo) < _PAIR_MEMO_CAP:
+            memo[key] = result
+        return result
 
 
 def _tighten_candidates(

@@ -10,9 +10,10 @@ keeps a warm snapshot.  :class:`LiveIndex` is the standard LSM answer:
   frozen entries (the frozen structure is never touched);
 * **queries** see the *union* of both sources through an
   :class:`EpochView` that implements the tree traversal protocol; while
-  writes are pending, :meth:`EpochView.snapshot` freezes that view into
-  one columnar union snapshot per write generation, so every reader runs
-  the snapshot engine whatever the overlay holds; and
+  writes are pending, :meth:`EpochView.snapshot` derives one columnar
+  union snapshot per write generation from the frozen tree's snapshot
+  (:meth:`~repro.perf.snapshot.IndexSnapshot.union`), so every reader
+  runs the snapshot engine whatever the overlay holds; and
 * a **freezer** (:meth:`LiveIndex.freeze_step`, or the background thread
   started by :meth:`LiveIndex.start_freezer`) folds the overlay into a
   freshly built frozen generation and atomically swaps in a new view;
@@ -40,14 +41,17 @@ therefore
   summaries are built from the live overlay R-tree, so overlay objects
   participate in every contribution list with exact counts.
 
-The union snapshot is frozen from those very entries:
-:meth:`~repro.perf.snapshot.IndexSnapshot.from_tree` reads the view
-through :meth:`EpochView.peek_children`, which serves what
-:meth:`EpochView.children` serves without charging I/O, in the order
-the seed walk expands it.  The snapshot engine is a line-faithful port
-of the seed walk, so over one view both walks take the same decisions
-and charge the same pages (overlay nodes carry record id ``-1`` and
-charge none).
+The union snapshot carries those very entries without re-freezing the
+view: it copies the frozen snapshot's slots unchanged, patches ``cnt``
+along every tombstoned path (dead objects and dead subtrees stay in
+place at ``cnt == 0``, and every walk skips them), and appends the
+overlay subtree as suffix slots.  Each node keeps its children in the
+order :meth:`EpochView.children` serves them, so over one view the
+snapshot walk and the seed walk take the same decisions and charge the
+same pages (overlay nodes carry record id ``-1`` and charge none).  A
+frozen slot names the same node in every write generation of a fold,
+so a union's engines reuse the frozen snapshot's pair memo for pairs
+of frozen slots (``docs/UPDATES.md`` gives the soundness argument).
 
 Frozen-side *floors* (the approx sketch tier, shard admission
 summaries) are fold-time artifacts and are **not** re-derived per
@@ -65,7 +69,7 @@ import contextlib
 import pickle
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..errors import ConfigError, DatasetError, IndexError_
 from ..index.entry import Entry
@@ -241,6 +245,9 @@ class Tombstones:
     def __init__(self) -> None:
         self.oids: Set[int] = set()
         self.node_decrements: Dict[int, Dict[int, int]] = {}
+        #: Tombstoned tree objects -> the frozen leaf holding each, so
+        #: the union snapshot finds their slots without an oid index.
+        self.leaves: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -251,6 +258,7 @@ class Tombstones:
     def add(self, oid: int, label: int, path: List[int]) -> None:
         """Mask ``oid`` (cluster ``label``) along its frozen path."""
         self.oids.add(oid)
+        self.leaves[oid] = path[-1]
         for node_id in path:
             per_cluster = self.node_decrements.setdefault(node_id, {})
             per_cluster[label] = per_cluster.get(label, 0) + 1
@@ -264,8 +272,8 @@ class EpochView:
     """One immutable epoch: frozen tree + overlay + tombstones.
 
     Implements the tree traversal protocol (``root_entry`` /
-    ``outlier_entries`` / ``children`` / ``peek_children`` / ``object``
-    / ``num_clusters`` / ``snapshot`` / ...) so every walk — and every
+    ``outlier_entries`` / ``children`` / ``object`` / ``num_clusters``
+    / ``snapshot`` / ...) so every walk — and every
     consumer that duck-types a tree — runs over the union of both
     sources.  Readers obtain a view via :meth:`LiveIndex.pin`.
     """
@@ -355,14 +363,6 @@ class EpochView:
             return self.overlay.children(entry.ref)
         return self._masked(self.frozen.children(entry, tag))
 
-    def peek_children(self, entry: Entry) -> Tuple[int, List[Entry]]:
-        """``(record id, children)`` as :meth:`children` serves them,
-        charging no I/O; overlay nodes live in memory (record id ``-1``)."""
-        if entry.ref >= OVERLAY_REF_BASE:
-            return -1, self.overlay.children(entry.ref)
-        record_id, children = self.frozen.peek_children(entry)
-        return record_id, self._masked(children)
-
     def object(self, oid: int) -> STObject:
         """Fetch the concrete object from the shared dataset."""
         return self.dataset.get(oid)
@@ -380,31 +380,34 @@ class EpochView:
         return frozen
 
     def snapshot(self) -> IndexSnapshot:
-        """The frozen tree's snapshot while clean; while dirty, this
-        view frozen into a union snapshot, memoized until the next write.
+        """The frozen tree's snapshot while clean; while dirty, the union
+        snapshot derived from it, memoized until the next write.
 
-        The freeze holds the owner's view lock (see :class:`LiveIndex`),
-        so it never sees half a write nor waits for a fold's rebuild.
-        The read that replaces a stale union releases it after letting
-        go of the lock, so no write pays for freeing its pair memos.
+        The union is built under the owner's view lock (see
+        :class:`LiveIndex`), so it never sees half a write nor waits for
+        a fold's rebuild; it costs O(pending writes) plus one C-level
+        copy of the frozen columns.  The frozen snapshot is taken first,
+        outside the lock: the frozen tree never changes.  The read that
+        replaces a stale union releases it after letting go of the lock,
+        so no write pays for freeing its pair memo.
         """
+        base = self.frozen.snapshot()
         owner = self._owner
         stale = None
         with owner._view_lock:
             if not self.overlay_dirty:
-                union = None
-            else:
-                union = self._union
-                if union is None or not union.is_current(self.generation):
-                    stale, union = union, IndexSnapshot.from_tree(self)
-                    self._union = union
-                    if owner._view is not self:
-                        # A fold swapped this view out and released its
-                        # union; a late reader's freeze memoizes nothing.
-                        union.release()
+                return base
+            union = self._union
+            if union is None or not union.is_current(self.generation):
+                stale, union = union, IndexSnapshot.union(base, self)
+                self._union = union
+                if owner._view is not self:
+                    # A fold swapped this view out and released its
+                    # union; a late reader's union memoizes nothing.
+                    union.release()
         if stale is not None:
             stale.release()
-        return union if union is not None else self.frozen.snapshot()
+        return union
 
     def reset_io(self, cold: bool = True) -> None:
         """Zero the frozen tree's I/O counters."""
@@ -458,10 +461,11 @@ class LiveIndex:
     application thread) plus the **background freezer** plus any number
     of **readers**.  Writers and the freezer serialize on the writer
     lock (a writer blocks for the duration of a fold, which is the LSM
-    trade).  Readers never take it: a union freeze takes only the view
+    trade).  Readers never take it: a union build takes only the view
     lock, which each write holds around its view mutation and
     generation bump and a fold only around its swap, so queries stay
-    off the fold path; a write arriving during a freeze waits it out.
+    off the fold path; a write arriving during a union build (O(pending
+    writes) plus a column copy) waits it out.
     Concurrent writers, or a reader mutating the dataset mid-walk, are
     not supported — the same contract as the underlying tree.
     """
@@ -493,7 +497,7 @@ class LiveIndex:
         self.freeze_threshold = int(freeze_threshold)
         self._build_method = build_method
         self._lock = threading.RLock()  # writers + freezer
-        self._view_lock = threading.Lock()  # view mutations, swaps, freezes
+        self._view_lock = threading.Lock()  # view mutations, swaps, unions
         self.generation = getattr(tree, "generation", 0)
         self.epoch = 0
         self._view = EpochView(self, tree)
@@ -710,8 +714,13 @@ class LiveIndex:
                 self.epoch += 1
                 self.generation += 1
                 new_view = self._view = EpochView(self, rebuilt)
-            if view._union is not None:  # pinned readers may still use it
+            # Pinned readers keep the engines they hold; releasing both
+            # snapshots breaks the tree -> snapshot -> engine -> tree
+            # cycle, so the old generation and its memos go by refcount.
+            if view._union is not None:
                 view._union.release()
+            if frozen._snapshot_cache is not None:
+                frozen._snapshot_cache.release()
             self._hist_freeze.observe(time.perf_counter() - started)
             self._ctr_swaps.inc()
             self._publish_sizes(new_view)

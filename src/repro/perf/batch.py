@@ -402,7 +402,10 @@ class BatchSearcher:
         for result in results:
             record_search(metrics, engine_label, result.stats)
         timer.publish(metrics)
-        self._publish_frontier(metrics)
+        if engine_label != "seed" and self._share_used != "pickle":
+            # Pickled workers walked their own copies; this process may
+            # not even hold a snapshot to drain.
+            self._publish_frontier(metrics)
 
     def _publish_frontier(self, metrics: MetricsRegistry) -> None:
         """Drain engine frontier-batch histograms into the registry.
@@ -411,10 +414,10 @@ class BatchSearcher:
         batched kernel call covered (``engine.frontier_hist``); this
         folds those counts into the ``engine.frontier.batch_size``
         histogram and resets them, so repeated runs don't double-count.
+        The snapshot comes from ``tree.snapshot()``, so a live index
+        publishes the engines of its current (frozen or union) snapshot.
         """
-        snap = getattr(self.tree, "_snapshot_cache", None)
-        if snap is None:
-            return
+        snap = self.tree.snapshot()
         hist = metrics.histogram(
             "engine.frontier.batch_size", FRONTIER_HIST_BUCKETS
         )
@@ -492,18 +495,27 @@ class BatchSearcher:
                             # it once per process.
                             s = self._searcher
                             snap = self.tree.snapshot()
-                            snap.sketch_for(
-                                snap.engine_for(
-                                    self.tree, s.measure, s.alpha,
-                                    s.te_weight,
-                                ),
-                                kmax=self.sketch_kmax,
-                            )
+                            if snap.base is None:
+                                snap.sketch_for(
+                                    snap.engine_for(
+                                        self.tree, s.measure, s.alpha,
+                                        s.te_weight,
+                                    ),
+                                    kmax=self.sketch_kmax,
+                                )
                         seg = SharedSnapshotSegment.create(
                             self.tree,
                             config=self.config,
                             te_weight=self.te_weight,
                         )
+                        if engine == "approx" and (
+                            snap.base is not None
+                            or self.tree.snapshot() is not snap
+                        ):
+                            # A write landed after the resolve, so the
+                            # segment may hold a union: only the exact
+                            # walk skips its dead slots.
+                            engine = "snapshot"
                         payload = pickle.dumps(
                             (
                                 "shm",

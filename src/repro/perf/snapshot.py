@@ -26,15 +26,29 @@ every node entry in level order (children of earlier slots first).  The
 slots therefore correspond one-to-one to the ``(ref, is_object)`` keys
 the seed searcher reasons about.
 
+A dirty live index is read through a *union* snapshot
+(:meth:`IndexSnapshot.union`) derived from the frozen tree's snapshot
+instead of re-freezing the view: the frozen slots are copied unchanged
+as a prefix (C-level column copies), tombstones become a ``cnt`` patch
+along their root-to-leaf paths, and the overlay subtree is appended in
+level order as suffix slots with record id ``-1``.  A tombstoned
+object or fully dead subtree stays in place with ``cnt == 0``; dead
+outliers and a dead frozen root leave :attr:`IndexSnapshot.root_slots`.
+**Dead-slot rule:** every reader of a child range skips slots whose
+``cnt`` is 0, and the rule reads ``cnt`` alone, so it holds on a
+shared-memory copy as well.  A frozen slot therefore names the same
+node in every write generation of one fold, which lets a union's
+engines reuse the frozen snapshot's pair memo (see
+:mod:`repro.core.traversal`).
+
 Snapshots are immutable and generation-tagged: they are built via
 :meth:`IURTree.snapshot`, which memoizes per structural
 :attr:`~repro.index.iurtree.IURTree.generation`, so index updates
-invalidate them automatically.  A dirty live index freezes its
-overlay-plus-tombstones view the same way (:meth:`EpochView.snapshot
-<repro.lsm.live.EpochView.snapshot>`, memoized per write).  A snapshot
-holds no reference to the buffer pool — the traversal engine charges
-I/O through the live tree so page accounting stays identical to the
-seed engine.
+invalidate them automatically; a live view memoizes its union per write
+(:meth:`EpochView.snapshot <repro.lsm.live.EpochView.snapshot>`).  A
+snapshot holds no reference to the buffer pool — the traversal engine
+charges I/O through the live tree so page accounting stays identical to
+the seed engine.
 """
 
 from __future__ import annotations
@@ -76,6 +90,10 @@ class IndexSnapshot:
         "obj_vec",
         "obj_frozen",
         "root_slots",
+        "n_clusters",
+        "base",
+        "stable",
+        "_node_slots",
         "_collect_plans",
         "_engines",
         "_released",
@@ -109,6 +127,16 @@ class IndexSnapshot:
         self.obj_vec: List = []
         self.obj_frozen: List = []
         self.root_slots: Tuple[int, ...] = ()
+        #: The source tree's cluster count (its ``num_clusters()``).
+        self.n_clusters = 0
+        #: The frozen snapshot a union derives from (``None`` otherwise).
+        self.base: Optional["IndexSnapshot"] = None
+        #: Union only: 1 for the frozen slots whose pair bounds equal the
+        #: base's (their cluster set survived every tombstone), else 0.
+        self.stable: Optional[bytearray] = None
+        #: Tree snapshots: frozen node id -> ``(slot, Entry)`` of every
+        #: directory slot, so a union finds tombstoned paths in O(1).
+        self._node_slots: Dict[int, Tuple[int, object]] = {}
         self._collect_plans: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         self._engines: Dict[Tuple, object] = {}
         self._released = False
@@ -123,18 +151,130 @@ class IndexSnapshot:
     def from_tree(cls, tree) -> "IndexSnapshot":
         """Freeze the current generation of ``tree`` into columnar form.
 
-        ``tree`` is an :class:`~repro.index.iurtree.IURTree` or a live
-        :class:`~repro.lsm.live.EpochView`, read through the uncharged
-        ``peek_children``: slots are the entries the seed walk expands,
-        and each directory slot keeps the record id its expansion
-        charges (``-1`` charges nothing), so the traversal engine can
-        replay the seed's page-charge sequence at query time.
+        ``tree`` is an :class:`~repro.index.iurtree.IURTree`, read
+        through the uncharged ``peek_children``: slots are the entries
+        the seed walk expands, and each directory slot keeps the record
+        id its expansion charges, so the traversal engine can replay the
+        seed's page-charge sequence at query time.
         """
         snap = cls()
         snap.generation = tree.generation
         snap.kind = tree.kind
         snap.maxD = tree.dataset.proximity.max_distance
+        snap.n_clusters = tree.num_clusters()
+        roots: List = []
+        root_entry = tree.root_entry()
+        if root_entry is not None:
+            roots.append(root_entry)
+        roots.extend(tree.outlier_entries())
+        snap.root_slots = snap._append_subtrees(
+            roots,
+            tree.peek_children,
+            max(snap.n_clusters, 2),
+            snap._node_slots,
+        )
+        snap._map_columns()
+        return snap
 
+    @classmethod
+    def union(cls, base: "IndexSnapshot", view) -> "IndexSnapshot":
+        """The union snapshot of a dirty live ``view`` over ``base``.
+
+        ``base`` is the snapshot of ``view.frozen``.  Its slots are
+        copied as an unchanged prefix, the view's tombstones patch
+        ``cnt`` and the entropy priorities of the nodes on their paths
+        (and the cluster tuple of a node that lost a cluster), and the
+        overlay subtree is appended as suffix slots; the walk over the
+        result takes exactly the decisions the seed walk takes over
+        ``view`` (see the module docstring).  Costs O(pending writes x
+        tree height) in Python plus one C-level copy of each column.
+        """
+        from ..lsm.live import adjust_entry
+
+        snap = cls()
+        snap.generation = view.generation
+        snap.kernel_backend = base.kernel_backend
+        snap.kind = base.kind
+        snap.maxD = base.maxD
+        # The view's num_clusters(), without its O(n) pass over labels.
+        snap.n_clusters = max(base.n_clusters, view.overlay.max_label() + 1)
+        snap.base = base
+        n_base = snap.n_slots = base.n_slots
+        nc_child = max(snap.n_clusters, 2)
+        # The overlay suffix is laid out apart, then each column is one
+        # C-level concatenation (appending to a copied prefix would
+        # reallocate every column).
+        overlay_root = view.overlay.root_entry()
+        if overlay_root is not None:
+            children = view.overlay.children
+            overlay_roots = snap._append_subtrees(
+                [overlay_root],
+                lambda entry: (-1, children(entry.ref)),
+                nc_child,
+            )
+        else:
+            overlay_roots = ()
+        for name in _COLUMNS:
+            setattr(snap, name, getattr(base, name) + getattr(snap, name))
+        cnt = snap.cnt
+        stable = bytearray(b"\x01") * n_base + bytearray(snap.n_slots - n_base)
+        node_slots = base._node_slots
+        patched: Dict[int, object] = {}
+        for node_id, decrements in view.tombstones.node_decrements.items():
+            slot, entry = node_slots[node_id]
+            adjusted = adjust_entry(entry, decrements)
+            if adjusted is None:
+                cnt[slot] = 0  # a dead subtree: every object below is dead
+                continue
+            patched[slot] = adjusted
+            cnt[slot] = adjusted.count
+            snap.ent_root[slot] = _entropy(adjusted, 2)
+            snap.ent_child[slot] = _entropy(adjusted, nc_child)
+            if len(adjusted.clusters) != len(entry.clusters):
+                # Lost a cluster: its text bounds tighten, so its pairs
+                # leave the base memo.  Other patched nodes keep their
+                # frozen rows; bounds never read the doc counts in them.
+                snap.clusters[slot] = _cluster_rows(adjusted)
+                stable[slot] = 0
+        if nc_child != max(base.n_clusters, 2):
+            # An overlay label beyond the frozen clustering changes the
+            # divisor of every child-site priority.
+            for slot, entry in node_slots.values():
+                snap.ent_child[slot] = _entropy(
+                    patched.get(slot, entry), nc_child
+                )
+        is_obj, ref = snap.is_obj, snap.ref
+        first, last = snap.first_child, snap.last_child
+        leaves = view.tombstones.leaves
+        for oid, leaf in leaves.items():
+            slot = node_slots[leaf][0]
+            for c in range(first[slot], last[slot]):
+                if ref[c] == oid and is_obj[c]:
+                    cnt[c] = 0
+                    break
+        dead_outliers = view.tombstones.oids.difference(leaves)
+        roots = []
+        for r in base.root_slots:
+            if is_obj[r] and ref[r] in dead_outliers:
+                cnt[r] = 0
+            if cnt[r]:
+                roots.append(r)
+        snap.stable = stable
+        snap.root_slots = tuple(roots) + overlay_roots
+        snap._map_columns()
+        return snap
+
+    def _append_subtrees(self, roots, expand, nc_child: int, node_slots=None):
+        """Append ``roots`` and every entry beneath them as slots.
+
+        Level order from the roots keeps every node's children
+        contiguous; ``expand(entry)`` returns ``(record id, children)``
+        and ``nc_child`` is the child-site entropy divisor.  Slots are
+        numbered from :attr:`n_slots` on, and the columns grow by the
+        new slots alone.  Directory slots are recorded in
+        ``node_slots`` when given.  Returns the roots' slots.
+        """
+        offset = self.n_slots
         entries: List = []
         first: List[int] = []
         last: List[int] = []
@@ -142,82 +282,65 @@ class IndexSnapshot:
         queue: deque = deque()
 
         def add(entry) -> int:
-            slot = len(entries)
+            slot = offset + len(entries)
             entries.append(entry)
             first.append(0)
             last.append(0)
             record_ids.append(-1)
             if not entry.is_object:
                 queue.append(slot)
+                if node_slots is not None:
+                    node_slots[entry.ref] = (slot, entry)
             return slot
 
-        root_slots: List[int] = []
-        root_entry = tree.root_entry()
-        if root_entry is not None:
-            root_slots.append(add(root_entry))
-        for outlier in tree.outlier_entries():
-            root_slots.append(add(outlier))
-        # Level-order expansion keeps every node's children contiguous.
+        root_slots = tuple(add(entry) for entry in roots)
         while queue:
             slot = queue.popleft()
-            record_ids[slot], children = tree.peek_children(entries[slot])
-            first[slot] = len(entries)
+            i = slot - offset
+            record_ids[i], children = expand(entries[i])
+            first[i] = offset + len(entries)
             for child in children:
                 add(child)
-            last[slot] = len(entries)
-        snap.root_slots = tuple(root_slots)
-        snap.n_slots = len(entries)
+            last[i] = offset + len(entries)
+        self.n_slots = offset + len(entries)
 
-        nc_child = max(max(tree.num_clusters(), 1), 2)
-        for slot, entry in enumerate(entries):
+        for i, entry in enumerate(entries):
             mbr = entry.mbr
-            snap.xlo.append(mbr.xlo)
-            snap.ylo.append(mbr.ylo)
-            snap.xhi.append(mbr.xhi)
-            snap.yhi.append(mbr.yhi)
-            snap.cnt.append(entry.count)
-            snap.ref.append(entry.ref)
-            snap.is_obj.append(1 if entry.is_object else 0)
-            snap.first_child.append(first[slot])
-            snap.last_child.append(last[slot])
-            snap.record_id.append(record_ids[slot])
+            self.xlo.append(mbr.xlo)
+            self.ylo.append(mbr.ylo)
+            self.xhi.append(mbr.xhi)
+            self.yhi.append(mbr.yhi)
+            self.cnt.append(entry.count)
+            self.ref.append(entry.ref)
+            self.is_obj.append(1 if entry.is_object else 0)
+            self.first_child.append(first[i])
+            self.last_child.append(last[i])
+            self.record_id.append(record_ids[i])
             if entry.is_object:
-                snap.ent_root.append(0.0)
-                snap.ent_child.append(0.0)
+                self.ent_root.append(0.0)
+                self.ent_child.append(0.0)
                 vec = entry.exact_vector()
-                snap.obj_vec.append(vec)
-                snap.obj_frozen.append(vec.frozen())
+                self.obj_vec.append(vec)
+                self.obj_frozen.append(vec.frozen())
             else:
-                hist = {
-                    cid: iv.doc_count for cid, iv in entry.clusters.items()
-                }
                 # Two normalizations because the seed priority call sites
                 # differ: roots use the default single-cluster divisor,
                 # children the tree-wide cluster count.
-                snap.ent_root.append(normalized_cluster_entropy(hist, 2))
-                snap.ent_child.append(normalized_cluster_entropy(hist, nc_child))
-                snap.obj_vec.append(None)
-                snap.obj_frozen.append(None)
-            snap.clusters.append(
-                tuple(
-                    (
-                        iv,
-                        iv.intersection.frozen(),
-                        iv.union.frozen(),
-                        iv.intersection.norm_squared,
-                        iv.union.norm_squared,
-                    )
-                    for iv in entry.clusters.values()
-                )
-            )
+                self.ent_root.append(_entropy(entry, 2))
+                self.ent_child.append(_entropy(entry, nc_child))
+                self.obj_vec.append(None)
+                self.obj_frozen.append(None)
+            self.clusters.append(_cluster_rows(entry))
+        return root_slots
 
+    def _map_columns(self) -> None:
+        """Point the numpy coordinate views at the finished columns."""
         np = kernels._numpy()
-        if np is not None and snap.n_slots:
-            snap.np_xlo = np.frombuffer(snap.xlo, dtype=np.float64)
-            snap.np_ylo = np.frombuffer(snap.ylo, dtype=np.float64)
-            snap.np_xhi = np.frombuffer(snap.xhi, dtype=np.float64)
-            snap.np_yhi = np.frombuffer(snap.yhi, dtype=np.float64)
-        return snap
+        if np is not None and self.n_slots:
+            self.np_xlo = np.frombuffer(self.xlo, dtype=np.float64)
+            self.np_ylo = np.frombuffer(self.ylo, dtype=np.float64)
+            self.np_xhi = np.frombuffer(self.xhi, dtype=np.float64)
+            self.np_yhi = np.frombuffer(self.yhi, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Derived data
@@ -233,7 +356,8 @@ class IndexSnapshot:
         id enumeration order are byte-for-byte the sequences the seed
         engine produces for the same accepted entry.  Slots with record
         id ``-1`` (a live overlay's in-memory nodes) charge no page, as
-        the seed walk's overlay visits charge none.
+        the seed walk's overlay visits charge none, and dead slots
+        (``cnt == 0``) are skipped, as the seed walk never sees them.
         """
         plan = self._collect_plans.get(slot)
         if plan is None:
@@ -242,8 +366,11 @@ class IndexSnapshot:
             stack = [slot]
             is_obj = self.is_obj
             ref = self.ref
+            cnt = self.cnt
             while stack:
                 s = stack.pop()
+                if not cnt[s]:
+                    continue
                 if is_obj[s]:
                     ids.append(ref[s])
                 else:
@@ -293,15 +420,18 @@ class IndexSnapshot:
 
         Engines own the snapshot-resident pair-bound memo, whose values
         depend on ``(measure, alpha)`` — each distinct setting gets its
-        own engine so memos can never mix.
+        own engine so memos can never mix.  A union's engine also reads
+        its base's engine for the same setting (see
+        :class:`~repro.core.traversal.UnionEngine`).
         """
         key = (measure.name, alpha, te_weight)
         engine = self._engines.get(key)
         if engine is None:
-            from ..core.traversal import SnapshotEngine
+            from ..core.traversal import SnapshotEngine, UnionEngine
 
+            factory = SnapshotEngine if self.base is None else UnionEngine
             engine = self._memoize(
-                key, SnapshotEngine(tree, self, measure, alpha, te_weight)
+                key, factory(tree, self, measure, alpha, te_weight)
             )
         return engine
 
@@ -384,11 +514,52 @@ class IndexSnapshot:
         return {
             "generation": self.generation,
             "slots": self.n_slots,
-            "objects": sum(self.is_obj),
+            "objects": sum(self.cnt[r] for r in self.root_slots),
             "roots": len(self.root_slots),
             "columnar_bytes": self.nbytes(),
             "kernel_backend": self.kernel_backend,
         }
+
+
+#: Per-slot columns a union copies from its base before patching.
+_COLUMNS = (
+    "xlo",
+    "ylo",
+    "xhi",
+    "yhi",
+    "cnt",
+    "ref",
+    "first_child",
+    "last_child",
+    "record_id",
+    "is_obj",
+    "clusters",
+    "ent_root",
+    "ent_child",
+    "obj_vec",
+    "obj_frozen",
+)
+
+
+def _entropy(entry, divisor: int) -> float:
+    """Normalized cluster entropy of a directory entry's doc counts."""
+    hist = {cid: iv.doc_count for cid, iv in entry.clusters.items()}
+    return normalized_cluster_entropy(hist, divisor)
+
+
+def _cluster_rows(entry) -> Tuple:
+    """A slot's cluster tuple: each interval vector with its frozen
+    intersection/union forms and their squared norms."""
+    return tuple(
+        (
+            iv,
+            iv.intersection.frozen(),
+            iv.union.frozen(),
+            iv.intersection.norm_squared,
+            iv.union.norm_squared,
+        )
+        for iv in entry.clusters.values()
+    )
 
 
 class SnapshotTextMatrix:

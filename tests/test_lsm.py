@@ -189,6 +189,55 @@ class TestStaleSketchHazard:
         finally:
             live.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_write_after_the_resolve_never_reaches_the_sketch(
+        self, monkeypatch, workers
+    ):
+        """A write landing between engine resolution (clean: approx) and
+        the snapshot fetch hands the approx path a union; its dead slots
+        are invisible to the sketch tier, so the read must run the
+        snapshot walk over it instead."""
+        if workers > 1:
+            from repro.perf.shm import shm_available
+
+            ok, why = shm_available()
+            if not ok:
+                pytest.skip(f"shm transport unavailable: {why}")
+        ds, live = make_live(n=150, seed=23)
+        resolve = RSTkNNSearcher._resolve_engine
+        writes = []
+
+        def resolve_then_write(searcher, trace):
+            engine = resolve(searcher, trace)
+            if not writes:  # the concurrent writer's turn, once
+                writes.append(engine)
+                for obj in list(ds.objects)[::5]:
+                    assert live.delete_object(obj.oid)
+            return engine
+
+        queries = sample_queries(ds, 4, seed=11)
+        try:
+            monkeypatch.setattr(
+                RSTkNNSearcher, "_resolve_engine", resolve_then_write
+            )
+            if workers == 1:
+                approx = RSTkNNSearcher(live, engine="approx")
+                ids = [approx.search(query, 4).ids for query in queries]
+                union = live.snapshot()
+                assert union.base is not None
+                assert not [key for key in union._engines if key[0] == "approx"]
+            else:
+                batch = BatchSearcher(
+                    live, workers=2, engine="approx", share="shm"
+                ).run(queries, 4)
+                assert batch.stats.fallback_reason is None
+                ids = batch.id_lists()
+            assert writes == ["approx"]  # resolved while clean
+            brute = BruteForceRSTkNN(ds)
+            assert ids == [brute.search(query, 4) for query in queries]
+        finally:
+            live.close()
+
 
 class TestLiveScatterGather:
     def test_dirty_epoch_bypasses_shard_admission(self):
@@ -292,20 +341,26 @@ class TestEpochRetirement:
             with live.pin() as view:
                 first = view.snapshot()
                 assert first is not view.frozen.snapshot()
-                objects = {
-                    first.ref[s] for s in range(first.n_slots) if first.is_obj[s]
-                }
-                assert objects == {o.oid for o in ds.objects}
-                assert view.snapshot() is first  # one freeze per generation
+                assert _live_objects(first) == {o.oid for o in ds.objects}
+                assert view.snapshot() is first  # one union per generation
             live.insert(Point(1.0, 1.0), "alpha")
             second = live.snapshot()
             assert second is not first  # a write replaces the union
-            assert sum(second.is_obj) == sum(first.is_obj) + 1
+            assert len(_live_objects(second)) == len(_live_objects(first)) + 1
             live.freeze_step()
             with live.pin() as view:
                 assert view.snapshot() is view.frozen.snapshot()
         finally:
             live.close()
+
+
+def _live_objects(snap):
+    """Object ids of a snapshot's live slots (dead ones read ``cnt == 0``)."""
+    return frozenset(
+        snap.ref[s]
+        for s in range(snap.n_slots)
+        if snap.is_obj[s] and snap.cnt[s]
+    )
 
 
 def _write_mix(live, ds, writes, seed):
@@ -328,6 +383,30 @@ def _decisions(result):
     for key in ("elapsed_seconds", "cache_hits", "cache_misses"):
         del stats[key]
     return stats
+
+
+def _last_of_a_cluster(tree, live):
+    """A live frozen object that is the last of its cluster under some
+    directory entry, so tombstoning it drops that cluster there."""
+    dead = live._view.tombstones.oids
+    for node in tree.rtree.nodes.values():
+        if node.is_leaf:
+            continue
+        for entry in node.entries:
+            child = tree.rtree.node(entry.ref)
+            if not child.is_leaf:
+                continue
+            by_label = {}
+            for obj in child.entries:
+                if obj.ref not in dead:
+                    label = tree.cluster_label(obj.ref)
+                    by_label.setdefault(label, []).append(obj.ref)
+            if len(by_label) < 2:
+                continue
+            for oids in by_label.values():
+                if len(oids) == 1:
+                    return oids[0]
+    raise AssertionError("no node holds a single object of a cluster")
 
 
 class TestUnionSnapshot:
@@ -448,11 +527,7 @@ class TestUnionSnapshot:
                         if not snap.is_obj[s]:
                             children = range(snap.first_child[s], snap.last_child[s])
                             assert snap.cnt[s] == sum(snap.cnt[c] for c in children)
-                    seen.append(
-                        frozenset(
-                            snap.ref[s] for s in range(snap.n_slots) if snap.is_obj[s]
-                        )
-                    )
+                    seen.append(_live_objects(snap))
             except Exception as exc:  # reported below, with the thread's name
                 errors.append(exc)
 
@@ -528,6 +603,162 @@ class TestUnionSnapshot:
         finally:
             gc.enable()
 
+    def test_fold_frees_the_old_frozen_snapshot_without_the_gc(self):
+        ds, live = make_live(n=80)
+        queries = sample_queries(ds, 4, seed=12)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+        gc.collect()
+        gc.disable()
+        try:
+            before = [o for o in gc.get_objects() if isinstance(o, IndexSnapshot)]
+            known = {id(o) for o in before}
+            for i in range(3):
+                searcher.search(queries[0], 4)  # clean: the frozen snapshot
+                live.insert(Point(float(i), 3.0), "alpha beta")
+                assert live.delete_object(ds.objects[i].oid)
+                searcher.search(queries[1], 4)  # dirty: a union over it
+                assert live.freeze_step()
+            searcher.search(queries[2], 4)
+            live.insert(Point(5.0, 5.0), "gamma")
+            searcher.search(queries[3], 4)
+            alive = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, IndexSnapshot) and id(o) not in known
+            ]
+            # The current frozen snapshot and the current union.
+            assert len(alive) <= 2
+        finally:
+            gc.enable()
+
+    def test_union_never_refreezes_the_view(self, monkeypatch):
+        """Once the frozen snapshot exists, writes and dirty reads run no
+        O(n) Python freeze: the union derives from the frozen slots."""
+        ds, live = make_live(n=120)
+        queries = sample_queries(ds, 3, seed=2)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+        searcher.search(queries[0], 4)  # freezes the frozen tree once
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a dirty read re-froze the tree")
+
+        monkeypatch.setattr(IndexSnapshot, "from_tree", classmethod(refuse))
+        monkeypatch.setattr(IURTree, "peek_children", refuse)
+        try:
+            for round_ in range(3):
+                _write_mix(live, ds, 4, seed=round_)
+                for query in queries:
+                    ids = searcher.search(query, 4).ids
+                    assert ids == BruteForceRSTkNN(ds).search(query, 4)
+        finally:
+            live.close()
+
+    def test_next_generation_reuses_the_frozen_memo(self):
+        """A read on generation g+1 misses fewer pair bounds than the
+        same read on a cold union of the same view: the pairs of stable
+        frozen slots were memoized by the read on generation g."""
+
+        def replay(warm):
+            ds, live = make_live(n=150, seed=23)
+            query = sample_queries(ds, 1, seed=7)[0]
+            searcher = RSTkNNSearcher(live, engine="snapshot")
+            _write_mix(live, ds, 3, seed=4)
+            if warm:
+                searcher.search(query, 4)  # generation g
+            live.insert(Point(50.0, 50.0), "sushi ramen")
+            assert live.delete_object(ds.objects[10].oid)
+            result = searcher.search(query, 4)  # generation g + 1
+            assert result.ids == BruteForceRSTkNN(ds).search(query, 4)
+            live.close()
+            return result
+
+        warm, cold = replay(True), replay(False)
+        assert warm.ids == cold.ids
+        assert _decisions(warm) == _decisions(cold)
+        assert warm.stats.cache_misses < cold.stats.cache_misses
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_warm_memo_parity_through_one_fold_generation(
+        self, monkeypatch, alpha
+    ):
+        """Read, write, read, ... on one fold generation: every read
+        over the union (its engine reusing the frozen memo) equals the
+        seed walk over the same pinned view and brute force."""
+        ds = STDataset.from_corpus(
+            random_corpus(160, seed=11), SimilarityConfig(alpha=alpha)
+        )
+        tree = CIURTree.build(
+            ds,
+            IndexConfig(
+                num_clusters=4, outlier_threshold=0.5, use_entropy_priority=True
+            ),
+        )
+        live = LiveIndex(tree, freeze_threshold=10**9)
+        queries = sample_queries(ds, 2, seed=3)
+        n_slots = tree.snapshot().n_slots
+        reads = 0
+
+        def check():
+            nonlocal reads
+            with live.pin() as view:
+                assert view.overlay_dirty
+                seed = RSTkNNSearcher(view, engine="seed")
+                snap = RSTkNNSearcher(view, engine="snapshot")
+                brute = BruteForceRSTkNN(ds)
+                for query in queries:
+                    for k in (1, 4, 9):
+                        view.reset_io()
+                        expected = seed.search(query, k)
+                        view.reset_io()
+                        got = snap.search(query, k)
+                        assert got.ids == expected.ids == brute.search(query, k)
+                        assert _decisions(got) == _decisions(expected)
+                        assert got.io == expected.io
+                        reads += 1
+                return view.snapshot()
+
+        try:
+            # A dead outlier.
+            assert tree.outliers, "the OE threshold should extract outliers"
+            assert live.delete_object(tree.outliers[0].oid)
+            check()
+            # A leaf whose objects are all deleted.
+            leaf = next(
+                node
+                for node in tree.rtree.nodes.values()
+                if node.is_leaf and node.node_id != tree.rtree.root_id
+            )
+            for entry in leaf.entries:
+                assert live.delete_object(entry.ref)
+            union = check()
+            dead_leaf = [
+                s for s in range(n_slots)
+                if not union.is_obj[s] and union.ref[s] == leaf.node_id
+            ]
+            assert dead_leaf and union.cnt[dead_leaf[0]] == 0
+            # A CIUR node losing its last object of one cluster.
+            victim = _last_of_a_cluster(tree, live)
+            assert live.delete_object(victim)
+            union = check()
+            assert 0 in union.stable[:n_slots], "no slot was marked changed"
+            # An overlay insert whose label raises num_clusters().
+            labels = tree.num_clusters()
+            with monkeypatch.context() as patch:
+                patch.setattr(tree, "assign_cluster", lambda obj: (labels, 1.0))
+                donor = ds.objects[5]
+                live.insert(donor.point, " ".join(donor.keywords))
+            with live.pin() as view:
+                assert view.num_clusters() == labels + 1
+            check()
+            # Mixed churn on top, still on the same fold generation.
+            for seed in range(3):
+                _write_mix(live, ds, 4, seed=seed)
+                check()
+            assert live.epoch == 0 and reads == 7 * 6
+        finally:
+            live.close()
+
+
     def test_released_snapshot_memoizes_no_engines(self):
         ds, live = make_live(n=60)
         churn(live, ds, inserts=2, deletes=1)
@@ -581,17 +812,25 @@ class TestBatchLive:
         ds, live = make_live(n=100, seed=51)
         engine = BatchSearcher(live, workers=2, share="shm")
         try:
-            churn(live, ds, seed=21)
-            queries = sample_queries(ds, 4, seed=6)
+            # Thirty tombstones leave dead slots all over the union; an
+            # attached copy has no frozen base, so its walk must skip
+            # them by ``cnt`` alone.
+            for obj in list(ds.objects)[::3][:30]:
+                assert live.delete_object(obj.oid)
+            churn(live, ds, inserts=4, deletes=0, seed=21)
+            assert len(live._view.tombstones) == 30
+            queries = sample_queries(ds, 10, seed=6)
             for fold in (False, True):
                 if fold:
                     assert live.freeze_step()  # clean: the frozen snapshot
-                batch = engine.run(queries, 4)
-                assert batch.stats.workers == 2
-                assert batch.stats.share == "shm"
-                assert batch.stats.fallback_reason is None
-                for query, ids in zip(queries, batch.id_lists()):
-                    assert ids == BruteForceRSTkNN(ds).search(query, 4)
+                for k in (1, 4, 9):
+                    batch = engine.run(queries, k)
+                    assert batch.stats.workers == 2
+                    assert batch.stats.share == "shm"
+                    assert batch.stats.fallback_reason is None
+                    brute = BruteForceRSTkNN(ds)
+                    for query, ids in zip(queries, batch.id_lists()):
+                        assert ids == brute.search(query, k)
         finally:
             live.close()
 
@@ -646,6 +885,27 @@ class TestBatchLive:
 
 
 class TestMetrics:
+    def test_live_batches_publish_the_frontier_histogram(self):
+        pytest.importorskip("numpy")  # frontier batching is the numpy pass
+        from repro.workloads import gn_like
+
+        def frontier_calls(tree, dirty=False):
+            registry = MetricsRegistry()
+            if dirty:
+                donor = tree.dataset.objects[3]
+                tree.insert(donor.point, " ".join(donor.keywords))
+                assert tree.delete_object(tree.dataset.objects[7].oid)
+            queries = sample_queries(tree.dataset, 6, seed=4)
+            BatchSearcher(tree, workers=1, metrics=registry).run(queries, 5)
+            return registry.histogram("engine.frontier.batch_size").count
+
+        plain = frontier_calls(IURTree.build(gn_like(400)))
+        assert plain > 0
+        assert frontier_calls(LiveIndex(IURTree.build(gn_like(400)))) == plain
+        assert frontier_calls(
+            LiveIndex(IURTree.build(gn_like(400))), dirty=True
+        ) > 0
+
     def test_gauges_counters_and_histogram(self):
         registry = MetricsRegistry()
         ds, live = make_live(n=80, metrics=registry)
