@@ -41,7 +41,6 @@ from repro.config import SimilarityConfig
 from repro.core.rstknn import RSTkNNSearcher
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
-from repro.perf import kernels
 from repro.workloads import gn_like, sample_queries
 
 #: The approx-QPS gate only arms at scale: its baselines were measured
@@ -137,15 +136,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--out", default="BENCH_approx.json")
-    parser.add_argument(
-        "--backend",
-        choices=kernels.KERNEL_BACKENDS,
-        default="auto",
-        help="kernel backend to bench (default: auto dispatch, the "
-        "production path)",
-    )
     args = parser.parse_args(argv)
-    kernels.set_backend(args.backend)
 
     n = args.n if args.n is not None else (400 if args.quick else 100_000)
     ks = args.k if args.k is not None else ([4] if args.quick else [4, 8])

@@ -4,8 +4,15 @@ Writes ``BENCH_kernels.json`` with ops/sec for:
 
 * ``exact_similarity`` — extended-Jaccard similarity over sampled object
   vector pairs: the seed's sorted-tuple merge-join (reimplemented here
-  verbatim as the reference) vs the frozen pure-Python kernel vs the
-  numpy kernel (skipped when numpy is unavailable).
+  verbatim as the reference) vs :class:`~repro.perf.kernels.PyFrozenVector`
+  vs :class:`~repro.perf.kernels.NumpyFrozenVector` (built directly;
+  skipped when numpy is unavailable) vs the length rule production runs
+  (:func:`repro.perf.kernels.freeze`).
+* ``crossover`` — the two frozen forms timed against each other on
+  synthetic vector pairs of growing length, both summing with
+  ``math.fsum``; ``measured_crossover_terms`` is the first length at
+  which the numpy form is at least as fast, next to the constant
+  ``AUTO_NUMPY_MIN_TERMS`` the length rule uses.
 * ``interval_bounds`` — MinSimT/MaxSimT interval-vector bounds through
   the production measure.
 * ``end_to_end_query`` — single RSTkNN queries per second.
@@ -23,15 +30,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.rstknn import RSTkNNSearcher
 from repro.index.iurtree import IURTree
 from repro.perf import BatchSearcher, kernels
 from repro.text.similarity import make_measure
+from repro.text.vector import SparseVector
 from repro.workloads import gn_like, sample_queries
+
+#: Vector lengths (terms per vector) the crossover sweep times.
+CROSSOVER_TERMS = (32, 64, 128, 256, 512, 1024)
 
 
 # ----------------------------------------------------------------------
@@ -64,6 +76,13 @@ def _seed_exact_jaccard(a_ids, a_w, a_nsq, b_ids, b_w, b_nsq) -> float:
 
 def _frozen_exact_jaccard(fa, fb) -> float:
     return fa.ext_jaccard(fb)
+
+
+def _frozen_as(vec: SparseVector, form):
+    """``vec`` frozen into ``form`` (a frozen-vector class, or
+    :func:`kernels.freeze` for the length rule), bypassing its cache."""
+    weights = tuple(w for _, w in vec.items())
+    return form(vec.term_ids(), weights, vec.norm_squared)
 
 
 def _time_ops(fn, pairs, min_seconds: float) -> float:
@@ -104,59 +123,66 @@ def bench_exact_similarity(
         lambda a, b: _seed_exact_jaccard(*a, *b), seed_pairs, min_seconds
     )
 
-    with kernels.use_backend("python"):
-        frozen_pairs = [(a.frozen(), b.frozen()) for a, b in pairs_v]
-        out["frozen_python_ops_per_sec"] = _time_ops(
-            _frozen_exact_jaccard, frozen_pairs, min_seconds
-        )
-    out["speedup_frozen_python_vs_seed"] = (
-        out["frozen_python_ops_per_sec"] / out["seed_ops_per_sec"]
-    )
-
+    forms = [("python", kernels.PyFrozenVector)]
     if kernels.numpy_available():
-        with kernels.use_backend("numpy"):
-            frozen_np = [(a.frozen(), b.frozen()) for a, b in pairs_v]
-            out["frozen_numpy_ops_per_sec"] = _time_ops(
-                _frozen_exact_jaccard, frozen_np, min_seconds
-            )
-        out["speedup_frozen_numpy_vs_seed"] = (
-            out["frozen_numpy_ops_per_sec"] / out["seed_ops_per_sec"]
-        )
+        forms.append(("numpy", kernels.NumpyFrozenVector))
     else:
         out["frozen_numpy_ops_per_sec"] = None
-
-    # ``auto`` picks a concrete form per vector length (python below the
-    # measured crossover) — this row is what production sees by default.
-    # Freeze directly: under ``auto`` the vectors' cached forms from the
-    # sections above are still "current", so ``.frozen()`` would measure
-    # whichever backend ran last instead of auto's own choice.
-    with kernels.use_backend("auto"):
-        frozen_auto = [
-            (
-                kernels.freeze(
-                    a.term_ids(),
-                    tuple(w for _, w in a.items()),
-                    a.norm_squared,
-                ),
-                kernels.freeze(
-                    b.term_ids(),
-                    tuple(w for _, w in b.items()),
-                    b.norm_squared,
-                ),
-            )
-            for a, b in pairs_v
+    # ``auto`` is the length rule every vector freezes by in production.
+    forms.append(("auto", kernels.freeze))
+    for name, form in forms:
+        frozen = [
+            (_frozen_as(a, form), _frozen_as(b, form)) for a, b in pairs_v
         ]
-        out["frozen_auto_ops_per_sec"] = _time_ops(
-            _frozen_exact_jaccard, frozen_auto, min_seconds
-        )
-    out["speedup_frozen_auto_vs_seed"] = (
-        out["frozen_auto_ops_per_sec"] / out["seed_ops_per_sec"]
-    )
+        ops = _time_ops(_frozen_exact_jaccard, frozen, min_seconds)
+        out[f"frozen_{name}_ops_per_sec"] = ops
+        out[f"speedup_frozen_{name}_vs_seed"] = ops / out["seed_ops_per_sec"]
     out["auto_numpy_min_terms"] = kernels.AUTO_NUMPY_MIN_TERMS
-    # Leave the vectors frozen under the default backend again.
-    for a, b in pairs_v:
-        a.frozen(), b.frozen()
     return out
+
+
+def bench_crossover(min_seconds: float) -> Optional[Dict[str, object]]:
+    """Python vs numpy frozen form on Extended Jaccard as vectors grow.
+
+    Each pair of equal-length random vectors shares half its terms.
+    Returns ``None`` without numpy.
+    """
+    if not kernels.numpy_available():
+        return None
+    rng = random.Random(7)
+    rows = []
+    crossover = None
+    for terms in CROSSOVER_TERMS:
+        pairs = []
+        for _ in range(8):
+            ids = rng.sample(range(4 * terms), terms + terms // 2)
+            a = {t: rng.uniform(0.1, 2.0) for t in ids[:terms]}
+            b = {t: rng.uniform(0.1, 2.0) for t in ids[terms // 2:]}
+            pairs.append((SparseVector(a), SparseVector(b)))
+        rates = {}
+        for name, form in (
+            ("python", kernels.PyFrozenVector),
+            ("numpy", kernels.NumpyFrozenVector),
+        ):
+            frozen = [
+                (_frozen_as(a, form), _frozen_as(b, form)) for a, b in pairs
+            ]
+            rates[name] = _time_ops(_frozen_exact_jaccard, frozen, min_seconds)
+        rows.append(
+            {
+                "terms": terms,
+                "python_ops_per_sec": rates["python"],
+                "numpy_ops_per_sec": rates["numpy"],
+                "numpy_vs_python": rates["numpy"] / rates["python"],
+            }
+        )
+        if crossover is None and rates["numpy"] >= rates["python"]:
+            crossover = terms
+    return {
+        "rows": rows,
+        "measured_crossover_terms": crossover,
+        "auto_numpy_min_terms": kernels.AUTO_NUMPY_MIN_TERMS,
+    }
 
 
 def bench_interval_bounds(tree, min_seconds: float) -> Dict[str, float]:
@@ -250,9 +276,9 @@ def main(argv=None) -> int:
         "meta": bench_metadata(),
         "n": n,
         "quick": args.quick,
-        "backend_default": kernels.backend_name(),
         "numpy_available": kernels.numpy_available(),
         "exact_similarity": bench_exact_similarity(dataset, min_seconds),
+        "crossover": bench_crossover(min_seconds),
         "interval_bounds": bench_interval_bounds(tree, min_seconds),
         "end_to_end_query": bench_end_to_end(tree, queries, 5, min_seconds),
         "batch_throughput": bench_batch(tree, queries, 5, repeats),
@@ -267,6 +293,12 @@ def main(argv=None) -> int:
     batch_x = report["batch_throughput"]["speedup_batch_snapshot_vs_per_query"]
     print(f"kernel speedup (frozen python vs seed): {kernel_x:.2f}x")
     print(f"batch speedup (snapshot batch vs per-query): {batch_x:.2f}x")
+    if report["crossover"] is not None:
+        print(
+            "numpy form at least as fast from "
+            f"{report['crossover']['measured_crossover_terms']} terms "
+            f"(rule: {kernels.AUTO_NUMPY_MIN_TERMS})"
+        )
     return 0
 
 

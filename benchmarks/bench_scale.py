@@ -1,25 +1,26 @@
-"""Scale benchmark: zero-copy shm worker sharing vs pickled-index fan-out.
+"""Scale benchmark: zero-copy shm worker fan-out against sequential.
 
 Builds the Zipf/clustered gn-like workload at ``n = 10^5`` objects
 (``10^6`` behind ``--huge``), freezes the snapshot once, and sweeps
-``n x k x workers`` over three execution strategies of
+``n x k x workers`` over two execution strategies of
 :class:`repro.perf.BatchSearcher`:
 
 * ``sequential`` — one process, per-query snapshot engine (the parity
   reference);
-* ``parallel/shm`` — worker processes attach the parent's shared-memory
+* ``parallel`` — worker processes attach the parent's shared-memory
   snapshot segment (:mod:`repro.perf.shm`); the pool payload is a
   segment *name*, attach is O(1), and touched vectors materialize
-  lazily;
-* ``parallel/pickle`` — workers unpickle a full private copy of the
-  tree and rebuild their own snapshot (the pre-shm transport).
+  lazily.  Pickling the tree is only the fallback where shared memory
+  is unavailable (the committed ``BENCH_scale.json`` still holds the
+  shm-vs-pickle cells that settled it: shm 2.24x at ``n = 10^5``).
 
 Per ``n`` the report records snapshot freeze time, segment export and
-attach times against ``pickle.dumps``/``loads`` of the tree, payload
-sizes, per-worker peak RSS, and the QPS of every cell.  **Parity is a
-hard gate** in every mode, ``--quick`` included: the run exits non-zero
-unless all three strategies return identical result ids *and* identical
-decision counters for every query.
+attach times against ``pickle.dumps``/``loads`` of the tree (the
+fallback's one-time cost), payload sizes, per-worker peak RSS, and the
+QPS of every cell.  **Parity is a hard gate** in every mode,
+``--quick`` included: the run exits non-zero unless both strategies
+return identical result ids *and* identical decision counters for
+every query.
 
 Usage::
 
@@ -39,7 +40,6 @@ from typing import Dict, List, Optional
 
 from repro.bench.gates import report_header, results_gate
 from repro.index.iurtree import IURTree
-from repro.perf import kernels
 from repro.perf.batch import BatchSearcher
 from repro.workloads import gn_like, sample_queries
 
@@ -68,7 +68,6 @@ def bench_transports(tree, n: int) -> Dict[str, object]:
 
     started = time.perf_counter()
     snap = tree.snapshot()
-    snap.text_matrix()
     out["freeze_seconds"] = time.perf_counter() - started  # memoized: ~0
     out["snapshot_nbytes"] = snap.nbytes()
 
@@ -101,34 +100,28 @@ def bench_transports(tree, n: int) -> Dict[str, object]:
 def bench_cell(
     tree, queries, k: int, workers: int, reference
 ) -> Dict[str, object]:
-    """QPS/RSS of one ``(k, workers)`` cell for both parallel transports."""
-    cell: Dict[str, object] = {"k": k, "workers": workers}
-    for share in ("shm", "pickle"):
-        bs = BatchSearcher(
-            tree, workers=workers, engine="snapshot", share=share, warm=False
-        )
-        run = bs.run(queries, k)
-        parity_gate(reference, run, f"k={k} workers={workers} share={share}")
-        stats = run.stats
-        cell[share] = {
-            "qps": stats.queries_per_second,
-            "latency_ms": stats.latency_ms,
-            "elapsed_seconds": stats.elapsed_seconds,
-            "share_used": stats.share,
-            "worker_rss_bytes": stats.worker_rss_bytes,
-            "fallback_reason": stats.fallback_reason,
-            "phases": stats.phases,
-        }
-    shm_qps = cell["shm"]["qps"]
-    pickle_qps = cell["pickle"]["qps"]
-    cell["speedup_shm_vs_pickle"] = (
-        shm_qps / pickle_qps if pickle_qps else 0.0
-    )
-    shm_rss = cell["shm"]["worker_rss_bytes"]
-    pickle_rss = cell["pickle"]["worker_rss_bytes"]
-    if shm_rss and pickle_rss:
-        cell["worker_rss_saved_bytes"] = pickle_rss - shm_rss
-    return cell
+    """QPS/RSS of one parallel ``(k, workers)`` cell."""
+    bs = BatchSearcher(tree, workers=workers, engine="snapshot", warm=False)
+    run = bs.run(queries, k)
+    parity_gate(reference, run, f"k={k} workers={workers}")
+    stats = run.stats
+    sequential_qps = reference.stats.queries_per_second
+    return {
+        "k": k,
+        "workers": workers,
+        "qps": stats.queries_per_second,
+        "speedup_vs_sequential": (
+            stats.queries_per_second / sequential_qps
+            if sequential_qps
+            else 0.0
+        ),
+        "latency_ms": stats.latency_ms,
+        "elapsed_seconds": stats.elapsed_seconds,
+        "share_used": stats.share,
+        "worker_rss_bytes": stats.worker_rss_bytes,
+        "fallback_reason": stats.fallback_reason,
+        "phases": stats.phases,
+    }
 
 
 def bench_scale(
@@ -144,7 +137,7 @@ def bench_scale(
         tree = IURTree.build(dataset)
     with timer.phase("freeze"):
         tree.warm_kernels()
-        tree.snapshot().text_matrix()
+        tree.snapshot()
     queries = sample_queries(dataset, n_queries, seed=99)
 
     transports = bench_transports(tree, n)
@@ -194,14 +187,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--out", default="BENCH_scale.json")
-    parser.add_argument(
-        "--backend",
-        choices=kernels.KERNEL_BACKENDS,
-        default="auto",
-        help="kernel backend (default: auto dispatch, the production path)",
-    )
     args = parser.parse_args(argv)
-    kernels.set_backend(args.backend)
 
     if args.n is not None:
         ns = list(args.n)
@@ -238,10 +224,9 @@ def main(argv=None) -> int:
     if headline is not None:
         print(
             f"n={rows[-1]['n']} k={headline['k']} "
-            f"workers={headline['workers']}: "
-            f"shm {headline['shm']['qps']:.3f} q/s vs "
-            f"pickle {headline['pickle']['qps']:.3f} q/s "
-            f"({headline['speedup_shm_vs_pickle']:.2f}x)"
+            f"workers={headline['workers']} ({headline['share_used']}): "
+            f"{headline['qps']:.3f} q/s, "
+            f"{headline['speedup_vs_sequential']:.2f}x sequential"
         )
     return 0
 

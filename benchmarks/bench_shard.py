@@ -40,7 +40,6 @@ from repro.bench.gates import ids_gate, report_header
 from repro.config import SimilarityConfig
 from repro.index.iurtree import IURTree
 from repro.obs import latency_percentiles
-from repro.perf import kernels
 from repro.shard import ScatterGatherSearcher, build_sharded_index
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
@@ -122,7 +121,7 @@ def bench_alpha(
         }
         if workers > 1 and s > 1:
             with ScatterGatherSearcher(
-                index, config, workers=workers, share="auto"
+                index, config, workers=workers
             ) as parallel:
                 pleg = _run_leg(parallel, queries, k)
                 ids_gate(
@@ -169,14 +168,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--out", default="BENCH_shard.json")
-    parser.add_argument(
-        "--backend",
-        choices=kernels.KERNEL_BACKENDS,
-        default="auto",
-        help="kernel backend (default: auto dispatch, the production path)",
-    )
     args = parser.parse_args(argv)
-    kernels.set_backend(args.backend)
 
     n = args.n if args.n is not None else (1_500 if args.quick else 100_000)
     shard_counts = (

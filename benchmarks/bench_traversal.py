@@ -24,7 +24,6 @@ from typing import Dict
 from repro.bench.gates import ids_gate, median_qps, report_header
 from repro.core.rstknn import RSTkNNSearcher
 from repro.index.iurtree import IURTree
-from repro.perf import kernels
 from repro.workloads import gn_like, sample_queries
 
 
@@ -100,15 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=None, help="dataset size")
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--out", default="BENCH_traversal.json")
-    parser.add_argument(
-        "--backend",
-        choices=kernels.KERNEL_BACKENDS,
-        default="auto",
-        help="kernel backend to bench (default: auto dispatch, the "
-        "production path — numpy kernels above the size cutover)",
-    )
     args = parser.parse_args(argv)
-    kernels.set_backend(args.backend)
 
     n = args.n if args.n is not None else (150 if args.quick else 400)
     n_queries = 4 if args.quick else 12

@@ -4,7 +4,7 @@ Every ``BENCH_*.json`` producer used to carry its own copy of three
 pieces of boilerplate: a parity gate that exits non-zero on any
 divergence from a reference engine, a median-of-rounds QPS measurer,
 and the report header block (provenance metadata plus the kernel
-backend facts).  This module is the single home for all three, so a new
+form facts).  This module is the single home for all three, so a new
 benchmark (``bench_approx.py`` being the first consumer) starts from
 the same hard-gate discipline instead of re-deriving it.
 
@@ -112,20 +112,18 @@ def report_header(
     """The standard leading block of every ``BENCH_*.json`` report.
 
     Bundles :func:`~repro.bench.meta.bench_metadata` with the workload
-    size, quick flag, and the kernel-backend facts every report
-    repeats; pass the build/freeze ``timer``
-    (:class:`~repro.obs.PhaseTimer`) and the frozen ``snapshot`` to
-    include their standard sections too.  Callers ``update`` their
-    specific sections on top.
+    size, quick flag, and the kernel-form facts (numpy importable, the
+    numpy-form length threshold) every report repeats; pass the
+    build/freeze ``timer`` (:class:`~repro.obs.PhaseTimer`) and the
+    frozen ``snapshot`` to include their standard sections too.
+    Callers ``update`` their specific sections on top.
     """
     header: Dict[str, object] = {
         "meta": bench_metadata(),
         "n": n,
         "quick": quick,
-        "kernel_backend": kernels.backend_name(),
         "numpy_available": kernels.numpy_available(),
-        "numpy_kernels_active": kernels.numpy_available()
-        and kernels.backend_name() != "python",
+        "numpy_min_terms": kernels.AUTO_NUMPY_MIN_TERMS,
     }
     if timer is not None:
         header["phases"] = timer.as_dict()

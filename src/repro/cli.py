@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from .bench.experiments import EXPERIMENTS, run_experiment
 from .bench.report import format_table
-from .config import BATCH_SHARE_MODES
 from .core.rstknn import ENGINE_CHOICES, RSTkNNSearcher
 from .index.iurtree import IURTree
 from .workloads import gn_like, sample_queries
@@ -149,7 +148,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         tree,
         workers=args.workers,
         engine=args.engine,
-        share=args.share,
     )
     live_rows = []
     if live is not None and args.writes:
@@ -337,7 +335,6 @@ def _serve_batch_parallel(args, tree, queries, registry) -> int:
         tree,
         workers=args.workers,
         engine=None if args.engine == "auto" else args.engine,
-        share=args.share,
         metrics=registry,
     )
     batch = engine.run(queries, args.k)
@@ -396,7 +393,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     searcher = ScatterGatherSearcher(
         index,
         workers=args.workers,
-        share=args.share,
         metrics=registry,
     )
     service = ShardQueryService(
@@ -451,8 +447,7 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
 
     live = LiveIndex(tree_cls.build(dataset), metrics=registry)
     scatter = LiveScatterGather(
-        live, args.shards, workers=args.workers, share=args.share,
-        metrics=registry,
+        live, args.shards, workers=args.workers, metrics=registry,
     )
     try:
         inserted, deleted = _apply_live_writes(live, dataset, args.writes)
@@ -643,13 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="traversal engine (default: REPRO_ENGINE, then auto); "
         "approx runs the sketch-guided filter of repro.approx",
     )
-    p_batch.add_argument(
-        "--share",
-        choices=BATCH_SHARE_MODES,
-        default="auto",
-        help="parallel-mode index transport: shared-memory snapshot "
-        "segment (zero-copy) or a pickled tree per worker",
-    )
     _add_live_args(p_batch)
     p_batch.set_defaults(fn=_cmd_batch)
 
@@ -704,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process fan-out; > 1 runs the workload through the "
         "parallel batch engine (incompatible with --deadline)",
     )
-    p_serve.add_argument(
-        "--share",
-        choices=BATCH_SHARE_MODES,
-        default="auto",
-        help="parallel-mode index transport (see `batch --share`)",
-    )
     _add_live_args(p_serve)
     p_serve.set_defaults(fn=_cmd_serve_batch)
 
@@ -738,13 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="scatter worker processes (0 = in-process scatter)",
-    )
-    p_http.add_argument(
-        "--share",
-        choices=BATCH_SHARE_MODES,
-        default="auto",
-        help="shard snapshot transport for the worker pool",
+        help="worker processes for the merge's competitor-count "
+        "probes (0 = in-process); round 1 always runs in-process "
+        "through the per-shard query services",
     )
     p_http.add_argument(
         "--deadline",

@@ -25,14 +25,6 @@ TEXT_MEASURES = (
 #: Term weighting schemes supported by :mod:`repro.text.weighting`.
 WEIGHTINGS = ("tf", "tfidf", "lm", "bm25")
 
-#: Index transports for parallel batch mode and the shard worker pool
-#: (:mod:`repro.perf.shm`).  ``auto`` ships a zero-copy shared-memory
-#: snapshot segment when the platform supports it and falls back to
-#: pickling the tree otherwise; ``shm`` insists on the segment (falling
-#: back loudly); ``pickle`` always ships the pickled object graph.
-BATCH_SHARE_MODES = ("auto", "shm", "pickle")
-
-
 @dataclass(frozen=True)
 class SimilarityConfig:
     """Parameters of the spatial-textual similarity ``SimST``.

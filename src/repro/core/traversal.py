@@ -98,16 +98,6 @@ _PAIR_MEMO_CAP = 1 << 21
 #: tiny nodes are faster scalar.
 _VECTOR_MIN_CHILDREN = 4
 
-#: Default frontier lookahead: when a node is expanded, the spatial
-#: components of up to this many frontier nodes' children (the expanded
-#: node plus the best undecided directory entries peeked from the heap)
-#: are evaluated in ONE kernel call; peeked nodes find their components
-#: precomputed if and when they expand.  Purely a batching knob — the
-#: heap pop order, every bound value, and every decision are unchanged
-#: (the components are elementwise, so a gathered batch is bit-identical
-#: to per-node slices).
-DEFAULT_FRONTIER_LOOKAHEAD = 4
-
 
 class _CList:
     """Slot-keyed contribution list (dict + tight set), seed-ordered."""
@@ -149,22 +139,6 @@ class SnapshotEngine:
         self._stable: Optional[bytearray] = None
         self.hits = 0
         self.misses = 0
-        #: Frontier nodes whose children share one spatial kernel call
-        #: (see :data:`DEFAULT_FRONTIER_LOOKAHEAD`); engine-local so the
-        #: knob can never perturb :class:`SearchStats` parity.
-        self.frontier_lookahead = DEFAULT_FRONTIER_LOOKAHEAD
-        #: batch size -> kernel calls; published to the observability
-        #: layer as the frontier batch-size histogram.
-        self.frontier_hist: Dict[int, int] = {}
-
-    def frontier_histogram(self) -> Dict[int, int]:
-        """``batch size -> spatial kernel calls`` since engine creation.
-
-        Kept outside :class:`SearchStats` so the lookahead knob can never
-        perturb the engines' decision-counter parity contract; the
-        metrics layer publishes it as ``engine.frontier.batch_size``.
-        """
-        return dict(self.frontier_hist)
 
     # ------------------------------------------------------------------
     # Pair bounds
@@ -439,14 +413,6 @@ class SnapshotEngine:
         np_cols = snap.np_xlo
         np = kernels._numpy() if np_cols is not None else None
 
-        # Frontier batching state (query-local): components computed for
-        # heap-peeked nodes wait here until those nodes expand.
-        lookahead = self.frontier_lookahead
-        sp_cache: Dict[int, Tuple] = {}
-        frontier_hist = self.frontier_hist
-        first_child = snap.first_child
-        last_child = snap.last_child
-
         ref_col = snap.ref
 
         def t_record(action: str, key: int, q_lo: float, q_hi: float) -> None:
@@ -525,59 +491,16 @@ class SnapshotEngine:
 
             # One array pass derives the spatial components of every
             # child's query bound; hypot/clamp/blend finish per child in
-            # scalar float so values match the seed bit-for-bit.  With
-            # lookahead > 1 the pass also covers the children of the
-            # best undecided directory nodes still on the heap — they
-            # find their components waiting in ``sp_cache`` if they
-            # expand (and the components are elementwise, so batching
-            # changes nothing but the number of kernel launches).
+            # scalar float so values match the seed bit-for-bit.
             sp = None
-            if np is not None and alpha > 0.0:
-                sp = sp_cache.pop(key, None)
-                if sp is None and lc - fc >= _VECTOR_MIN_CHILDREN:
-                    batch = [(key, fc, lc)]
-                    if lookahead > 1 and heap:
-                        for _p, _c, cand in heapq.nsmallest(lookahead, heap):
-                            if len(batch) >= lookahead:
-                                break
-                            if (
-                                status.get(cand) == _UNDECIDED
-                                and not is_obj[cand]
-                                and cand not in sp_cache
-                                and last_child[cand] > first_child[cand]
-                            ):
-                                batch.append(
-                                    (cand, first_child[cand], last_child[cand])
-                                )
-                    frontier_hist[len(batch)] = (
-                        frontier_hist.get(len(batch), 0) + 1
-                    )
-                    if len(batch) == 1:
-                        sp = kernels.frontier_spatial_components(
-                            qxlo, qylo, qxhi, qyhi,
-                            np_cols[fc:lc], snap.np_ylo[fc:lc],
-                            snap.np_xhi[fc:lc], snap.np_yhi[fc:lc], np,
-                        )
-                    else:
-                        idx = np.concatenate(
-                            [np.arange(f, l) for _, f, l in batch]
-                        )
-                        comps = kernels.frontier_spatial_components(
-                            qxlo, qylo, qxhi, qyhi,
-                            np_cols[idx], snap.np_ylo[idx],
-                            snap.np_xhi[idx], snap.np_yhi[idx], np,
-                        )
-                        off = 0
-                        for slot_b, f, l in batch:
-                            span = l - f
-                            entry = tuple(
-                                col[off : off + span] for col in comps
-                            )
-                            if slot_b == key:
-                                sp = entry
-                            else:
-                                sp_cache[slot_b] = entry
-                            off += span
+            if np is not None and alpha > 0.0 and (
+                lc - fc >= _VECTOR_MIN_CHILDREN
+            ):
+                sp = kernels.frontier_spatial_components(
+                    qxlo, qylo, qxhi, qyhi,
+                    np_cols[fc:lc], snap.np_ylo[fc:lc],
+                    snap.np_xhi[fc:lc], snap.np_yhi[fc:lc], np,
+                )
 
             parent_d = parent.d
             for c in children:

@@ -686,8 +686,9 @@ class LiveIndex:
         Deterministic single-step freezer for tests and explicit control
         (the background thread calls the same method).  Builds a brand
         new tree over the current logical dataset — the parity anchor:
-        post-fold trees *are* freshly built — warms it, then atomically
-        swaps the epoch.  Readers holding the old view finish on it.
+        post-fold trees *are* freshly built — warms it, freezes its
+        snapshot, then atomically swaps the epoch.  Readers holding the
+        old view finish on it.
 
         The ``REPRO_FAULTS`` ``freeze_fail`` fault point sits after the
         rebuild and **before** any visible state change, so an injected
@@ -706,6 +707,9 @@ class LiveIndex:
                     self.dataset, frozen.config, method=self._build_method
                 )
                 rebuilt.warm_kernels()
+                # Freeze here, off the read path: the first read after
+                # the swap would otherwise pay the full O(n) freeze.
+                rebuilt.snapshot()
                 check_freeze(current_plan())
             except Exception:
                 self._ctr_failures.inc()

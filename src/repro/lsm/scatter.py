@@ -48,7 +48,6 @@ class LiveScatterGather:
         config=None,
         te_weight: float = 0.05,
         workers: int = 0,
-        share: str = "auto",
         metrics=None,
     ) -> None:
         """``live`` absorbs the writes; ``shard_count`` and the remaining
@@ -60,7 +59,6 @@ class LiveScatterGather:
         self._config = config
         self._te_weight = te_weight
         self._workers = workers
-        self._share = share
         self.metrics = registry_or_null(metrics)
         self._ctr_merged = self.metrics.counter("lsm.scatter.merged")
         self._ctr_rebuilds = self.metrics.counter("lsm.scatter.rebuilds")
@@ -134,7 +132,6 @@ class LiveScatterGather:
                 self._config,
                 self._te_weight,
                 workers=self._workers,
-                share=self._share,
                 metrics=self.metrics,
             )
             self._inner_epoch = epoch

@@ -3,10 +3,9 @@
 Four layers, each usable on its own:
 
 * :mod:`repro.perf.kernels` — frozen sparse-vector forms and the
-  merge-free reduction kernels behind every text similarity, with a
-  pure-python backend and an optional numpy backend (names in
-  :data:`KERNEL_BACKENDS`) selected by the ``REPRO_KERNEL`` environment
-  variable or :func:`set_backend`;
+  merge-free reduction kernels behind every text similarity: a
+  pure-python form, and a numpy form for vectors of at least
+  ``AUTO_NUMPY_MIN_TERMS`` terms when numpy imports;
 * :mod:`repro.perf.batch` — :class:`BatchSearcher`, which runs a query
   workload over one index sequentially or fanned out across worker
   processes, every setting passed to its constructor;
@@ -21,22 +20,10 @@ Four layers, each usable on its own:
 on layers that transitively use the kernels.
 """
 
-from .kernels import (
-    KERNEL_BACKENDS,
-    KERNEL_ENV_VAR,
-    backend_name,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
+from .kernels import numpy_available
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "KERNEL_ENV_VAR",
-    "backend_name",
     "numpy_available",
-    "set_backend",
-    "use_backend",
     "BatchSearcher",
     "BatchResult",
     "BatchStats",

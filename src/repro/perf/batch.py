@@ -10,27 +10,27 @@ Query *streams* are where the snapshot memo and kernel work pay off:
   ones.
 * **Parallel mode** (``workers > 1``) fans the workload out over a
   ``concurrent.futures.ProcessPoolExecutor``.  The index reaches the
-  workers through one of two transports (``share=``): the default
-  ``auto`` exports the frozen snapshot into a shared-memory segment
+  workers through one of two transports, picked by one rule: a batch
+  whose engine walks a snapshot exports it into a shared-memory segment
   (:mod:`repro.perf.shm`) that every worker maps zero-copy — the pool
-  initializer ships only the segment *name* — and falls back to
-  pickling the whole object graph when shared memory is unavailable
-  (``BatchStats.fallback_reason`` records why, e.g.
-  ``"shm_unavailable (numpy is not importable)"``).  A seed-engine
-  batch ships pickle without a recorded fallback: the seed walk reads
-  the object graph, so pickle is its only transport.  Either way each
-  worker keeps its own searcher for the queries routed to it, so no
-  mutable state is shared and results are bit-identical to sequential
-  runs.  When the tree cannot be pickled either, the engine falls back
-  to sequential execution rather than failing the workload (reason
-  recorded, and a :class:`RuntimeWarning` is emitted once per
+  initializer ships only the segment *name* — when
+  :func:`~repro.perf.shm.shm_available` says it can, and pickles the
+  whole object graph otherwise (``BatchStats.fallback_reason`` records
+  why, e.g. ``"shm_unavailable (numpy not importable)"``).  A
+  seed-engine batch ships pickle without a recorded fallback: the seed
+  walk reads the object graph, so pickle is its only transport.  Either
+  way each worker keeps its own searcher for the queries routed to it,
+  so no mutable state is shared and results are bit-identical to
+  sequential runs.  When the tree cannot be pickled either, the engine
+  falls back to sequential execution rather than failing the workload
+  (reason recorded, and a :class:`RuntimeWarning` is emitted once per
   searcher).
 
 A live index (:class:`repro.lsm.LiveIndex`) is batched like any tree.
 Each run exports the snapshot current at dispatch — the union snapshot
 while writes are pending — into a segment it owns and releases.  A
-dirty index does not pickle (it names the pending overlay), so under
-the pickle transport a dirty batch runs sequentially.
+dirty index does not pickle (it names the pending overlay), so where
+shared memory is unavailable a dirty batch runs sequentially.
 
 Results come back in query order regardless of mode, with aggregate
 throughput and latency statistics in :class:`BatchStats`.
@@ -38,7 +38,6 @@ throughput and latency statistics in :class:`BatchStats`.
 
 from __future__ import annotations
 
-import bisect
 import pickle
 import time
 import warnings
@@ -47,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import BATCH_SHARE_MODES, SimilarityConfig
+from ..config import SimilarityConfig
 from ..core.rstknn import RSTkNNSearcher, SearchResult
 from ..errors import ConfigError
 from ..index.iurtree import IURTree
@@ -63,12 +62,6 @@ _WORKER: Dict[str, object] = {}
 
 #: Metric counted once per re-enqueued chunk (see ``docs/RELIABILITY.md``).
 RETRIES_COUNTER = "service.retries"
-
-#: Bucket bounds of the ``engine.frontier.batch_size`` histogram —
-#: nodes per batched frontier kernel call, at most
-#: :data:`~repro.core.traversal.DEFAULT_FRONTIER_LOOKAHEAD` (4) unless an
-#: engine's ``frontier_lookahead`` is raised.
-FRONTIER_HIST_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def _init_worker(payload: bytes) -> None:
@@ -233,7 +226,6 @@ class BatchSearcher:
         te_weight: float = 0.05,
         warm: bool = True,
         engine: Optional[str] = None,
-        share: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         sketch_kmax: Optional[int] = None,
@@ -246,20 +238,16 @@ class BatchSearcher:
         :data:`repro.core.rstknn.ENGINE_CHOICES`; ``None`` defers to
         ``REPRO_ENGINE`` and then ``auto``, and :attr:`engine` holds the
         name that applied); ``auto`` runs the snapshot engine whenever
-        the tree can freeze one.  ``share``
-        picks parallel mode's index transport (one of
-        :data:`repro.config.BATCH_SHARE_MODES`):
-        ``auto`` ships a zero-copy shared-memory snapshot segment when
-        numpy and ``multiprocessing.shared_memory`` are present,
-        recording ``fallback_reason="shm_unavailable (...)"`` when it
-        has to pickle instead, and ships a seed-engine batch by pickle
-        with nothing recorded (pickle is the seed walk's only
-        transport); ``shm`` warns on fallback and records the seed
-        engine as one; ``pickle`` always ships the pickled object graph
-        (workers under shm run the snapshot engine, which is
+        the tree can freeze one.  Parallel mode ships a zero-copy
+        shared-memory snapshot segment when numpy and
+        ``multiprocessing.shared_memory`` are present, recording
+        ``fallback_reason="shm_unavailable (...)"`` when it has to
+        pickle instead, and ships a seed-engine batch by pickle with
+        nothing recorded (pickle is the seed walk's only transport);
+        workers under shm run the snapshot engine, which is
         bit-identical on results and decision counters by the engine
-        parity contract).  ``workers < 1`` or an unknown ``share``
-        raise :class:`~repro.errors.ConfigError`.
+        parity contract.  ``workers < 1`` raises
+        :class:`~repro.errors.ConfigError`.
         ``metrics`` attaches a
         :class:`repro.obs.MetricsRegistry`: each run then records
         per-query counters/latencies and phase-timer gauges (``None``
@@ -276,16 +264,10 @@ class BatchSearcher:
         sketch into the shm segment once, and every worker reads it."""
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if share not in BATCH_SHARE_MODES:
-            raise ConfigError(
-                f"unknown batch share mode {share!r}; "
-                f"expected one of {BATCH_SHARE_MODES}"
-            )
         self.tree = tree
         self.config = config
         self.workers = workers
         self.te_weight = te_weight
-        self.share = share
         self.metrics = metrics
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
@@ -339,16 +321,9 @@ class BatchSearcher:
                     results = self._run_sequential(queries, k)
             else:
                 if self._share_note is not None:
-                    # shm was requested (or the default) but pickle ran;
-                    # the reason is recorded either way and the warning
-                    # fires only on an explicit share="shm" request.
+                    # A snapshot engine pickled because shm could not run.
                     fallback_reason = self._share_note
                     self._count_fallback("shm_unavailable")
-                    if self.share == "shm":
-                        self._warn_once(
-                            "BatchSearcher shm transport unavailable; "
-                            f"shipped a pickled index: {fallback_reason}"
-                        )
                 if self._retry_note is not None:
                     # Retries ran out for some chunks; they completed
                     # sequentially in the parent (see _run_parallel).
@@ -402,36 +377,6 @@ class BatchSearcher:
         for result in results:
             record_search(metrics, engine_label, result.stats)
         timer.publish(metrics)
-        if engine_label != "seed" and self._share_used != "pickle":
-            # Pickled workers walked their own copies; this process may
-            # not even hold a snapshot to drain.
-            self._publish_frontier(metrics)
-
-    def _publish_frontier(self, metrics: MetricsRegistry) -> None:
-        """Drain engine frontier-batch histograms into the registry.
-
-        The snapshot engines count how many node expansions each
-        batched kernel call covered (``engine.frontier_hist``); this
-        folds those counts into the ``engine.frontier.batch_size``
-        histogram and resets them, so repeated runs don't double-count.
-        The snapshot comes from ``tree.snapshot()``, so a live index
-        publishes the engines of its current (frozen or union) snapshot.
-        """
-        snap = self.tree.snapshot()
-        hist = metrics.histogram(
-            "engine.frontier.batch_size", FRONTIER_HIST_BUCKETS
-        )
-        for engine in getattr(snap, "_engines", {}).values():
-            counts = getattr(engine, "frontier_hist", None)
-            if not counts:
-                continue
-            for size, times in counts.items():
-                # Bulk fold (observe() per expansion would loop over
-                # hundreds of thousands of events at bench scale).
-                hist.counts[bisect.bisect_left(hist.buckets, size)] += times
-                hist.sum += size * times
-                hist.count += times
-            counts.clear()
 
     # ------------------------------------------------------------------
     # Execution modes
@@ -460,14 +405,6 @@ class BatchSearcher:
         self._warned_reasons.add(message)
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
-    def _share_eligibility(self, engine: str) -> Tuple[bool, str]:
-        """Whether the shm transport can serve ``engine``."""
-        from .shm import shm_available  # noqa: PLC0415 — lazy perf layer
-
-        if engine == "seed":
-            return False, "engine 'seed' walks the object graph, not a snapshot"
-        return shm_available()
-
     def _prepare_payload(self, timer: PhaseTimer):
         """Build the worker payload; segment-backed when possible.
 
@@ -482,11 +419,11 @@ class BatchSearcher:
         """
         engine = self._searcher._resolve_engine(None)
         seg = None
-        if self.share == "shm" or (self.share == "auto" and engine != "seed"):
-            ok, why = self._share_eligibility(engine)
-            if ok:
-                from .shm import SharedSnapshotSegment  # noqa: PLC0415
+        if engine != "seed":
+            from . import shm  # noqa: PLC0415 — lazy perf layer
 
+            ok, why = shm.shm_available()
+            if ok:
                 try:
                     with timer.phase("share"):
                         if engine == "approx":
@@ -503,7 +440,7 @@ class BatchSearcher:
                                     ),
                                     kmax=self.sketch_kmax,
                                 )
-                        seg = SharedSnapshotSegment.create(
+                        seg = shm.SharedSnapshotSegment.create(
                             self.tree,
                             config=self.config,
                             te_weight=self.te_weight,
@@ -530,7 +467,7 @@ class BatchSearcher:
                     self._share_used = "shm"
                     self._record_shm_created(seg)
                     return payload, seg
-                except Exception as exc:  # degrade to pickle, loudly
+                except Exception as exc:  # degrade to pickle, recorded
                     if seg is not None:
                         seg.release()
                     seg = None

@@ -13,24 +13,24 @@ merge loop — O(|a| + |b|) interpreter iterations per call.  This module
 replaces that with *frozen* vector forms built once per vector (at index
 time for tree summaries) and reused by every subsequent kernel call:
 
-* the **python** backend stores a ``{term_id: weight}`` dict plus a
+* the **python** form stores a ``{term_id: weight}`` dict plus a
   ``frozenset`` of term ids and a 64-bit term *signature* (a Bloom-style
   bitmask of ``1 << (tid % 64)``).  Disjoint pairs — the common case for
   bound computations — are usually rejected by a single integer AND
   before any set work; overlapping (or mask-colliding) pairs fall back
   to one C-level set intersection, so the reduction only ever touches
   shared terms, O(min(|a|, |b|)) with no interpreter-level merge;
-* the **numpy** backend stores sorted id/weight arrays and reduces with
+* the **numpy** form stores sorted id/weight arrays and reduces with
   a ``searchsorted``-based sparse intersection (no per-call concatenate
   and re-sort, unlike ``np.intersect1d``) — worthwhile for long
-  documents, opt-in because array dispatch overhead dominates on the
+  documents only, because array dispatch overhead dominates on the
   short vectors typical of POI corpora.
 
-Both backends sum with ``math.fsum``, as do the squared norms of
+Both forms sum with ``math.fsum``, as do the squared norms of
 :class:`~repro.text.vector.SparseVector` and the frozen weight sums.
 It is correctly rounded, so a reduction does not depend on the order
 its terms arrive in: ``a.dot(b) == b.dot(a)`` bit for bit, the two
-backends agree bit for bit, and an equal pair's dot is exactly its
+forms agree bit for bit, and an equal pair's dot is exactly its
 squared norm, so self-similarity is exactly 1.0 (the bounds that cap a
 similarity at 1.0 rely on it).
 
@@ -40,43 +40,29 @@ times, so a document pair's ``Σ max`` could round past the ``Σ max`` of
 its summaries and break the weighted-Jaccard bounds; one correctly
 rounded sum is monotone in the exact value, so it cannot.
 
-Backend selection: the ``REPRO_KERNEL`` environment variable
-(``python`` | ``numpy`` | ``auto``), overridable at runtime with
-:func:`set_backend` / :func:`use_backend`.  Requesting ``numpy`` when
-numpy is not importable degrades gracefully to ``python``.  ``auto`` is
-*per-vector*: vectors shorter than the measured crossover
-(:data:`AUTO_NUMPY_MIN_TERMS`) freeze into the python form, long ones
-into the numpy form, and mixed pairs reduce through the python path —
-so a POI-style corpus never pays numpy dispatch overhead just because
-numpy happens to be importable.
+Form selection is per vector, by length: a vector of at least
+:data:`AUTO_NUMPY_MIN_TERMS` terms freezes into the numpy form when
+numpy imports, every other vector into the python form, and mixed pairs
+reduce through the python path — so a POI-style corpus never pays numpy
+dispatch overhead just because numpy happens to be importable.  A
+frozen form is a per-process cache on its vector and is never rebuilt.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
-#: Backends a caller may request (``auto`` resolves to one of the others).
-KERNEL_BACKENDS = ("python", "numpy", "auto")
-
-#: Environment variable consulted for the default backend.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Vector length at which the numpy reduction started beating the
-#: pure-python one when measured (python won up to ~128 terms, parity
-#: near 256, numpy ~2x faster at 1024 — before the ``math.fsum``
-#: summation).  ``auto`` freezes vectors below this length into the
-#: python form.
+#: Vector length from which a vector freezes into the numpy form (when
+#: numpy imports); shorter vectors freeze into the python form.  The
+#: crossover of the two forms' Extended Jaccard speed, re-measured by
+#: ``benchmarks/bench_perf_kernels.py`` (its ``crossover`` section).
 AUTO_NUMPY_MIN_TERMS = 256
 
 _np = None
 _np_checked = False
-_backend: Optional[str] = None  # resolved lazily; None = not yet resolved
 
 
 def _numpy():
@@ -94,95 +80,38 @@ def _numpy():
 
 
 def numpy_available() -> bool:
-    """True when the numpy backend can actually run."""
+    """True when the numpy form can actually be built."""
     return _numpy() is not None
 
 
-def _resolve(name: str) -> str:
-    """Map a requested backend name to a runnable backend."""
-    if name not in KERNEL_BACKENDS:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}; expected one of {KERNEL_BACKENDS}"
-        )
-    if name == "auto":
-        # Per-vector choice (see freeze()); without numpy there is no
-        # choice to make and auto degenerates to the python backend.
-        return "auto" if numpy_available() else "python"
-    if name == "numpy" and not numpy_available():
-        warnings.warn(
-            "REPRO_KERNEL=numpy requested but numpy is not importable; "
-            "falling back to the pure-python kernel backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "python"
-    return name
-
-
-def is_current(form) -> bool:
-    """Whether a frozen form is usable under the active backend.
-
-    Under ``auto`` both concrete forms interoperate (mixed pairs reduce
-    through the python path), so nothing ever needs re-freezing; under an
-    explicit backend the form must match it exactly.
-    """
-    name = backend_name()
-    if name == "auto":
-        return True
-    return form.backend == name
-
-
 def backend_name() -> str:
-    """The active kernel backend (``python``, ``numpy``, or ``auto``).
+    """Always ``"auto"``, the name of the length rule.
 
-    A typo in the environment variable warns and falls back to the
-    ``python`` backend rather than failing the first query that touches
-    a vector; :func:`set_backend` stays strict for explicit requests.
+    Compatibility shim, paired with :func:`set_backend`, for callers
+    that still record or request the rule by name (marked for
+    deletion).
     """
-    global _backend
-    if _backend is None:
-        requested = os.environ.get(KERNEL_ENV_VAR, "python")
-        try:
-            _backend = _resolve(requested)
-        except ConfigError:
-            warnings.warn(
-                f"{KERNEL_ENV_VAR}={requested!r} is not one of "
-                f"{KERNEL_BACKENDS}; using the python backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _backend = "python"
-    return _backend
+    return "auto"
 
 
 def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the previously active one.
+    """Accept ``"auto"`` (the only rule) and return it.
 
-    Frozen forms are tagged with the backend that built them, so vectors
-    frozen under the old backend re-freeze lazily on next use.
+    Compatibility shim, see :func:`backend_name`; any other name raises
+    :class:`~repro.errors.ConfigError`.
     """
-    global _backend
-    previous = backend_name()
-    _backend = _resolve(name)
-    return previous
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Context manager running a block under a specific backend."""
-    previous = set_backend(name)
-    try:
-        yield backend_name()
-    finally:
-        set_backend(previous)
+    if name != "auto":
+        raise ConfigError(
+            f"unknown kernel backend {name!r}; only 'auto' (the length "
+            "rule) remains"
+        )
+    return "auto"
 
 
 class PyFrozenVector:
-    """Python-backend frozen form: dict + frozenset + 64-bit signature."""
+    """Python frozen form: dict + frozenset + 64-bit signature."""
 
     __slots__ = ("weights", "keys", "mask", "norm_sq", "wsum")
-
-    backend = "python"
 
     def __init__(
         self, ids: Sequence[int], weights: Sequence[float], norm_sq: float
@@ -266,17 +195,15 @@ class PyFrozenVector:
 
 
 class NumpyFrozenVector:
-    """Numpy-backend frozen form: sorted id/weight arrays.
+    """Numpy frozen form: sorted id/weight arrays.
 
     Mixed pairs (the other operand frozen into the python form, which
-    ``auto`` produces for short vectors) delegate to the python
+    the length rule produces for short vectors) delegate to the python
     reduction over a lazily built and cached python form of *this*
     vector — long vectors pay the dict build once, not per call.
     """
 
     __slots__ = ("ids", "weights", "mask", "norm_sq", "wsum", "_pyform")
-
-    backend = "numpy"
 
     def __init__(
         self, ids: Sequence[int], weights: Sequence[float], norm_sq: float
@@ -350,7 +277,7 @@ class NumpyFrozenVector:
 
         Reduced through the python form: the union walk has no array
         shortcut, and one ``fsum`` over the same values keeps the two
-        backends bit for bit equal.
+        forms bit for bit equal.
         """
         return self._py().sum_max(other)
 
@@ -380,17 +307,13 @@ class NumpyFrozenVector:
 def freeze(
     ids: Tuple[int, ...], weights: Tuple[float, ...], norm_sq: float
 ):
-    """Build the active backend's frozen form of one sparse vector.
+    """Build the frozen form of one sparse vector.
 
-    Under ``auto``, short vectors (below :data:`AUTO_NUMPY_MIN_TERMS`
-    terms) freeze into the python form and long ones into the numpy
-    form; the two interoperate, mixed pairs reducing through the python
-    path.
+    Vectors of at least :data:`AUTO_NUMPY_MIN_TERMS` terms freeze into
+    the numpy form when numpy imports, all others into the python form;
+    the two interoperate, mixed pairs reducing through the python path.
     """
-    name = backend_name()
-    if name == "numpy" or (
-        name == "auto" and len(ids) >= AUTO_NUMPY_MIN_TERMS
-    ):
+    if len(ids) >= AUTO_NUMPY_MIN_TERMS and _numpy() is not None:
         return NumpyFrozenVector(ids, weights, norm_sq)
     return PyFrozenVector(ids, weights, norm_sq)
 
@@ -450,11 +373,10 @@ def frontier_spatial_components(
     """Spatial bound components of ONE query rect vs a batch of rects.
 
     ``qxlo``… are the query rect's scalar edges, ``bxlo``… are aligned
-    numpy arrays of rect edges gathered from any set of snapshot slots
-    (one node's children, or the concatenated children of several
-    frontier nodes — the batched-expansion path of
-    :class:`repro.core.traversal.SnapshotEngine`).  Returns six 1-D
-    arrays ``(dx_min, dy_min, dx_max, dy_max, pdx, pdy)``.  Every
+    numpy arrays of rect edges: the children of one node
+    :class:`repro.core.traversal.SnapshotEngine` expands (one call per
+    expansion with enough children).  Returns six 1-D arrays
+    ``(dx_min, dy_min, dx_max, dy_max, pdx, pdy)``.  Every
     expression mirrors the scalar ``q_st``/``q_exact`` call sites term
     for term (subtraction, ``abs`` and ``max`` are exactly rounded, so
     each element is bit-identical to its scalar counterpart); callers
@@ -471,20 +393,20 @@ def frontier_spatial_components(
 
 
 def dot(a, b) -> float:
-    """``Σ_t a[t] * b[t]`` over two same-backend frozen vectors."""
+    """``Σ_t a[t] * b[t]`` over two frozen vectors."""
     return a.dot(b)
 
 
 def sum_min(a, b) -> float:
-    """``Σ_t min(a[t], b[t])`` over two same-backend frozen vectors."""
+    """``Σ_t min(a[t], b[t])`` over two frozen vectors."""
     return a.sum_min(b)
 
 
 def sum_max(a, b) -> float:
-    """``Σ_t max(a[t], b[t])`` over two same-backend frozen vectors."""
+    """``Σ_t max(a[t], b[t])`` over two frozen vectors."""
     return a.sum_max(b)
 
 
 def overlap_count(a, b) -> int:
-    """Number of shared terms of two same-backend frozen vectors."""
+    """Number of shared terms of two frozen vectors."""
     return a.overlap_count(b)

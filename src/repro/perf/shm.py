@@ -6,15 +6,15 @@ vectors) is serialized once by the parent and materialized N times, once
 per worker — exactly the per-worker copy cost the flat struct-of-arrays
 :class:`~repro.perf.snapshot.IndexSnapshot` was designed to eliminate.
 
-This module serializes a frozen snapshot (and its
-:class:`~repro.perf.snapshot.SnapshotTextMatrix`) into **one**
-``multiprocessing.shared_memory`` segment of flat numpy-compatible
-arrays plus a small pickled header of integer offset tables:
+This module serializes a frozen snapshot (and the kNNL sketches
+memoized on it) into **one** ``multiprocessing.shared_memory`` segment
+of flat numpy-compatible arrays plus a small pickled header of integer
+offset tables:
 
 * the parent :meth:`SharedSnapshotSegment.create`\\ s the segment —
   one memcpy of the columnar arrays, no object-graph walk at ship time;
-* each worker :func:`attach`\\ es by *name*: the coordinate, topology,
-  and postings columns are mapped in place (zero-copy ``memoryview``
+* each worker :func:`attach`\\ es by *name*: the coordinate, topology
+  and sketch columns are mapped in place (zero-copy ``memoryview``
   casts and ``numpy.frombuffer`` views over the segment), and the
   object-level forms the traversal engines need — ``SparseVector``,
   ``IntervalVector``, frozen kernel forms — are materialized **lazily,
@@ -65,7 +65,7 @@ from ..text.interval import IntervalVector
 from ..text.similarity import make_measure
 from ..text.vector import SparseVector
 from . import kernels
-from .snapshot import IndexSnapshot, SnapshotTextMatrix
+from .snapshot import IndexSnapshot
 
 #: First eight bytes of every segment (version-bumped on layout changes;
 #: 02 added the optional frozen kNNL sketch arrays; 03 added the
@@ -73,8 +73,10 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 #: sketches on ``kmax`` alone and drops the sampling/budget metadata of
 #: the retired approximate build; 05 drops the fitted-curve and
 #: term-signature arrays, leaving four arrays per sketch; 06 drops the
-#: text matrix's cluster rows, leaving the object rows the sketch reads).
-SEGMENT_MAGIC = b"RSTSHM06"
+#: text matrix's cluster rows, leaving the object rows the sketch reads;
+#: 07 drops the text matrix and the backend tag: a worker that builds a
+#: sketch inverts its attached object vectors itself).
+SEGMENT_MAGIC = b"RSTSHM07"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -164,34 +166,7 @@ class _VectorPool:
         return idx
 
 
-def _pack_postings(post, np):
-    """Flatten one ``term_id -> (rows, weights)`` map into CSR arrays."""
-    tids = sorted(post)
-    indptr = [0]
-    rows_parts = []
-    weight_parts = []
-    total = 0
-    for tid in tids:
-        rows, weights = post[tid]
-        total += len(rows)
-        indptr.append(total)
-        rows_parts.append(np.asarray(rows, dtype=np.int64))
-        weight_parts.append(np.asarray(weights, dtype=np.float64))
-    if rows_parts:
-        rows_flat = np.concatenate(rows_parts)
-        weights_flat = np.concatenate(weight_parts)
-    else:
-        rows_flat = np.zeros(0, dtype=np.int64)
-        weights_flat = np.zeros(0, dtype=np.float64)
-    return (
-        np.asarray(tids, dtype=np.int64),
-        np.asarray(indptr, dtype=np.int64),
-        rows_flat,
-        weights_flat,
-    )
-
-
-def _export_arrays(tree, snap: IndexSnapshot, matrix: SnapshotTextMatrix):
+def _export_arrays(tree, snap: IndexSnapshot):
     """The ``(name -> numpy array)`` table one segment carries."""
     np = kernels._numpy()
     arrays: "OrderedDict[str, object]" = OrderedDict()
@@ -224,16 +199,6 @@ def _export_arrays(tree, snap: IndexSnapshot, matrix: SnapshotTextMatrix):
     arrays["cl_uni"] = np.asarray(cl_uni, dtype=np.int64)
     arrays["cl_docs"] = np.asarray(cl_docs, dtype=np.int64)
     arrays["obj_vecidx"] = np.asarray(obj_vecidx, dtype=np.int64)
-
-    # Text matrix: object rows and their postings in CSR form, so attach
-    # builds zero-copy ``term -> (rows, weights)`` views.
-    arrays["tm_obj_row"] = np.asarray(matrix.obj_row, dtype=np.int64)
-    arrays["tm_obj_nsq"] = np.asarray(matrix.obj_nsq, dtype=np.float64)
-    terms, indptr, rows, weights = _pack_postings(matrix.obj_postings, np)
-    arrays["tm_obj_terms"] = terms
-    arrays["tm_obj_indptr"] = indptr
-    arrays["tm_obj_rows"] = rows
-    arrays["tm_obj_weights"] = weights
 
     # Record page table: the worker-side buffer mirror charges the same
     # page spans the live tree's DiskManager would.
@@ -275,9 +240,9 @@ class SharedSnapshotSegment:
     ) -> "SharedSnapshotSegment":
         """Export ``tree``'s current snapshot into a fresh segment.
 
-        Freezes the snapshot and its text matrix if the tree has not
-        already (both are generation-memoized, so repeated exports of an
-        unchanged tree only pay the memcpy).  ``config``/``te_weight``
+        Freezes the snapshot if the tree has not already (it is
+        generation-memoized, so repeated exports of an unchanged tree
+        only pay the memcpy).  ``config``/``te_weight``
         are stamped into the header so workers reconstruct the exact
         similarity setting without touching the tree.
         """
@@ -288,8 +253,7 @@ class SharedSnapshotSegment:
 
         np = kernels._numpy()
         snap = tree.snapshot()
-        matrix = snap.text_matrix()
-        arrays = _export_arrays(tree, snap, matrix)
+        arrays = _export_arrays(tree, snap)
 
         # Frozen kNNL sketches ride along so attached workers can serve
         # the approx engine without re-running the freeze-time build:
@@ -334,8 +298,6 @@ class SharedSnapshotSegment:
             "maxD": snap.maxD,
             "n_slots": snap.n_slots,
             "root_slots": tuple(int(r) for r in snap.root_slots),
-            "kernel_backend": snap.kernel_backend,
-            "n_obj_rows": matrix.n_obj_rows,
             "sim_config": cfg,
             "te_weight": te_weight,
             "use_entropy_priority": tree.config.use_entropy_priority,
@@ -465,35 +427,6 @@ class _LazySeq:
         return sum(1 for v in self._cache if v is not _MISSING)
 
 
-class AttachedTextMatrix(SnapshotTextMatrix):
-    """Text matrix mapped from a segment: columns and postings zero-copy
-    (same contract as :class:`SnapshotTextMatrix`)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_segment(cls, header, views) -> "AttachedTextMatrix":
-        """Rebuild the matrix over segment-backed columns (no copies)."""
-        matrix = cls.__new__(cls)
-        matrix.generation = header["generation"]
-        matrix.n_obj_rows = header["n_obj_rows"]
-        matrix.obj_row = views.cast("tm_obj_row", "q")
-        matrix.obj_nsq = views.cast("tm_obj_nsq", "d")
-        matrix.backend = "numpy"
-        terms = views.np("tm_obj_terms")
-        indptr = views.np("tm_obj_indptr")
-        rows = views.np("tm_obj_rows")
-        weights = views.np("tm_obj_weights")
-        matrix.obj_postings = {
-            int(tid): (
-                rows[indptr[i] : indptr[i + 1]],
-                weights[indptr[i] : indptr[i + 1]],
-            )
-            for i, tid in enumerate(terms)
-        }
-        return matrix
-
-
 class _SegmentViews:
     """Zero-copy accessors over one attached segment's array region."""
 
@@ -525,19 +458,19 @@ class AttachedSnapshot(IndexSnapshot):
     indexing), the ``np_*`` views are ``numpy.frombuffer`` over the same
     bytes, and the object-level sequences (``clusters``, ``obj_vec``,
     ``obj_frozen``) rebuild lazily per slot from the segment's
-    deduplicated vector pool.  Engine memoization, collect plans, and
-    the engine factories are inherited unchanged.
+    deduplicated vector pool.  Engine memoization, collect plans, the
+    engine factories and :meth:`~IndexSnapshot.text_matrix` are
+    inherited unchanged: a worker that builds a sketch the parent did
+    not bake into the segment inverts the attached object vectors.
     """
 
-    __slots__ = ("_views", "_seg_header", "_vec_cache", "_frozen_cache",
+    __slots__ = ("_views", "_vec_cache", "_frozen_cache",
                  "_vec_indptr", "_vec_ids", "_vec_weights", "_vec_nsq")
 
     def __init__(self, header, views: _SegmentViews) -> None:
         IndexSnapshot.__init__(self)
-        self._seg_header = header
         self.generation = header["generation"]
         self.kind = header["kind"]
-        self.kernel_backend = header["kernel_backend"]
         self.n_slots = header["n_slots"]
         self.maxD = header["maxD"]
         self.root_slots = header["root_slots"]
@@ -631,15 +564,6 @@ class AttachedSnapshot(IndexSnapshot):
             form = vec.frozen()
             self._frozen_cache[idx] = form
         return form
-
-    def text_matrix(self) -> SnapshotTextMatrix:
-        matrix = self._text_matrix
-        if matrix is None:
-            matrix = AttachedTextMatrix.from_segment(
-                self._seg_header, self._views
-            )
-            self._text_matrix = matrix
-        return matrix
 
     def materialized_slots(self) -> int:
         """Slots whose cluster tuples have been built (RSS diagnostics)."""
@@ -854,8 +778,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM05 parent feeding an
-                # RSTSHM06 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM06 parent feeding an
+                # RSTSHM07 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "

@@ -66,7 +66,6 @@ class IndexSnapshot:
 
     __slots__ = (
         "generation",
-        "kernel_backend",
         "kind",
         "n_slots",
         "maxD",
@@ -103,7 +102,6 @@ class IndexSnapshot:
 
     def __init__(self) -> None:
         self.generation = 0
-        self.kernel_backend = kernels.backend_name()
         self.kind = "iur"
         self.n_slots = 0
         self.maxD = 1.0
@@ -193,7 +191,6 @@ class IndexSnapshot:
 
         snap = cls()
         snap.generation = view.generation
-        snap.kernel_backend = base.kernel_backend
         snap.kind = base.kind
         snap.maxD = base.maxD
         # The view's num_clusters(), without its O(n) pass over labels.
@@ -396,11 +393,8 @@ class IndexSnapshot:
         return matrix
 
     def is_current(self, generation: int) -> bool:
-        """Whether this snapshot serves ``generation`` under the active
-        kernel backend (its pre-frozen kernel forms are per backend)."""
-        return self.generation == generation and (
-            self.kernel_backend == kernels.backend_name()
-        )
+        """Whether this snapshot serves ``generation``."""
+        return self.generation == generation
 
     def release(self) -> None:
         """Drop the memoized engines, which point back at this snapshot,
@@ -517,7 +511,6 @@ class IndexSnapshot:
             "objects": sum(self.cnt[r] for r in self.root_slots),
             "roots": len(self.root_slots),
             "columnar_bytes": self.nbytes(),
-            "kernel_backend": self.kernel_backend,
         }
 
 

@@ -57,6 +57,13 @@ class ShardQueryService:
     the searcher's exact merge.  Answers therefore keep the
     scatter–gather bit-parity guarantee while gaining per-shard
     fault isolation.
+
+    Round 1 always runs in this process, one shard after another: the
+    per-shard services hold the shard trees, not the searcher's worker
+    pool.  With ``workers > 0`` on the searcher only round 2's
+    competitor-count probes
+    (:meth:`~repro.shard.merge.ShardProbe.count_better`) fan out over
+    the pool.
     """
 
     def __init__(

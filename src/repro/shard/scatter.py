@@ -27,8 +27,7 @@ One query runs in two exact rounds over the shards of a
 With ``workers > 0`` both rounds fan out over a persistent process
 pool whose workers attach **all** shard snapshots zero-copy through
 :class:`~repro.perf.shm.SharedSnapshotSegment` (one segment per shard;
-``share`` takes :data:`~repro.config.BATCH_SHARE_MODES`, and pickle
-transport is the recorded fallback when shared memory is
+pickle transport is the recorded fallback when shared memory is
 unavailable).  Any worker failure falls back to in-process execution
 of the affected task — the parent keeps the live shard trees — so
 results never depend on pool health.
@@ -42,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import BATCH_SHARE_MODES, SimilarityConfig
+from ..config import SimilarityConfig
 from ..core.rstknn import SearchStats
 from ..errors import ConfigError
 from ..model.objects import STObject
@@ -178,10 +177,10 @@ class ScatterGatherSearcher:
             unsharded searcher does (inert when the shard trees were
             built without ``use_entropy_priority``).
         workers: ``0`` runs both rounds in-process; ``N > 0`` keeps a
-            persistent ``N``-process pool with every shard attached.
-        share: Snapshot transport for the pool — ``"shm"`` (segments,
-            error if unavailable), ``"pickle"``, or ``"auto"`` (shm
-            with recorded pickle fallback).
+            persistent ``N``-process pool with every shard attached
+            over shared memory (pickled shard trees, with the reason in
+            :attr:`fallback_reason` and a warning, where shared memory
+            is unavailable).
         kmax: Largest ``k`` admission pruning covers
             (:data:`~repro.shard.summaries.DEFAULT_KMAX`; must be
             ``>= 1``).
@@ -200,17 +199,12 @@ class ScatterGatherSearcher:
         te_weight: float = 0.05,
         *,
         workers: int = 0,
-        share: str = "auto",
         kmax: int = DEFAULT_KMAX,
         frontier_size: int = DEFAULT_FRONTIER,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
-        if share not in BATCH_SHARE_MODES:
-            raise ConfigError(
-                f"share must be one of {BATCH_SHARE_MODES}, got {share!r}"
-            )
         if kmax < 1:
             raise ConfigError(f"kmax must be >= 1, got {kmax}")
         self.index = index
@@ -223,7 +217,6 @@ class ScatterGatherSearcher:
             te_weight if tree0.config.use_entropy_priority else 0.0
         )
         self.workers = workers
-        self.share = share
         self.kmax = kmax
         self.frontier_size = frontier_size
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -250,32 +243,27 @@ class ScatterGatherSearcher:
         """One transport payload per shard; shm unless unavailable."""
         from ..perf import shm as shm_mod  # noqa: PLC0415
 
-        if self.share != "pickle":
-            ok, why = shm_mod.shm_available()
-            if ok:
-                try:
-                    payloads: List[Tuple] = []
-                    for shard in self.index.shards:
-                        seg = shm_mod.SharedSnapshotSegment.create(
-                            shard.tree, self.config, self.te_weight
-                        )
-                        self._segments.append(seg)
-                        payloads.append(("shm", seg.name, seg.generation))
-                    return payloads
-                except Exception as exc:  # noqa: BLE001 — record + fall back
-                    self._release_segments()
-                    why = f"{type(exc).__name__}: {exc}"
-            if self.share == "shm":
-                raise ConfigError(
-                    f"share='shm' requested but unavailable: {why}"
-                )
-            self.fallback_reason = f"shm_unavailable ({why})"
-            warnings.warn(
-                "shard pool falling back to pickle transport: "
-                f"{self.fallback_reason}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        ok, why = shm_mod.shm_available()
+        if ok:
+            try:
+                payloads: List[Tuple] = []
+                for shard in self.index.shards:
+                    seg = shm_mod.SharedSnapshotSegment.create(
+                        shard.tree, self.config, self.te_weight
+                    )
+                    self._segments.append(seg)
+                    payloads.append(("shm", seg.name, seg.generation))
+                return payloads
+            except Exception as exc:  # noqa: BLE001 — record + fall back
+                self._release_segments()
+                why = f"{type(exc).__name__}: {exc}"
+        self.fallback_reason = f"shm_unavailable ({why})"
+        warnings.warn(
+            "shard pool falling back to pickle transport: "
+            f"{self.fallback_reason}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return [("pickle", shard.tree) for shard in self.index.shards]
 
     def _ensure_pool(self) -> ProcessPoolExecutor:

@@ -78,8 +78,8 @@ class SparseVector:
 
     def __getstate__(self) -> Tuple[Tuple[int, ...], Tuple[float, ...], float]:
         # The frozen form is a per-process cache; rebuild after unpickling
-        # (it may hold numpy arrays, and the receiving process may run a
-        # different kernel backend).
+        # (it may hold numpy arrays, and the receiving process may lack
+        # numpy).
         return (self._ids, self._weights, self._norm_sq)
 
     def __setstate__(
@@ -89,9 +89,10 @@ class SparseVector:
         self._frozen = None
 
     def frozen(self):
-        """The active kernel backend's frozen form (built once, cached)."""
+        """The kernel frozen form (built once, cached; see
+        :func:`repro.perf.kernels.freeze`)."""
         fz = self._frozen
-        if fz is None or not kernels.is_current(fz):
+        if fz is None:
             fz = kernels.freeze(self._ids, self._weights, self._norm_sq)
             self._frozen = fz
         return fz

@@ -4,11 +4,33 @@ from __future__ import annotations
 
 import random
 from typing import List, Tuple
+from unittest import mock
 
 import pytest
 
 from repro import SimilarityConfig, STDataset
+from repro.perf import kernels
 from repro.spatial import Point
+
+#: ``kernels.AUTO_NUMPY_MIN_TERMS`` values that pick the frozen form of
+#: every vector frozen under them: ``python`` keeps all vectors in the
+#: python form, ``numpy`` (0) puts all of them in the numpy form, and
+#: ``mixed`` (3) splits a corpus of short documents between the two.
+FORM_CROSSOVERS = {"python": 1 << 62, "numpy": 0, "mixed": 3}
+
+#: The frozen forms this host can build.
+FORMS = ("python", "numpy") if kernels.numpy_available() else ("python",)
+
+
+def frozen_form(form: str):
+    """Context manager under which new frozen forms are ``form`` ones.
+
+    A frozen form is cached on its vector, so only vectors (and trees)
+    built or first frozen inside the block take the form.
+    """
+    return mock.patch.object(
+        kernels, "AUTO_NUMPY_MIN_TERMS", FORM_CROSSOVERS[form]
+    )
 
 VOCAB = [
     "sushi", "ramen", "pizza", "pasta", "tacos", "burger", "coffee",

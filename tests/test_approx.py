@@ -12,7 +12,7 @@ These tests pin that contract from below and above:
   (never prunes);
 * **approx exactness** (hypothesis) — ``engine="approx"`` returns the
   ids of the snapshot engine and of :class:`ThresholdBaseline` for every
-  measure, alpha, tree kind and kernel backend, tie-heavy corpora and
+  measure, alpha, tree kind and frozen kernel form, tie-heavy corpora and
   queries that copy a dataset object included; ``k > kmax`` runs the
   snapshot walk;
 * **plumbing** — filter counters, the ``REPRO_ENGINE=approx`` env knob,
@@ -42,7 +42,7 @@ from repro.spatial.point import Point
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
 
-from tests.conftest import random_corpus
+from tests.conftest import FORMS, frozen_form, random_corpus
 
 _ALPHAS = (0.0, 0.4, 1.0)
 _STATE = {}
@@ -526,8 +526,9 @@ _MEASURES = (
 _CORPORA = {}
 
 
-def _corpus(kind: str, n: int):
-    """Cached ``(IUR, CIUR)`` trees over one test corpus.
+def _corpus(kind: str, n: int, form: str = "python"):
+    """Cached ``(IUR, CIUR)`` trees over one test corpus, every vector
+    frozen in ``form`` (see ``tests.conftest.frozen_form``).
 
     ``dup`` is tie-heavy: eight distinct ``(location, text)`` records,
     each repeated eight times, plus same-place/other-text and
@@ -545,13 +546,20 @@ def _corpus(kind: str, n: int):
     round above 1.0 — next to 20 random documents from
     ``random.Random(n)``.
     """
+    key = (kind, n, form)
+    if key not in _CORPORA:
+        _CORPORA[key] = _build_corpus(kind, n, form)
+    return _CORPORA[key]
+
+
+def _build_corpus(kind: str, n: int, form: str):
+    """The uncached :func:`_corpus` build."""
     from repro.config import IndexConfig
     from repro.index.ciurtree import CIURTree
     from repro.model.dataset import STDataset
     from repro.spatial.point import Point
 
-    key = (kind, n)
-    if key not in _CORPORA:
+    with frozen_form(form):
         if kind == "dup":
             base = [
                 (Point(0.1 * (i % 4), 0.2 * (i // 4)),
@@ -595,7 +603,7 @@ def _corpus(kind: str, n: int):
         else:
             dataset = gn_like(n=n, seed=5)
         small = IndexConfig(max_entries=6, min_entries=2)
-        _CORPORA[key] = (
+        trees = (
             IURTree.build(dataset, small),
             CIURTree.build(
                 dataset,
@@ -605,7 +613,9 @@ def _corpus(kind: str, n: int):
                 ),
             ),
         )
-    return _CORPORA[key]
+        for tree in trees:
+            tree.snapshot()  # freeze every vector in ``form``
+    return trees
 
 
 class TestExactProfiles:
@@ -618,21 +628,18 @@ class TestExactProfiles:
             ("gn", 17),
         )),
         ciur=st.booleans(),
-        backend=st.sampled_from(
-            ("python", "numpy") if numpy_available() else ("python",)
-        ),
+        form=st.sampled_from(FORMS),
         array_pass=st.booleans(),
     )
     def test_profiles_and_node_floors_are_exact(
-        self, alpha, measure, corpus, ciur, backend, array_pass
+        self, alpha, measure, corpus, ciur, form, array_pass
     ):
         from unittest import mock
 
         from repro.approx import sketch as sketch_mod
-        from repro.perf import kernels
 
-        tree = _corpus(*corpus)[1 if ciur else 0]
-        with kernels.use_backend(backend), mock.patch.object(
+        tree = _corpus(*corpus, form)[1 if ciur else 0]
+        with frozen_form(form), mock.patch.object(
             sketch_mod,
             "_array_numpy",
             sketch_mod._array_numpy if array_pass else (lambda snap: None),
@@ -697,7 +704,7 @@ class TestExactProfiles:
 # Approx exactness: survivors are the answer (hypothesis)
 # ----------------------------------------------------------------------
 
-_BACKENDS = ("python", "numpy", "auto") if numpy_available() else ("python",)
+_FORMS = FORMS + (("mixed",) if numpy_available() else ())
 
 
 def _probe_queries(dataset):
@@ -717,15 +724,15 @@ class TestApproxExactness:
     @settings(deadline=None, max_examples=120)
     @example(  # an all-copies leaf: prunable only if a copy scores > 1.0
         alpha=0.0, measure="extended_jaccard", corpus=("copies", 12),
-        ciur=False, backend="python", k=1, qi=3,
+        ciur=False, form="python", k=1, qi=3,
     )
     @example(  # a copy's Σmax rounded below its node's bound
         alpha=0.5, measure="weighted_jaccard", corpus=("copies", 68),
-        ciur=False, backend="python", k=1, qi=3,
+        ciur=False, form="python", k=1, qi=3,
     )
     @example(  # parallel unequal documents scored cosine > 1.0
         alpha=0.0, measure="cosine", corpus=("scaled", 59),
-        ciur=False, backend="python", k=1, qi=3,
+        ciur=False, form="python", k=1, qi=3,
     )
     @given(
         alpha=st.sampled_from((0.0, 0.4, 0.9, 1.0)),
@@ -735,22 +742,21 @@ class TestApproxExactness:
             ("scaled", 59),
         )),
         ciur=st.booleans(),
-        backend=st.sampled_from(_BACKENDS),
+        form=st.sampled_from(_FORMS),
         k=st.sampled_from((1, DEFAULT_SKETCH_KMAX, DEFAULT_SKETCH_KMAX + 1)),
         qi=st.integers(min_value=0, max_value=4),
     )
     def test_approx_ids_equal_snapshot_and_threshold_baseline(
-        self, alpha, measure, corpus, ciur, backend, k, qi
+        self, alpha, measure, corpus, ciur, form, k, qi
     ):
         from repro.core.baseline import ThresholdBaseline
-        from repro.perf import kernels
 
         # The CIUR trees hold root-level outliers (singleton sketch
         # groups next to the clustered root).
-        tree = _corpus(*corpus)[1 if ciur else 0]
-        query = _probe_queries(tree.dataset)[qi]
+        tree = _corpus(*corpus, form)[1 if ciur else 0]
         config = SimilarityConfig(alpha=alpha, text_measure=measure)
-        with kernels.use_backend(backend):
+        with frozen_form(form):
+            query = _probe_queries(tree.dataset)[qi]
             approx = RSTkNNSearcher(tree, config=config, engine="approx")
             got = approx.search(query, k)
             exact = RSTkNNSearcher(tree, config=config, engine="snapshot")

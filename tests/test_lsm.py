@@ -228,7 +228,7 @@ class TestStaleSketchHazard:
                 assert not [key for key in union._engines if key[0] == "approx"]
             else:
                 batch = BatchSearcher(
-                    live, workers=2, engine="approx", share="shm"
+                    live, workers=2, engine="approx"
                 ).run(queries, 4)
                 assert batch.stats.fallback_reason is None
                 ids = batch.id_lists()
@@ -296,6 +296,34 @@ class TestFreezeFailure:
             # The plan is exhausted; the retried fold succeeds.
             assert live.freeze_step()
             assert live.epoch == epoch + 1 and not live.overlay_dirty
+            assert_parity(live, ds)
+        finally:
+            live.close()
+
+    def test_failed_fold_discards_its_frozen_snapshot(self, monkeypatch):
+        """The fold freezes the rebuilt tree before the fault point, and
+        a failed fold leaves the old tree and its snapshot serving."""
+        ds, live = make_live(n=100)
+        freezes = []
+        real_from_tree = IndexSnapshot.from_tree.__func__
+
+        def counting_from_tree(cls, tree):
+            freezes.append(tree)
+            return real_from_tree(cls, tree)
+
+        try:
+            frozen = live.frozen_tree
+            snap = frozen.snapshot()
+            churn(live, ds)
+            monkeypatch.setattr(
+                IndexSnapshot, "from_tree", classmethod(counting_from_tree)
+            )
+            set_plan(FaultPlan(freeze_fail=1))
+            with pytest.raises(FaultInjected):
+                live.freeze_step()
+            assert len(freezes) == 1 and freezes[0] is not frozen
+            assert live.frozen_tree is frozen and frozen.snapshot() is snap
+            assert live.overlay_dirty
             assert_parity(live, ds)
         finally:
             live.close()
@@ -653,6 +681,30 @@ class TestUnionSnapshot:
         finally:
             live.close()
 
+    def test_fold_freezes_the_new_snapshot(self, monkeypatch):
+        """The fold pays the new tree's O(n) freeze, so the first read
+        after it, clean or dirty, runs no ``IndexSnapshot.from_tree``."""
+        ds, live = make_live(n=120)
+        queries = sample_queries(ds, 2, seed=8)
+        searcher = RSTkNNSearcher(live, engine="snapshot")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a read after the fold froze the tree")
+
+        try:
+            _write_mix(live, ds, 6, seed=1)
+            assert live.freeze_step()
+            monkeypatch.setattr(
+                IndexSnapshot, "from_tree", classmethod(refuse)
+            )
+            _write_mix(live, ds, 4, seed=2)
+            assert live.overlay_dirty
+            for query in queries:
+                ids = searcher.search(query, 4).ids
+                assert ids == BruteForceRSTkNN(ds).search(query, 4)
+        finally:
+            live.close()
+
     def test_next_generation_reuses_the_frozen_memo(self):
         """A read on generation g+1 misses fewer pair bounds than the
         same read on a cold union of the same view: the pairs of stable
@@ -810,7 +862,7 @@ class TestBatchLive:
         if not ok:
             pytest.skip(f"shm transport unavailable: {why}")
         ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, workers=2, share="shm")
+        engine = BatchSearcher(live, workers=2)
         try:
             # Thirty tombstones leave dead slots all over the union; an
             # attached copy has no frozen base, so its walk must skip
@@ -834,10 +886,15 @@ class TestBatchLive:
         finally:
             live.close()
 
-    def test_clean_parallel_ships_the_frozen_tree_by_pickle(self):
+    def test_clean_parallel_ships_the_frozen_tree_by_pickle(self, monkeypatch):
+        from repro.perf import shm as shm_mod
+
+        monkeypatch.setattr(
+            shm_mod, "shm_available", lambda: (False, "forced")
+        )
         registry = MetricsRegistry()
         ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, workers=2, share="pickle", metrics=registry)
+        engine = BatchSearcher(live, workers=2, metrics=registry)
         try:
             churn(live, ds, seed=21)
             assert live.freeze_step()
@@ -845,9 +902,10 @@ class TestBatchLive:
             batch = engine.run(queries, 4)
             assert batch.stats.workers == 2
             assert batch.stats.share == "pickle"
-            assert batch.stats.fallback_reason is None
+            assert batch.stats.fallback_reason == "shm_unavailable (forced)"
             counters = registry.snapshot()["counters"]
-            assert not [c for c in counters if c.startswith("batch.fallback.")]
+            fallbacks = [c for c in counters if c.startswith("batch.fallback.")]
+            assert fallbacks == ["batch.fallback.shm_unavailable"]
             for query, ids in zip(queries, batch.id_lists()):
                 assert ids == BruteForceRSTkNN(ds).search(query, 4)
         finally:
@@ -867,9 +925,14 @@ class TestBatchLive:
         finally:
             live.close()
 
-    def test_dirty_parallel_falls_back_sequential(self):
+    def test_dirty_parallel_falls_back_sequential(self, monkeypatch):
+        from repro.perf import shm as shm_mod
+
+        monkeypatch.setattr(
+            shm_mod, "shm_available", lambda: (False, "forced")
+        )
         ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, workers=2, share="pickle")
+        engine = BatchSearcher(live, workers=2)
         try:
             churn(live, ds, seed=21)
             queries = sample_queries(ds, 4, seed=6)
@@ -885,27 +948,6 @@ class TestBatchLive:
 
 
 class TestMetrics:
-    def test_live_batches_publish_the_frontier_histogram(self):
-        pytest.importorskip("numpy")  # frontier batching is the numpy pass
-        from repro.workloads import gn_like
-
-        def frontier_calls(tree, dirty=False):
-            registry = MetricsRegistry()
-            if dirty:
-                donor = tree.dataset.objects[3]
-                tree.insert(donor.point, " ".join(donor.keywords))
-                assert tree.delete_object(tree.dataset.objects[7].oid)
-            queries = sample_queries(tree.dataset, 6, seed=4)
-            BatchSearcher(tree, workers=1, metrics=registry).run(queries, 5)
-            return registry.histogram("engine.frontier.batch_size").count
-
-        plain = frontier_calls(IURTree.build(gn_like(400)))
-        assert plain > 0
-        assert frontier_calls(LiveIndex(IURTree.build(gn_like(400)))) == plain
-        assert frontier_calls(
-            LiveIndex(IURTree.build(gn_like(400))), dirty=True
-        ) > 0
-
     def test_gauges_counters_and_histogram(self):
         registry = MetricsRegistry()
         ds, live = make_live(n=80, metrics=registry)

@@ -150,8 +150,6 @@ def test_rejects_nonpositive_workers():
     env = _fixture()
     with pytest.raises(ConfigError):
         BatchSearcher(env["tree"], workers=0)
-    with pytest.raises(ConfigError):
-        BatchSearcher(env["tree"], share="x")
 
 
 def test_unpicklable_tree_falls_back_to_sequential(monkeypatch):

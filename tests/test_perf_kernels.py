@@ -1,12 +1,14 @@
-"""Kernel-equivalence properties: frozen backends match the merge-join.
+"""Kernel-equivalence properties: frozen forms match the merge-join.
 
 The frozen kernels (python dict/frozenset form, numpy array form) must
 agree with the seed's sorted-tuple merge-join reference to within 1e-12
 on every reduction — they replaced it on the hot path, so any drift is a
-correctness bug, not a tolerance question.
+correctness bug, not a tolerance question.  Each form is reached by
+patching the length rule's crossover (``tests.conftest.frozen_form``).
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.perf import kernels
 from repro.text.vector import SparseVector
+
+from tests.conftest import FORMS, frozen_form
 
 doc = st.dictionaries(
     st.integers(min_value=0, max_value=200),
@@ -73,17 +77,17 @@ def _assert_matches_reference(a: SparseVector, b: SparseVector):
 @settings(max_examples=150, deadline=None)
 @given(doc, doc)
 def test_python_kernel_matches_merge_reference(wa, wb):
-    with kernels.use_backend("python"):
+    with frozen_form("python"):
         _assert_matches_reference(SparseVector(wa), SparseVector(wb))
 
 
 @pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy backend unavailable"
+    not kernels.numpy_available(), reason="numpy form unavailable"
 )
 @settings(max_examples=150, deadline=None)
 @given(doc, doc)
 def test_numpy_kernel_matches_merge_reference(wa, wb):
-    with kernels.use_backend("numpy"):
+    with frozen_form("numpy"):
         _assert_matches_reference(SparseVector(wa), SparseVector(wb))
 
 
@@ -91,14 +95,16 @@ def test_numpy_kernel_matches_merge_reference(wa, wb):
 @given(doc, doc)
 def test_backends_agree_with_each_other(wa, wb):
     if not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
-    a, b = SparseVector(wa), SparseVector(wb)
-    with kernels.use_backend("python"):
-        py = (a.dot(b), a.sum_min(b), a.sum_max(b), a.overlap_count(b))
-    with kernels.use_backend("numpy"):
-        np_ = (a.dot(b), a.sum_min(b), a.sum_max(b), a.overlap_count(b))
-    # Both backends sum the same terms with math.fsum: bit for bit equal.
-    assert py == np_
+        pytest.skip("numpy form unavailable")
+    got = []
+    for form in ("python", "numpy"):
+        with frozen_form(form):
+            a, b = SparseVector(wa), SparseVector(wb)
+            got.append(
+                (a.dot(b), a.sum_min(b), a.sum_max(b), a.overlap_count(b))
+            )
+    # Both forms sum the same terms with math.fsum: bit for bit equal.
+    assert got[0] == got[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,21 +115,20 @@ def test_backends_agree_with_each_other(wa, wb):
 )
 def test_sum_max_is_one_correctly_rounded_sum(wa, wb):
     # Weighted Jaccard bounds need Σmax monotone in the exact value, so
-    # every backend must return the correctly rounded sum over the union.
+    # every form must return the correctly rounded sum over the union.
     expected = math.fsum(
         max(wa.get(t, 0.0), wb.get(t, 0.0)) for t in set(wa) | set(wb)
     )
-    backends = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-    for backend in backends:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
             assert SparseVector(wa).sum_max(SparseVector(wb)) == expected
 
 
 def test_frozen_form_precomputes_norm_and_weight_sum():
-    v = SparseVector({1: 0.5, 9: 2.0, 70: 1.5})
-    with kernels.use_backend("python"):
+    with frozen_form("python"):
+        v = SparseVector({1: 0.5, 9: 2.0, 70: 1.5})
         fz = v.frozen()
-        assert fz.backend == "python"
+        assert isinstance(fz, kernels.PyFrozenVector)
         assert math.isclose(fz.norm_sq, v.norm_squared)
         assert math.isclose(fz.wsum, 0.5 + 2.0 + 1.5)
         # Signature covers every term's bit.
@@ -132,10 +137,10 @@ def test_frozen_form_precomputes_norm_and_weight_sum():
 
 
 def test_disjoint_pairs_short_circuit():
-    a = SparseVector({0: 1.0, 1: 2.0})
-    b = SparseVector({64: 3.0})  # collides with bit 0 in the 64-bit mask
-    c = SparseVector({5: 1.0})
-    with kernels.use_backend("python"):
+    with frozen_form("python"):
+        a = SparseVector({0: 1.0, 1: 2.0})
+        b = SparseVector({64: 3.0})  # collides with bit 0 in the 64-bit mask
+        c = SparseVector({5: 1.0})
         # Mask collision (0 vs 64) must still give the right answer.
         assert a.dot(b) == 0.0
         assert a.sum_min(b) == 0.0
@@ -145,51 +150,40 @@ def test_disjoint_pairs_short_circuit():
 
 
 def test_backend_switch_refreezes_lazily():
+    """A frozen form is fixed once built, and a vector re-freezes only
+    where its cache is dropped: after a pickle round trip the receiving
+    process freezes it again under its own length rule."""
+    import pickle
+
     if not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
-    v = SparseVector({1: 1.0, 2: 2.0})
-    with kernels.use_backend("python"):
-        assert v.frozen().backend == "python"
-    with kernels.use_backend("numpy"):
-        assert v.frozen().backend == "numpy"
-    # Restored backend re-freezes back on next use.
-    assert kernels.is_current(v.frozen())
+        pytest.skip("numpy form unavailable")
+    with frozen_form("numpy"):
+        v = SparseVector({1: 1.0, 2: 2.0})
+        assert isinstance(v.frozen(), kernels.NumpyFrozenVector)
+    with frozen_form("python"):
+        assert isinstance(v.frozen(), kernels.NumpyFrozenVector)  # cached
+        clone = pickle.loads(pickle.dumps(v))
+        assert isinstance(clone.frozen(), kernels.PyFrozenVector)
+        assert clone.dot(v) == v.dot(v)
 
 
 def test_set_backend_returns_previous_and_validates():
-    previous = kernels.set_backend("python")
-    try:
-        assert kernels.backend_name() == "python"
+    # The compatibility pair names the one rule left, ``auto``.
+    assert kernels.set_backend("auto") == "auto"
+    for retired in ("python", "numpy", "cython"):
         with pytest.raises(ConfigError):
-            kernels.set_backend("cython")
-        # A failed switch must not clobber the active backend.
-        assert kernels.backend_name() == "python"
-    finally:
-        kernels.set_backend(previous)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
-    monkeypatch.setattr(kernels, "_backend", None)
-    assert kernels.backend_name() == "python"
-
-
-def test_env_var_typo_warns_and_falls_back(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "cython")
-    monkeypatch.setattr(kernels, "_backend", None)
-    with pytest.warns(RuntimeWarning, match="not one of"):
-        assert kernels.backend_name() == "python"
-    # Resolution is cached; no second warning on the next call.
-    assert kernels.backend_name() == "python"
+            kernels.set_backend(retired)
+    assert kernels.backend_name() == "auto"
 
 
 def test_numpy_request_degrades_to_python_when_unavailable(monkeypatch):
-    # Simulate an environment without numpy regardless of this one.
+    # Simulate an environment without numpy regardless of this one: a
+    # vector long enough for the numpy form gets the python one.
     monkeypatch.setattr(kernels, "_np", None)
     monkeypatch.setattr(kernels, "_np_checked", True)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert kernels._resolve("numpy") == "python"
-    assert kernels._resolve("auto") == "python"
+    with frozen_form("numpy"):
+        v = SparseVector({1: 1.0, 2: 2.0})
+        assert isinstance(v.frozen(), kernels.PyFrozenVector)
 
 
 def test_sparse_vector_pickles_without_frozen_form():
@@ -199,21 +193,31 @@ def test_sparse_vector_pickles_without_frozen_form():
     v.frozen()  # populate the cached form
     clone = pickle.loads(pickle.dumps(v))
     assert clone == v
-    assert clone._frozen is None  # rebuilt lazily under the local backend
+    assert clone._frozen is None  # rebuilt lazily under the local rule
     assert math.isclose(clone.dot(v), v.dot(v))
 
 
 def test_auto_backend_dispatches_by_length():
+    # The rule reads the crossover when a vector first freezes.
     if not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
-    cross = kernels.AUTO_NUMPY_MIN_TERMS
-    short = SparseVector({t: 1.0 for t in range(4)})
-    long = SparseVector({t: 1.0 + (t % 7) * 0.1 for t in range(cross)})
-    with kernels.use_backend("auto"):
-        assert short.frozen().backend == "python"
-        assert long.frozen().backend == "numpy"
-        assert kernels.is_current(short.frozen())
-        assert kernels.is_current(long.frozen())
+        pytest.skip("numpy form unavailable")
+    with mock.patch.object(kernels, "AUTO_NUMPY_MIN_TERMS", 5):
+        short = SparseVector({t: 1.0 for t in range(4)})
+        long = SparseVector({t: 1.0 + (t % 7) * 0.1 for t in range(5)})
+        assert isinstance(short.frozen(), kernels.PyFrozenVector)
+        assert isinstance(long.frozen(), kernels.NumpyFrozenVector)
+        assert short.dot(long) == long.dot(short)
+
+
+def test_length_rule_is_the_default():
+    # With numpy installed, the numpy form starts at 256 terms.
+    if not kernels.numpy_available():
+        pytest.skip("numpy form unavailable")
+    assert kernels.AUTO_NUMPY_MIN_TERMS == 256
+    at = SparseVector({t: 1.0 for t in range(256)})
+    below = SparseVector({t: 1.0 for t in range(255)})
+    assert isinstance(at.frozen(), kernels.NumpyFrozenVector)
+    assert isinstance(below.frozen(), kernels.PyFrozenVector)
 
 
 @given(
@@ -233,20 +237,16 @@ def test_auto_backend_dispatches_by_length():
 @settings(max_examples=60, deadline=None)
 def test_mixed_backend_pairs_match_python(a, b):
     if not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
-    va, vb = SparseVector(a), SparseVector(b)
-    with kernels.use_backend("python"):
-        pa, pb = va.frozen(), vb.frozen()
-        expect = (
-            pa.dot(pb),
-            pa.sum_min(pb),
-            pa.sum_max(pb),
-            pa.overlap_count(pb),
-            pa.ext_jaccard(pb),
-        )
-    with kernels.use_backend("numpy"):
-        vb._frozen = None
-        nb = vb.frozen()
+        pytest.skip("numpy form unavailable")
+    pa, pb = _frozen_as(a, "python"), _frozen_as(b, "python")
+    expect = (
+        pa.dot(pb),
+        pa.sum_min(pb),
+        pa.sum_max(pb),
+        pa.overlap_count(pb),
+        pa.ext_jaccard(pb),
+    )
+    nb = _frozen_as(b, "numpy")
     # One python-form operand, one numpy-form — both orders.
     for x, y, swap in ((pa, nb, False), (nb, pa, True)):
         got = (
@@ -258,7 +258,6 @@ def test_mixed_backend_pairs_match_python(a, b):
         )
         for g, e in zip(got, expect):
             assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12)
-    vb._frozen = None
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +266,7 @@ def test_mixed_backend_pairs_match_python(a, b):
 # reduction must give the same bits both ways.
 # ----------------------------------------------------------------------
 
-_FORMS = (
-    ("python", "numpy", "mixed") if kernels.numpy_available() else ("python",)
-)
+_FORMS = FORMS + (("mixed",) if kernels.numpy_available() else ())
 _MEASURES = (
     "extended_jaccard", "cosine", "overlap", "dice", "weighted_jaccard"
 )
@@ -346,24 +343,23 @@ _SYMMETRY_TREES = {}
 
 
 def _symmetry_tree(form):
-    """``(backend, tree)`` whose object vectors are frozen in ``form``;
-    ``mixed`` runs ``auto`` with a crossover of 3 terms, so short
-    documents take the python form and longer ones the numpy form."""
-    from unittest import mock
-
+    """A tree whose object vectors are frozen in ``form``; ``mixed``
+    freezes short documents in the python form and longer ones in the
+    numpy form."""
     from repro.index.iurtree import IURTree
     from repro.workloads import gn_like
 
     if form not in _SYMMETRY_TREES:
-        backend = "auto" if form == "mixed" else form
-        with kernels.use_backend(backend), mock.patch.object(
-            kernels, "AUTO_NUMPY_MIN_TERMS", 3
-        ):
+        with frozen_form(form):
             tree = IURTree.build(gn_like(n=40, seed=11))
             snap = tree.snapshot()
-        kinds = {f.backend for f, o in zip(snap.obj_frozen, snap.is_obj) if o}
+        kinds = {
+            "numpy" if isinstance(f, kernels.NumpyFrozenVector) else "python"
+            for f, o in zip(snap.obj_frozen, snap.is_obj)
+            if o
+        }
         assert kinds == ({"python", "numpy"} if form == "mixed" else {form})
-        _SYMMETRY_TREES[form] = (backend, tree)
+        _SYMMETRY_TREES[form] = tree
     return _SYMMETRY_TREES[form]
 
 
@@ -376,31 +372,28 @@ def _symmetry_tree(form):
 def test_snapshot_exact_is_bitwise_symmetric(form, measure, alpha):
     from repro.text.similarity import make_measure
 
-    backend, tree = _symmetry_tree(form)
-    with kernels.use_backend(backend):
-        snap = tree.snapshot()
-        engine = snap.engine_for(tree, make_measure(measure), alpha, 0.0)
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        for i, a in enumerate(objs):
-            for b in objs[i + 1:]:
-                assert engine._exact(a, b) == engine._exact(b, a), (a, b)
+    tree = _symmetry_tree(form)
+    snap = tree.snapshot()
+    engine = snap.engine_for(tree, make_measure(measure), alpha, 0.0)
+    objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    for i, a in enumerate(objs):
+        for b in objs[i + 1:]:
+            assert engine._exact(a, b) == engine._exact(b, a), (a, b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     weights=st.dictionaries(_term, _weight, min_size=1, max_size=12),
-    backend=st.sampled_from(
-        ("python", "numpy") if kernels.numpy_available() else ("python",)
-    ),
+    form=st.sampled_from(FORMS),
     measure=st.sampled_from(_MEASURES),
 )
-def test_equal_documents_score_exactly_one(weights, backend, measure):
+def test_equal_documents_score_exactly_one(weights, form, measure):
     # Bounds cap similarities at 1.0, so an equal pair must not round
     # above it: its dot has to equal the squared norm bit for bit.
     from repro.text.similarity import make_measure
 
-    a, b = SparseVector(weights), SparseVector(dict(weights))
-    with kernels.use_backend(backend):
+    with frozen_form(form):
+        a, b = SparseVector(weights), SparseVector(dict(weights))
         assert a.dot(b) == a.norm_squared
         assert make_measure(measure).similarity(a, b) == 1.0
 
@@ -416,7 +409,7 @@ def test_equal_documents_score_exactly_one(weights, backend, measure):
 def test_near_equal_documents_never_score_above_one(weights, ulps, measure):
     # A copy nudged a few ulps per weight can make 2<u,v> round above
     # |u|^2 + |v|^2; the upper bounds return exactly 1.0 there, so the
-    # score must not exceed it on either backend.
+    # score must not exceed it in either form.
     from repro.text.similarity import make_measure
 
     nudged = {}
@@ -424,10 +417,9 @@ def test_near_equal_documents_never_score_above_one(weights, ulps, measure):
         for _ in range(abs(steps)):
             w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         nudged[t] = w
-    a, b = SparseVector(weights), SparseVector(nudged)
-    backends = ("python", "numpy") if kernels.numpy_available() else ("python",)
-    for backend in backends:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
+            a, b = SparseVector(weights), SparseVector(nudged)
             assert 0.0 <= make_measure(measure).similarity(a, b) <= 1.0
 
 

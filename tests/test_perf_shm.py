@@ -13,8 +13,9 @@ and a leaked segment survives the process.  So these tests pin:
 * **staleness** — a generation bump after export makes ``attach`` with
   the advertised generation fail loudly instead of serving old data;
 * **fallback** — when the transport is unavailable the batch degrades
-  to pickle with ``fallback_reason`` recorded, warns only on explicit
-  ``share="shm"``, and never warns twice per searcher.
+  to pickle with ``fallback_reason`` recorded and without a warning
+  (the pickle transport is reached here by patching
+  :func:`~repro.perf.shm.shm_available`).
 """
 
 import pickle
@@ -23,7 +24,7 @@ import warnings
 import pytest
 
 from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
-from repro.errors import ConfigError, SnapshotSegmentError, StaleSegmentError
+from repro.errors import SnapshotSegmentError, StaleSegmentError
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
@@ -52,7 +53,6 @@ def _fixture():
         dataset = gn_like(n=150)
         tree = IURTree.build(dataset)
         tree.warm_kernels()
-        tree.snapshot().text_matrix()
         queries = sample_queries(dataset, 6, seed=23)
         _STATE.update(dataset=dataset, tree=tree, queries=queries)
     return _STATE
@@ -117,18 +117,24 @@ class TestAttachParity:
                 del searcher
                 attached.close()
 
-    def test_batch_parity_shm_vs_pickle_vs_sequential(self):
+    def test_batch_parity_shm_vs_pickle_vs_sequential(self, monkeypatch):
         env = _fixture()
         queries, k = env["queries"], 4
         sequential = BatchSearcher(
             env["tree"], workers=1, engine="snapshot"
         ).run(queries, k)
         for share in ("shm", "pickle"):
+            if share == "pickle":
+                monkeypatch.setattr(
+                    shm_mod, "shm_available", lambda: (False, "forced")
+                )
             run = BatchSearcher(
-                env["tree"], workers=2, engine="snapshot", share=share
+                env["tree"], workers=2, engine="snapshot"
             ).run(queries, k)
             assert run.stats.share == share
-            assert run.stats.fallback_reason is None
+            assert run.stats.fallback_reason == (
+                None if share == "shm" else "shm_unavailable (forced)"
+            )
             assert run.id_lists() == sequential.id_lists()
             for a, b in zip(sequential.results, run.results):
                 assert _decisions(a) == _decisions(b)
@@ -150,32 +156,24 @@ class TestAttachParity:
         assert not [name for name in counters if name.endswith(".seed")]
 
     def test_attached_text_matrix_matches_parent(self):
-        # The kNNL sketch build reads the snapshot's object rows and
-        # postings; an attached worker rebuilding a sketch the parent
-        # did not bake into the segment must read the same values.
+        # The segment ships no text matrix: an attached worker building a
+        # sketch the parent did not bake into the segment inverts its
+        # attached object vectors, and must reach the parent's profiles.
         from repro.text.similarity import make_measure
 
         env = _fixture()
         tree = env["tree"]
         snap = tree.snapshot()
-        tm = snap.text_matrix()
         measure = make_measure(env["dataset"].config.text_measure)
         kmax = 3
         with SharedSnapshotSegment.create(tree) as seg:
             attached = attach(seg.name, expected_generation=seg.generation)
-            asnap = atm = twin = None
+            asnap = twin = None
             try:
                 asnap = attached.snapshot
-                atm = asnap.text_matrix()
-                assert atm.generation == tm.generation
-                assert atm.n_obj_rows == tm.n_obj_rows
-                assert list(atm.obj_row) == list(tm.obj_row)
-                assert list(atm.obj_nsq) == list(tm.obj_nsq)
-                assert atm.obj_postings.keys() == tm.obj_postings.keys()
-                for tid, (rows, weights) in tm.obj_postings.items():
-                    assert [list(col) for col in atm.obj_postings[tid]] == [
-                        list(rows), list(weights)
-                    ]
+                assert not [
+                    a for a in attached.header["arrays"] if a.startswith("tm_")
+                ]
                 assert (measure.name, 0.5, 0.0, kmax) not in asnap._sketches
                 twin = asnap.sketch_for(
                     asnap.engine_for(attached.tree, measure, 0.5, 0.0),
@@ -186,13 +184,13 @@ class TestAttachParity:
                 )
                 assert list(twin.obj_profile) == list(parent.obj_profile)
             finally:
-                asnap = atm = twin = None
+                asnap = twin = None
                 attached.close()
 
     def test_stats_surface_share_and_rss(self):
         env = _fixture()
         run = BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="shm"
+            env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
         stats = run.stats.as_dict()
         assert stats["share"] == "shm"
@@ -232,7 +230,7 @@ class TestLifecycle:
         env = _fixture()
         names = _capture_segments(monkeypatch)
         BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="shm"
+            env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
         assert len(names) == 1
         assert not _segment_exists(names[0])
@@ -246,7 +244,7 @@ class TestLifecycle:
         set_plan(FaultPlan(worker_crash=frozenset({0})))
         try:
             run = BatchSearcher(
-                env["tree"], workers=2, engine="snapshot", share="shm"
+                env["tree"], workers=2, engine="snapshot"
             ).run(env["queries"], 3)
         finally:
             set_plan(None, clear=True)
@@ -270,7 +268,7 @@ class TestLifecycle:
             SharedSnapshotSegment, "create", classmethod(exploding_create)
         )
         run = BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="auto"
+            env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
         assert run.stats.share == "pickle"
         assert "shm_unavailable" in run.stats.fallback_reason
@@ -322,9 +320,11 @@ class TestStaleness:
 
 class TestFallback:
     def test_share_validation(self):
+        # The transport follows one rule; a caller still passing the
+        # retired ``share=`` fails loudly instead of being ignored.
         env = _fixture()
-        with pytest.raises(ConfigError):
-            BatchSearcher(env["tree"], share="carrier-pigeon")
+        with pytest.raises(TypeError, match="share"):
+            BatchSearcher(env["tree"], share="pickle")
 
     def test_unavailable_shm_degrades_to_pickle_with_reason(
         self, monkeypatch
@@ -333,33 +333,12 @@ class TestFallback:
         monkeypatch.setattr(
             shm_mod, "shm_available", lambda: (False, "numpy missing")
         )
-        bs = BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="auto"
-        )
+        bs = BatchSearcher(env["tree"], workers=2, engine="snapshot")
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # auto mode must stay silent
+            warnings.simplefilter("error")  # the fallback stays silent
             run = bs.run(env["queries"], 3)
         assert run.stats.share == "pickle"
         assert run.stats.fallback_reason == "shm_unavailable (numpy missing)"
-
-    def test_explicit_shm_request_warns_once_per_searcher(
-        self, monkeypatch
-    ):
-        env = _fixture()
-        monkeypatch.setattr(
-            shm_mod, "shm_available", lambda: (False, "numpy missing")
-        )
-        bs = BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="shm"
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bs.run(env["queries"], 3)
-            bs.run(env["queries"], 3)
-        shm_warnings = [
-            w for w in caught if "shm transport unavailable" in str(w.message)
-        ]
-        assert len(shm_warnings) == 1
 
     def test_auto_mode_records_real_environment_outcome(self):
         """No monkeypatching: whatever this host supports is recorded.
@@ -370,7 +349,7 @@ class TestFallback:
         """
         env = _fixture()
         run = BatchSearcher(
-            env["tree"], workers=2, engine="snapshot", share="auto"
+            env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
         ok, why = shm_available()
         if ok:
@@ -381,14 +360,12 @@ class TestFallback:
             assert run.stats.fallback_reason == f"shm_unavailable ({why})"
 
     def test_seed_engine_is_never_shm_eligible(self):
-        """Pickle is the seed walk's only transport: under ``auto`` it
-        ships without a recorded fallback, while an explicit
-        ``share="shm"`` the seed walk cannot honour stays one."""
+        """Pickle is the seed walk's only transport: it ships without a
+        recorded fallback."""
         env = _fixture()
         registry = MetricsRegistry()
         bs = BatchSearcher(
-            env["tree"], workers=2, engine="seed", share="auto",
-            metrics=registry,
+            env["tree"], workers=2, engine="seed", metrics=registry
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -397,17 +374,6 @@ class TestFallback:
         assert run.stats.fallback_reason is None
         counters = registry.snapshot()["counters"]
         assert not [n for n in counters if n.startswith("batch.fallback.")]
-
-        bs = BatchSearcher(
-            env["tree"], workers=2, engine="seed", share="shm",
-            metrics=registry,
-        )
-        with pytest.warns(RuntimeWarning, match="shm transport unavailable"):
-            run = bs.run(env["queries"], 3)
-        assert run.stats.share == "pickle"
-        assert "seed" in run.stats.fallback_reason
-        counters = registry.snapshot()["counters"]
-        assert counters["batch.fallback.shm_unavailable"] == 1
 
     def test_poisoned_pickle_cascades_to_sequential(self, monkeypatch):
         env = _fixture()
@@ -425,30 +391,3 @@ class TestFallback:
             for q in env["queries"]
         ]
         assert run.id_lists() == reference
-
-
-# ----------------------------------------------------------------------
-# Frontier batching knob
-# ----------------------------------------------------------------------
-
-
-class TestFrontierBatching:
-    def test_lookahead_one_matches_default(self):
-        env = _fixture()
-        reference = BatchSearcher(
-            env["tree"], workers=1, engine="snapshot"
-        ).run(env["queries"], 4)
-        # A fresh tree whose memoized engine expands one node per
-        # spatial kernel call.
-        tree = IURTree.build(env["dataset"])
-        searcher = BatchSearcher(tree, workers=1, engine="snapshot")
-        s = searcher._searcher
-        engine = tree.snapshot().engine_for(
-            tree, s.measure, s.alpha, s.te_weight
-        )
-        engine.frontier_lookahead = 1
-        run = searcher.run(env["queries"], 4)
-        assert set(engine.frontier_histogram()) <= {1}
-        assert run.id_lists() == reference.id_lists()
-        for a, b in zip(reference.results, run.results):
-            assert _decisions(a) == _decisions(b)

@@ -318,8 +318,6 @@ class TestConfig:
         env = _env()
         with pytest.raises(ConfigError):
             ScatterGatherSearcher(env["indexes"][2], workers=-1)
-        with pytest.raises(ConfigError):
-            ScatterGatherSearcher(env["indexes"][2], share="smoke-signal")
 
 
 # ----------------------------------------------------------------------
@@ -328,17 +326,24 @@ class TestConfig:
 
 
 class TestParallel:
-    def test_worker_pool_parity_pickle_transport(self):
+    def test_worker_pool_parity_pickle_transport(self, monkeypatch):
+        from repro.perf import shm as shm_mod
+
         env = _env()
         query = env["queries"][0]
         config = SimilarityConfig(
             alpha=0.5, text_measure=env["dataset"].config.text_measure
         )
         reference = _unsharded_ids(env, 0.5, query, 4)
+        monkeypatch.setattr(
+            shm_mod, "shm_available", lambda: (False, "forced")
+        )
         with ScatterGatherSearcher(
-            env["indexes"][4], config, workers=2, share="pickle"
+            env["indexes"][4], config, workers=2
         ) as searcher:
-            result = searcher.search(query, 4)
+            with pytest.warns(RuntimeWarning, match="pickle transport"):
+                result = searcher.search(query, 4)
+            assert searcher.fallback_reason == "shm_unavailable (forced)"
         assert list(result.ids) == reference
 
 

@@ -9,9 +9,10 @@ for every document pair, and the bounds must be *exact* on degenerate
 single-document summaries (the searcher relies on that to treat
 object-object bounds as exact scores).  Both checks are exact, with no
 slack: the engines prune on exact comparisons, so a bound that is off by
-one rounding step drops a result.  Every property runs on each kernel
-backend in turn (python, and numpy when importable), since scores and
-bounds reduce through the backend's frozen vectors.
+one rounding step drops a result.  Every property runs on each frozen
+kernel form in turn (python, and numpy when importable; reached by
+patching the length rule's crossover), since scores and bounds reduce
+through the frozen vectors.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import IntervalVector, SparseVector
-from repro.perf import kernels
 from repro.text.similarity import (
     CosineMeasure,
     DiceMeasure,
@@ -27,6 +27,8 @@ from repro.text.similarity import (
     OverlapMeasure,
     WeightedJaccard,
 )
+
+from tests.conftest import FORMS, frozen_form
 
 MEASURES = [
     ExtendedJaccard(),
@@ -42,9 +44,6 @@ doc = st.dictionaries(
     max_size=6,
 )
 doc_set = st.lists(doc, min_size=1, max_size=5)
-
-
-BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
 
 
 def summarize(weight_maps):
@@ -76,18 +75,18 @@ def summarize(weight_maps):
 # 1.0 the upper bound returns.
 @example(set_a=[{0: 0.36}], set_b=[{0: 0.36000000000000004}, {0: 1.0}])
 def test_bounds_contain_all_pairs(measure, set_a, set_b):
-    docs_a, iv_a = summarize(set_a)
-    docs_b, iv_b = summarize(set_b)
-    for backend in BACKENDS:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
+            docs_a, iv_a = summarize(set_a)
+            docs_b, iv_b = summarize(set_b)
             lo = measure.min_similarity(iv_a, iv_b)
             hi = measure.max_similarity(iv_a, iv_b)
             assert lo <= hi
             for da in docs_a:
                 for db in docs_b:
                     sim = measure.similarity(da, db)
-                    assert lo <= sim, f"{measure.name}/{backend}: lower bound violated"
-                    assert sim <= hi, f"{measure.name}/{backend}: upper bound violated"
+                    assert lo <= sim, f"{measure.name}/{form}: lower bound violated"
+                    assert sim <= hi, f"{measure.name}/{form}: upper bound violated"
 
 
 @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
@@ -96,10 +95,11 @@ def test_bounds_contain_all_pairs(measure, set_a, set_b):
 @example(wa={0: 3.13}, wb={0: 1.33})
 @example(wa={0: 0.36}, wb={0: 0.36000000000000004})
 def test_bounds_exact_on_degenerate_summaries(measure, wa, wb):
-    a, b = SparseVector(wa), SparseVector(wb)
-    iv_a, iv_b = IntervalVector.from_document(a), IntervalVector.from_document(b)
-    for backend in BACKENDS:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
+            a, b = SparseVector(wa), SparseVector(wb)
+            iv_a = IntervalVector.from_document(a)
+            iv_b = IntervalVector.from_document(b)
             sim = measure.similarity(a, b)
             assert measure.min_similarity(iv_a, iv_b) == sim
             assert measure.max_similarity(iv_a, iv_b) == sim
@@ -110,10 +110,10 @@ def test_bounds_exact_on_degenerate_summaries(measure, wa, wb):
 @settings(max_examples=100, deadline=None)
 @example(set_a=[{0: 0.36}], set_b=[{0: 0.36000000000000004}])
 def test_bounds_stay_in_unit_interval(measure, set_a, set_b):
-    docs_a, iv_a = summarize(set_a)
-    docs_b, iv_b = summarize(set_b)
-    for backend in BACKENDS:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
+            docs_a, iv_a = summarize(set_a)
+            docs_b, iv_b = summarize(set_b)
             assert 0.0 <= measure.min_similarity(iv_a, iv_b) <= 1.0
             assert 0.0 <= measure.max_similarity(iv_a, iv_b) <= 1.0
             for da in docs_a:
@@ -126,12 +126,12 @@ def test_bounds_stay_in_unit_interval(measure, set_a, set_b):
 @settings(max_examples=100, deadline=None)
 def test_merging_only_loosens_bounds(measure, set_a, set_b, set_c):
     """A coarser summary (A ∪ C) must bracket the finer summary's range."""
-    _, iv_a = summarize(set_a)
-    _, iv_b = summarize(set_b)
-    _, iv_c = summarize(set_c)
-    coarse = IntervalVector.merge([iv_a, iv_c])
-    for backend in BACKENDS:
-        with kernels.use_backend(backend):
+    for form in FORMS:
+        with frozen_form(form):
+            _, iv_a = summarize(set_a)
+            _, iv_b = summarize(set_b)
+            _, iv_c = summarize(set_c)
+            coarse = IntervalVector.merge([iv_a, iv_c])
             assert measure.min_similarity(coarse, iv_b) <= (
                 measure.min_similarity(iv_a, iv_b) + 1e-9
             )
