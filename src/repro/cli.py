@@ -390,11 +390,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         # post-fold dataset through the regular sharded stack below.
         _serve_http_live_churn(args, dataset, tree_cls, registry)
     index = build_sharded_index(dataset, args.shards, tree_cls=tree_cls)
-    searcher = ScatterGatherSearcher(
-        index,
-        workers=args.workers,
-        metrics=registry,
-    )
+    searcher = ScatterGatherSearcher(index, metrics=registry)
     service = ShardQueryService(
         searcher,
         deadline_seconds=args.deadline,
@@ -409,25 +405,22 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         metrics=registry,
     )
+    if args.self_test:
+        return _serve_http_self_test(args, dataset, tree_cls, service, server)
+
+    async def run() -> None:
+        await server.start()
+        print(
+            f"serving {args.shards} shard(s) over |D|={args.n} "
+            f"on http://{server.host}:{server.port} (Ctrl-C to stop)"
+        )
+        await server._server.serve_forever()
+
     try:
-        if args.self_test:
-            return _serve_http_self_test(args, dataset, tree_cls, service, server)
-
-        async def run() -> None:
-            await server.start()
-            print(
-                f"serving {args.shards} shard(s) over |D|={args.n} "
-                f"on http://{server.host}:{server.port} (Ctrl-C to stop)"
-            )
-            await server._server.serve_forever()
-
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
-        return 0
-    finally:
-        searcher.close()
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        pass
+    return 0
 
 
 def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
@@ -446,9 +439,7 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
     from .lsm import LiveIndex, LiveScatterGather
 
     live = LiveIndex(tree_cls.build(dataset), metrics=registry)
-    scatter = LiveScatterGather(
-        live, args.shards, workers=args.workers, metrics=registry,
-    )
+    scatter = LiveScatterGather(live, args.shards, metrics=registry)
     try:
         inserted, deleted = _apply_live_writes(live, dataset, args.writes)
         probes = sample_queries(dataset, min(4, max(args.queries, 1)))
@@ -470,7 +461,6 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
             + (f"fold took {fold_seconds:.3f}s" if folded else "overlay clean")
         )
     finally:
-        scatter.close()
         live.close()
 
 
@@ -717,19 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="spatial/textual blend of the served similarity config",
     )
     p_http.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the merge's competitor-count "
-        "probes (0 = in-process); round 1 always runs in-process "
-        "through the per-shard query services",
-    )
-    p_http.add_argument(
         "--deadline",
         type=float,
         default=None,
-        help="per-query deadline in seconds, spanning the whole "
-        "scatter-gather (default: none)",
+        help="per-query deadline in seconds, shared by every admitted "
+        "shard's search (default: none)",
     )
     p_http.add_argument(
         "--max-pending",

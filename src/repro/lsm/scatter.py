@@ -47,7 +47,6 @@ class LiveScatterGather:
         index_config=None,
         config=None,
         te_weight: float = 0.05,
-        workers: int = 0,
         metrics=None,
     ) -> None:
         """``live`` absorbs the writes; ``shard_count`` and the remaining
@@ -58,7 +57,6 @@ class LiveScatterGather:
         self._index_config = index_config
         self._config = config
         self._te_weight = te_weight
-        self._workers = workers
         self.metrics = registry_or_null(metrics)
         self._ctr_merged = self.metrics.counter("lsm.scatter.merged")
         self._ctr_rebuilds = self.metrics.counter("lsm.scatter.rebuilds")
@@ -107,20 +105,11 @@ class LiveScatterGather:
                 return ShardSearchResult(ids=result.ids, stats=stats)
         return self._inner_for_epoch().search(query, k)
 
-    def close(self) -> None:
-        """Shut down the inner searcher's worker pool, if any."""
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
-            self._inner_epoch = -1
-
     # -- internal ------------------------------------------------------
 
     def _inner_for_epoch(self) -> ScatterGatherSearcher:
         epoch = self.live.epoch
         if self._inner is None or self._inner_epoch != epoch:
-            if self._inner is not None:
-                self._inner.close()
             sharded = build_sharded_index(
                 self.live.dataset,
                 self.shard_count,
@@ -131,7 +120,6 @@ class LiveScatterGather:
                 sharded,
                 self._config,
                 self._te_weight,
-                workers=self._workers,
                 metrics=self.metrics,
             )
             self._inner_epoch = epoch

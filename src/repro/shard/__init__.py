@@ -14,9 +14,7 @@ shards of a Morton partition:
   capped cross-shard competitor counting with
   :class:`~repro.shard.merge.ShardProbe`;
 * :mod:`repro.shard.scatter` — :class:`ScatterGatherSearcher`, the two
-  exact rounds (admit+scatter, gather+merge), in-process or over a
-  persistent worker pool attaching every shard zero-copy via
-  :mod:`repro.perf.shm` segments;
+  exact in-process rounds (admit+scatter, gather+merge);
 * :mod:`repro.shard.http` — the asyncio HTTP front door
   (``repro-rstknn serve-http``) with per-shard
   :class:`~repro.service.QueryService` policies.

@@ -7,8 +7,8 @@ per-shard granularity: every admitted shard's round-1 search runs
 through that shard's own :class:`~repro.service.QueryService`, so one
 slow or faulty shard degrades (snapshot → seed) or deadlines
 *individually* while the other shards answer normally, and the shared
-deadline budget spans the whole scatter–gather (admission, scatter,
-merge) the same way a single service call spans its degradation chain.
+deadline budget spans the admitted shards' searches the same way a
+single service call spans its degradation chain.
 
 Endpoints (all JSON):
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceeded, QueryError, ReproError
@@ -53,17 +54,12 @@ class ShardQueryService:
     :class:`~repro.service.QueryService` **per shard**: shard admission
     (summary pruning) stays the searcher's, round 1 is served through
     each admitted shard's own service (deadline + degradation chain per
-    shard, all chain engines being parity-identical), and round 2 is
-    the searcher's exact merge.  Answers therefore keep the
-    scatter–gather bit-parity guarantee while gaining per-shard
-    fault isolation.
-
-    Round 1 always runs in this process, one shard after another: the
-    per-shard services hold the shard trees, not the searcher's worker
-    pool.  With ``workers > 0`` on the searcher only round 2's
-    competitor-count probes
-    (:meth:`~repro.shard.merge.ShardProbe.count_better`) fan out over
-    the pool.
+    shard, all chain engines being parity-identical), one shard after
+    another, and round 2 is the searcher's exact
+    :meth:`~repro.shard.scatter.ScatterGatherSearcher.gather`.  Answers
+    therefore keep the scatter–gather bit-parity guarantee while gaining
+    per-shard fault isolation.  The ``shard.*`` instruments land in the
+    searcher's registry, as they do for a direct ``search``.
     """
 
     def __init__(
@@ -114,8 +110,6 @@ class ShardQueryService:
             QueryError: invalid ``k`` or query.
             ServiceError: a shard exhausted its degradation chain.
         """
-        import time  # noqa: PLC0415 — local to keep module import light
-
         searcher = self.searcher
         started = time.perf_counter()
         deadline = (
@@ -123,10 +117,12 @@ class ShardQueryService:
             if deadline_seconds is not None
             else self.deadline_seconds
         )
-        stats = ShardQueryStats(shards_total=len(searcher.index))
         admitted, pruned = searcher._admit(query, k)
-        stats.shards_searched = len(admitted)
-        stats.shards_pruned = len(pruned)
+        stats = ShardQueryStats(
+            shards_total=len(searcher.index),
+            shards_searched=len(admitted),
+            shards_pruned=len(pruned),
+        )
         candidates: List[Tuple[int, int]] = []
         degraded: Dict[str, object] = {"shards": {}, "engines": {}}
         for sid in admitted:
@@ -140,18 +136,10 @@ class ShardQueryService:
             degraded["engines"][sid] = served.engine
             if served.degraded_path:
                 degraded["shards"][sid] = list(served.degraded_path)
+            stats.add_walk(served.result.stats)
             candidates.extend((sid, oid) for oid in served.ids)
-        stats.candidates = len(candidates)
-        ids = searcher._merge(query, k, candidates, stats)
-        stats.search.result_count = len(ids)
-        stats.elapsed_seconds = time.perf_counter() - started
-        m = self.metrics
-        m.counter("shard.queries").inc()
-        m.counter("shard.searched").inc(stats.shards_searched)
-        m.counter("shard.pruned").inc(stats.shards_pruned)
-        m.counter("shard.candidates").inc(stats.candidates)
-        m.counter("shard.merge.probes").inc(stats.merge_probes)
-        return ShardSearchResult(ids=ids, stats=stats), degraded
+        result = searcher.gather(query, k, candidates, stats, started)
+        return result, degraded
 
 
 def _response(

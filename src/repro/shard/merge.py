@@ -117,33 +117,6 @@ class ShardProbe:
         self._nsq = obj.vector.norm_squared
         self._iv = None if self._ej else IntervalVector.from_document(obj.vector)
 
-    @classmethod
-    def from_slot(cls, snap, measure, alpha: float, owner_snap, slot: int) -> "ShardProbe":
-        """Build a probe for the object stored at ``owner_snap``'s slot.
-
-        The worker-side constructor: merge workers hold attached
-        snapshot columns, not :class:`~repro.model.objects.STObject`
-        instances, so the probe is assembled straight from the owning
-        shard's frozen columns.  Bit-identical to the object
-        constructor — object slots store degenerate MBRs, so
-        ``xlo[slot]`` *is* the center the object path computes.
-        """
-        probe = cls.__new__(cls)
-        probe.snap = snap
-        probe.measure = measure
-        probe.alpha = alpha
-        probe.oid = owner_snap.ref[slot]
-        probe.px = owner_snap.xlo[slot]
-        probe.py = owner_snap.ylo[slot]
-        probe._ej = isinstance(measure, ExtendedJaccard)
-        probe._vec = owner_snap.obj_vec[slot]
-        probe._frozen = owner_snap.obj_frozen[slot]
-        probe._nsq = probe._vec.norm_squared
-        probe._iv = (
-            None if probe._ej else IntervalVector.from_document(probe._vec)
-        )
-        return probe
-
     def _fd(self, distance: float) -> float:
         score = 1.0 - distance / self.snap.maxD
         if score < 0.0:
@@ -277,7 +250,7 @@ class ShardProbe:
             if is_obj[e]:
                 if ref[e] == oid:
                     continue
-                if self.exact_or_cached(e) > q_sim:
+                if self.exact(e) > q_sim:
                     count += 1
                 continue
             if alpha > 0.0:
@@ -321,8 +294,3 @@ class ShardProbe:
             stack.extend(range(snap.first_child[e], snap.last_child[e]))
         return count
 
-    def exact_or_cached(self, slot: int) -> float:
-        """Exact SimST against an object slot (no caching today; the
-        hook exists so a probe-side memo can slot in without touching
-        :meth:`count_better`)."""
-        return self.exact(slot)

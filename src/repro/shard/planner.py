@@ -19,9 +19,8 @@ without tolerance.
 
 Shard trees are ordinary (C)IUR-trees; freezing them yields ordinary
 :class:`~repro.perf.snapshot.IndexSnapshot` columns, so every
-downstream consumer — the snapshot engine, the shared-memory
-segments of :mod:`repro.perf.shm`, the scatter searcher — works per
-shard unchanged.
+downstream consumer — the snapshot engine, the admission summaries,
+the merge probes — works per shard unchanged.
 """
 
 from __future__ import annotations

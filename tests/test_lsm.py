@@ -253,7 +253,6 @@ class TestLiveScatterGather:
             counters = registry.snapshot()["counters"]
             assert counters["lsm.scatter.merged"] == 1
         finally:
-            scatter.close()
             live.close()
 
     def test_clean_epoch_reshards_once(self):
@@ -273,7 +272,14 @@ class TestLiveScatterGather:
             counters = registry.snapshot()["counters"]
             assert counters["lsm.scatter.rebuilds"] == 1  # one per epoch
         finally:
-            scatter.close()
+            live.close()
+
+    def test_retired_workers_setting_is_refused(self):
+        ds, live = make_live(n=60, seed=31)
+        try:
+            with pytest.raises(TypeError):
+                LiveScatterGather(live, 3, workers=2)
+        finally:
             live.close()
 
 

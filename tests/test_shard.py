@@ -307,7 +307,6 @@ class TestConfig:
         env = _env()
         searcher = ScatterGatherSearcher(env["indexes"][2], kmax=4)
         assert searcher.kmax == 4
-        assert searcher.workers == 0  # in-process scatter
         query = env["queries"][0]
         reference = _unsharded_ids(
             env, env["dataset"].config.alpha, query, 3
@@ -315,36 +314,11 @@ class TestConfig:
         assert list(searcher.search(query, 3).ids) == reference
 
     def test_searcher_validation(self):
+        # Both rounds run in-process, so the searcher takes no worker
+        # count; passing one is an error, not a no-op.
         env = _env()
-        with pytest.raises(ConfigError):
-            ScatterGatherSearcher(env["indexes"][2], workers=-1)
-
-
-# ----------------------------------------------------------------------
-# Parallel scatter
-# ----------------------------------------------------------------------
-
-
-class TestParallel:
-    def test_worker_pool_parity_pickle_transport(self, monkeypatch):
-        from repro.perf import shm as shm_mod
-
-        env = _env()
-        query = env["queries"][0]
-        config = SimilarityConfig(
-            alpha=0.5, text_measure=env["dataset"].config.text_measure
-        )
-        reference = _unsharded_ids(env, 0.5, query, 4)
-        monkeypatch.setattr(
-            shm_mod, "shm_available", lambda: (False, "forced")
-        )
-        with ScatterGatherSearcher(
-            env["indexes"][4], config, workers=2
-        ) as searcher:
-            with pytest.warns(RuntimeWarning, match="pickle transport"):
-                result = searcher.search(query, 4)
-            assert searcher.fallback_reason == "shm_unavailable (forced)"
-        assert list(result.ids) == reference
+        with pytest.raises(TypeError):
+            ScatterGatherSearcher(env["indexes"][2], workers=2)
 
 
 # ----------------------------------------------------------------------

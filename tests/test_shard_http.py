@@ -16,6 +16,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
@@ -148,6 +150,29 @@ class TestSearchParity:
         assert set(body["degraded"]) == {"shards", "engines"}
         assert body["stats"]["shards_total"] == 2
 
+    def test_service_reports_the_direct_search_counters(self):
+        # Both read paths fold each searched shard's walk into one
+        # stats block, so a served query reports a direct search's work.
+        env = _env()
+        service = env["service"]
+
+        def fanouts():
+            histograms = env["registry"].snapshot()["histograms"]
+            return histograms.get("shard.fanout", {}).get("count", 0)
+
+        for query in env["queries"]:
+            before = fanouts()
+            served, _ = service.serve(query, 4)
+            assert fanouts() == before + 1
+            direct = service.searcher.search(query, 4)
+            got = served.stats.as_dict()
+            want = direct.stats.as_dict()
+            for stats in (got, want):
+                stats.pop("elapsed_seconds")
+                stats["search"].pop("elapsed_seconds")
+            assert got == want
+            assert got["search"]["expansions"] > 0
+
     def test_unsharded_engine_agrees_through_http(self):
         env = _env()
         service = env["service"]
@@ -267,3 +292,11 @@ class TestCliSelfTest:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_retired_workers_flag_is_a_usage_error(self, capsys):
+        # serve-http runs both rounds in-process and takes no worker
+        # count: argparse must refuse the flag rather than ignore it.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve-http", "--workers", "2", "--self-test"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
