@@ -10,17 +10,15 @@ Builds the Zipf/clustered gn-like workload at ``n = 10^5`` objects
 * ``parallel`` — worker processes attach the parent's shared-memory
   snapshot segment (:mod:`repro.perf.shm`); the pool payload is a
   segment *name*, attach is O(1), and touched vectors materialize
-  lazily.  Pickling the tree is only the fallback where shared memory
-  is unavailable (the committed ``BENCH_scale.json`` still holds the
-  shm-vs-pickle cells that settled it: shm 2.24x at ``n = 10^5``).
+  lazily.  Where shared memory is unavailable the cell runs in the
+  parent and its ``fallback_reason`` says why.
 
 Per ``n`` the report records snapshot freeze time, segment export and
-attach times against ``pickle.dumps``/``loads`` of the tree (the
-fallback's one-time cost), payload sizes, per-worker peak RSS, and the
-QPS of every cell.  **Parity is a hard gate** in every mode,
-``--quick`` included: the run exits non-zero unless both strategies
-return identical result ids *and* identical decision counters for
-every query.
+attach times, the segment size, per-worker peak RSS, and the QPS of
+every cell.  **Parity is a hard gate** in every mode, ``--quick``
+included: the run exits non-zero unless both strategies return
+identical result ids *and* identical decision counters for every
+query.
 
 Usage::
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 import time
 from typing import Dict, List, Optional
@@ -61,7 +58,7 @@ def _parent_rss_bytes() -> Optional[int]:
 
 
 def bench_transports(tree, n: int) -> Dict[str, object]:
-    """One-time per-``n`` transport costs: freeze vs export vs pickle."""
+    """One-time per-``n`` transport costs: freeze, export and attach."""
     from repro.perf.shm import SharedSnapshotSegment, attach, shm_available
 
     out: Dict[str, object] = {}
@@ -70,15 +67,6 @@ def bench_transports(tree, n: int) -> Dict[str, object]:
     snap = tree.snapshot()
     out["freeze_seconds"] = time.perf_counter() - started  # memoized: ~0
     out["snapshot_nbytes"] = snap.nbytes()
-
-    started = time.perf_counter()
-    payload = pickle.dumps(tree)
-    out["pickle_dumps_seconds"] = time.perf_counter() - started
-    out["pickle_bytes"] = len(payload)
-    started = time.perf_counter()
-    pickle.loads(payload)
-    out["pickle_loads_seconds"] = time.perf_counter() - started
-    del payload
 
     ok, why = shm_available()
     out["shm_available"] = ok
@@ -117,7 +105,6 @@ def bench_cell(
         ),
         "latency_ms": stats.latency_ms,
         "elapsed_seconds": stats.elapsed_seconds,
-        "share_used": stats.share,
         "worker_rss_bytes": stats.worker_rss_bytes,
         "fallback_reason": stats.fallback_reason,
         "phases": stats.phases,
@@ -224,7 +211,7 @@ def main(argv=None) -> int:
     if headline is not None:
         print(
             f"n={rows[-1]['n']} k={headline['k']} "
-            f"workers={headline['workers']} ({headline['share_used']}): "
+            f"workers={headline['workers']}: "
             f"{headline['qps']:.3f} q/s, "
             f"{headline['speedup_vs_sequential']:.2f}x sequential"
         )

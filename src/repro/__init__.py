@@ -69,7 +69,6 @@ from .service import (
     CancelToken,
     Deadline,
     QueryService,
-    RetryPolicy,
     ServiceBatchResult,
     ServiceResult,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "CancelToken",
     "Deadline",
     "QueryService",
-    "RetryPolicy",
     "ServiceBatchResult",
     "ServiceResult",
 ]

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..config import IndexConfig
 from ..core.baseline import ThresholdBaseline
 from ..core.rstknn import RSTkNNSearcher
-from ..errors import ConfigError, QueueFull
+from ..errors import ConfigError
 from ..index.ciurtree import CIURTree
 from ..index.iurtree import IURTree
 from ..model.dataset import STDataset
@@ -173,106 +173,6 @@ def run_queries(
         mean_expansions=total_expansions / n,
         mean_verified=total_verified / n,
         group_decided_fraction=total_group / (n * n_objects),
-        extra=extra,
-    )
-
-
-def run_batch_queries(
-    tree: IURTree,
-    queries: Sequence[STObject],
-    k: int,
-    method: str = "iur",
-    workers: int = 1,
-    engine: Optional[str] = None,
-    metrics=None,
-) -> QueryRun:
-    """Run a workload through :class:`repro.perf.BatchSearcher`.
-
-    Unlike :func:`run_queries` this measures *throughput* (warm buffer
-    pool and pair memo, optional process fan-out), so I/O and per-query
-    decision statistics are not reported.  The per-phase timing
-    breakdown (``phase_*_seconds``) lands in :attr:`QueryRun.extra`; pass a
-    :class:`repro.obs.MetricsRegistry` as ``metrics`` to additionally
-    record counters, latency histograms, and phase gauges for export
-    (see ``docs/OBSERVABILITY.md``).
-    """
-    from ..perf import BatchSearcher
-
-    searcher = BatchSearcher(
-        tree,
-        workers=workers,
-        engine=engine,
-        metrics=metrics,
-    )
-    batch = searcher.run(queries, k)
-    stats = batch.stats
-    n = max(stats.queries, 1)
-    return QueryRun(
-        method=f"{method}-batch" + (f"-w{workers}" if workers > 1 else ""),
-        queries=stats.queries,
-        mean_ms=stats.mean_ms,
-        mean_reads=0.0,
-        mean_result_size=stats.total_result_ids / n,
-        extra=stats.as_dict(),
-    )
-
-
-def run_service_queries(
-    tree: IURTree,
-    queries: Sequence[STObject],
-    k: int,
-    method: str = "iur",
-    deadline_seconds: Optional[float] = None,
-    max_pending: int = 1024,
-    metrics=None,
-) -> QueryRun:
-    """Run a workload through :class:`repro.service.QueryService`.
-
-    The reliability counterpart of :func:`run_batch_queries`: every
-    query goes through the bounded admission queue, the per-query
-    deadline, and the ``snapshot -> seed`` degradation chain
-    (see ``docs/RELIABILITY.md``).  Degradations, deadline expiries,
-    and sheds land in :attr:`QueryRun.extra` — and in ``metrics`` under
-    the ``service.*`` names when a registry is passed.  Queries lost to
-    deadlines or chain exhaustion are skipped, not raised, so the run
-    reports the surviving throughput.
-    """
-    from ..service import QueryService
-
-    service = QueryService(
-        tree,
-        deadline_seconds=deadline_seconds,
-        max_pending=max_pending,
-        metrics=metrics,
-    )
-    queries = list(queries)
-    started = time.perf_counter()
-    shed = 0
-    for query in queries:
-        try:
-            service.submit(query, k)
-        except QueueFull:
-            shed += 1
-    batch = service.drain()
-    elapsed = time.perf_counter() - started
-    served = len(batch.results)
-    failed = len(queries) - shed - served
-    extra: Dict[str, float] = {
-        "served": served,
-        "shed": shed,
-        "failed": failed,
-        "degraded": batch.degraded_count,
-    }
-    if deadline_seconds is not None:
-        extra["deadline_seconds"] = deadline_seconds
-    return QueryRun(
-        method=f"{method}-service",
-        queries=len(queries),
-        mean_ms=(elapsed * 1000.0 / served) if served else 0.0,
-        mean_reads=0.0,
-        mean_result_size=(
-            sum(len(r.ids) for r in batch.results) / served if served else 0.0
-        ),
         extra=extra,
     )
 

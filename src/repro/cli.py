@@ -161,8 +161,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         live_rows = [
             ["live writes", f"{inserted} inserts, {deleted} deletes"],
             ["dirty throughput (q/s)", f"{dirty.queries_per_second:.1f}"],
-            ["dirty run", f"{dirty.workers} worker(s), share "
-             f"{dirty.share or '-'}, fallback {dirty.fallback_reason or '-'}"],
+            ["dirty run", f"{dirty.workers} worker(s), "
+             f"fallback {dirty.fallback_reason or '-'}"],
             ["fold (s)", f"{fold_seconds:.3f}"],
         ]
     batch = engine.run(queries, args.k)
@@ -175,8 +175,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         ["mean latency (ms)", f"{stats.mean_ms:.2f}"],
         ["result ids (total)", stats.total_result_ids],
     ]
-    if stats.share is not None:
-        rows.insert(2, ["share", stats.share])
     if stats.worker_rss_bytes is not None:
         rows.append(
             ["worker peak RSS (MiB)", f"{stats.worker_rss_bytes / 2**20:.1f}"]
@@ -244,8 +242,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 "of the frozen tree and the overlay until it folds)"
             )
     queries = sample_queries(dataset, args.queries)
-    if args.workers > 1:
-        return _serve_batch_parallel(args, tree, queries, registry)
     service = QueryService(
         tree,
         chain=_service_chain(args.engine),
@@ -307,60 +303,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             title=(
                 f"serve-batch — {args.method} |D|={args.n}, "
                 f"{len(queries)} queries, k={args.k}"
-            ),
-        )
-    )
-    if args.format == "prom":
-        sys.stdout.write(registry.to_prometheus())
-    return 0
-
-
-def _serve_batch_parallel(args, tree, queries, registry) -> int:
-    """``serve-batch --workers N``: the pool/shm configuration leg.
-
-    Deadlines are polled in-process per node expansion, which a worker
-    pool cannot honor, so ``--deadline`` with ``--workers > 1`` is
-    rejected up front instead of silently ignored.
-    """
-    from .perf import BatchSearcher
-
-    if args.deadline is not None:
-        print(
-            "serve-batch: --deadline requires the sequential service path "
-            "(drop --workers)",
-            file=sys.stderr,
-        )
-        return 2
-    engine = BatchSearcher(
-        tree,
-        workers=args.workers,
-        engine=None if args.engine == "auto" else args.engine,
-        metrics=registry,
-    )
-    batch = engine.run(queries, args.k)
-    stats = batch.stats
-    rows = [
-        ["queries", stats.queries],
-        ["workers", stats.workers],
-        ["share", stats.share or "-"],
-        ["elapsed (s)", f"{stats.elapsed_seconds:.3f}"],
-        ["throughput (q/s)", f"{stats.queries_per_second:.1f}"],
-        ["mean latency (ms)", f"{stats.mean_ms:.2f}"],
-    ]
-    for point in ("p50", "p95", "p99"):
-        if point in stats.latency_ms:
-            rows.append(
-                [f"latency {point} (ms)", f"{stats.latency_ms[point]:.2f}"]
-            )
-    if stats.fallback_reason:
-        rows.append(["fallback", stats.fallback_reason])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"serve-batch (parallel) — {args.method} |D|={args.n}, "
-                f"{stats.queries} queries, k={args.k}"
             ),
         )
     )
@@ -674,13 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="spatial/textual blend of the workload's similarity config",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out; > 1 runs the workload through the "
-        "parallel batch engine (incompatible with --deadline)",
     )
     _add_live_args(p_serve)
     p_serve.set_defaults(fn=_cmd_serve_batch)

@@ -454,8 +454,8 @@ class IURTree:
 
     def __getstate__(self) -> dict:
         # The snapshot is a derived per-process cache full of frozen
-        # kernel forms (possibly numpy arrays); rebuild after unpickling
-        # rather than shipping it to batch workers.
+        # kernel forms (possibly numpy arrays); a pickled copy rebuilds
+        # it on first use instead of carrying it.
         state = self.__dict__.copy()
         state["_snapshot_cache"] = None
         return state

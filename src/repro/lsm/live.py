@@ -66,7 +66,6 @@ See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 from __future__ import annotations
 
 import contextlib
-import pickle
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Set
@@ -441,11 +440,6 @@ class EpochView:
         return adjusted
 
 
-def _unpickled(tree):
-    """What an unpickled clean :class:`LiveIndex` becomes: its frozen tree."""
-    return tree
-
-
 class LiveIndex:
     """A frozen (C)IUR-tree behind an LSM-style live-update front.
 
@@ -581,19 +575,6 @@ class LiveIndex:
     def reset_io(self, cold: bool = True) -> None:
         """Zero the current epoch's I/O counters."""
         self._view.reset_io(cold)
-
-    def __reduce_ex__(self, protocol):
-        """Pickle as the plain frozen tree while clean (the pickle
-        transport); a dirty index raises :class:`pickle.PicklingError`,
-        as the frozen tree alone would drop the pending writes."""
-        view = self._view
-        if view.overlay_dirty:
-            raise pickle.PicklingError(
-                f"live overlay has {len(view.overlay)} objects and "
-                f"{len(view.tombstones)} tombstones pending; only a "
-                "folded index pickles"
-            )
-        return _unpickled, (view.frozen,)
 
     # -- reads ---------------------------------------------------------
 

@@ -13,8 +13,8 @@ Four layers, each usable on its own:
   struct-of-arrays freeze of a built tree that the ``snapshot``
   traversal engine (:mod:`repro.core.traversal`) runs over;
 * :mod:`repro.perf.shm` — :class:`SharedSnapshotSegment` /
-  :func:`attach`, the zero-copy shared-memory transport parallel batch
-  mode ships snapshots over instead of pickling the tree per worker.
+  :func:`attach`, the zero-copy shared-memory transport that parallel
+  batch mode ships its snapshot over, one segment for every worker.
 
 ``batch``, ``snapshot``, and ``shm`` are imported lazily: they depend
 on layers that transitively use the kernels.

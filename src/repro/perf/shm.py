@@ -1,10 +1,9 @@
 """Zero-copy shared-memory snapshot transport for parallel workers.
 
-The parallel batch path used to pickle the whole tree into every pool
-worker: the object graph (nodes, entries, interval vectors, sparse
-vectors) is serialized once by the parent and materialized N times, once
-per worker — exactly the per-worker copy cost the flat struct-of-arrays
-:class:`~repro.perf.snapshot.IndexSnapshot` was designed to eliminate.
+Parallel batch mode reaches its workers through this module alone: the
+flat struct-of-arrays :class:`~repro.perf.snapshot.IndexSnapshot` is
+shipped once, into memory every worker maps, instead of as one private
+copy of the object graph per worker.
 
 This module serializes a frozen snapshot (and the kNNL sketches
 memoized on it) into **one** ``multiprocessing.shared_memory`` segment
@@ -20,34 +19,31 @@ offset tables:
   ``IntervalVector``, frozen kernel forms — are materialized **lazily,
   per touched slot**, so a worker's private RSS grows with the slots its
   queries visit, not with the index;
-* the lifecycle is refcounted and generation-checked:
+* the lifecycle is single-owner and generation-checked:
   ``create`` stamps the tree's structural
   :attr:`~repro.index.iurtree.IURTree.generation` into the segment
   header, ``attach`` verifies it against the generation the parent
   advertised, and a mismatch raises :class:`StaleSegmentError` — a
-  stale segment can never silently serve a mutated index.  The refcount
-  word is advisory (incremented on create/attach, decremented on
-  close) and surfaces in :meth:`SharedSnapshotSegment.describe` and
-  worker diagnostics; the parent always owns the single ``unlink``.
+  stale segment can never silently serve a mutated index.  The batch
+  run that creates a segment is the only one to ``unlink`` it.
 
 Bit-parity: every float shipped through the segment is the exact IEEE
 value the parent computed (memcpy, not reformatting), and frozen kernel
 forms are rebuilt worker-side from the same sorted ``(ids, weights,
 norm_sq)`` triples the parent's vectors hold — identical construction
 order means identical dict/frozenset layouts and therefore identical
-reduction order, which is the same argument the pickle path relies on
-(:meth:`repro.text.vector.SparseVector.__setstate__`).  Result ids and
-decision counters of shm-backed workers are byte-identical to
-pickle-backed and sequential runs; only I/O cache temperature differs
-(each worker starts a cold private buffer mirror, as a freshly
-unpickled tree would after ``reset_io``).
+reduction order (the argument
+:meth:`repro.text.vector.SparseVector.__setstate__` makes for a copied
+vector).  Result ids and decision counters of shm-backed workers are
+byte-identical to sequential runs; only I/O cache temperature differs
+(each worker starts a cold private buffer mirror).
 
 Availability: the transport needs numpy (for in-place array views) and
-an engine that runs over snapshots (a seed-engine batch ships pickle);
-:func:`shm_available` reports the reason when it cannot run, which
-:class:`~repro.perf.batch.BatchSearcher` records as
-``BatchStats.fallback_reason = "shm_unavailable (...)"`` while falling
-back to the pickle transport.
+an engine that runs over snapshots (a seed-engine batch runs in the
+parent); :func:`shm_available` reports the reason when it cannot run,
+which :class:`~repro.perf.batch.BatchSearcher` records as
+``BatchStats.fallback_reason = "shm_unavailable (...)"`` while running
+the batch in the parent.
 """
 
 from __future__ import annotations
@@ -84,8 +80,9 @@ SEGMENT_MAGIC = b"RSTSHM07"
 _MAGIC_PREFIX = b"RSTSHM"
 
 #: Byte offsets of the fixed-width header words (little-endian int64).
+#: Bytes 16-23 are reserved and stay zero, so the layout (and with it
+#: ``SEGMENT_MAGIC``) matches segments that earlier builds wrote.
 _OFF_GENERATION = 8
-_OFF_REFCOUNT = 16
 _OFF_HEADER_START = 24
 _OFF_HEADER_LEN = 32
 _ARRAY_REGION = 64
@@ -114,8 +111,8 @@ def shm_available() -> Tuple[bool, str]:
 
     Needs numpy (segments are packed and mapped as flat float/int
     arrays) and ``multiprocessing.shared_memory`` (present on every
-    supported Python, but probed so exotic platforms degrade to the
-    pickle transport instead of crashing the pool).
+    supported Python, but probed so exotic platforms run the batch in
+    the parent instead of crashing the pool).
     """
     if kernels._numpy() is None:
         return False, "numpy not importable"
@@ -316,7 +313,6 @@ class SharedSnapshotSegment:
             buf = shm.buf
             buf[: len(SEGMENT_MAGIC)] = SEGMENT_MAGIC
             _write_word(buf, _OFF_GENERATION, snap.generation)
-            _write_word(buf, _OFF_REFCOUNT, 1)
             _write_word(buf, _OFF_HEADER_START, header_start)
             _write_word(buf, _OFF_HEADER_LEN, len(header_bytes))
             for array_name, arr in arrays.items():
@@ -333,25 +329,8 @@ class SharedSnapshotSegment:
             raise
         return cls(shm, snap.generation, total)
 
-    def refcount(self) -> int:
-        """Advisory attach count (creator holds one reference)."""
-        return _read_word(self.shm.buf, _OFF_REFCOUNT)
-
-    def describe(self) -> Dict[str, object]:
-        """Summary counters for logs and benchmark reports."""
-        return {
-            "name": self.name,
-            "generation": self.generation,
-            "nbytes": self.nbytes,
-            "refcount": self.refcount(),
-        }
-
     def close(self) -> None:
         """Unmap the parent's view (workers keep theirs)."""
-        if not self._released:
-            _write_word(
-                self.shm.buf, _OFF_REFCOUNT, self.refcount() - 1
-            )
         self.shm.close()
 
     def unlink(self) -> None:
@@ -653,7 +632,7 @@ class _ShmStubTree:
 class ShmSearcher:
     """Worker-side searcher over one attached segment.
 
-    The drop-in replacement for the pickle transport's
+    The worker's stand-in for a
     :class:`~repro.core.rstknn.RSTkNNSearcher`: it runs the snapshot
     engine of the header's similarity setting (result ids and decision
     counters are engine-parity-identical to the seed walk, which the
@@ -716,24 +695,18 @@ class AttachedIndex:
             self, config, te, engine=engine, sketch_kmax=sketch_kmax
         )
 
-    def refcount(self) -> int:
-        """Advisory reference count stored in the segment."""
-        return _read_word(self.shm.buf, _OFF_REFCOUNT)
-
     def close(self) -> None:
-        """Decrement the refcount and unmap this process's view.
+        """Unmap this process's view.
 
         The attachment drops its own zero-copy views (memoryview casts,
         numpy buffers) and is unusable afterwards.  If the *caller*
         still holds live views — a searcher kept past the attachment,
         say — the unmap is deferred to process exit (CPython refuses to
-        unmap a buffer with exported pointers); the refcount decrement
-        happens either way, so diagnostics stay truthful.
+        unmap a buffer with exported pointers).
         """
         if self._closed:
             return
         self._closed = True
-        _write_word(self.shm.buf, _OFF_REFCOUNT, self.refcount() - 1)
         # Drop exported buffer views so SharedMemory.close() can unmap.
         self.snapshot = None
         self.tree = None
@@ -802,7 +775,6 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         header = pickle.loads(
             bytes(shm.buf[header_start : header_start + header_len])
         )
-        _write_word(shm.buf, _OFF_REFCOUNT, _read_word(shm.buf, _OFF_REFCOUNT) + 1)
         views = _SegmentViews(shm, header["arrays"])
         snapshot = AttachedSnapshot(header, views)
         for i, (key, meta) in enumerate(header.get("sketches", ())):

@@ -10,18 +10,16 @@ contracts:
   cooperative :class:`CancelToken`\\ s, checked by every engine at
   node-expansion granularity (an expired deadline raises
   :class:`repro.errors.DeadlineExceeded` carrying partial stats).
-* :mod:`repro.service.retry` — **exponential backoff with
-  deterministic jitter** (:class:`RetryPolicy`), used by
-  :class:`repro.perf.BatchSearcher` to re-enqueue only the query
-  slices a crashed pool worker lost.
 * :mod:`repro.service.service` — the :class:`QueryService` facade with
   its **graceful-degradation chain** ``snapshot -> seed``
   (recorded per query in :attr:`ServiceResult.degraded_path`) and the
   bounded **admission queue** (:class:`repro.service.queue.AdmissionQueue`,
   shedding with :class:`repro.errors.QueueFull`).
 * :mod:`repro.service.faults` — a deterministic **fault-injection
-  harness** (environment variable ``REPRO_FAULTS``) so every retry and
-  degradation path is testable on demand.
+  harness** (environment variable ``REPRO_FAULTS``) so every
+  degradation path, and :class:`repro.perf.BatchSearcher`'s immediate
+  resubmission of the query chunks a crashed pool worker lost, is
+  testable on demand.
 
 Everything emits through :mod:`repro.obs` (``service.*`` counters,
 queue-depth gauge, end-to-end latency histogram); see
@@ -34,7 +32,6 @@ from ..errors import DeadlineExceeded, FaultInjected, QueueFull, ServiceError
 from .deadline import CancelToken, Deadline
 from .faults import FaultPlan, current_plan, set_plan
 from .queue import AdmissionQueue
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .service import (
     CHAIN_ENGINE_CHOICES,
     DEGRADATION_CHAIN,
@@ -49,13 +46,11 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "CHAIN_ENGINE_CHOICES",
-    "DEFAULT_RETRY_POLICY",
     "DEGRADATION_CHAIN",
     "FaultInjected",
     "FaultPlan",
     "QueryService",
     "QueueFull",
-    "RetryPolicy",
     "ServiceBatchResult",
     "ServiceError",
     "ServiceResult",

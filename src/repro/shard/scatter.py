@@ -64,7 +64,8 @@ class ShardQueryStats:
     search: SearchStats = field(default_factory=SearchStats)
 
     def add_walk(self, walk: SearchStats) -> None:
-        """Fold one shard-local walk's decision counters into ``search``."""
+        """Fold one shard-local walk's decision and pair-memo counters
+        into ``search``."""
         agg = self.search
         agg.expansions += walk.expansions
         agg.pruned_entries += walk.pruned_entries
@@ -73,6 +74,8 @@ class ShardQueryStats:
         agg.accepted_objects += walk.accepted_objects
         agg.verified_objects += walk.verified_objects
         agg.verify_node_reads += walk.verify_node_reads
+        agg.cache_hits += walk.cache_hits
+        agg.cache_misses += walk.cache_misses
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict for experiment logging (engine stats nested)."""

@@ -18,6 +18,7 @@ shm, and the ``lsm.*`` metrics.
 import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -884,7 +885,6 @@ class TestBatchLive:
                 for k in (1, 4, 9):
                     batch = engine.run(queries, k)
                     assert batch.stats.workers == 2
-                    assert batch.stats.share == "shm"
                     assert batch.stats.fallback_reason is None
                     brute = BruteForceRSTkNN(ds)
                     for query, ids in zip(queries, batch.id_lists()):
@@ -892,65 +892,51 @@ class TestBatchLive:
         finally:
             live.close()
 
-    def test_clean_parallel_ships_the_frozen_tree_by_pickle(self, monkeypatch):
+    def _run_without_shm(self, monkeypatch, *, fold):
+        # Without shared memory a live batch runs in this process, clean
+        # or dirty alike: the fallback is recorded and counted, not warned.
+        from repro.perf import batch as batch_mod
         from repro.perf import shm as shm_mod
 
         monkeypatch.setattr(
             shm_mod, "shm_available", lambda: (False, "forced")
         )
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", no_pool)
         registry = MetricsRegistry()
         ds, live = make_live(n=100, seed=51)
         engine = BatchSearcher(live, workers=2, metrics=registry)
         try:
             churn(live, ds, seed=21)
-            assert live.freeze_step()
+            if fold:
+                assert live.freeze_step()
+            assert live.overlay_dirty is not fold
             queries = sample_queries(ds, 4, seed=6)
-            batch = engine.run(queries, 4)
-            assert batch.stats.workers == 2
-            assert batch.stats.share == "pickle"
-            assert batch.stats.fallback_reason == "shm_unavailable (forced)"
-            counters = registry.snapshot()["counters"]
-            fallbacks = [c for c in counters if c.startswith("batch.fallback.")]
-            assert fallbacks == ["batch.fallback.shm_unavailable"]
-            for query, ids in zip(queries, batch.id_lists()):
-                assert ids == BruteForceRSTkNN(ds).search(query, 4)
-        finally:
-            live.close()
-
-    def test_pickles_as_the_frozen_tree_only_while_clean(self):
-        import pickle
-
-        ds, live = make_live(n=60)
-        try:
-            clean = pickle.loads(pickle.dumps(live))
-            assert type(clean) is IURTree
-            assert len(clean.dataset) == len(ds)
-            live.insert(Point(1.0, 1.0), "alpha")
-            with pytest.raises(pickle.PicklingError, match="pending"):
-                pickle.dumps(live)
-        finally:
-            live.close()
-
-    def test_dirty_parallel_falls_back_sequential(self, monkeypatch):
-        from repro.perf import shm as shm_mod
-
-        monkeypatch.setattr(
-            shm_mod, "shm_available", lambda: (False, "forced")
-        )
-        ds, live = make_live(n=100, seed=51)
-        engine = BatchSearcher(live, workers=2)
-        try:
-            churn(live, ds, seed=21)
-            queries = sample_queries(ds, 4, seed=6)
-            with pytest.warns(RuntimeWarning, match="sequential"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 batch = engine.run(queries, 4)
             assert batch.stats.workers == 1
-            assert "overlay" in batch.stats.fallback_reason
-            assert "pending" in batch.stats.fallback_reason
+            assert batch.stats.fallback_reason == "shm_unavailable (forced)"
+            brute = BruteForceRSTkNN(ds)
             for query, ids in zip(queries, batch.id_lists()):
-                assert ids == BruteForceRSTkNN(ds).search(query, 4)
+                assert ids == brute.search(query, 4)
+            counters = registry.snapshot()["counters"]
+            fallbacks = {
+                c: v for c, v in counters.items()
+                if c.startswith("batch.fallback.")
+            }
+            assert fallbacks == {"batch.fallback.shm_unavailable": 1}
         finally:
             live.close()
+
+    def test_clean_parallel_runs_in_process_without_shm(self, monkeypatch):
+        self._run_without_shm(monkeypatch, fold=True)
+
+    def test_dirty_parallel_falls_back_sequential(self, monkeypatch):
+        self._run_without_shm(monkeypatch, fold=False)
 
 
 class TestMetrics:

@@ -9,6 +9,7 @@ from repro.core.rstknn import ENGINE_ENV_VAR, RSTkNNSearcher
 from repro.errors import ConfigError
 from repro.index.iurtree import IURTree
 from repro.perf import BatchSearcher
+from repro.perf.shm import shm_available
 from repro.spatial.point import Point
 from repro.workloads import gn_like, sample_queries
 
@@ -48,7 +49,9 @@ def test_parallel_batch_matches_per_query():
     engine = BatchSearcher(env["tree"], workers=2)
     batch = engine.run(queries, 4)
     assert batch.id_lists() == _reference_ids(env["tree"], queries, 4)
-    assert batch.stats.workers == 2
+    # A seed batch, or one without shared memory, runs in this process.
+    pooled = engine.engine != "seed" and shm_available()[0]
+    assert batch.stats.workers == (2 if pooled else 1)
 
 
 def test_sequential_default_runs_snapshot_engine(monkeypatch):
@@ -78,14 +81,16 @@ def _decisions(result):
 
 
 def test_parallel_run_follows_env_seed_engine(monkeypatch):
-    # REPRO_ENGINE=seed must reach the transport choice: the seed walk
-    # needs the object graph, so the workers get a pickled tree.
+    # REPRO_ENGINE=seed must reach the pool choice: the seed walk reads
+    # the object graph, so there is no snapshot to share and the batch
+    # runs in this process.
     monkeypatch.setenv(ENGINE_ENV_VAR, "seed")
     env = _fixture()
     engine = BatchSearcher(env["tree"], workers=2)
     batch = engine.run(env["queries"], 3)
-    assert batch.stats.share == "pickle"
     assert engine.engine == "seed"
+    assert batch.stats.workers == 1
+    assert batch.stats.fallback_reason is None
     assert batch.id_lists() == _reference_ids(env["tree"], env["queries"], 3)
 
 
@@ -152,40 +157,11 @@ def test_rejects_nonpositive_workers():
         BatchSearcher(env["tree"], workers=0)
 
 
-def test_unpicklable_tree_falls_back_to_sequential(monkeypatch):
-    env = _fixture()
-    engine = BatchSearcher(env["tree"], workers=4)
-    import repro.perf.batch as batch_mod
-
-    def explode(*_a, **_k):
-        raise batch_mod.pickle.PicklingError("nope")
-
-    monkeypatch.setattr(batch_mod.pickle, "dumps", explode)
-    # The degradation must be loud: a RuntimeWarning at run() and the
-    # reason recorded on the stats, not a silent mode switch.
-    with pytest.warns(RuntimeWarning, match="fell back to sequential"):
-        batch = engine.run(env["queries"][:3], 3)
-    assert batch.stats.workers == 1  # degraded, not failed
-    assert "PicklingError" in batch.stats.fallback_reason
-    assert batch.stats.as_dict()["fallback_reason"] == batch.stats.fallback_reason
-    assert batch.id_lists() == _reference_ids(env["tree"], env["queries"][:3], 3)
-
-
 def test_picklable_run_reports_no_fallback():
     env = _fixture()
     batch = BatchSearcher(env["tree"], workers=1).run(env["queries"][:2], 3)
     assert batch.stats.fallback_reason is None
     assert "fallback_reason" not in batch.stats.as_dict()
-
-
-def test_harness_run_batch_queries():
-    from repro.bench.harness import run_batch_queries
-
-    env = _fixture()
-    run = run_batch_queries(env["tree"], env["queries"][:3], 3)
-    assert run.method == "iur-batch"
-    assert run.queries == 3
-    assert run.extra["queries_per_second"] > 0
 
 
 def test_cli_batch_smoke(capsys):

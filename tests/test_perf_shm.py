@@ -6,19 +6,18 @@ and a leaked segment survives the process.  So these tests pin:
 
 * **parity** — attached searchers and shm-parallel batches return
   byte-identical result ids and decision counters to the sequential
-  snapshot engine (and the pickle transport);
-* **lifecycle** — refcounts track attach/close, ``release`` is
-  idempotent, and no segment outlives its batch run (clean runs, crash
-  retries via ``REPRO_FAULTS``, and export failures alike);
+  snapshot engine;
+* **lifecycle** — ``release`` is idempotent, and no segment outlives
+  its batch run (clean runs, crash retries via ``REPRO_FAULTS``, and
+  export failures alike);
 * **staleness** — a generation bump after export makes ``attach`` with
   the advertised generation fail loudly instead of serving old data;
-* **fallback** — when the transport is unavailable the batch degrades
-  to pickle with ``fallback_reason`` recorded and without a warning
-  (the pickle transport is reached here by patching
-  :func:`~repro.perf.shm.shm_available`).
+* **fallback** — when the transport is unavailable the batch runs in
+  this process with ``fallback_reason`` recorded and without a warning
+  (reached here by patching :func:`~repro.perf.shm.shm_available`), and
+  a seed-engine batch runs there with nothing recorded.
 """
 
-import pickle
 import warnings
 
 import pytest
@@ -64,6 +63,15 @@ def _decisions(result):
         for k, v in result.stats.as_dict().items()
         if k not in _TIMING_KEYS
     }
+
+
+def _reference_ids(env, k: int = 3):
+    searcher = RSTkNNSearcher(env["tree"], engine="snapshot")
+    return [searcher.search(q, k).ids for q in env["queries"]]
+
+
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a process pool was started")
 
 
 def _segment_exists(name: str) -> bool:
@@ -117,27 +125,20 @@ class TestAttachParity:
                 del searcher
                 attached.close()
 
-    def test_batch_parity_shm_vs_pickle_vs_sequential(self, monkeypatch):
+    def test_batch_parity_shm_vs_sequential(self):
         env = _fixture()
         queries, k = env["queries"], 4
         sequential = BatchSearcher(
             env["tree"], workers=1, engine="snapshot"
         ).run(queries, k)
-        for share in ("shm", "pickle"):
-            if share == "pickle":
-                monkeypatch.setattr(
-                    shm_mod, "shm_available", lambda: (False, "forced")
-                )
-            run = BatchSearcher(
-                env["tree"], workers=2, engine="snapshot"
-            ).run(queries, k)
-            assert run.stats.share == share
-            assert run.stats.fallback_reason == (
-                None if share == "shm" else "shm_unavailable (forced)"
-            )
-            assert run.id_lists() == sequential.id_lists()
-            for a, b in zip(sequential.results, run.results):
-                assert _decisions(a) == _decisions(b)
+        run = BatchSearcher(
+            env["tree"], workers=2, engine="snapshot"
+        ).run(queries, k)
+        assert run.stats.workers == 2
+        assert run.stats.fallback_reason is None
+        assert run.id_lists() == sequential.id_lists()
+        for a, b in zip(sequential.results, run.results):
+            assert _decisions(a) == _decisions(b)
 
     def test_shm_run_records_snapshot_engine_label(self, monkeypatch):
         # shm workers run the snapshot engine, and the default parent
@@ -150,7 +151,7 @@ class TestAttachParity:
         run = BatchSearcher(tree, workers=2, metrics=registry).run(
             sample_queries(dataset, 8, seed=3), 3
         )
-        assert run.stats.share == "shm"
+        assert run.stats.workers == 2
         counters = registry.snapshot()["counters"]
         assert counters["search.queries.snapshot"] == 8
         assert not [name for name in counters if name.endswith(".seed")]
@@ -193,7 +194,8 @@ class TestAttachParity:
             env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
         stats = run.stats.as_dict()
-        assert stats["share"] == "shm"
+        assert stats["workers"] == 2
+        assert stats["phase_share_seconds"] > 0  # the segment export
         # Linux/macOS report worker peak RSS; the field is advisory.
         if run.stats.worker_rss_bytes is not None:
             assert stats["worker_rss_bytes"] > 0
@@ -206,19 +208,6 @@ class TestAttachParity:
 
 @requires_shm
 class TestLifecycle:
-    def test_refcount_tracks_attach_and_close(self):
-        env = _fixture()
-        seg = SharedSnapshotSegment.create(env["tree"])
-        try:
-            assert seg.refcount() == 1
-            attached = attach(seg.name)
-            assert seg.refcount() == 2
-            attached.close()
-            assert seg.refcount() == 1
-        finally:
-            seg.release()
-        assert not _segment_exists(seg.name)
-
     def test_release_is_idempotent(self):
         env = _fixture()
         seg = SharedSnapshotSegment.create(env["tree"])
@@ -270,10 +259,11 @@ class TestLifecycle:
         run = BatchSearcher(
             env["tree"], workers=2, engine="snapshot"
         ).run(env["queries"], 3)
-        assert run.stats.share == "pickle"
+        assert run.stats.workers == 1  # ran in this process
         assert "shm_unavailable" in run.stats.fallback_reason
         assert "simulated export failure" in run.stats.fallback_reason
         assert not _segment_exists(names[0])
+        assert run.id_lists() == _reference_ids(env)
 
 
 # ----------------------------------------------------------------------
@@ -326,25 +316,35 @@ class TestFallback:
         with pytest.raises(TypeError, match="share"):
             BatchSearcher(env["tree"], share="pickle")
 
-    def test_unavailable_shm_degrades_to_pickle_with_reason(
+    def test_unavailable_shm_runs_in_process_with_reason(
         self, monkeypatch
     ):
         env = _fixture()
         monkeypatch.setattr(
             shm_mod, "shm_available", lambda: (False, "numpy missing")
         )
-        bs = BatchSearcher(env["tree"], workers=2, engine="snapshot")
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", _no_pool)
+        registry = MetricsRegistry()
+        bs = BatchSearcher(
+            env["tree"], workers=2, engine="snapshot", metrics=registry
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fallback stays silent
             run = bs.run(env["queries"], 3)
-        assert run.stats.share == "pickle"
+        assert run.stats.workers == 1
         assert run.stats.fallback_reason == "shm_unavailable (numpy missing)"
+        counters = registry.snapshot()["counters"]
+        fallbacks = {
+            n: v for n, v in counters.items() if n.startswith("batch.fallback.")
+        }
+        assert fallbacks == {"batch.fallback.shm_unavailable": 1}
+        assert run.id_lists() == _reference_ids(env)
 
     def test_auto_mode_records_real_environment_outcome(self):
         """No monkeypatching: whatever this host supports is recorded.
 
         On a numpy-equipped host this pins the shm happy path; on the
-        no-numpy CI leg it pins the genuine degradation with the real
+        no-numpy CI leg it pins the genuine in-process run with the real
         reason string.
         """
         env = _fixture()
@@ -353,16 +353,19 @@ class TestFallback:
         ).run(env["queries"], 3)
         ok, why = shm_available()
         if ok:
-            assert run.stats.share == "shm"
+            assert run.stats.workers == 2
             assert run.stats.fallback_reason is None
         else:
-            assert run.stats.share == "pickle"
+            assert run.stats.workers == 1
             assert run.stats.fallback_reason == f"shm_unavailable ({why})"
 
-    def test_seed_engine_is_never_shm_eligible(self):
-        """Pickle is the seed walk's only transport: it ships without a
-        recorded fallback."""
+    def test_seed_engine_is_never_shm_eligible(self, monkeypatch):
+        """The seed walk reads the object graph, so a seed batch has no
+        snapshot to share: it runs in this process, starts no pool and
+        records no fallback."""
         env = _fixture()
+        names = _capture_segments(monkeypatch)
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", _no_pool)
         registry = MetricsRegistry()
         bs = BatchSearcher(
             env["tree"], workers=2, engine="seed", metrics=registry
@@ -370,24 +373,9 @@ class TestFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run = bs.run(env["queries"], 3)
-        assert run.stats.share == "pickle"
+        assert run.stats.workers == 1
         assert run.stats.fallback_reason is None
+        assert names == []
         counters = registry.snapshot()["counters"]
         assert not [n for n in counters if n.startswith("batch.fallback.")]
-
-    def test_poisoned_pickle_cascades_to_sequential(self, monkeypatch):
-        env = _fixture()
-
-        def explode(*_a, **_k):
-            raise pickle.PicklingError("boom")
-
-        monkeypatch.setattr(batch_mod.pickle, "dumps", explode)
-        bs = BatchSearcher(env["tree"], workers=2, engine="snapshot")
-        with pytest.warns(RuntimeWarning, match="sequential"):
-            run = bs.run(env["queries"], 3)
-        assert run.stats.share is None
-        reference = [
-            RSTkNNSearcher(env["tree"], engine="snapshot").search(q, 3).ids
-            for q in env["queries"]
-        ]
-        assert run.id_lists() == reference
+        assert run.id_lists() == _reference_ids(env)

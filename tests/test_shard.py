@@ -359,3 +359,27 @@ class TestSingleObjectShards:
                 assert searcher.search(query, k).ids == list(
                     engine.search(query, k).ids
                 )
+
+
+# ----------------------------------------------------------------------
+# Walk counters
+# ----------------------------------------------------------------------
+
+
+class TestWalkCounters:
+    @pytest.mark.parametrize("path", ["search", "serve"])
+    def test_cold_walks_report_pair_memo_misses(self, path):
+        # A sharded query's stats fold every shard walk's pair-memo
+        # counters, on the direct read path and the per-shard service one.
+        from repro.shard.http import ShardQueryService
+
+        dataset = gn_like(n=160)
+        index = build_sharded_index(dataset, 2)  # fresh: every memo cold
+        searcher = ScatterGatherSearcher(index)
+        query = sample_queries(dataset, 1, seed=5)[0]
+        if path == "search":
+            result = searcher.search(query, 3)
+        else:
+            result, _degraded = ShardQueryService(searcher).serve(query, 3)
+        assert result.stats.shards_searched > 0
+        assert result.stats.search.cache_misses > 0
