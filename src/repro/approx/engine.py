@@ -31,17 +31,20 @@ fewer than ``k`` exist).  Three facts:
    The strict count is the tie-inclusive membership test of every exact
    engine (:meth:`SnapshotEngine._verify
    <repro.core.traversal.SnapshotEngine._verify>` counts competitors
-   with ``SimST(o, e) > SimST(q, o)``), and the query similarity here is
-   the snapshot engine's ``q_exact`` formula, term for term.  So an
-   object reached by the walk survives iff it is a member.
+   with ``SimST(o, e) > SimST(q, o)``), and the query similarity here
+   comes from the snapshot walk's own call,
+   :meth:`QueryProbe.exact <repro.core.traversal.QueryProbe.exact>`.
+   So an object reached by the walk survives iff it is a member.
 3. *Node prunes are sound.*  A directory slot is skipped only when the
    query's upper bound ``q_hi`` on it is below its floor, the minimum
    of profile entry ``k - 1`` over the objects beneath it, so every
    such object has ``SimST(q, o) <= q_hi < floor <= s_k(o)`` and fails
-   fact 2.  ``q_hi`` is built from the exact engines' own bounds
-   (box distance finished by the same ``hypot`` and clamp, the
-   Extended Jaccard union-vector bound or the measure's
-   ``max_similarity``), each monotone in floating point.
+   fact 2.  ``q_hi`` blends the spatial half of
+   :meth:`QueryProbe.bounds <repro.core.traversal.QueryProbe.bounds>`
+   (box distance finished by the same ``hypot`` and clamp) with
+   :meth:`QueryProbe.text_upper
+   <repro.core.traversal.QueryProbe.text_upper>`, which is the walk's
+   ``text_bounds(slot)[1]``; each is monotone in floating point.
 
 Hence the survivors are exactly the members, and the ids are
 byte-identical to the exact engines.  Node bounds are staged: a
@@ -63,10 +66,9 @@ from typing import Dict, List, Optional
 
 from ..core.cancel import cancel_message
 from ..core.rstknn import SearchResult, SearchStats
+from ..core.traversal import QueryProbe
 from ..errors import DeadlineExceeded
 from ..model.objects import STObject
-from ..text.interval import IntervalVector
-from ..text.similarity import ExtendedJaccard
 from .sketch import KnnlSketch
 
 #: Keys of :attr:`ApproxEngine.last_filter`: one query's counters.
@@ -106,7 +108,6 @@ class ApproxEngine:
         self.te_weight = te_weight
         self.sketch = sketch
         self.base = snap.engine_for(tree, measure, alpha, te_weight)
-        self._ej = isinstance(measure, ExtendedJaccard)
         #: Cumulative filter counters since engine creation; published
         #: by :func:`repro.obs.record_approx` as ``approx.*`` metrics
         #: (key semantics documented in ``docs/OBSERVABILITY.md``).
@@ -156,51 +157,8 @@ class ApproxEngine:
         ref = snap.ref
         xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
         fd = self.base._fd
-        measure = self.measure
-        ej = self._ej
-
-        qm = query.mbr()
-        qxlo, qylo, qxhi, qyhi = qm.xlo, qm.ylo, qm.xhi, qm.yhi
-        qvec = query.vector
-        q_frozen = qvec.frozen()
-        q_nsq = qvec.norm_squared
-        q_iv = IntervalVector.from_document(qvec) if not ej else None
-
-        def q_text_hi(slot: int) -> float:
-            # Upper text bound of the query against a slot's clusters
-            # (the optimistic half of the exact engines' q_text).
-            hi = 0.0
-            if ej:
-                for _iv, _int_b, uni_b, insq_b, _unsq_b in snap.clusters[slot]:
-                    d_max = q_frozen.dot(uni_b)
-                    if d_max == 0.0:
-                        pair_hi = 0.0
-                    elif 2.0 * d_max >= q_nsq + insq_b:
-                        pair_hi = 1.0
-                    else:
-                        pair_hi = d_max / (q_nsq + insq_b - d_max)
-                    if pair_hi > hi:
-                        hi = pair_hi
-            else:
-                for ivb, *_ in snap.clusters[slot]:
-                    pair_hi = measure.max_similarity(q_iv, ivb)
-                    if pair_hi > hi:
-                        hi = pair_hi
-            return hi
-
-        def q_exact(slot: int) -> float:
-            # The snapshot engine's q_exact, term for term (fact 2).
-            score = 0.0
-            if alpha > 0.0:
-                dist = math.hypot(qxlo - xlo[slot], qylo - ylo[slot])
-                score += alpha * fd(dist)
-            if alpha < 1.0:
-                if ej:
-                    sim = q_frozen.ext_jaccard(snap.obj_frozen[slot])
-                else:
-                    sim = measure.similarity(qvec, snap.obj_vec[slot])
-                score += (1.0 - alpha) * sim
-            return score
+        probe = QueryProbe(snap, self.measure, alpha, query)
+        px, py = probe.px, probe.py
 
         nodes_pruned = objects_pruned = spatial_shortcuts = 0
         ids: List[int] = []
@@ -209,7 +167,7 @@ class ApproxEngine:
         while stack:
             slot = stack.pop()
             if is_obj[slot]:
-                if q_exact(slot) < sketch.obj_floor(slot, k):
+                if probe.exact(slot) < sketch.obj_floor(slot, k):
                     objects_pruned += 1
                     stats.pruned_entries += 1
                     stats.pruned_objects += 1
@@ -223,8 +181,8 @@ class ApproxEngine:
                 pruned = False
                 spatial_only = False
                 if alpha > 0.0:
-                    dx = max(qxlo - xhi[slot], 0.0, xlo[slot] - qxhi)
-                    dy = max(qylo - yhi[slot], 0.0, ylo[slot] - qyhi)
+                    dx = max(px - xhi[slot], 0.0, xlo[slot] - px)
+                    dy = max(py - yhi[slot], 0.0, ylo[slot] - py)
                     s_hi = fd(math.hypot(dx, dy))
                     # Stage 1: text capped at 1; dominates the full
                     # upper bound, so failing it prunes exactly.  For
@@ -235,10 +193,10 @@ class ApproxEngine:
                         pruned = True
                         spatial_only = True
                     elif alpha < 1.0:
-                        q_hi = alpha * s_hi + (1.0 - alpha) * q_text_hi(slot)
+                        q_hi = alpha * s_hi + (1.0 - alpha) * probe.text_upper(slot)
                         pruned = q_hi < floor
                 else:
-                    pruned = q_text_hi(slot) < floor
+                    pruned = probe.text_upper(slot) < floor
                 if pruned:
                     nodes_pruned += 1
                     if spatial_only:

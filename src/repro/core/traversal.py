@@ -13,10 +13,17 @@ construction*, not by tolerance.  What changes is the representation:
 * entries are integer *slots* into flat coordinate arrays, so the
   similarity bounds read four floats instead of chasing
   ``Entry -> Rect`` attribute pairs;
+* the query is the seed's synthetic query entry made a
+  :class:`QueryProbe`: the pair-bound formulas with the query as a
+  point with one degenerate cluster.  It is the only code that bounds
+  one object against snapshot slots, so the approx filter
+  (:mod:`repro.approx.engine`) and the shard merge
+  (:mod:`repro.shard.merge`) bound through it too;
 * when a node is expanded, the spatial parts of the query bounds for
-  all of its children come from one vectorized array pass (numpy when
-  available) over the snapshot's coordinate columns, finished with
-  scalar ``math.hypot`` so every value is bit-identical to the seed's;
+  all of its directory children come from one vectorized array pass
+  (numpy when available) over the snapshot's coordinate columns,
+  finished with scalar ``math.hypot`` so every value is bit-identical
+  to the probe's scalar bound;
 * the two decision rules are one early-exit counting pass over the
   slot dict, newest contribution first, and tightening candidates come
   from one C-level sort per bound — the seed walk's helpers
@@ -107,6 +114,162 @@ class _CList:
     def __init__(self, d: Dict[int, _Contrib], tight: Set[int]) -> None:
         self.d = d
         self.tight = tight
+
+
+class QueryProbe:
+    """Similarity bounds between one object and the slots of a snapshot.
+
+    The paper's walk treats the query as one more entry: a point whose
+    single degenerate cluster is its own vector (intersection and union
+    alike), bounded against tree entries by the same MinST/MaxST
+    formulas used between entries.  This class is the one place those
+    bounds are computed for an object that need not be resident in
+    ``snap``: the query of the snapshot walk and of the approx filter
+    (:mod:`repro.approx.engine`), and the sharded searcher's admitted
+    queries and merge candidates (:mod:`repro.shard.scatter`).  Every
+    formula is
+    :meth:`SnapshotEngine._compute_st`'s with the probe as the first
+    operand, so for a resident object slot ``s``,
+    ``QueryProbe(snap, measure, alpha, obj(s)).bounds(e)`` equals
+    ``engine._compute_st(s, e)`` bit for bit
+    (``tests/test_engine_snapshot.py``).
+
+    Construction costs one frozen-form lookup (memoized on the vector),
+    so a probe is built per query, or per ``(object, shard)`` pair.
+    """
+
+    __slots__ = (
+        "snap", "measure", "alpha", "oid", "px", "py",
+        "_ej", "_vec", "_frozen", "_nsq", "_iv",
+    )
+
+    def __init__(self, snap, measure, alpha: float, obj: STObject) -> None:
+        self.snap = snap
+        self.measure = measure
+        self.alpha = alpha
+        self.oid = obj.oid
+        m = obj.mbr()  # degenerate: the object's point
+        self.px = m.xlo
+        self.py = m.ylo
+        self._ej = isinstance(measure, ExtendedJaccard)
+        self._vec = obj.vector
+        self._frozen = obj.vector.frozen()
+        self._nsq = obj.vector.norm_squared
+        self._iv = None if self._ej else IntervalVector.from_document(obj.vector)
+
+    def _fd(self, distance: float) -> float:
+        score = 1.0 - distance / self.snap.maxD
+        if score < 0.0:
+            return 0.0
+        if score > 1.0:
+            return 1.0
+        return score
+
+    def text_bounds(self, slot: int) -> Tuple[float, float]:
+        """``(MinSimT, MaxSimT)`` of the probe against a slot's clusters
+        (:meth:`SnapshotEngine._text` with the probe's one cluster)."""
+        lo: Optional[float] = None
+        hi = 0.0
+        if self._ej:
+            frozen = self._frozen
+            nsq = self._nsq
+            for _iv, int_b, uni_b, insq_b, unsq_b in self.snap.clusters[slot]:
+                d_min = frozen.dot(int_b)
+                if d_min == 0.0:
+                    pair_lo = 0.0
+                else:
+                    s_max = nsq + unsq_b
+                    pair_lo = d_min / (s_max - d_min)
+                    if pair_lo > 1.0:
+                        pair_lo = 1.0
+                d_max = frozen.dot(uni_b)
+                if d_max == 0.0:
+                    pair_hi = 0.0
+                elif 2.0 * d_max >= nsq + insq_b:
+                    pair_hi = 1.0
+                else:
+                    s_min = nsq + insq_b
+                    pair_hi = d_max / (s_min - d_max)
+                lo = pair_lo if lo is None else min(lo, pair_lo)
+                hi = max(hi, pair_hi)
+        else:
+            measure = self.measure
+            iv_a = self._iv
+            for ivb, *_ in self.snap.clusters[slot]:
+                pair_lo = measure.min_similarity(iv_a, ivb)
+                pair_hi = measure.max_similarity(iv_a, ivb)
+                lo = pair_lo if lo is None else min(lo, pair_lo)
+                hi = max(hi, pair_hi)
+        return (lo if lo is not None else 0.0, hi)
+
+    def text_upper(self, slot: int) -> float:
+        """``text_bounds(slot)[1]`` without the lower bound's dot products."""
+        hi = 0.0
+        if self._ej:
+            frozen = self._frozen
+            nsq = self._nsq
+            for _iv, _int_b, uni_b, insq_b, _unsq_b in self.snap.clusters[slot]:
+                d_max = frozen.dot(uni_b)
+                if d_max == 0.0:
+                    pair_hi = 0.0
+                elif 2.0 * d_max >= nsq + insq_b:
+                    pair_hi = 1.0
+                else:
+                    s_min = nsq + insq_b
+                    pair_hi = d_max / (s_min - d_max)
+                if pair_hi > hi:  # max(hi, pair_hi), without the call
+                    hi = pair_hi
+        else:
+            max_sim = self.measure.max_similarity
+            iv_a = self._iv
+            for ivb, *_ in self.snap.clusters[slot]:
+                pair_hi = max_sim(iv_a, ivb)
+                if pair_hi > hi:
+                    hi = pair_hi
+        return hi
+
+    def exact(self, slot: int) -> float:
+        """Exact SimST of the probe against an object slot
+        (:meth:`SnapshotEngine._exact` with the probe first)."""
+        snap = self.snap
+        alpha = self.alpha
+        score = 0.0
+        if alpha > 0.0:
+            dist = math.hypot(self.px - snap.xlo[slot], self.py - snap.ylo[slot])
+            score += alpha * self._fd(dist)
+        if alpha < 1.0:
+            if self._ej:
+                sim = self._frozen.ext_jaccard(snap.obj_frozen[slot])
+            else:
+                sim = self.measure.similarity(self._vec, snap.obj_vec[slot])
+            score += (1.0 - alpha) * sim
+        return score
+
+    def bounds(self, slot: int) -> Tuple[float, float]:
+        """Blended ``(MinST, MaxST)`` of the probe against any slot
+        (:meth:`SnapshotEngine._compute_st` with the probe first)."""
+        snap = self.snap
+        if snap.is_obj[slot]:
+            score = self.exact(slot)
+            return score, score
+        alpha = self.alpha
+        if alpha == 0.0:
+            return self.text_bounds(slot)
+        xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
+        px, py = self.px, self.py
+        dx = max(px - xhi[slot], 0.0, xlo[slot] - px)
+        dy = max(py - yhi[slot], 0.0, ylo[slot] - py)
+        s_hi = self._fd(math.hypot(dx, dy))
+        dx = max(abs(px - xlo[slot]), abs(xhi[slot] - px))
+        dy = max(abs(py - ylo[slot]), abs(yhi[slot] - py))
+        s_lo = self._fd(math.hypot(dx, dy))
+        if alpha == 1.0:
+            return alpha * s_lo, alpha * s_hi
+        t_lo, t_hi = self.text_bounds(slot)
+        return (
+            alpha * s_lo + (1.0 - alpha) * t_lo,
+            alpha * s_hi + (1.0 - alpha) * t_hi,
+        )
 
 
 class SnapshotEngine:
@@ -289,90 +452,15 @@ class SnapshotEngine:
         fd = self._fd
         is_obj = snap.is_obj
         cnt = snap.cnt
-        xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
 
         roots = snap.root_slots
         if not roots:
             stats.elapsed_seconds = time.perf_counter() - started
             return SearchResult([], stats, tree.io.snapshot())
 
-        # Query-side data (the seed's synthetic ref -1 entry, unpacked).
-        qm = query.mbr()
-        qxlo, qylo, qxhi, qyhi = qm.xlo, qm.ylo, qm.xhi, qm.yhi
-        qvec = query.vector
-        q_frozen = qvec.frozen()
-        q_nsq = qvec.norm_squared
-        q_iv = IntervalVector.from_document(qvec) if not self._ej else None
-        measure = self.measure
-        ej = self._ej
-
-        def q_text(slot: int) -> Tuple[float, float]:
-            # text_bounds(q_entry, slot): the query contributes a single
-            # degenerate cluster (int == uni == qvec).
-            lo: Optional[float] = None
-            hi = 0.0
-            if ej:
-                for _iv, int_b, uni_b, insq_b, unsq_b in snap.clusters[slot]:
-                    d_min = q_frozen.dot(int_b)
-                    if d_min == 0.0:
-                        pair_lo = 0.0
-                    else:
-                        s_max = q_nsq + unsq_b
-                        pair_lo = d_min / (s_max - d_min)
-                        if pair_lo > 1.0:
-                            pair_lo = 1.0
-                    d_max = q_frozen.dot(uni_b)
-                    if d_max == 0.0:
-                        pair_hi = 0.0
-                    elif 2.0 * d_max >= q_nsq + insq_b:
-                        pair_hi = 1.0
-                    else:
-                        s_min = q_nsq + insq_b
-                        pair_hi = d_max / (s_min - d_max)
-                    lo = pair_lo if lo is None else min(lo, pair_lo)
-                    hi = max(hi, pair_hi)
-            else:
-                for ivb, *_ in snap.clusters[slot]:
-                    pair_lo = measure.min_similarity(q_iv, ivb)
-                    pair_hi = measure.max_similarity(q_iv, ivb)
-                    lo = pair_lo if lo is None else min(lo, pair_lo)
-                    hi = max(hi, pair_hi)
-            return (lo if lo is not None else 0.0, hi)
-
-        def q_exact(slot: int) -> float:
-            # exact_score(q_entry, slot) for an object slot.
-            score = 0.0
-            if alpha > 0.0:
-                dist = math.hypot(qxlo - xlo[slot], qylo - ylo[slot])
-                score += alpha * fd(dist)
-            if alpha < 1.0:
-                if ej:
-                    sim = q_frozen.ext_jaccard(snap.obj_frozen[slot])
-                else:
-                    sim = measure.similarity(qvec, snap.obj_vec[slot])
-                score += (1.0 - alpha) * sim
-            return score
-
-        def q_st(slot: int) -> Tuple[float, float]:
-            # st_bounds(q_entry, slot), scalar form.
-            if is_obj[slot]:
-                score = q_exact(slot)
-                return score, score
-            if alpha == 0.0:
-                return q_text(slot)
-            dx = max(qxlo - xhi[slot], 0.0, xlo[slot] - qxhi)
-            dy = max(qylo - yhi[slot], 0.0, ylo[slot] - qyhi)
-            s_hi = fd(math.hypot(dx, dy))
-            dx = max(abs(qxhi - xlo[slot]), abs(xhi[slot] - qxlo))
-            dy = max(abs(qyhi - ylo[slot]), abs(yhi[slot] - qylo))
-            s_lo = fd(math.hypot(dx, dy))
-            if alpha == 1.0:
-                return alpha * s_lo, alpha * s_hi
-            t_lo, t_hi = q_text(slot)
-            return (
-                alpha * s_lo + (1.0 - alpha) * t_lo,
-                alpha * s_hi + (1.0 - alpha) * t_hi,
-            )
+        # The seed's synthetic ref -1 query entry.
+        probe = QueryProbe(snap, self.measure, alpha, query)
+        px, py = probe.px, probe.py
 
         lists: Dict[int, _CList] = {}
         status: Dict[int, str] = {}
@@ -384,7 +472,7 @@ class SnapshotEngine:
         for r in roots:
             status[r] = _UNDECIDED
         for r in roots:
-            qb = q_st(r)
+            qb = probe.bounds(r)
             d: Dict[int, _Contrib] = {}
             tight: Set[int] = set()
             for o in roots:
@@ -490,44 +578,38 @@ class SnapshotEngine:
                 status[c] = _UNDECIDED
 
             # One array pass derives the spatial components of every
-            # child's query bound; hypot/clamp/blend finish per child in
-            # scalar float so values match the seed bit-for-bit.
+            # directory child's query bound; hypot/clamp/blend finish per
+            # child in scalar float so values match the seed bit-for-bit.
+            # Object children take the probe's exact score, so a leaf
+            # (its first child an object) skips the pass.
             sp = None
             if np is not None and alpha > 0.0 and (
                 lc - fc >= _VECTOR_MIN_CHILDREN
-            ):
+            ) and not is_obj[fc]:
                 sp = kernels.frontier_spatial_components(
-                    qxlo, qylo, qxhi, qyhi,
+                    px, py, px, py,
                     np_cols[fc:lc], snap.np_ylo[fc:lc],
                     snap.np_xhi[fc:lc], snap.np_yhi[fc:lc], np,
                 )
 
             parent_d = parent.d
             for c in children:
-                i = c - fc
-                # ``q_st`` and the sp finishes never touch the pair memo,
+                # The probe and the sp finishes never touch the pair memo,
                 # so evaluating the query bound ahead of the sibling pass
                 # leaves every value and counter as in the seed order.
-                if sp is None:
-                    qb = q_st(c)
-                elif is_obj[c]:
-                    score = 0.0
-                    if alpha > 0.0:
-                        score += alpha * fd(math.hypot(sp[4][i], sp[5][i]))
-                    if alpha < 1.0:
-                        if ej:
-                            sim = q_frozen.ext_jaccard(snap.obj_frozen[c])
-                        else:
-                            sim = measure.similarity(qvec, snap.obj_vec[c])
-                        score += (1.0 - alpha) * sim
+                if is_obj[c]:
+                    score = probe.exact(c)
                     qb = (score, score)
+                elif sp is None:
+                    qb = probe.bounds(c)
                 else:
+                    i = c - fc
                     s_hi = fd(math.hypot(sp[0][i], sp[1][i]))
                     s_lo = fd(math.hypot(sp[2][i], sp[3][i]))
                     if alpha == 1.0:
                         qb = (alpha * s_lo, alpha * s_hi)
                     else:
-                        t_lo, t_hi = q_text(c)
+                        t_lo, t_hi = probe.text_bounds(c)
                         qb = (
                             alpha * s_lo + (1.0 - alpha) * t_lo,
                             alpha * s_hi + (1.0 - alpha) * t_hi,

@@ -373,22 +373,21 @@ def frontier_spatial_components(
     """Spatial bound components of ONE query rect vs a batch of rects.
 
     ``qxlo``… are the query rect's scalar edges, ``bxlo``… are aligned
-    numpy arrays of rect edges: the children of one node
+    numpy arrays of rect edges: the children of one directory node
     :class:`repro.core.traversal.SnapshotEngine` expands (one call per
-    expansion with enough children).  Returns six 1-D arrays
-    ``(dx_min, dy_min, dx_max, dy_max, pdx, pdy)``.  Every
-    expression mirrors the scalar ``q_st``/``q_exact`` call sites term
-    for term (subtraction, ``abs`` and ``max`` are exactly rounded, so
-    each element is bit-identical to its scalar counterpart); callers
-    finish with scalar ``math.hypot`` and clamps for full bit parity.
+    non-leaf expansion with enough children).  Returns four 1-D arrays
+    ``(dx_min, dy_min, dx_max, dy_max)``.  With the query point passed
+    as both corners, every expression mirrors :meth:`QueryProbe.bounds
+    <repro.core.traversal.QueryProbe.bounds>` term for term
+    (subtraction, ``abs`` and ``max`` are exactly rounded, so each
+    element is bit-identical to its scalar counterpart); callers finish
+    with scalar ``math.hypot`` and clamps for full bit parity.
     """
     return (
         np.maximum(np.maximum(qxlo - bxhi, 0.0), bxlo - qxhi),
         np.maximum(np.maximum(qylo - byhi, 0.0), bylo - qyhi),
         np.maximum(np.abs(qxhi - bxlo), np.abs(bxhi - qxlo)),
         np.maximum(np.abs(qyhi - bylo), np.abs(byhi - qylo)),
-        qxlo - bxlo,
-        qylo - bylo,
     )
 
 

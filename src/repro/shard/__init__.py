@@ -11,8 +11,9 @@ shards of a Morton partition:
   floors (`kNNL` tables over a node frontier) for admission-time shard
   pruning;
 * :mod:`repro.shard.merge` — the exact gather: global membership by
-  capped cross-shard competitor counting with
-  :class:`~repro.shard.merge.ShardProbe`;
+  capped cross-shard competitor counting
+  (:func:`~repro.shard.merge.count_better`, bounding through the
+  snapshot walk's :class:`~repro.core.traversal.QueryProbe`);
 * :mod:`repro.shard.scatter` — :class:`ScatterGatherSearcher`, the two
   exact in-process rounds (admit+scatter, gather+merge);
 * :mod:`repro.shard.http` — the asyncio HTTP front door
@@ -23,7 +24,7 @@ Answers are hard-gated bit-identical to the unsharded snapshot engine
 (`benchmarks/bench_shard.py`, ``tests/test_shard.py``).
 """
 
-from .merge import ShardProbe, exact_similarity
+from .merge import exact_similarity
 from .planner import (
     Shard,
     ShardPlan,
@@ -53,7 +54,6 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "ShardPlanner",
-    "ShardProbe",
     "ShardQueryStats",
     "ShardSearchResult",
     "ShardSummary",

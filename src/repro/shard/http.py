@@ -16,7 +16,10 @@ Endpoints (all JSON):
   (optional ``"deadline_seconds"``); answers ``{"ids": [...], "k": ..,
   "stats": {...}, "degraded": {...}}``.  The id list is bit-identical
   to the unsharded snapshot engine's answer (the scatter–gather parity
-  guarantee).
+  guarantee).  ``x`` and ``y`` must be finite and a given deadline
+  finite and positive: ``float`` parses ``"nan"``/``"inf"`` and
+  ``json`` accepts ``NaN``, and a NaN coordinate would otherwise list
+  every object.
 * ``GET /healthz`` — liveness plus shard fan-out.
 * ``GET /metrics`` — the service's metrics-registry snapshot.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -271,6 +275,12 @@ class ShardHttpServer:
             k = int(req.get("k", self.default_k))
             deadline = req.get("deadline_seconds")
             deadline = None if deadline is None else float(deadline)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"x and y must be finite, got {x}, {y}")
+            if deadline is not None and not 0.0 < deadline < math.inf:
+                raise ValueError(
+                    f"deadline_seconds must be finite and > 0, got {deadline}"
+                )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise _HttpError(
                 400, {"error": f"bad search request: {exc}"}

@@ -16,7 +16,8 @@ One query runs in two exact rounds over the shards of a
 2. **Gather/merge** — every round-1 candidate is re-judged globally:
    its exact ``SimST`` against the query is computed once, then
    strictly-better competitors are counted shard by shard with
-   :meth:`~repro.shard.merge.ShardProbe.count_better`, capped at the
+   :func:`~repro.shard.merge.count_better` over a
+   :class:`~repro.core.traversal.QueryProbe`, capped at the
    remaining budget and stopped as soon as the running total reaches
    ``k`` (pruned shards are probed here too, since their objects still
    *compete*).  A candidate survives iff the global competitor count is
@@ -34,11 +35,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import SimilarityConfig
 from ..core.rstknn import SearchStats
-from ..errors import ConfigError
+from ..core.traversal import QueryProbe
+from ..errors import ConfigError, QueryError
 from ..model.objects import STObject
 from ..obs import NULL_REGISTRY, MetricsRegistry
 from ..text.similarity import make_measure
-from .merge import ShardProbe, exact_similarity
+from .merge import count_better, exact_similarity
 from .planner import ShardedIndex
 from .summaries import DEFAULT_FRONTIER, DEFAULT_KMAX, query_upper
 
@@ -157,7 +159,7 @@ class ScatterGatherSearcher:
         admitted: List[int] = []
         pruned: List[int] = []
         for sid, summary in enumerate(self._summaries):
-            probe = ShardProbe(
+            probe = QueryProbe(
                 self._engines[sid].snap, self.measure, self.alpha, query
             )
             if summary.can_prune(query_upper(probe, summary), k):
@@ -195,10 +197,10 @@ class ScatterGatherSearcher:
             )
             total = 0
             for engine, shard in zip(self._engines, shards):
-                probe = ShardProbe(engine.snap, self.measure, self.alpha, obj)
+                probe = QueryProbe(engine.snap, self.measure, self.alpha, obj)
                 stats.merge_probes += 1
-                total += probe.count_better(
-                    shard.tree, q_sim, k - total, stats=stats.search
+                total += count_better(
+                    probe, shard.tree, q_sim, k - total, stats=stats.search
                 )
                 if total >= k:
                     break
@@ -244,7 +246,12 @@ class ScatterGatherSearcher:
         ``SnapshotEngine.search(query, k).ids`` on the unsharded index
         (hard-gated by ``benchmarks/bench_shard.py`` and the shard test
         suite).
+
+        Raises:
+            QueryError: ``k < 1``, as every unsharded searcher does.
         """
+        if k < 1:
+            raise QueryError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
         admitted, pruned = self._admit(query, k)
         stats = ShardQueryStats(

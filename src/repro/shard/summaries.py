@@ -28,8 +28,9 @@ frontier, making it valid for every object of the shard.  Tables cover
 ``k = 1 .. kmax`` (:data:`DEFAULT_KMAX`); larger ``k`` simply never
 prunes.
 
-At query time the optimistic side is one :class:`~repro.shard.merge.ShardProbe`
-upper bound per frontier node: ``q_hi = max_f MaxST(q, f)``.  The shard
+At query time the optimistic side is one
+:class:`~repro.core.traversal.QueryProbe` upper bound per frontier node
+(the snapshot walk's own query bound): ``q_hi = max_f MaxST(q, f)``.  The shard
 is pruned iff ``q_hi < knnl[k-1]`` — strict, because membership counts
 only *strictly* better competitors: each of the k guaranteed
 competitors has similarity ``>= knnl[k-1] > q_hi >= SimST(q, s)``.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.contributions import _kth_largest
-from .merge import ShardProbe
+from ..core.traversal import QueryProbe
 
 #: Largest ``k`` the admission tables cover; queries with ``k`` beyond
 #: this scatter to every shard (correct, just unpruned).
@@ -171,7 +172,7 @@ def build_summary(
     )
 
 
-def query_upper(probe: ShardProbe, summary: ShardSummary) -> float:
+def query_upper(probe: QueryProbe, summary: ShardSummary) -> float:
     """Optimistic ``SimST`` of a query against anything in the shard.
 
     The maximum of the probe's ``MaxST`` upper bounds over the summary
@@ -184,4 +185,4 @@ def query_upper(probe: ShardProbe, summary: ShardSummary) -> float:
     """
     if not summary.frontier:
         return 0.0
-    return max(probe.upper(f) for f in summary.frontier)
+    return max(probe.bounds(f)[1] for f in summary.frontier)

@@ -24,14 +24,15 @@ from repro import (
 from repro.bench.harness import build_tree, run_queries
 from repro.config import TEXT_MEASURES
 from repro.core.rstknn import ENGINE_CHOICES, ENGINE_ENV_VAR
-from repro.core.traversal import SnapshotEngine
+from repro.core.traversal import QueryProbe, SnapshotEngine
 from repro.core.explain import SearchTrace
 from repro.errors import ConfigError, IndexError_
 from repro.perf.snapshot import IndexSnapshot
 from repro.spatial import Point
+from repro.text.similarity import make_measure
 from repro.workloads import sample_queries
 
-from tests.conftest import random_corpus
+from tests.conftest import FORMS, frozen_form, random_corpus
 
 #: Decision counters that must match bit-for-bit across engines.
 #: (``elapsed_seconds`` is wall time; the ``cache_*`` counters describe
@@ -271,3 +272,26 @@ def test_snapshot_engine_used_directly(small_dataset):
         isinstance(e, SnapshotEngine) for e in engines.values()
     )
     assert result.stats.result_count == len(result.ids)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("method", ["iur", "ciur"])
+def test_query_probe_is_the_pair_bound_of_a_point_slot(form, method):
+    # The walk bounds the query as a point with one degenerate cluster,
+    # so probing with a resident object must reproduce the engine's own
+    # pair bound against that object's slot, bit for bit.
+    with frozen_form(form):
+        ds = STDataset.from_corpus(random_corpus(40, seed=37))
+        tree = build_tree(ds, method)
+        snap = tree.snapshot()
+    objects = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    assert objects and len(objects) < snap.n_slots
+    for name in TEXT_MEASURES:
+        measure = make_measure(name)
+        for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
+            engine = SnapshotEngine(tree, snap, measure, alpha, 0.0)
+            for s in objects:
+                probe = QueryProbe(snap, measure, alpha, ds.get(snap.ref[s]))
+                for e in range(snap.n_slots):
+                    assert probe.bounds(e) == engine._compute_st(s, e)
+                    assert probe.text_upper(e) == probe.text_bounds(e)[1]

@@ -33,7 +33,7 @@ from repro import (
     SimilarityConfig,
     STDataset,
 )
-from repro.errors import FaultInjected
+from repro.errors import FaultInjected, QueryError
 from repro.lsm import LiveIndex, LiveScatterGather
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
@@ -272,6 +272,19 @@ class TestLiveScatterGather:
                 )
             counters = registry.snapshot()["counters"]
             assert counters["lsm.scatter.rebuilds"] == 1  # one per epoch
+        finally:
+            live.close()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_clean_epoch_rejects_k_below_one(self, k):
+        # A clean epoch reads through ScatterGatherSearcher, which must
+        # refuse k < 1 as the dirty path's RSTkNNSearcher does.
+        ds, live = make_live(n=60, seed=31)
+        scatter = LiveScatterGather(live, 2)
+        try:
+            assert not live.overlay_dirty
+            with pytest.raises(QueryError):
+                scatter.search(sample_queries(ds, 1, seed=4)[0], k)
         finally:
             live.close()
 

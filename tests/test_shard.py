@@ -13,7 +13,7 @@ pin that contract:
 * **pruned shards stay exact** — on the clustered workload with a
   spatial-heavy alpha, admission genuinely prunes shards (empty partial
   results) and the merged answer still matches the unsharded engine;
-* **count soundness** — ``ShardProbe.count_better`` agrees with a
+* **count soundness** — ``repro.shard.merge.count_better`` agrees with a
   brute-force competitor count via ``exact_similarity``, and the
   admission upper bound dominates every object's exact similarity;
 * **planning** — Morton partitions are balanced, disjoint, complete,
@@ -27,18 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import STDataset, SimilarityConfig
-from repro.errors import ConfigError
+from repro.core.traversal import QueryProbe
+from repro.errors import ConfigError, QueryError
 from repro.index.iurtree import IURTree
 from repro.shard import (
     DEFAULT_KMAX,
     ScatterGatherSearcher,
     ShardPlanner,
-    ShardProbe,
     build_sharded_index,
     build_summary,
     exact_similarity,
     query_upper,
 )
+from repro.shard.merge import count_better
 from repro.shard.planner import locality_order
 from repro.spatial import Point
 from repro.text.similarity import make_measure
@@ -181,7 +182,7 @@ class TestSoundness:
             for query in env["queries"][:4]:
                 for sid, shard in enumerate(searcher.index.shards):
                     snap = shard.snapshot()
-                    probe = ShardProbe(
+                    probe = QueryProbe(
                         snap, searcher.measure, alpha, query
                     )
                     upper = query_upper(probe, searcher._summaries[sid])
@@ -206,10 +207,10 @@ class TestSoundness:
                 maxD,
             )
             for shard in searcher.index.shards:
-                probe = ShardProbe(
+                probe = QueryProbe(
                     shard.snapshot(), searcher.measure, 0.5, query
                 )
-                got = probe.count_better(shard.tree, q_sim, budget)
+                got = count_better(probe, shard.tree, q_sim, budget)
                 truth = sum(
                     1
                     for obj in shard.dataset
@@ -312,6 +313,15 @@ class TestConfig:
             env, env["dataset"].config.alpha, query, 3
         )
         assert list(searcher.search(query, 3).ids) == reference
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_search_rejects_k_below_one(self, k):
+        # Same contract as RSTkNNSearcher.search and BatchSearcher.run:
+        # an answer of [] for k < 1 would be silently wrong.
+        env = _env()
+        searcher = ScatterGatherSearcher(env["indexes"][2])
+        with pytest.raises(QueryError):
+            searcher.search(env["queries"][0], k)
 
     def test_searcher_validation(self):
         # Both rounds run in-process, so the searcher takes no worker

@@ -109,15 +109,33 @@ class TestRoutes:
 
     def test_malformed_body_is_400(self):
         env = _env()
+        payloads = [
+            {"k": 3},
+            # Non-finite coordinates (strings, and JSON NaN): a NaN
+            # point fails every comparison, so a walk would list every
+            # object as an answer.
+            {"x": "nan", "y": 50.0, "k": 3},
+            {"x": 50.0, "y": float("nan"), "k": 3},
+            {"x": "inf", "y": 50.0, "k": 3},
+            {"x": 50.0, "y": "-inf", "k": 3},
+            # Deadlines must be finite and positive.
+            {"x": 50.0, "y": 50.0, "k": 3, "deadline_seconds": "nan"},
+            {"x": 50.0, "y": 50.0, "k": 3, "deadline_seconds": "inf"},
+            {"x": 50.0, "y": 50.0, "k": 3, "deadline_seconds": 0},
+            {"x": 50.0, "y": 50.0, "k": 3, "deadline_seconds": -1},
+        ]
 
         async def go(server):
-            return await fetch_json(
-                "127.0.0.1", server.port, "/search", payload={"k": 3}
-            )
+            return [
+                await fetch_json(
+                    "127.0.0.1", server.port, "/search", payload=payload
+                )
+                for payload in payloads
+            ]
 
-        status, body = _run(env, go)
-        assert status == 400
-        assert "bad search request" in body["error"]
+        for payload, (status, body) in zip(payloads, _run(env, go)):
+            assert status == 400, payload
+            assert "bad search request" in body["error"], payload
 
 
 class TestSearchParity:
