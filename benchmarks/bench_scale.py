@@ -89,7 +89,7 @@ def bench_cell(
     tree, queries, k: int, workers: int, reference
 ) -> Dict[str, object]:
     """QPS/RSS of one parallel ``(k, workers)`` cell."""
-    bs = BatchSearcher(tree, workers=workers, engine="snapshot", warm=False)
+    bs = BatchSearcher(tree, workers=workers, engine="snapshot")
     run = bs.run(queries, k)
     parity_gate(reference, run, f"k={k} workers={workers}")
     stats = run.stats
@@ -137,7 +137,7 @@ def bench_scale(
         "cells": [],
     }
 
-    sequential = BatchSearcher(tree, workers=1, engine="snapshot", warm=False)
+    sequential = BatchSearcher(tree, workers=1, engine="snapshot")
     for k in ks:
         reference = sequential.run(queries, k)
         row["cells"].append(

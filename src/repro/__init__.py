@@ -62,7 +62,7 @@ from .core import (
 )
 from .index.costmodel import CostEstimate, RSTkNNCostModel, estimate_rstknn_io
 from .io import load_dataset, load_index, save_dataset, save_index
-from .lsm import LiveIndex, LiveScatterGather
+from .lsm import LiveIndex
 from .perf import BatchResult, BatchSearcher, BatchStats
 from .service import (
     DEGRADATION_CHAIN,
@@ -138,7 +138,6 @@ __all__ = [
     "save_index",
     # lsm (live updates)
     "LiveIndex",
-    "LiveScatterGather",
     # perf
     "BatchResult",
     "BatchSearcher",

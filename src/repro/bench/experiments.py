@@ -705,6 +705,22 @@ EXPERIMENTS = {
 }
 
 
+def scale_kwargs(name: str, scale: int) -> Dict[str, object]:
+    """The keyword arguments that size experiment ``name`` to ``scale``.
+
+    E3 sweeps three sizes up to ``scale`` (``[scale // 4, scale // 2,
+    scale]``), E11 sizes its object set (``n_objects``), and every other
+    driver takes ``n``.  ``repro-rstknn run --scale`` and
+    ``tools/run_all_experiments.py --scale`` both size runs with it.
+    """
+    key = name.upper()
+    if key == "E3":
+        return {"sizes": [scale // 4, scale // 2, scale]}
+    if key == "E11":
+        return {"n_objects": scale}
+    return {"n": scale}
+
+
 def run_experiment(name: str, **kwargs) -> Table:
     """Dispatch by experiment id (``E1`` … ``E12``)."""
     key = name.upper()

@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench.experiments import EXPERIMENTS, run_experiment
+from .bench.experiments import EXPERIMENTS, run_experiment, scale_kwargs
 from .bench.report import format_table
 from .core.rstknn import ENGINE_CHOICES, RSTkNNSearcher
 from .index.iurtree import IURTree
@@ -29,16 +29,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.scale is not None:
-        # Every experiment driver accepts its scale as the first knob.
-        key = args.experiment.upper()
-        if key == "E3":
-            kwargs["sizes"] = [args.scale // 4, args.scale // 2, args.scale]
-        elif key == "E11":
-            kwargs["n_objects"] = args.scale
-        else:
-            kwargs["n"] = args.scale
+    kwargs = (
+        {} if args.scale is None else scale_kwargs(args.experiment, args.scale)
+    )
     headers, rows = run_experiment(args.experiment, **kwargs)
     _, desc = EXPERIMENTS[args.experiment.upper()]
     print(format_table(headers, rows, title=f"{args.experiment.upper()} — {desc}"))
@@ -327,17 +320,14 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     tree_cls = CIURTree if args.method == "ciur" else IURTree
     registry = MetricsRegistry()
     if args.live_updates or args.writes:
-        # Pre-serve churn leg: absorb writes through the live scatter
-        # path (union snapshot while dirty), fold, then serve the
-        # post-fold dataset through the regular sharded stack below.
+        # Pre-serve churn leg: absorb writes through a live index
+        # (union snapshot while dirty), fold, then serve the post-fold
+        # dataset through the regular sharded stack below.
         _serve_http_live_churn(args, dataset, tree_cls, registry)
     index = build_sharded_index(dataset, args.shards, tree_cls=tree_cls)
     searcher = ScatterGatherSearcher(index, metrics=registry)
     service = ShardQueryService(
-        searcher,
-        deadline_seconds=args.deadline,
-        max_pending=args.max_pending,
-        metrics=registry,
+        searcher, deadline_seconds=args.deadline, metrics=registry
     )
     server = ShardHttpServer(
         service,
@@ -369,25 +359,25 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
     """``serve-http --live-updates``: write churn before serving.
 
     The HTTP stack serves a frozen sharded index, so live writes run
-    through :class:`repro.lsm.LiveScatterGather` *before* the server
-    binds: absorb ``--writes`` mixed writes, answer a probe query per
-    write batch over the merged (dirty) view, check it against a tree
-    freshly built from the mutated dataset, then fold.  The sharded
-    index built afterwards serves the post-fold dataset.
+    through a :class:`repro.lsm.LiveIndex` *before* the server binds:
+    absorb ``--writes`` mixed writes, answer up to four probe queries
+    with an :class:`~repro.core.rstknn.RSTkNNSearcher` over the live
+    index (its union snapshot while writes are pending), check each
+    against a tree freshly built from the mutated dataset, then fold.
+    The sharded index built afterwards serves the post-fold dataset.
     """
     import time as _time
 
-    from .core import RSTkNNSearcher
-    from .lsm import LiveIndex, LiveScatterGather
+    from .lsm import LiveIndex
 
     live = LiveIndex(tree_cls.build(dataset), metrics=registry)
-    scatter = LiveScatterGather(live, args.shards, metrics=registry)
     try:
         inserted, deleted = _apply_live_writes(live, dataset, args.writes)
         probes = sample_queries(dataset, min(4, max(args.queries, 1)))
+        searcher = RSTkNNSearcher(live)
         fresh = RSTkNNSearcher(tree_cls.build(dataset), engine="seed")
         for i, probe in enumerate(probes):
-            merged = scatter.search(probe, args.k)
+            merged = searcher.search(probe, args.k)
             reference = fresh.search(probe, args.k)
             if list(merged.ids) != list(reference.ids):
                 raise SystemExit(
@@ -395,7 +385,7 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
                     f"{merged.ids} != fresh build {reference.ids}"
                 )
         fold_started = _time.perf_counter()
-        folded = scatter.freeze_step()
+        folded = live.freeze_step()
         fold_seconds = _time.perf_counter() - fold_started
         print(
             f"live churn: {inserted} inserts, {deleted} deletes; "

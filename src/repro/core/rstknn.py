@@ -69,16 +69,27 @@ _NONRESULT = "nonresult"
 
 #: Traversal engine knob values: ``seed`` is the reference object-graph
 #: walk below; ``snapshot`` runs the columnar SnapshotEngine
-#: (:mod:`repro.core.traversal`); ``auto`` picks snapshot whenever the
-#: tree can freeze one (a dirty live index freezes its union view);
-#: ``approx`` runs the kNNL sketch filter (:mod:`repro.approx`), exact
-#: by construction for ``k`` within the sketch and the snapshot walk
-#: above it.  Every engine emits decision events through the TraceSink
-#: protocol (:mod:`repro.obs`), so a trace never forces ``seed``.
+#: (:mod:`repro.core.traversal`); ``auto`` picks snapshot (a dirty live
+#: index freezes its union view); ``approx`` runs the kNNL sketch filter
+#: (:mod:`repro.approx`), exact by construction for ``k`` within the
+#: sketch and the snapshot walk above it.  Every engine emits decision
+#: events through the TraceSink protocol (:mod:`repro.obs`), so a trace
+#: never forces ``seed``.
 ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 
 #: Environment override for the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
+
+#: Weight of the text-entropy (TE) boost in the best-first priority
+#: (DESIGN.md §2).  TE is an index switch, so the weight follows the
+#: tree's ``IndexConfig.use_entropy_priority``: :func:`te_weight_for`.
+TE_WEIGHT = 0.05
+
+
+def te_weight_for(use_entropy_priority: bool) -> float:
+    """The TE weight a walk over an index with this switch runs:
+    :data:`TE_WEIGHT` when on, ``0.0`` when off."""
+    return TE_WEIGHT if use_entropy_priority else 0.0
 
 
 def _default_engine() -> str:
@@ -171,10 +182,8 @@ class RSTkNNSearcher:
         self,
         tree: IURTree,
         config: Optional[SimilarityConfig] = None,
-        te_weight: float = 0.05,
         engine: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        sketch_kmax: Optional[int] = None,
     ) -> None:
         """``engine`` picks the traversal implementation
         (:data:`ENGINE_CHOICES`); ``None`` defers to ``REPRO_ENGINE``
@@ -184,17 +193,17 @@ class RSTkNNSearcher:
         histogram (``None`` records nothing — see
         ``docs/OBSERVABILITY.md``).
 
-        ``sketch_kmax`` overrides the largest ``k`` the kNNL sketch of
-        ``engine="approx"`` covers (``None`` keeps the
-        :mod:`repro.approx.sketch` default; values below 1 raise
-        :class:`~repro.errors.ConfigError`); larger ``k`` is answered
-        by the snapshot walk."""
+        The TE weight follows the tree's ``use_entropy_priority``
+        (:func:`te_weight_for`).  ``engine="approx"`` reads the kNNL
+        sketch for ``k`` up to
+        :data:`~repro.approx.sketch.DEFAULT_SKETCH_KMAX`; larger ``k``
+        is answered by the snapshot walk."""
         self.tree = tree
         cfg = config if config is not None else tree.dataset.config
         self.config = cfg
         self.measure = make_measure(cfg.text_measure)
         self.alpha = cfg.alpha
-        self.te_weight = te_weight if tree.config.use_entropy_priority else 0.0
+        self.te_weight = te_weight_for(tree.config.use_entropy_priority)
         if engine is None:
             engine = _default_engine()
         elif engine not in ENGINE_CHOICES:
@@ -203,9 +212,6 @@ class RSTkNNSearcher:
             )
         self.engine = engine
         self.metrics = metrics
-        if sketch_kmax is not None and sketch_kmax < 1:
-            raise ConfigError(f"sketch_kmax must be >= 1, got {sketch_kmax}")
-        self.sketch_kmax = sketch_kmax
 
     def _bound_computer(self) -> BoundComputer:
         """A fresh per-query bound computer."""
@@ -213,24 +219,20 @@ class RSTkNNSearcher:
             self.tree.dataset.proximity, self.measure, self.alpha
         )
 
-    def _resolve_engine(self, trace: Optional["TraceSink"]) -> str:
+    def _resolve_engine(self) -> str:
         """The engine one search call will actually run.
 
-        Every engine emits decision events through the TraceSink
-        protocol (:mod:`repro.obs.trace`), so a traced request is *not*
-        downgraded.  ``auto`` runs ``snapshot`` whenever the tree can
-        freeze one, and ``seed`` otherwise.  While a live index
+        ``auto`` runs ``snapshot``.  While a live index
         (:mod:`repro.lsm`) has writes pending, ``approx`` runs
         ``snapshot``: a sketch is a fold-time artifact, and rebuilding
-        it per write would cost far more than the walk it saves.
+        it per write would cost far more than the walk it saves.  Any
+        other engine runs as asked; every engine emits decision events
+        through the TraceSink protocol (:mod:`repro.obs.trace`), so a
+        trace never changes the engine.
         """
-        del trace  # every engine can trace; kept for signature stability
         engine = self.engine
-        can_snapshot = getattr(self.tree, "snapshot", None) is not None
         if engine == "auto":
-            engine = "snapshot"
-        if engine in ("snapshot", "approx") and not can_snapshot:
-            return "seed"
+            return "snapshot"
         if engine == "approx" and getattr(self.tree, "overlay_dirty", False):
             return "snapshot"
         return engine
@@ -272,7 +274,7 @@ class RSTkNNSearcher:
                 pinned = copy.copy(self)
                 pinned.tree = view
                 return pinned.search(query, k, trace=trace, cancel=cancel)
-        resolved = self._resolve_engine(trace)
+        resolved = self._resolve_engine()
         if resolved != "seed":
             snap = self.tree.snapshot()
             if resolved == "approx" and snap.base is not None:
@@ -289,11 +291,7 @@ class RSTkNNSearcher:
         if resolved == "approx":
             sketches = len(snap._sketches)
             runner = snap.approx_engine_for(
-                self.tree,
-                self.measure,
-                self.alpha,
-                self.te_weight,
-                kmax=self.sketch_kmax,
+                self.tree, self.measure, self.alpha, self.te_weight
             )
             if len(snap._sketches) != sketches:
                 # This call built the sketch (an attached segment's

@@ -25,7 +25,6 @@ from ..model.dataset import STDataset
 from ..model.objects import STObject
 from ..storage import BufferPool, DiskManager, IOStats
 from .entry import Entry
-from .node import Node
 from .rtree import RTree
 from .stats import IndexStats
 
@@ -528,7 +527,3 @@ class IURTree:
             if not node.is_leaf:
                 stack.extend(e.ref for e in node.entries)
         return False
-
-    def node_for_test(self, node_id: int) -> Node:
-        """Direct node access for white-box tests."""
-        return self._rtree.node(node_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..config import IndexConfig
 from ..errors import IndexError_
@@ -177,14 +177,3 @@ def _entry_from_json(spec: Dict) -> Entry:
         is_object=spec["is_object"],
         clusters=clusters,
     )
-
-
-def index_summary(path: PathLike) -> Dict[str, object]:
-    """Lightweight header peek without loading the tree (CLI helper)."""
-    payload = json.loads(Path(path).read_text())
-    return {
-        "kind": payload.get("kind"),
-        "nodes": len(payload.get("nodes", [])),
-        "outliers": len(payload.get("outlier_oids", [])),
-        "version": payload.get("version"),
-    }

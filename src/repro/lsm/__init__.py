@@ -6,8 +6,6 @@ Public surface of the live-update path (see ``docs/UPDATES.md``):
 queries over the union through pinned :class:`EpochView` epochs, and
 folds the overlay into fresh frozen generations via
 :meth:`LiveIndex.freeze_step` or the background freezer.
-:class:`LiveScatterGather` fronts the sharded searcher with the same
-lifecycle.
 """
 
 from .live import (
@@ -21,7 +19,6 @@ from .live import (
     adjust_entry,
     frozen_path,
 )
-from .scatter import LiveScatterGather
 
 __all__ = [
     "DEFAULT_FREEZE_THRESHOLD",
@@ -30,7 +27,6 @@ __all__ = [
     "DeltaOverlay",
     "EpochView",
     "LiveIndex",
-    "LiveScatterGather",
     "Tombstones",
     "adjust_entry",
     "frozen_path",

@@ -56,9 +56,10 @@ of frozen slots (``docs/UPDATES.md`` gives the soundness argument).
 Frozen-side *floors* (the approx sketch tier, shard admission
 summaries) are fold-time artifacts and are **not** re-derived per
 write: while the overlay is dirty an ``approx`` searcher resolves to
-the snapshot engine (see ``RSTkNNSearcher._resolve_engine``), and
-:class:`~repro.lsm.scatter.LiveScatterGather` skips shard admission.
-After a fold the view is clean again and both re-apply.
+the snapshot engine (see ``RSTkNNSearcher._resolve_engine``), and a
+sharded index is built from :attr:`LiveIndex.dataset` only after
+:meth:`LiveIndex.freeze_step` folds the overlay.  After a fold the
+view is clean again and the sketch re-applies.
 
 See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 """
@@ -473,13 +474,12 @@ class LiveIndex:
         *,
         metrics=None,
         freeze_threshold: int = DEFAULT_FREEZE_THRESHOLD,
-        build_method: str = "str",
     ) -> None:
         """``tree`` is a built :class:`~repro.index.iurtree.IURTree` (or
         CIURTree); ``freeze_threshold`` is the overlay size (objects +
-        tombstones) at which the background freezer folds;
-        ``build_method`` is handed to ``type(tree).build`` on every
-        fold.  ``metrics`` attaches the ``lsm.*`` instruments (see
+        tombstones) at which the background freezer folds.  Every fold
+        STR bulk loads a fresh ``type(tree)`` (``build``'s default).
+        ``metrics`` attaches the ``lsm.*`` instruments (see
         ``docs/OBSERVABILITY.md``)."""
         if getattr(tree, "is_live", False):
             raise ConfigError("tree is already a LiveIndex")
@@ -489,7 +489,6 @@ class LiveIndex:
             )
         self.dataset = tree.dataset
         self.freeze_threshold = int(freeze_threshold)
-        self._build_method = build_method
         self._lock = threading.RLock()  # writers + freezer
         self._view_lock = threading.Lock()  # view mutations, swaps, unions
         self.generation = getattr(tree, "generation", 0)
@@ -684,9 +683,7 @@ class LiveIndex:
             started = time.perf_counter()
             frozen = view.frozen
             try:
-                rebuilt = type(frozen).build(
-                    self.dataset, frozen.config, method=self._build_method
-                )
+                rebuilt = type(frozen).build(self.dataset, frozen.config)
                 rebuilt.warm_kernels()
                 # Freeze here, off the read path: the first read after
                 # the swap would otherwise pay the full O(n) freeze.

@@ -8,10 +8,11 @@ used to weight terms (so queries are weighted consistently).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import SimilarityConfig
-from ..errors import DatasetError
+from ..errors import DatasetError, QueryError
 from ..spatial import Point, Rect, SpatialProximity
 from ..text import SparseVector, Vocabulary, make_weighting, tokenize
 from .objects import STObject
@@ -94,8 +95,17 @@ class STDataset:
 
         Query terms unseen in the corpus are interned (df treated as 1 by
         the weighting), matching how a deployed system scores novel query
-        keywords.
+        keywords.  Both coordinates of ``point`` must be finite, else
+        :class:`~repro.errors.QueryError`: a NaN distance fails every
+        pruning comparison and an infinite one puts the point at
+        proximity 0 from every object, so either would answer silently
+        wrong.  Every object built from a record (:meth:`append_record`,
+        :meth:`derive`) comes through here.
         """
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            raise QueryError(
+                f"point coordinates must be finite, got ({point.x}, {point.y})"
+            )
         tf: Dict[int, int] = {}
         for term in tokenize(text):
             tid = self.vocabulary.intern(term)

@@ -64,28 +64,21 @@ def _init_worker(
     name: str,
     generation: int,
     config: Optional[SimilarityConfig],
-    te_weight: float,
     engine: str,
-    sketch_kmax: Optional[int],
 ) -> None:
     """Pool initializer: attach the parent's segment and build a searcher.
 
     ``name`` and ``generation`` identify the :mod:`repro.perf.shm`
     segment; the attach is generation-checked, so a segment exported
     from a since-mutated index is refused rather than served.  The
-    parent's resolved ``engine`` and ``sketch_kmax`` ride along, so a
-    worker finds the sketch the parent baked into the segment.
+    parent's resolved ``engine`` rides along, so an approx worker finds
+    the sketch the parent baked into the segment.
     """
     from .shm import attach  # noqa: PLC0415 — worker-side only
 
     attached = attach(name, expected_generation=generation)
     _WORKER["attached"] = attached
-    _WORKER["searcher"] = attached.searcher(
-        config,
-        te_weight=te_weight,
-        engine=engine,
-        sketch_kmax=sketch_kmax,
-    )
+    _WORKER["searcher"] = attached.searcher(config, engine=engine)
 
 
 def _worker_rss_bytes() -> Optional[int]:
@@ -204,23 +197,23 @@ class BatchSearcher:
         tree: IURTree,
         config: Optional[SimilarityConfig] = None,
         workers: int = 1,
-        te_weight: float = 0.05,
-        warm: bool = True,
         engine: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        sketch_kmax: Optional[int] = None,
     ) -> None:
         """``workers=1`` runs sequentially in this process;
         ``workers>1`` fans out over that many processes, each attached
-        to one shared-memory snapshot segment.  ``warm=True`` pre-freezes
-        the tree's kernel forms so the first query does not pay freezing
-        costs.  ``engine`` picks the traversal implementation per query
-        (see :data:`repro.core.rstknn.ENGINE_CHOICES`; ``None`` defers to
+        to one shared-memory snapshot segment.  The constructor
+        pre-freezes the tree's kernel forms
+        (:meth:`~repro.index.iurtree.IURTree.warm_kernels`; on a tree
+        warmed already, that pass only hits memoized frozen forms), so
+        the first query does not pay freezing costs.  ``engine`` picks
+        the traversal implementation per query (see
+        :data:`repro.core.rstknn.ENGINE_CHOICES`; ``None`` defers to
         ``REPRO_ENGINE`` and then ``auto``, and :attr:`engine` holds the
-        name that applied); ``auto`` runs the snapshot engine whenever
-        the tree can freeze one.  A parallel run needs numpy and
-        ``multiprocessing.shared_memory``; without them it runs in this
-        process and records ``fallback_reason="shm_unavailable (...)"``.
+        name that applied); ``auto`` runs the snapshot engine.  A
+        parallel run needs numpy and ``multiprocessing.shared_memory``;
+        without them it runs in this process and records
+        ``fallback_reason="shm_unavailable (...)"``.
         A seed-engine batch always runs in this process, with nothing
         recorded.  Workers run the snapshot engine, which is
         bit-identical on results and decision counters by the engine
@@ -234,33 +227,22 @@ class BatchSearcher:
         :data:`RETRY_ATTEMPTS` tries; a chunk that exhausts them runs in
         the parent, so a batch always completes.
 
-        ``sketch_kmax`` overrides the largest ``k`` the kNNL sketch of
-        ``engine="approx"`` covers (values below 1 raise
-        :class:`~repro.errors.ConfigError`); parallel mode bakes that
-        sketch into the shm segment once, and every worker reads it."""
+        Under ``engine="approx"`` parallel mode bakes the kNNL sketch
+        into the shm segment once, and every worker reads it."""
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.tree = tree
         self.config = config
         self.workers = workers
-        self.te_weight = te_weight
         self.metrics = metrics
-        self.sketch_kmax = sketch_kmax
         self._last_retries = 0
         self._worker_rss: Optional[int] = None
         self._warned_reasons: Set[str] = set()
-        self._searcher = RSTkNNSearcher(
-            tree,
-            config,
-            te_weight=te_weight,
-            engine=engine,
-            sketch_kmax=sketch_kmax,
-        )
+        self._searcher = RSTkNNSearcher(tree, config, engine=engine)
         # Resolved (env applied) on the inner searcher: whether a pool
         # runs, the baked sketch and the workers all follow it.
         self.engine = self._searcher.engine
-        if warm:
-            tree.warm_kernels()
+        tree.warm_kernels()
 
     def run(self, queries: Sequence[STObject], k: int) -> BatchResult:
         """Execute the workload; results align with ``queries`` order."""
@@ -310,7 +292,7 @@ class BatchSearcher:
         metrics = self.metrics
         if metrics is None or not metrics.enabled:
             return
-        engine_label = self._searcher._resolve_engine(None)
+        engine_label = self._searcher._resolve_engine()
         for result in results:
             record_search(metrics, engine_label, result.stats)
         timer.publish(metrics)
@@ -364,11 +346,10 @@ class BatchSearcher:
                     snap.sketch_for(
                         snap.engine_for(
                             self.tree, s.measure, s.alpha, s.te_weight
-                        ),
-                        kmax=self.sketch_kmax,
+                        )
                     )
             seg = shm.SharedSnapshotSegment.create(
-                self.tree, config=self.config, te_weight=self.te_weight
+                self.tree, config=self.config
             )
             if engine == "approx" and (
                 snap.base is not None or self.tree.snapshot() is not snap
@@ -401,7 +382,7 @@ class BatchSearcher:
         parent, so the batch always completes with results
         byte-identical to a clean run.
         """
-        engine = self._searcher._resolve_engine(None)
+        engine = self._searcher._resolve_engine()
         if engine == "seed":
             # The seed walk reads the object graph: no snapshot to share.
             return None, None
@@ -432,14 +413,7 @@ class BatchSearcher:
         ]
         exhausted: List[List[Tuple[int, STObject, int, int]]] = []
         retries = 0
-        spec = (
-            seg.name,
-            seg.generation,
-            self.config,
-            self.te_weight,
-            engine,
-            self.sketch_kmax,
-        )
+        spec = (seg.name, seg.generation, self.config, engine)
 
         def new_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(

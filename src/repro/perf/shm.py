@@ -52,9 +52,10 @@ import os
 import pickle
 import struct
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import SimilarityConfig
+from ..core.rstknn import te_weight_for
 from ..errors import SnapshotSegmentError, StaleSegmentError
 from ..storage.iostats import IOStats
 from ..text.interval import IntervalVector
@@ -232,16 +233,16 @@ class SharedSnapshotSegment:
         cls,
         tree,
         config: Optional[SimilarityConfig] = None,
-        te_weight: float = 0.05,
-        name: Optional[str] = None,
     ) -> "SharedSnapshotSegment":
-        """Export ``tree``'s current snapshot into a fresh segment.
+        """Export ``tree``'s current snapshot into a fresh, uniquely
+        named segment.
 
         Freezes the snapshot if the tree has not already (it is
         generation-memoized, so repeated exports of an unchanged tree
-        only pay the memcpy).  ``config``/``te_weight``
-        are stamped into the header so workers reconstruct the exact
-        similarity setting without touching the tree.
+        only pay the memcpy).  ``config`` and the tree's
+        ``use_entropy_priority`` switch are stamped into the header so
+        workers reconstruct the exact similarity setting and TE weight
+        without touching the tree.
         """
         ok, why = shm_available()
         if not ok:
@@ -296,7 +297,6 @@ class SharedSnapshotSegment:
             "n_slots": snap.n_slots,
             "root_slots": tuple(int(r) for r in snap.root_slots),
             "sim_config": cfg,
-            "te_weight": te_weight,
             "use_entropy_priority": tree.config.use_entropy_priority,
             "buffer_pages": tree.config.buffer_pages,
             "sketches": sketch_rows,
@@ -306,8 +306,7 @@ class SharedSnapshotSegment:
         header_start = _align(offset)
         total = header_start + len(header_bytes)
 
-        if name is None:
-            name = f"repro_snap_{os.getpid():x}_{os.urandom(4).hex()}"
+        name = f"repro_snap_{os.getpid():x}_{os.urandom(4).hex()}"
         shm = shared_memory.SharedMemory(name=name, create=True, size=total)
         try:
             buf = shm.buf
@@ -400,10 +399,6 @@ class _LazySeq:
             value = self._build(i)
             self._cache[i] = value
         return value
-
-    def materialized(self) -> int:
-        """How many elements have been built (diagnostics)."""
-        return sum(1 for v in self._cache if v is not _MISSING)
 
 
 class _SegmentViews:
@@ -544,10 +539,6 @@ class AttachedSnapshot(IndexSnapshot):
             self._frozen_cache[idx] = form
         return form
 
-    def materialized_slots(self) -> int:
-        """Slots whose cluster tuples have been built (RSS diagnostics)."""
-        return self.clusters.materialized()
-
     def nbytes(self) -> int:
         """Mapped bytes are shared; count only private lazily built state.
 
@@ -636,29 +627,27 @@ class ShmSearcher:
     :class:`~repro.core.rstknn.RSTkNNSearcher`: it runs the snapshot
     engine of the header's similarity setting (result ids and decision
     counters are engine-parity-identical to the seed walk, which the
-    engine test suite enforces), or the approx engine over the sketch
-    of ``sketch_kmax`` (``None`` = the :mod:`repro.approx.sketch`
-    default) when ``engine="approx"``.
+    engine test suite enforces), or the approx engine over the default
+    sketch when ``engine="approx"``.  The TE weight follows the header's
+    ``use_entropy_priority``, as the parent's searcher follows its tree.
     """
 
-    def __init__(self, attached: "AttachedIndex", config: Optional[SimilarityConfig],
-                 te_weight: float, engine: str = "snapshot",
-                 sketch_kmax: Optional[int] = None) -> None:
+    def __init__(self, attached: "AttachedIndex",
+                 config: Optional[SimilarityConfig],
+                 engine: str = "snapshot") -> None:
         header = attached.header
         cfg = config if config is not None else header["sim_config"]
         self.config = cfg
         self.measure = make_measure(cfg.text_measure)
         self.alpha = cfg.alpha
-        self.te_weight = te_weight if header["use_entropy_priority"] else 0.0
+        self.te_weight = te_weight_for(header["use_entropy_priority"])
         self.tree = attached.tree
         snapshot = attached.snapshot
         if engine == "approx":
             # Served from the segment's frozen sketch when the parent
-            # exported one of this kmax; rebuilt worker-side otherwise
-            # (memoized).
+            # exported one; rebuilt worker-side otherwise (memoized).
             self.engine = snapshot.approx_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight,
-                kmax=sketch_kmax,
+                attached.tree, self.measure, self.alpha, self.te_weight
             )
         else:
             self.engine = snapshot.engine_for(
@@ -685,15 +674,10 @@ class AttachedIndex:
     def searcher(
         self,
         config: Optional[SimilarityConfig] = None,
-        te_weight: Optional[float] = None,
         engine: str = "snapshot",
-        sketch_kmax: Optional[int] = None,
     ) -> ShmSearcher:
         """A searcher over this attachment (header defaults apply)."""
-        te = self.header["te_weight"] if te_weight is None else te_weight
-        return ShmSearcher(
-            self, config, te, engine=engine, sketch_kmax=sketch_kmax
-        )
+        return ShmSearcher(self, config, engine=engine)
 
     def close(self) -> None:
         """Unmap this process's view.

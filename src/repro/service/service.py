@@ -136,8 +136,6 @@ class QueryService:
             (while writes are pending, the snapshot hop walks its union
             snapshot and an ``approx`` hop resolves to ``snapshot``).
         config: Similarity configuration (defaults to the dataset's).
-        te_weight: Entropy-priority weight (as in
-            :class:`~repro.core.rstknn.RSTkNNSearcher`).
         chain: Engine fallback order; a subset/reordering of
             :data:`DEGRADATION_CHAIN` (must be non-empty, names from
             that chain).
@@ -154,7 +152,6 @@ class QueryService:
         self,
         tree,
         config=None,
-        te_weight: float = 0.05,
         *,
         chain: Sequence[str] = DEGRADATION_CHAIN,
         deadline_seconds: Optional[float] = None,
@@ -181,9 +178,7 @@ class QueryService:
         self.metrics = registry_or_null(metrics)
         self._clock = clock
         self._searchers = {
-            name: RSTkNNSearcher(
-                tree, config, te_weight, engine=name, metrics=metrics
-            )
+            name: RSTkNNSearcher(tree, config, engine=name, metrics=metrics)
             for name in chain
         }
         self.queue = AdmissionQueue(max_pending, metrics=self.metrics)
@@ -322,11 +317,3 @@ class QueryService:
             except (DeadlineExceeded, ServiceError):
                 continue
         return ServiceBatchResult(tuple(results))
-
-    def serve_batch(
-        self, queries: Sequence[STObject], k: int
-    ) -> ServiceBatchResult:
-        """Submit then drain a whole batch (sheds with ``QueueFull``)."""
-        for query in queries:
-            self.submit(query, k)
-        return self.drain()

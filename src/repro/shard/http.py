@@ -30,8 +30,8 @@ beyond that the server answers ``503 {"error": "shed"}`` immediately
 to ``504``, malformed requests to ``400``.
 
 Start it from the CLI: ``repro-rstknn serve-http --n 2000 --shards 4``
-(see the README quickstart), or in-process via :func:`serve` /
-:meth:`ShardHttpServer.start` for tests.
+(see the README quickstart), or in-process with
+``await ShardHttpServer(service).start()`` for tests.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ import asyncio
 import json
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import DeadlineExceeded, QueryError, ReproError
+from ..errors import ConfigError, DeadlineExceeded, QueryError, ReproError
 from ..spatial import Point
 from ..obs import NULL_REGISTRY, MetricsRegistry
-from ..service import DEGRADATION_CHAIN, QueryService
+from ..service import QueryService
 from .scatter import ScatterGatherSearcher, ShardQueryStats, ShardSearchResult
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: queries are tiny; refuse absurd bodies
@@ -64,15 +64,18 @@ class ShardQueryService:
     therefore keep the scatter–gather bit-parity guarantee while gaining
     per-shard fault isolation.  The ``shard.*`` instruments land in the
     searcher's registry, as they do for a direct ``search``.
+
+    Every shard service runs the default
+    :data:`~repro.service.DEGRADATION_CHAIN`; ``serve`` calls them
+    directly, so they need no admission queue (the HTTP front door
+    sheds through ``ShardHttpServer(max_pending=)``).
     """
 
     def __init__(
         self,
         searcher: ScatterGatherSearcher,
         *,
-        chain: Sequence[str] = DEGRADATION_CHAIN,
         deadline_seconds: Optional[float] = None,
-        max_pending: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.searcher = searcher
@@ -82,10 +85,7 @@ class ShardQueryService:
             QueryService(
                 shard.tree,
                 searcher.config,
-                searcher.te_weight,
-                chain=chain,
                 deadline_seconds=deadline_seconds,
-                max_pending=max_pending,
                 metrics=metrics,
             )
             for shard in searcher.index.shards
@@ -110,10 +110,16 @@ class ShardQueryService:
         name}}`` covering every searched shard.
 
         Raises:
+            ConfigError: a ``deadline_seconds`` that is not ``> 0``
+                (``nan`` included), as :meth:`QueryService.serve` rules.
             DeadlineExceeded: some shard overran the (shared) deadline.
             QueryError: invalid ``k`` or query.
             ServiceError: a shard exhausted its degradation chain.
         """
+        if deadline_seconds is not None and not deadline_seconds > 0.0:
+            raise ConfigError(
+                f"deadline_seconds must be > 0, got {deadline_seconds}"
+            )
         searcher = self.searcher
         started = time.perf_counter()
         deadline = (
@@ -321,40 +327,6 @@ class _HttpError(Exception):
         super().__init__(payload.get("error", ""))
         self.status = status
         self.payload = payload
-
-
-async def serve(
-    service: ShardQueryService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8764,
-    default_k: int = 5,
-    max_pending: int = 64,
-    metrics: Optional[MetricsRegistry] = None,
-    ready: Optional["asyncio.Event"] = None,
-) -> None:
-    """Run the front door until cancelled.
-
-    ``ready`` (if given) is set once the socket is bound — tests use it
-    to race-free connect; the possibly-rebound port is on the server
-    object meanwhile.
-    """
-    server = ShardHttpServer(
-        service,
-        host=host,
-        port=port,
-        default_k=default_k,
-        max_pending=max_pending,
-        metrics=metrics,
-    )
-    await server.start()
-    if ready is not None:
-        ready.set()
-    try:
-        async with server._server:
-            await server._server.serve_forever()
-    finally:
-        await server.stop()
 
 
 async def fetch_json(

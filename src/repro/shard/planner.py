@@ -33,12 +33,7 @@ from ..errors import ConfigError
 from ..index.iurtree import IURTree
 from ..model.dataset import STDataset
 from ..model.objects import STObject
-from .summaries import (
-    DEFAULT_FRONTIER,
-    DEFAULT_KMAX,
-    ShardSummary,
-    build_summary,
-)
+from .summaries import ShardSummary, build_summary
 
 
 def _interleave16(v: int) -> int:
@@ -126,9 +121,8 @@ class ShardPlanner:
             :class:`~repro.config.IndexConfig`).
         tree_cls: Tree class to build per shard
             (:class:`~repro.index.iurtree.IURTree` or
-            :class:`~repro.index.ciurtree.CIURTree`).
-        build_method: Structural build method passed through to
-            ``tree_cls.build`` (``"str"``, ``"text-str"``, ``"insert"``).
+            :class:`~repro.index.ciurtree.CIURTree`); each shard tree is
+            STR bulk loaded, ``tree_cls.build``'s default.
     """
 
     def __init__(
@@ -138,7 +132,6 @@ class ShardPlanner:
         *,
         index_config: Optional[IndexConfig] = None,
         tree_cls=IURTree,
-        build_method: str = "str",
     ) -> None:
         n = len(dataset.objects)
         if shard_count < 1:
@@ -151,7 +144,6 @@ class ShardPlanner:
         self.shard_count = shard_count
         self.index_config = index_config
         self.tree_cls = tree_cls
-        self.build_method = build_method
 
     def plan(self) -> ShardPlan:
         """Morton-sort the objects and cut balanced contiguous runs.
@@ -192,9 +184,7 @@ class ShardPlanner:
                 dataset.region,
                 dataset.config,
             )
-            tree = self.tree_cls.build(
-                sub, config=self.index_config, method=self.build_method
-            )
+            tree = self.tree_cls.build(sub, config=self.index_config)
             shards.append(Shard(shard_id, sub, tree))
         return ShardedIndex(dataset, plan, shards)
 
@@ -225,22 +215,16 @@ class ShardedIndex:
         ]
 
     def summaries(
-        self,
-        measure,
-        alpha: float,
-        te_weight: float,
-        *,
-        kmax: int = DEFAULT_KMAX,
-        frontier_size: int = DEFAULT_FRONTIER,
+        self, measure, alpha: float, te_weight: float
     ) -> Tuple[ShardSummary, ...]:
         """Admission-pruning tables for every shard, built once per
-        ``(measure, alpha, te_weight, kmax, frontier_size)`` setting."""
-        key = (measure.name, alpha, te_weight, kmax, frontier_size)
+        ``(measure, alpha, te_weight)`` setting."""
+        key = (measure.name, alpha, te_weight)
         cached = self._summaries.get(key)
         if cached is not None:
             return cached
         built = tuple(
-            build_summary(i, engine, kmax=kmax, frontier_size=frontier_size)
+            build_summary(i, engine)
             for i, engine in enumerate(self.engines(measure, alpha, te_weight))
         )
         self._summaries[key] = built
@@ -253,14 +237,9 @@ def build_sharded_index(
     *,
     index_config: Optional[IndexConfig] = None,
     tree_cls=IURTree,
-    build_method: str = "str",
 ) -> ShardedIndex:
     """Plan and build in one call (the common case)."""
     planner = ShardPlanner(
-        dataset,
-        shard_count,
-        index_config=index_config,
-        tree_cls=tree_cls,
-        build_method=build_method,
+        dataset, shard_count, index_config=index_config, tree_cls=tree_cls
     )
     return planner.build()

@@ -34,15 +34,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimilarityConfig
-from ..core.rstknn import SearchStats
+from ..core.rstknn import SearchStats, te_weight_for
 from ..core.traversal import QueryProbe
-from ..errors import ConfigError, QueryError
+from ..errors import QueryError
 from ..model.objects import STObject
 from ..obs import NULL_REGISTRY, MetricsRegistry
 from ..text.similarity import make_measure
 from .merge import count_better, exact_similarity
 from .planner import ShardedIndex
-from .summaries import DEFAULT_FRONTIER, DEFAULT_KMAX, query_upper
+from .summaries import query_upper
 
 #: Fan-out histogram buckets: how many shards one query searched.
 SHARD_FANOUT_BUCKETS = (1, 2, 4, 8, 16, 32)
@@ -107,48 +107,34 @@ class ScatterGatherSearcher:
         index: A built :class:`~repro.shard.planner.ShardedIndex`.
         config: Similarity configuration (defaults to the parent
             dataset's — shards share it by construction).
-        te_weight: Entropy-priority weight, honored exactly as the
-            unsharded searcher does (inert when the shard trees were
-            built without ``use_entropy_priority``).
-        kmax: Largest ``k`` admission pruning covers
-            (:data:`~repro.shard.summaries.DEFAULT_KMAX`; must be
-            ``>= 1``).
-        frontier_size: Summary frontier width per shard.
         metrics: Optional :class:`~repro.obs.MetricsRegistry` receiving
             the ``shard.*`` instruments (see ``docs/OBSERVABILITY.md``).
+
+    The TE weight follows the shard trees' ``use_entropy_priority``, as
+    the unsharded searcher's follows its tree
+    (:func:`~repro.core.rstknn.te_weight_for`).  Admission pruning
+    covers ``k`` up to :data:`~repro.shard.summaries.DEFAULT_KMAX`;
+    larger ``k`` searches every shard.
     """
 
     def __init__(
         self,
         index: ShardedIndex,
         config: Optional[SimilarityConfig] = None,
-        te_weight: float = 0.05,
         *,
-        kmax: int = DEFAULT_KMAX,
-        frontier_size: int = DEFAULT_FRONTIER,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if kmax < 1:
-            raise ConfigError(f"kmax must be >= 1, got {kmax}")
         self.index = index
         cfg = config if config is not None else index.dataset.config
         self.config = cfg
         self.measure = make_measure(cfg.text_measure)
         self.alpha = cfg.alpha
         tree0 = index.shards[0].tree
-        self.te_weight = (
-            te_weight if tree0.config.use_entropy_priority else 0.0
-        )
-        self.kmax = kmax
-        self.frontier_size = frontier_size
+        self.te_weight = te_weight_for(tree0.config.use_entropy_priority)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._engines = index.engines(self.measure, self.alpha, self.te_weight)
         self._summaries = index.summaries(
-            self.measure,
-            self.alpha,
-            self.te_weight,
-            kmax=kmax,
-            frontier_size=frontier_size,
+            self.measure, self.alpha, self.te_weight
         )
         self._maxD = index.dataset.proximity.max_distance
 

@@ -129,23 +129,21 @@ def _peel_frontier(snap, frontier_size: int) -> List[int]:
     return frontier
 
 
-def build_summary(
-    shard_id: int,
-    engine,
-    kmax: int = DEFAULT_KMAX,
-    frontier_size: int = DEFAULT_FRONTIER,
-) -> ShardSummary:
+def build_summary(shard_id: int, engine) -> ShardSummary:
     """Compute one shard's :class:`ShardSummary` from its snapshot engine.
 
     ``engine`` is the shard's :class:`~repro.core.traversal.SnapshotEngine`
     for the similarity setting being served — its memoized pair-bound
     table supplies every ``MinST`` the template needs (and keeps the
-    values it computes for the scatter walk to reuse).
+    values it computes for the scatter walk to reuse).  The frontier
+    holds up to :data:`DEFAULT_FRONTIER` slots and the table covers
+    ``k = 1 .. DEFAULT_KMAX``.
     """
     snap = engine.snap
-    frontier = _peel_frontier(snap, frontier_size)
+    frontier = _peel_frontier(snap, DEFAULT_FRONTIER)
     cnt = snap.cnt
     st = engine._st
+    kmax = DEFAULT_KMAX
     knnl = [float("inf")] * kmax
     for f in frontier:
         contribs: List[Tuple[float, int]] = []

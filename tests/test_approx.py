@@ -16,7 +16,7 @@ These tests pin that contract from below and above:
   queries that copy a dataset object included; ``k > kmax`` runs the
   snapshot walk;
 * **plumbing** — filter counters, the ``REPRO_ENGINE=approx`` env knob,
-  ``sketch_kmax`` validation and its path to shm workers, the shm
+  ``kmax`` validation, the baked sketch's path to shm workers, the shm
   segment round-trip of the sketch arrays, and the object-row text
   matrix the sketch build reads (a sketch built after an insert or
   delete never reads a stale matrix).
@@ -425,21 +425,6 @@ class TestBuildEdges:
             for k in range(2, sketch.kmax + 1):
                 assert sketch.obj_floor(slot, k) == 0.0
 
-    def test_sketch_knob_override_plumbs_through(self):
-        env = _env()
-        searcher = _searcher(
-            0.4,
-            engine="approx",
-            sketch_kmax=4,
-        )
-        searcher.search(env["queries"][0], 2)
-        snap = env["tree"].snapshot()
-        engine = snap.approx_engine_for(
-            env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, kmax=4,
-        )
-        assert engine.sketch.kmax == 4
-
 
 # ----------------------------------------------------------------------
 # Adaptive frontier peel (empty-node and budget-overflow regressions)
@@ -779,28 +764,23 @@ class TestApproxExactness:
 
 
 class TestSketchKnobs:
-    def test_constructors_reject_sketch_kmax_below_one(self):
+    def test_build_rejects_kmax_below_one(self):
         from repro.errors import ConfigError
 
         env = _env()
         tree = env["tree"]
-        assert _searcher(0.4, engine="approx", sketch_kmax=4).sketch_kmax == 4
-        for bad in (0, -3):
-            with pytest.raises(ConfigError):
-                _searcher(0.4, engine="approx", sketch_kmax=bad)
-            with pytest.raises(ConfigError):
-                BatchSearcher(tree, engine="approx", sketch_kmax=bad)
         snap = tree.snapshot()
         engine = snap.engine_for(
             tree, make_measure(env["dataset"].config.text_measure), 0.4, 0.0
         )
-        with pytest.raises(ConfigError):
-            build_sketch(engine, kmax=0)
-        with pytest.raises(ConfigError):
-            snap.sketch_for(engine, kmax=0)
+        for bad in (0, -3):
+            with pytest.raises(ConfigError):
+                build_sketch(engine, kmax=bad)
+            with pytest.raises(ConfigError):
+                snap.sketch_for(engine, kmax=bad)
 
     def test_shm_workers_read_the_baked_sketch(self, tmp_path, monkeypatch):
-        # The parent bakes the sketch_kmax sketch into the segment once;
+        # The parent bakes the default sketch into the segment once;
         # workers must find it there instead of building their own.
         # Forked workers inherit the counting wrapper.
         import os
@@ -823,10 +803,12 @@ class TestSketchKnobs:
         dataset = gn_like(n=120)
         tree = IURTree.build(dataset)  # private: no memoized sketch yet
         queries = sample_queries(dataset, 6, seed=17)
-        batch = BatchSearcher(tree, engine="approx", workers=2, sketch_kmax=8)
+        batch = BatchSearcher(tree, engine="approx", workers=2)
         result = batch.run(queries, 3)
         assert result.stats.workers == 2
-        assert log.read_text().split() == [str(os.getpid()), "8"]
+        assert log.read_text().split() == [
+            str(os.getpid()), str(DEFAULT_SKETCH_KMAX)
+        ]
         exact = BatchSearcher(tree, engine="snapshot").run(queries, 3)
         assert result.id_lists() == exact.id_lists()
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.bench.experiments import EXPERIMENTS, run_e4, run_e12, run_experiment
+import inspect
+
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    run_e4,
+    run_e12,
+    run_experiment,
+    scale_kwargs,
+)
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
 
@@ -19,6 +27,24 @@ class TestExperimentRegistry:
         headers, rows = run_experiment("e12", n=150, batch_sizes=(1, 5), k=3)
         assert headers[0] == "batch"
         assert len(rows) == 2
+
+
+class TestScaleRule:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("E1", {"n": 800}),
+            ("e3", {"sizes": [200, 400, 800]}),
+            ("E11", {"n_objects": 800}),
+        ],
+    )
+    def test_scale_sizes_each_driver(self, name, expected):
+        assert scale_kwargs(name, 800) == expected
+
+    def test_every_driver_accepts_its_scale_keyword(self):
+        for name, (fn, _) in EXPERIMENTS.items():
+            (keyword,) = scale_kwargs(name, 100)
+            assert keyword in inspect.signature(fn).parameters, name
 
 
 class TestExperimentDrivers:

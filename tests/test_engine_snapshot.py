@@ -27,6 +27,7 @@ from repro.core.rstknn import ENGINE_CHOICES, ENGINE_ENV_VAR
 from repro.core.traversal import QueryProbe, SnapshotEngine
 from repro.core.explain import SearchTrace
 from repro.errors import ConfigError, IndexError_
+from repro.obs import MetricsRegistry
 from repro.perf.snapshot import IndexSnapshot
 from repro.spatial import Point
 from repro.text.similarity import make_measure
@@ -53,9 +54,9 @@ def _run(searcher, tree, query, k):
     return searcher.search(query, k)
 
 
-def assert_parity(tree, queries, k, config=None, te_weight=0.05):
-    seed = RSTkNNSearcher(tree, config, te_weight=te_weight, engine="seed")
-    snap = RSTkNNSearcher(tree, config, te_weight=te_weight, engine="snapshot")
+def assert_parity(tree, queries, k, config=None):
+    seed = RSTkNNSearcher(tree, config, engine="seed")
+    snap = RSTkNNSearcher(tree, config, engine="snapshot")
     for query in queries:
         a = _run(seed, tree, query, k)
         b = _run(snap, tree, query, k)
@@ -131,18 +132,21 @@ class TestEngineResolution:
     def test_auto_prefers_snapshot(self, small_dataset):
         tree = IURTree.build(small_dataset)
         searcher = RSTkNNSearcher(tree, engine="auto")
-        assert searcher._resolve_engine(None) == "snapshot"
+        assert searcher._resolve_engine() == "snapshot"
 
     def test_traced_requests_stay_on_snapshot(self, small_dataset):
         # Since the TraceSink generalization (repro.obs), tracing works
-        # on every engine: a trace no longer downgrades the request.
+        # on every engine: a trace never downgrades the request.
         tree = IURTree.build(small_dataset)
-        searcher = RSTkNNSearcher(tree, engine="snapshot")
+        registry = MetricsRegistry()
+        searcher = RSTkNNSearcher(tree, engine="snapshot", metrics=registry)
         trace = SearchTrace()
-        assert searcher._resolve_engine(trace) == "snapshot"
         query = sample_queries(small_dataset, 1, seed=1)[0]
         result = searcher.search(query, 3, trace=trace)
         assert trace.events  # the snapshot walk recorded decisions
+        counters = registry.snapshot()["counters"]
+        assert counters["search.queries.snapshot"] == 1
+        assert "search.queries.seed" not in counters
         assert result.ids == RSTkNNSearcher(tree, engine="seed").search(
             query, 3
         ).ids

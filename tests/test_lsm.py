@@ -9,8 +9,8 @@ itself: equal to the seed walk over the same view in ids, decision
 counters and I/O, memoized per write, frozen without waiting on a fold
 and freed without the GC once a read replaces it.  Around it sits the
 operational surface: the resolver sending ``approx`` to the snapshot
-walk while dirty (the sketch and shard admission are fold-time
-artifacts that deletes invalidate), the ``freeze_fail`` fault point
+walk while dirty (the sketch is a fold-time artifact that deletes
+invalidate), the ``freeze_fail`` fault point
 leaving the old generation serving, batches shipping the union over
 shm, and the ``lsm.*`` metrics.
 """
@@ -34,7 +34,7 @@ from repro import (
     STDataset,
 )
 from repro.errors import FaultInjected, QueryError
-from repro.lsm import LiveIndex, LiveScatterGather
+from repro.lsm import LiveIndex
 from repro.obs import MetricsRegistry
 from repro.perf import BatchSearcher
 from repro.perf.snapshot import IndexSnapshot
@@ -208,8 +208,8 @@ class TestStaleSketchHazard:
         resolve = RSTkNNSearcher._resolve_engine
         writes = []
 
-        def resolve_then_write(searcher, trace):
-            engine = resolve(searcher, trace)
+        def resolve_then_write(searcher):
+            engine = resolve(searcher)
             if not writes:  # the concurrent writer's turn, once
                 writes.append(engine)
                 for obj in list(ds.objects)[::5]:
@@ -240,59 +240,26 @@ class TestStaleSketchHazard:
             live.close()
 
 
-class TestLiveScatterGather:
-    def test_dirty_epoch_bypasses_shard_admission(self):
-        ds, live = make_live(n=150, seed=31)
-        registry = MetricsRegistry()
-        scatter = LiveScatterGather(live, 3, metrics=registry)
-        try:
-            churn(live, ds, seed=13)
-            query = sample_queries(ds, 1, seed=4)[0]
-            result = scatter.search(query, 4)
-            assert result.stats.shards_searched == 0
-            assert list(result.ids) == BruteForceRSTkNN(ds).search(query, 4)
-            counters = registry.snapshot()["counters"]
-            assert counters["lsm.scatter.merged"] == 1
-        finally:
-            live.close()
+NON_FINITE = ("nan", "inf", "-inf")
 
-    def test_clean_epoch_reshards_once(self):
-        ds, live = make_live(n=150, seed=31)
-        registry = MetricsRegistry()
-        scatter = LiveScatterGather(live, 3, metrics=registry)
-        try:
-            churn(live, ds, seed=13)
-            assert scatter.freeze_step()
-            queries = sample_queries(ds, 3, seed=4)
-            for query in queries:
-                result = scatter.search(query, 4)
-                assert result.stats.shards_total == 3
-                assert list(result.ids) == BruteForceRSTkNN(ds).search(
-                    query, 4
-                )
-            counters = registry.snapshot()["counters"]
-            assert counters["lsm.scatter.rebuilds"] == 1  # one per epoch
-        finally:
-            live.close()
 
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_clean_epoch_rejects_k_below_one(self, k):
-        # A clean epoch reads through ScatterGatherSearcher, which must
-        # refuse k < 1 as the dirty path's RSTkNNSearcher does.
+class TestNonFiniteInserts:
+    @pytest.mark.parametrize(
+        "x, y",
+        [pytest.param(float(v), 50.0, id=f"x={v}") for v in NON_FINITE]
+        + [pytest.param(50.0, float(v), id=f"y={v}") for v in NON_FINITE],
+    )
+    def test_insert_refuses_non_finite_point(self, x, y):
+        # Accepted, a NaN object made the union walk disagree with
+        # brute force; the refusal must leave the index untouched.
         ds, live = make_live(n=60, seed=31)
-        scatter = LiveScatterGather(live, 2)
         try:
+            pending, size = live.pending(), len(ds)
+            with pytest.raises(QueryError, match="finite"):
+                live.insert(Point(x, y), "coffee")
+            assert live.pending() == pending
+            assert len(ds) == size
             assert not live.overlay_dirty
-            with pytest.raises(QueryError):
-                scatter.search(sample_queries(ds, 1, seed=4)[0], k)
-        finally:
-            live.close()
-
-    def test_retired_workers_setting_is_refused(self):
-        ds, live = make_live(n=60, seed=31)
-        try:
-            with pytest.raises(TypeError):
-                LiveScatterGather(live, 3, workers=2)
         finally:
             live.close()
 

@@ -5,11 +5,19 @@ import pytest
 from repro import (
     DatasetError,
     Point,
+    QueryError,
     Rect,
     SimilarityConfig,
     STDataset,
     STScorer,
 )
+
+#: Points with one non-finite coordinate, on x and on y.
+NON_FINITE_POINTS = [
+    pytest.param(float(v), 1.0, id=f"x={v}") for v in ("nan", "inf", "-inf")
+] + [
+    pytest.param(1.0, float(v), id=f"y={v}") for v in ("nan", "inf", "-inf")
+]
 
 
 class TestSTDataset:
@@ -59,6 +67,15 @@ class TestSTDataset:
     def test_make_query_with_unseen_terms(self, tiny_dataset):
         q = tiny_dataset.make_query(Point(1, 1), "zebra quantum")
         assert set(q.keywords) == {"quantum", "zebra"}
+
+    @pytest.mark.parametrize("x, y", NON_FINITE_POINTS)
+    def test_make_query_refuses_non_finite_points(self, tiny_dataset, x, y):
+        # A NaN point fails every pruning comparison (a walk answers
+        # every object) and an infinite one answers none.
+        with pytest.raises(QueryError, match="finite"):
+            tiny_dataset.make_query(Point(x, y), "sushi")
+        with pytest.raises(QueryError, match="finite"):
+            tiny_dataset.derive([(Point(x, y), "sushi")])
 
     def test_derive_shares_vocabulary_and_region(self, tiny_dataset):
         users = tiny_dataset.derive([(Point(2, 2), "sushi wine")])

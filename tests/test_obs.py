@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import IURTree, RSTkNNSearcher, STDataset
+from repro.approx.sketch import DEFAULT_SKETCH_KMAX
 from repro.core.explain import SearchTrace
 from repro.errors import ConfigError
 from repro.obs import (
@@ -106,8 +107,12 @@ class TestCrossEngineTraceParity:
 
     def test_auto_keeps_snapshot_for_traced_requests(self):
         env = _env()
-        searcher = RSTkNNSearcher(env["tree"], engine="auto")
-        assert searcher._resolve_engine(SearchTrace()) == "snapshot"
+        reg = MetricsRegistry()
+        searcher = RSTkNNSearcher(env["tree"], engine="auto", metrics=reg)
+        searcher.search(env["queries"][0], 3, trace=SearchTrace())
+        counters = reg.snapshot()["counters"]
+        assert counters["search.queries.snapshot"] == 1
+        assert "search.queries.seed" not in counters
 
     def test_counting_sink_matches_reference_trace(self):
         env = _env()
@@ -415,14 +420,13 @@ class TestRecordApprox:
     def test_exact_fallbacks_count_queries_beyond_the_sketch(self):
         env = _env()
         reg = MetricsRegistry()
-        searcher = RSTkNNSearcher(
-            env["tree"], engine="approx", metrics=reg, sketch_kmax=4
-        )
+        searcher = RSTkNNSearcher(env["tree"], engine="approx", metrics=reg)
         query = env["queries"][0]
-        searcher.search(query, 4)  # within the sketch: the filter answers
+        kmax = DEFAULT_SKETCH_KMAX
+        searcher.search(query, kmax)  # within the sketch: the filter answers
         assert reg.snapshot()["counters"]["approx.exact_fallbacks"] == 0
-        searcher.search(query, 5)  # beyond it: the snapshot walk answers
-        searcher.search(query, 9)
+        searcher.search(query, kmax + 1)  # beyond it: the snapshot walk
+        searcher.search(query, kmax + 5)
         counters = reg.snapshot()["counters"]
         assert counters["approx.exact_fallbacks"] == 2
         assert counters["search.queries.approx"] == 3
@@ -430,9 +434,9 @@ class TestRecordApprox:
     def test_exact_fallbacks_cost_nothing_on_a_null_registry(self):
         env = _env()
         searcher = RSTkNNSearcher(
-            env["tree"], engine="approx", metrics=NULL_REGISTRY, sketch_kmax=4
+            env["tree"], engine="approx", metrics=NULL_REGISTRY
         )
-        searcher.search(env["queries"][0], 5)
+        searcher.search(env["queries"][0], DEFAULT_SKETCH_KMAX + 1)
         assert NULL_REGISTRY.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}
         }

@@ -59,7 +59,7 @@ def test_sequential_default_runs_snapshot_engine(monkeypatch):
     env = _fixture()
     tree, queries = env["tree"], env["queries"]
     engine = BatchSearcher(tree, workers=1)
-    assert engine._searcher._resolve_engine(None) == "snapshot"
+    assert engine._searcher._resolve_engine() == "snapshot"
     seed = RSTkNNSearcher(tree, engine="seed")
     baseline = ThresholdBaseline(tree)
     for _ in range(2):  # the second run reads a warm pair memo

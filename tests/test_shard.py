@@ -299,20 +299,19 @@ class TestConfig:
         env = _env()
         with pytest.raises(ConfigError):
             build_sharded_index(env["dataset"], 0)
-        for bad in (0, -2):
-            with pytest.raises(ConfigError):
-                ScatterGatherSearcher(env["indexes"][2], kmax=bad)
-        assert ScatterGatherSearcher(env["indexes"][2]).kmax == DEFAULT_KMAX
 
     def test_constructor_honors_kmax(self):
+        # Admission tables cover k = 1 .. DEFAULT_KMAX; a larger k never
+        # prunes a shard, and the merge still matches the unsharded ids.
         env = _env()
-        searcher = ScatterGatherSearcher(env["indexes"][2], kmax=4)
-        assert searcher.kmax == 4
-        query = env["queries"][0]
-        reference = _unsharded_ids(
-            env, env["dataset"].config.alpha, query, 3
-        )
-        assert list(searcher.search(query, 3).ids) == reference
+        searcher = ScatterGatherSearcher(env["indexes"][2])
+        assert [len(s.knnl) for s in searcher._summaries] == [DEFAULT_KMAX] * 2
+        k = DEFAULT_KMAX + 1
+        alpha = env["dataset"].config.alpha
+        for query in env["queries"][:3]:
+            result = searcher.search(query, k)
+            assert result.stats.shards_pruned == 0
+            assert list(result.ids) == _unsharded_ids(env, alpha, query, k)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_search_rejects_k_below_one(self, k):

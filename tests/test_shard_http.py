@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.errors import ConfigError
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
 from repro.shard import ScatterGatherSearcher, build_sharded_index
@@ -223,6 +224,26 @@ class TestSearchParity:
         )
         query = service.make_query(x, y, text)
         assert body["ids"] == list(engine.search(query, 3).ids)
+
+
+class TestServeDeadline:
+    """``ShardQueryService.serve`` follows ``QueryService``'s deadline
+    rule: a per-call deadline that is not ``> 0`` is a configuration
+    error, not a 1e-9 s budget that expires in the first shard."""
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
+    def test_deadline_not_above_zero_is_a_config_error(self, deadline):
+        env = _env()
+        with pytest.raises(ConfigError, match="deadline_seconds"):
+            env["service"].serve(
+                env["queries"][0], 3, deadline_seconds=deadline
+            )
+
+    def test_infinite_deadline_answers(self):
+        env = _env()
+        service, query = env["service"], env["queries"][0]
+        result, _ = service.serve(query, 3, deadline_seconds=float("inf"))
+        assert list(result.ids) == list(service.searcher.search(query, 3).ids)
 
 
 class TestShedding:

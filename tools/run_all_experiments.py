@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.experiments import EXPERIMENTS, run_experiment, scale_kwargs
 from repro.bench.report import format_table
 from repro.bench.results import ResultLog
 
@@ -48,14 +48,7 @@ def main() -> int:
     sections = [f"# Raw experiment tables ({datetime.now(timezone.utc).isoformat()})\n"]
     failures = 0
     for exp in wanted:
-        kwargs = {}
-        if args.scale is not None:
-            if exp == "E3":
-                kwargs["sizes"] = [args.scale // 4, args.scale // 2, args.scale]
-            elif exp == "E11":
-                kwargs["n_objects"] = args.scale
-            else:
-                kwargs["n"] = args.scale
+        kwargs = {} if args.scale is None else scale_kwargs(exp, args.scale)
         print(f"running {exp} ...", flush=True)
         started = time.perf_counter()
         try:
