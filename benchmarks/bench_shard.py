@@ -2,8 +2,12 @@
 
 Builds the clustered gn-like workload at ``n = 10^5`` objects and, per
 similarity setting (``--alphas``, default 0.5 and 0.9), times three
-kinds of leg over the same queries, each on freshly built structures
-so every pair memo starts cold:
+kinds of leg over the same queries.  Every leg runs in its own freshly
+spawned process, which rebuilds the (deterministic) corpus and queries
+and its own structures, so every pair memo starts cold and no leg
+inherits another's allocation history; legs timed one after another in
+one process measured that history (±25% between identical walks at
+``n = 10^5``), not the variant:
 
 * the unsharded snapshot engine, whose ids are the parity reference;
 * one :class:`repro.shard.ScatterGatherSearcher` leg per Morton shard
@@ -29,7 +33,9 @@ one big walk from several small ones at large ``n``.
 merged ids must be bit-identical to the unsharded snapshot engine's
 answer, and the second unsharded leg must reproduce the first, or the
 run exits non-zero.  The acceptance row additionally requires a
-nonzero measured shard-prune rate on this clustered workload.
+nonzero measured shard-prune rate on this clustered workload.  The
+legs return their ids to the parent, which runs both checks; the
+report's ``phases`` sum every leg's ``generate`` and build time.
 
 Usage::
 
@@ -44,7 +50,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.gates import ids_gate, report_header
 from repro.config import SimilarityConfig
@@ -99,68 +107,106 @@ def _unsharded_leg(dataset, alpha: float, queries, k: int, timer, phase: str):
     return leg
 
 
-def bench_alpha(
-    dataset, alpha: float, queries, k: int, shard_counts: List[int], timer
-) -> Dict[str, object]:
-    """The unsharded reference, the shard-count sweep, the reference again."""
-    first = _unsharded_leg(dataset, alpha, queries, k, timer, "build")
-    reference = first.pop("ids")
-
+def _sharded_leg(
+    dataset, alpha: float, queries, k: int, s: int, timer, phase: str
+):
+    """Build ``s`` shards and their summaries, then time the searcher."""
+    with timer.phase(phase):
+        index = build_sharded_index(dataset, s)
     config = SimilarityConfig(
         alpha=alpha, text_measure=dataset.config.text_measure
     )
+    started = time.perf_counter()
+    searcher = ScatterGatherSearcher(index, config)
+    summary_seconds = time.perf_counter() - started
+    engines = index.engines(searcher.measure, alpha, searcher.te_weight)
+    summary_pair_bounds = sum(engine.misses for engine in engines)
+    searched = pruned = candidates = probes = 0
+
+    def search(query, kk):
+        nonlocal searched, pruned, candidates, probes
+        result = searcher.search(query, kk)
+        searched += result.stats.shards_searched
+        pruned += result.stats.shards_pruned
+        candidates += result.stats.candidates
+        probes += result.stats.merge_probes
+        return result.ids
+
+    leg = _leg(search, queries, k)
+    n = len(queries)
+    considered = searched + pruned
+    leg["prune_rate"] = pruned / considered if considered else 0.0
+    leg["shards_searched_mean"] = searched / n if n else 0.0
+    leg["candidates_mean"] = candidates / n if n else 0.0
+    leg["merge_probes_mean"] = probes / n if n else 0.0
+    leg.update(_memo_facts(engines, summary_pair_bounds))
+    return {
+        "shards": s,
+        "shard_build_seconds": timer.seconds(phase),
+        "summary_seconds": summary_seconds,
+        "inprocess": leg,
+    }
+
+
+def _child_leg(
+    n: int, n_queries: int, alpha: float, k: int, shards: Optional[int],
+    phase: str,
+) -> Dict[str, object]:
+    """One leg, run in a fresh process: rebuild the corpus and queries
+    (both deterministic), then build under ``phase`` and time the
+    unsharded engine (``shards`` is ``None``) or ``shards`` shards.
+    Returns the leg with its ids and the phase times it spent."""
+    timer = PhaseTimer()
+    with timer.phase("generate"):
+        dataset = gn_like(n=n)
+    queries = sample_queries(dataset, n_queries, seed=99)
+    if shards is None:
+        leg = _unsharded_leg(dataset, alpha, queries, k, timer, phase)
+    else:
+        leg = _sharded_leg(dataset, alpha, queries, k, shards, timer, phase)
+    leg["phases"] = timer.as_dict()
+    return leg
+
+
+def _in_fresh_process(timer, *args) -> Dict[str, object]:
+    """Run :func:`_child_leg` in a newly spawned process; fold its phase
+    times into ``timer``."""
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=get_context("spawn")
+    ) as pool:
+        leg = pool.submit(_child_leg, *args).result()
+    for name, seconds in leg.pop("phases").items():
+        timer.add(name, seconds)
+    return leg
+
+
+def bench_alpha(
+    n: int, n_queries: int, alpha: float, k: int, shard_counts: List[int],
+    timer,
+) -> Dict[str, object]:
+    """The unsharded reference, the shard-count sweep, the reference
+    again, each leg in its own process."""
+    first = _in_fresh_process(timer, n, n_queries, alpha, k, None, "build")
+    reference = first.pop("ids")
     rows: List[Dict[str, object]] = []
     for s in shard_counts:
-        started = time.perf_counter()
-        with timer.phase("shard_build"):
-            index = build_sharded_index(dataset, s)
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        searcher = ScatterGatherSearcher(index, config)
-        summary_seconds = time.perf_counter() - started
-        engines = index.engines(searcher.measure, alpha, searcher.te_weight)
-        summary_pair_bounds = sum(engine.misses for engine in engines)
-        searched = pruned = candidates = probes = 0
-
-        def search(query, kk):
-            nonlocal searched, pruned, candidates, probes
-            result = searcher.search(query, kk)
-            searched += result.stats.shards_searched
-            pruned += result.stats.shards_pruned
-            candidates += result.stats.candidates
-            probes += result.stats.merge_probes
-            return result.ids
-
-        leg = _leg(search, queries, k)
-        ids_gate(reference, leg.pop("ids"), f"alpha={alpha} shards={s}")
-        n = len(queries)
-        considered = searched + pruned
-        leg["prune_rate"] = pruned / considered if considered else 0.0
-        leg["shards_searched_mean"] = searched / n if n else 0.0
-        leg["candidates_mean"] = candidates / n if n else 0.0
-        leg["merge_probes_mean"] = probes / n if n else 0.0
-        leg.update(_memo_facts(engines, summary_pair_bounds))
-        rows.append(
-            {
-                "shards": s,
-                "shard_build_seconds": build_seconds,
-                "summary_seconds": summary_seconds,
-                "inprocess": leg,
-                "speedup_vs_unsharded": (
-                    first["mean_query_seconds"] / leg["mean_query_seconds"]
-                    if leg["mean_query_seconds"]
-                    else 0.0
-                ),
-            }
+        row = _in_fresh_process(
+            timer, n, n_queries, alpha, k, s, "shard_build"
         )
-        del searcher, index, engines
-
-    last = _unsharded_leg(dataset, alpha, queries, k, timer, "rebuild")
+        leg = row["inprocess"]
+        ids_gate(reference, leg.pop("ids"), f"alpha={alpha} shards={s}")
+        row["speedup_vs_unsharded"] = (
+            first["mean_query_seconds"] / leg["mean_query_seconds"]
+            if leg["mean_query_seconds"]
+            else 0.0
+        )
+        rows.append(row)
+    last = _in_fresh_process(timer, n, n_queries, alpha, k, None, "rebuild")
     ids_gate(reference, last.pop("ids"), f"alpha={alpha} unsharded rerun")
     return {
         "alpha": alpha,
         "k": k,
-        "queries": len(queries),
+        "queries": n_queries,
         "unsharded_first": first,
         "unsharded_last": last,
         "rows": rows,
@@ -194,12 +240,8 @@ def main(argv=None) -> int:
     )
 
     timer = PhaseTimer()
-    with timer.phase("generate"):
-        dataset = gn_like(n=n)
-    queries = sample_queries(dataset, n_queries, seed=99)
-
     settings = [
-        bench_alpha(dataset, alpha, queries, args.k, shard_counts, timer)
+        bench_alpha(n, n_queries, alpha, args.k, shard_counts, timer)
         for alpha in args.alphas
     ]
 

@@ -311,7 +311,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from .index.ciurtree import CIURTree
     from .obs import MetricsRegistry
     from .shard import ScatterGatherSearcher, build_sharded_index
-    from .shard.http import ShardHttpServer, ShardQueryService
+    from .shard.http import ShardHttpServer
 
     config = (
         SimilarityConfig(alpha=args.alpha) if args.alpha is not None else None
@@ -326,19 +326,16 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         _serve_http_live_churn(args, dataset, tree_cls, registry)
     index = build_sharded_index(dataset, args.shards, tree_cls=tree_cls)
     searcher = ScatterGatherSearcher(index, metrics=registry)
-    service = ShardQueryService(
-        searcher, deadline_seconds=args.deadline, metrics=registry
-    )
     server = ShardHttpServer(
-        service,
+        searcher,
         host=args.host,
         port=args.port,
         default_k=args.k,
         max_pending=args.max_pending,
-        metrics=registry,
+        deadline_seconds=args.deadline,
     )
     if args.self_test:
-        return _serve_http_self_test(args, dataset, tree_cls, service, server)
+        return _serve_http_self_test(args, dataset, tree_cls, searcher, server)
 
     async def run() -> None:
         await server.start()
@@ -396,13 +393,14 @@ def _serve_http_live_churn(args, dataset, tree_cls, registry) -> None:
         live.close()
 
 
-def _serve_http_self_test(args, dataset, tree_cls, service, server) -> int:
+def _serve_http_self_test(args, dataset, tree_cls, searcher, server) -> int:
     """Boot the server in-process, query it over real HTTP, and gate
-    the answers against both the direct service path and the unsharded
-    snapshot engine (bit-identical ids or a non-zero exit)."""
+    the answers against both a direct ``searcher.search`` and the
+    unsharded snapshot engine (bit-identical ids or a non-zero exit)."""
     import asyncio
 
     from .shard.http import fetch_json
+    from .spatial import Point
     from .text.similarity import make_measure
 
     tree = tree_cls.build(dataset)
@@ -424,8 +422,8 @@ def _serve_http_self_test(args, dataset, tree_cls, service, server) -> int:
         for i, q in enumerate(queries):
             m = q.mbr()
             x, y, text = m.xlo, m.ylo, " ".join(q.keywords)
-            query = service.make_query(x, y, text)
-            direct, _ = service.serve(query, args.k)
+            query = dataset.make_query(Point(x, y), text)
+            direct = searcher.search(query, args.k)
             reference = engine.search(query, args.k).ids
             status, body = await fetch_json(
                 host, port, "/search",
@@ -450,7 +448,7 @@ def _serve_http_self_test(args, dataset, tree_cls, service, server) -> int:
         return 1
     print(
         f"serve-http self-test PASSED: {len(queries)} queries over HTTP, "
-        f"{args.shards} shard(s), parity with direct serve and the "
+        f"{args.shards} shard(s), parity with direct search and the "
         "unsharded snapshot engine"
     )
     return 0
@@ -654,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test",
         action="store_true",
         help="boot on an ephemeral port, run queries over HTTP, gate "
-        "parity against direct serve and the unsharded engine, exit",
+        "parity against direct search and the unsharded engine, exit",
     )
     _add_live_args(p_http)
     p_http.set_defaults(fn=_cmd_serve_http)

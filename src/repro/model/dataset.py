@@ -19,7 +19,16 @@ from .objects import STObject
 
 
 class STDataset:
-    """An immutable-after-build collection of spatial-textual objects."""
+    """An immutable-after-build collection of spatial-textual objects.
+
+    Every builder (:meth:`from_corpus`, :meth:`derive`,
+    :func:`repro.io.dataset_io.load_dataset`, the shard sub-datasets)
+    comes through the constructor, which refuses non-finite object
+    coordinates, naming the object, and then non-finite region bounds
+    with :class:`~repro.errors.DatasetError`: a NaN object is left out
+    of the derived region yet indexed, and an infinite one makes
+    ``maxD`` infinite, so every finite distance scores proximity 1.0.
+    """
 
     def __init__(
         self,
@@ -33,6 +42,16 @@ class STDataset:
         ids = [o.oid for o in objects]
         if len(set(ids)) != len(ids):
             raise DatasetError("duplicate object ids in dataset")
+        isfinite = math.isfinite
+        for o in objects:
+            if not (isfinite(o.point.x) and isfinite(o.point.y)):
+                raise DatasetError(
+                    f"object {o.oid} has non-finite coordinates "
+                    f"({o.point.x}, {o.point.y})"
+                )
+        bounds = (region.xlo, region.ylo, region.xhi, region.yhi)
+        if not all(isfinite(b) for b in bounds):
+            raise DatasetError(f"region bounds must be finite, got {bounds}")
         self.objects = objects
         self.vocabulary = vocabulary
         self.region = region

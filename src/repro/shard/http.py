@@ -2,26 +2,27 @@
 
 A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams and
 ``json`` — no framework, no dependency — fronting a
-:class:`ShardQueryService`, which lifts PR 5's reliability policies to
-per-shard granularity: every admitted shard's round-1 search runs
-through that shard's own :class:`~repro.service.QueryService`, so one
-slow or faulty shard degrades (snapshot → seed) or deadlines
-*individually* while the other shards answer normally, and the shared
-deadline budget spans the admitted shards' searches the same way a
-single service call spans its degradation chain.
+:class:`~repro.shard.scatter.ScatterGatherSearcher` directly: every
+``/search`` is one :meth:`ScatterGatherSearcher.search
+<repro.shard.scatter.ScatterGatherSearcher.search>` call, run on the
+event loop's executor with one cancellation token that every admitted
+shard's walk polls.  The token is the request's deadline (the
+request's ``deadline_seconds``, else the server's default), wrapped by
+an armed ``slow_node`` fault (:mod:`repro.service.faults`), and its
+budget starts when the search does.
 
 Endpoints (all JSON):
 
 * ``POST /search`` — body ``{"x": .., "y": .., "text": "..", "k": ..}``
   (optional ``"deadline_seconds"``); answers ``{"ids": [...], "k": ..,
-  "stats": {...}, "degraded": {...}}``.  The id list is bit-identical
-  to the unsharded snapshot engine's answer (the scatter–gather parity
-  guarantee).  ``x`` and ``y`` must be finite and a given deadline
-  finite and positive: ``float`` parses ``"nan"``/``"inf"`` and
-  ``json`` accepts ``NaN``, and a NaN coordinate would otherwise list
-  every object.
+  "stats": {...}}``.  The id list is bit-identical to the unsharded
+  snapshot engine's answer (the scatter–gather parity guarantee).
+  ``x`` and ``y`` must be finite and a given deadline finite and
+  positive: ``float`` parses ``"nan"``/``"inf"`` and ``json`` accepts
+  ``NaN``, and a NaN coordinate would otherwise list every object.
 * ``GET /healthz`` — liveness plus shard fan-out.
-* ``GET /metrics`` — the service's metrics-registry snapshot.
+* ``GET /metrics`` — the metrics-registry snapshot (the searcher's
+  ``search.*`` and ``shard.*`` instruments plus ``shard.http.*``).
 
 Admission shedding: at most ``max_pending`` requests may be in flight;
 beyond that the server answers ``503 {"error": "shed"}`` immediately
@@ -31,7 +32,7 @@ to ``504``, malformed requests to ``400``.
 
 Start it from the CLI: ``repro-rstknn serve-http --n 2000 --shards 4``
 (see the README quickstart), or in-process with
-``await ShardHttpServer(service).start()`` for tests.
+``await ShardHttpServer(searcher).start()`` for tests.
 """
 
 from __future__ import annotations
@@ -39,117 +40,16 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError, DeadlineExceeded, QueryError, ReproError
+from ..obs import MetricsRegistry
+from ..service.deadline import token_for
+from ..service.faults import current_plan, wrap_token
 from ..spatial import Point
-from ..obs import NULL_REGISTRY, MetricsRegistry
-from ..service import QueryService
-from .scatter import ScatterGatherSearcher, ShardQueryStats, ShardSearchResult
+from .scatter import ScatterGatherSearcher
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: queries are tiny; refuse absurd bodies
-
-
-class ShardQueryService:
-    """Per-shard reliability policies around the scatter–gather search.
-
-    Wraps a :class:`~repro.shard.scatter.ScatterGatherSearcher` and one
-    :class:`~repro.service.QueryService` **per shard**: shard admission
-    (summary pruning) stays the searcher's, round 1 is served through
-    each admitted shard's own service (deadline + degradation chain per
-    shard, all chain engines being parity-identical), one shard after
-    another, and round 2 is the searcher's exact
-    :meth:`~repro.shard.scatter.ScatterGatherSearcher.gather`.  Answers
-    therefore keep the scatter–gather bit-parity guarantee while gaining
-    per-shard fault isolation.  The ``shard.*`` instruments land in the
-    searcher's registry, as they do for a direct ``search``.
-
-    Every shard service runs the default
-    :data:`~repro.service.DEGRADATION_CHAIN`; ``serve`` calls them
-    directly, so they need no admission queue (the HTTP front door
-    sheds through ``ShardHttpServer(max_pending=)``).
-    """
-
-    def __init__(
-        self,
-        searcher: ScatterGatherSearcher,
-        *,
-        deadline_seconds: Optional[float] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.searcher = searcher
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.deadline_seconds = deadline_seconds
-        self.services = [
-            QueryService(
-                shard.tree,
-                searcher.config,
-                deadline_seconds=deadline_seconds,
-                metrics=metrics,
-            )
-            for shard in searcher.index.shards
-        ]
-
-    def make_query(self, x: float, y: float, text: str):
-        """Build a query object against the parent dataset's vocabulary
-        (shared by every shard, so similarity values are global)."""
-        return self.searcher.index.dataset.make_query(Point(x, y), text)
-
-    def serve(
-        self,
-        query,
-        k: int,
-        *,
-        deadline_seconds: Optional[float] = None,
-    ) -> Tuple[ShardSearchResult, Dict[str, object]]:
-        """Scatter through per-shard services, merge exactly.
-
-        Returns the merged :class:`ShardSearchResult` plus a
-        degradation report ``{"shards": {sid: path}, "engines": {sid:
-        name}}`` covering every searched shard.
-
-        Raises:
-            ConfigError: a ``deadline_seconds`` that is not ``> 0``
-                (``nan`` included), as :meth:`QueryService.serve` rules.
-            DeadlineExceeded: some shard overran the (shared) deadline.
-            QueryError: invalid ``k`` or query.
-            ServiceError: a shard exhausted its degradation chain.
-        """
-        if deadline_seconds is not None and not deadline_seconds > 0.0:
-            raise ConfigError(
-                f"deadline_seconds must be > 0, got {deadline_seconds}"
-            )
-        searcher = self.searcher
-        started = time.perf_counter()
-        deadline = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.deadline_seconds
-        )
-        admitted, pruned = searcher._admit(query, k)
-        stats = ShardQueryStats(
-            shards_total=len(searcher.index),
-            shards_searched=len(admitted),
-            shards_pruned=len(pruned),
-        )
-        candidates: List[Tuple[int, int]] = []
-        degraded: Dict[str, object] = {"shards": {}, "engines": {}}
-        for sid in admitted:
-            remaining = None
-            if deadline is not None:
-                spent = time.perf_counter() - started
-                remaining = max(deadline - spent, 1e-9)
-            served = self.services[sid].serve(
-                query, k, deadline_seconds=remaining
-            )
-            degraded["engines"][sid] = served.engine
-            if served.degraded_path:
-                degraded["shards"][sid] = list(served.degraded_path)
-            stats.add_walk(served.result.stats)
-            candidates.extend((sid, oid) for oid in served.ids)
-        result = searcher.gather(query, k, candidates, stats, started)
-        return result, degraded
 
 
 def _response(
@@ -170,27 +70,53 @@ def _response(
 
 
 class ShardHttpServer:
-    """The asyncio front door: routes, shedding, error mapping."""
+    """The asyncio front door: routes, shedding, deadlines, error mapping.
+
+    Args:
+        searcher: The scatter–gather searcher every ``/search`` runs.
+        host: Bind address.
+        port: Bind port; ``0`` picks an ephemeral one, read back from
+            :attr:`port` after :meth:`start`.
+        default_k: ``k`` of a request that names none; ``>= 1``.
+        max_pending: In-flight ``/search`` cap, beyond which requests
+            shed with 503; ``>= 1``.
+        deadline_seconds: Default per-request deadline, ``> 0``
+            (``None``: none unless the request names one).
+        metrics: Registry ``/metrics`` serves and the ``shard.http.*``
+            counters land in (defaults to the searcher's, which holds
+            its ``search.*`` and ``shard.*`` series).
+
+    Raises:
+        ConfigError: ``default_k`` or ``max_pending`` below 1, or a
+            ``deadline_seconds`` that is not ``> 0`` (``nan``
+            included), as :class:`~repro.service.QueryService` rules.
+    """
 
     def __init__(
         self,
-        service: ShardQueryService,
+        searcher: ScatterGatherSearcher,
         *,
         host: str = "127.0.0.1",
         port: int = 8764,
         default_k: int = 5,
         max_pending: int = 64,
+        deadline_seconds: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.service = service
+        if default_k < 1:
+            raise ConfigError(f"default_k must be >= 1, got {default_k}")
+        if max_pending < 1:
+            raise ConfigError(f"max_pending must be >= 1, got {max_pending}")
+        if deadline_seconds is not None and not deadline_seconds > 0.0:
+            raise ConfigError(
+                f"deadline_seconds must be > 0, got {deadline_seconds}"
+            )
+        self.searcher = searcher
         self.host = host
         self.port = port
         self.default_k = default_k
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else (service.metrics or NULL_REGISTRY)
-        )
+        self.deadline_seconds = deadline_seconds
+        self.metrics = metrics if metrics is not None else searcher.metrics
         self._sem = asyncio.Semaphore(max_pending)
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -260,7 +186,7 @@ class ShardHttpServer:
                 raise _HttpError(405, {"error": "GET only"})
             return 200, {
                 "status": "ok",
-                "shards": len(self.service.searcher.index),
+                "shards": len(self.searcher.index),
             }
         if path == "/metrics":
             if method != "GET":
@@ -294,16 +220,21 @@ class ShardHttpServer:
         if self._sem.locked():
             self.metrics.counter("shard.http.shed").inc()
             raise _HttpError(503, {"error": "shed"})
+        if deadline is None:
+            deadline = self.deadline_seconds
+        searcher = self.searcher
+        query = searcher.index.dataset.make_query(Point(x, y), text)
+
+        def run():
+            # The token is built on the executor thread, so its budget
+            # starts when the search does, not when the request queued.
+            token = wrap_token(current_plan(), token_for(deadline))
+            return searcher.search(query, k, cancel=token)
+
         async with self._sem:
             loop = asyncio.get_running_loop()
-            query = self.service.make_query(x, y, text)
             try:
-                result, degraded = await loop.run_in_executor(
-                    None,
-                    lambda: self.service.serve(
-                        query, k, deadline_seconds=deadline
-                    ),
-                )
+                result = await loop.run_in_executor(None, run)
             except DeadlineExceeded as exc:
                 raise _HttpError(504, {"error": str(exc)}) from exc
             except (QueryError, ValueError) as exc:
@@ -316,7 +247,6 @@ class ShardHttpServer:
             "ids": list(result.ids),
             "k": k,
             "stats": result.stats.as_dict(),
-            "degraded": degraded,
         }
 
 

@@ -1,12 +1,13 @@
-"""Morton-partitioned shard planning and per-shard index construction.
+"""Morton-partitioned shards and their per-shard index construction.
 
-:class:`ShardPlanner` splits a dataset into ``S`` spatially coherent
-shards by sorting objects along a Morton curve (:func:`locality_order`)
-and cutting the order into ``S`` balanced contiguous runs.  Spatial
-coherence is what makes shard admission pruning
-(:mod:`repro.shard.summaries`) bite: a shard whose objects cluster
-tightly has a tight frontier MBR and a high within-shard competitor
-floor, so queries far from the cluster are rejected at admission.
+:func:`build_sharded_index` splits a dataset into ``S`` spatially
+coherent shards by sorting objects along a Morton curve
+(:func:`locality_order`) and cutting the order into ``S`` balanced
+contiguous runs.  Spatial coherence is what makes shard admission
+pruning (:mod:`repro.shard.summaries`) bite: a shard whose objects
+cluster tightly has a tight frontier MBR and a high within-shard
+competitor floor, so queries far from the cluster are rejected at
+admission.
 
 Each shard is its own :class:`~repro.model.dataset.STDataset` built
 **from the parent's objects, vocabulary, region, and config** — never
@@ -25,7 +26,6 @@ the merge probes — works per shard unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import IndexConfig
@@ -74,22 +74,6 @@ def locality_order(queries: Sequence[STObject]) -> List[int]:
     return [i for _, i in coded]
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """A pure partition decision: which oids land in which shard.
-
-    Attributes:
-        shard_count: Number of shards (each non-empty).
-        method: Partitioning strategy tag (``"morton"``).
-        assignments: ``assignments[i]`` is the tuple of object ids owned
-            by shard ``i``, in Morton order.
-    """
-
-    shard_count: int
-    method: str
-    assignments: Tuple[Tuple[int, ...], ...]
-
-
 class Shard:
     """One shard: a sub-dataset plus its built (C)IUR-tree."""
 
@@ -100,103 +84,15 @@ class Shard:
         self.dataset = dataset
         self.tree = tree
 
-    def snapshot(self):
-        """The shard tree's frozen columnar snapshot (memoized per
-        generation by :meth:`IURTree.snapshot`)."""
-        return self.tree.snapshot()
-
     def __len__(self) -> int:
         return len(self.dataset.objects)
-
-
-class ShardPlanner:
-    """Plans and builds a Morton partition of one dataset.
-
-    Args:
-        dataset: The corpus to partition.
-        shard_count: Number of shards; must satisfy
-            ``1 <= shard_count <= len(dataset)`` so every shard is a
-            valid non-empty dataset.
-        index_config: Per-shard tree knobs (defaults to a fresh
-            :class:`~repro.config.IndexConfig`).
-        tree_cls: Tree class to build per shard
-            (:class:`~repro.index.iurtree.IURTree` or
-            :class:`~repro.index.ciurtree.CIURTree`); each shard tree is
-            STR bulk loaded, ``tree_cls.build``'s default.
-    """
-
-    def __init__(
-        self,
-        dataset: STDataset,
-        shard_count: int,
-        *,
-        index_config: Optional[IndexConfig] = None,
-        tree_cls=IURTree,
-    ) -> None:
-        n = len(dataset.objects)
-        if shard_count < 1:
-            raise ConfigError(f"shard_count must be >= 1, got {shard_count}")
-        if shard_count > n:
-            raise ConfigError(
-                f"shard_count {shard_count} exceeds dataset size {n}"
-            )
-        self.dataset = dataset
-        self.shard_count = shard_count
-        self.index_config = index_config
-        self.tree_cls = tree_cls
-
-    def plan(self) -> ShardPlan:
-        """Morton-sort the objects and cut balanced contiguous runs.
-
-        Shard sizes differ by at most one object (``i*n//S`` split
-        points), and the order is deterministic (stable Morton sort),
-        so the same dataset and shard count always produce the same
-        partition.
-        """
-        objects = self.dataset.objects
-        order = locality_order(objects)
-        n = len(order)
-        s = self.shard_count
-        assignments: List[Tuple[int, ...]] = []
-        for i in range(s):
-            run = order[i * n // s : (i + 1) * n // s]
-            assignments.append(tuple(objects[j].oid for j in run))
-        return ShardPlan(
-            shard_count=s, method="morton", assignments=tuple(assignments)
-        )
-
-    def build(self, plan: Optional[ShardPlan] = None) -> "ShardedIndex":
-        """Materialize a plan: one sub-dataset and tree per shard.
-
-        Sub-datasets share the parent's object instances (so memoized
-        frozen vector forms are shared too), vocabulary, region, and
-        similarity config — see the module docstring for why this is
-        load-bearing for parity.
-        """
-        if plan is None:
-            plan = self.plan()
-        dataset = self.dataset
-        shards: List[Shard] = []
-        for shard_id, oids in enumerate(plan.assignments):
-            sub = STDataset(
-                [dataset.get(oid) for oid in oids],
-                dataset.vocabulary,
-                dataset.region,
-                dataset.config,
-            )
-            tree = self.tree_cls.build(sub, config=self.index_config)
-            shards.append(Shard(shard_id, sub, tree))
-        return ShardedIndex(dataset, plan, shards)
 
 
 class ShardedIndex:
     """A built shard set with memoized per-setting admission summaries."""
 
-    def __init__(
-        self, dataset: STDataset, plan: ShardPlan, shards: List[Shard]
-    ) -> None:
+    def __init__(self, dataset: STDataset, shards: List[Shard]) -> None:
         self.dataset = dataset
-        self.plan = plan
         self.shards = shards
         self._summaries: Dict[Tuple, Tuple[ShardSummary, ...]] = {}
 
@@ -210,7 +106,9 @@ class ShardedIndex:
         """One memoized :class:`~repro.core.traversal.SnapshotEngine`
         per shard for the given similarity setting."""
         return [
-            shard.snapshot().engine_for(shard.tree, measure, alpha, te_weight)
+            shard.tree.snapshot().engine_for(
+                shard.tree, measure, alpha, te_weight
+            )
             for shard in self.shards
         ]
 
@@ -238,8 +136,47 @@ def build_sharded_index(
     index_config: Optional[IndexConfig] = None,
     tree_cls=IURTree,
 ) -> ShardedIndex:
-    """Plan and build in one call (the common case)."""
-    planner = ShardPlanner(
-        dataset, shard_count, index_config=index_config, tree_cls=tree_cls
-    )
-    return planner.build()
+    """Cut ``dataset`` into ``shard_count`` Morton shards and build each.
+
+    The objects are sorted by :func:`locality_order` and the order is
+    cut at the ``i*n//S`` split points, so shard sizes differ by at most
+    one object and the same dataset and shard count always produce the
+    same partition.  Each shard is a sub-dataset sharing the parent's
+    object instances (so memoized frozen vector forms are shared too),
+    vocabulary, region and similarity config — see the module docstring
+    for why that is load-bearing for parity — with its own tree, STR
+    bulk loaded by ``tree_cls.build``.
+
+    Args:
+        dataset: The corpus to partition.
+        shard_count: Number of shards; must satisfy
+            ``1 <= shard_count <= len(dataset)`` so every shard is a
+            valid non-empty dataset.
+        index_config: Per-shard tree knobs (defaults to a fresh
+            :class:`~repro.config.IndexConfig`).
+        tree_cls: Tree class to build per shard
+            (:class:`~repro.index.iurtree.IURTree` or
+            :class:`~repro.index.ciurtree.CIURTree`).
+
+    Raises:
+        ConfigError: ``shard_count`` outside ``1 .. len(dataset)``.
+    """
+    objects = dataset.objects
+    n, s = len(objects), shard_count
+    if s < 1:
+        raise ConfigError(f"shard_count must be >= 1, got {s}")
+    if s > n:
+        raise ConfigError(f"shard_count {s} exceeds dataset size {n}")
+    order = locality_order(objects)
+    shards: List[Shard] = []
+    for shard_id in range(s):
+        run = order[shard_id * n // s : (shard_id + 1) * n // s]
+        sub = STDataset(
+            [objects[j] for j in run],
+            dataset.vocabulary,
+            dataset.region,
+            dataset.config,
+        )
+        tree = tree_cls.build(sub, config=index_config)
+        shards.append(Shard(shard_id, sub, tree))
+    return ShardedIndex(dataset, shards)

@@ -9,7 +9,8 @@ One query runs in two exact rounds over the shards of a
    shards that cannot host an answer are skipped (``shard.pruned``),
    the rest run an *unmodified*
    :class:`~repro.core.traversal.SnapshotEngine` search
-   (``shard.searched``).  Because a shard-local search sees fewer
+   (``shard.searched``), every one polling the query's one
+   cancellation token.  Because a shard-local search sees fewer
    competitors than the global index, its answer set is a **superset**
    of the global answer restricted to that shard — no true answer is
    lost, and pruned shards provably contribute none.
@@ -25,6 +26,12 @@ One query runs in two exact rounds over the shards of a
    engines — so the merged, ascending-id answer list is bit-identical
    to the unsharded snapshot engine's, which the bench and test suites
    hard-gate.
+
+:meth:`ScatterGatherSearcher.search` is the one sharded read path: the
+``repro-rstknn serve-http`` front door (:mod:`repro.shard.http`) calls
+it with a per-request deadline token.  Shard trees are frozen once, by
+the searcher's constructor, and never written afterwards, so a shard
+walk has no freeze that could fail and no fallback engine.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from ..core.rstknn import SearchStats, te_weight_for
 from ..core.traversal import QueryProbe
 from ..errors import QueryError
 from ..model.objects import STObject
-from ..obs import NULL_REGISTRY, MetricsRegistry
+from ..obs import NULL_REGISTRY, MetricsRegistry, record_search
 from ..text.similarity import make_measure
 from .merge import count_better, exact_similarity
 from .planner import ShardedIndex
@@ -108,7 +115,8 @@ class ScatterGatherSearcher:
         config: Similarity configuration (defaults to the parent
             dataset's — shards share it by construction).
         metrics: Optional :class:`~repro.obs.MetricsRegistry` receiving
-            the ``shard.*`` instruments (see ``docs/OBSERVABILITY.md``).
+            the ``shard.*`` instruments and every shard walk's
+            ``search.*`` counters (see ``docs/OBSERVABILITY.md``).
 
     The TE weight follows the shard trees' ``use_entropy_priority``, as
     the unsharded searcher's follows its tree
@@ -155,12 +163,18 @@ class ScatterGatherSearcher:
         return admitted, pruned
 
     def _scatter(
-        self, query: STObject, k: int, admitted: List[int], stats: ShardQueryStats
+        self,
+        query: STObject,
+        k: int,
+        admitted: List[int],
+        stats: ShardQueryStats,
+        cancel: Optional[object],
     ) -> List[Tuple[int, int]]:
         """Round 1: shard-local searches; returns ``(sid, oid)`` candidates."""
         candidates: List[Tuple[int, int]] = []
         for sid in admitted:
-            result = self._engines[sid].search(query, k)
+            result = self._engines[sid].search(query, k, cancel=cancel)
+            record_search(self.metrics, "snapshot", result.stats)
             stats.add_walk(result.stats)
             candidates.extend((sid, oid) for oid in result.ids)
         return candidates
@@ -194,22 +208,39 @@ class ScatterGatherSearcher:
                 answers.append(oid)
         return sorted(answers)
 
-    def gather(
-        self,
-        query: STObject,
-        k: int,
-        candidates: List[Tuple[int, int]],
-        stats: ShardQueryStats,
-        started: float,
+    def search(
+        self, query: STObject, k: int, cancel: Optional[object] = None
     ) -> ShardSearchResult:
-        """Round 2 and the bookkeeping every sharded read path shares.
+        """All objects counting ``query`` among their top-k, exactly.
 
-        ``candidates`` are the round-1 ``(sid, oid)`` pairs of the
-        admitted shards, ``stats`` already carries the admission counts
-        and ``started`` is the query's ``time.perf_counter()`` start.
-        Fills the candidate, result and timing fields of ``stats`` and
-        publishes the ``shard.*`` instruments.
+        The returned id list is ascending and bit-identical to
+        ``SnapshotEngine.search(query, k).ids`` on the unsharded index
+        (hard-gated by ``benchmarks/bench_shard.py`` and the shard test
+        suite).
+
+        ``cancel`` is a cooperative cancellation token (e.g. a
+        :class:`repro.service.Deadline`) handed to every admitted
+        shard's walk, which polls it at its start and once per node
+        expansion; the merge round is not polled.  ``None`` skips the
+        polls entirely.  Each shard walk records its ``search.*``
+        counters (engine ``snapshot``) and the query its ``shard.*``
+        instruments in :attr:`metrics`.
+
+        Raises:
+            QueryError: ``k < 1``, as every unsharded searcher does.
+            DeadlineExceeded: ``cancel`` expired during a shard walk;
+                carries that walk's partial stats.
         """
+        if k < 1:
+            raise QueryError(f"k must be >= 1, got {k}")
+        started = time.perf_counter()
+        admitted, pruned = self._admit(query, k)
+        stats = ShardQueryStats(
+            shards_total=len(self.index),
+            shards_searched=len(admitted),
+            shards_pruned=len(pruned),
+        )
+        candidates = self._scatter(query, k, admitted, stats, cancel)
         stats.candidates = len(candidates)
         ids = self._merge(query, k, candidates, stats)
         stats.search.result_count = len(ids)
@@ -224,26 +255,3 @@ class ScatterGatherSearcher:
             stats.shards_searched
         )
         return ShardSearchResult(ids=ids, stats=stats)
-
-    def search(self, query: STObject, k: int) -> ShardSearchResult:
-        """All objects counting ``query`` among their top-k, exactly.
-
-        The returned id list is ascending and bit-identical to
-        ``SnapshotEngine.search(query, k).ids`` on the unsharded index
-        (hard-gated by ``benchmarks/bench_shard.py`` and the shard test
-        suite).
-
-        Raises:
-            QueryError: ``k < 1``, as every unsharded searcher does.
-        """
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
-        admitted, pruned = self._admit(query, k)
-        stats = ShardQueryStats(
-            shards_total=len(self.index),
-            shards_searched=len(admitted),
-            shards_pruned=len(pruned),
-        )
-        candidates = self._scatter(query, k, admitted, stats)
-        return self.gather(query, k, candidates, stats, started)

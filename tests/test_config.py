@@ -2,8 +2,11 @@
 
 Also pins the settable values that are gone: each keyword no caller
 outside the tests set is now a constant, and passing it fails loudly
-instead of being ignored.
+instead of being ignored.  The retired entry points are pinned gone
+the same way.
 """
+
+import importlib
 
 import pytest
 
@@ -18,16 +21,13 @@ from repro import (
     SimilarityConfig,
 )
 from repro.perf.shm import AttachedIndex, SharedSnapshotSegment
-from repro.service import DEGRADATION_CHAIN
 from repro.shard import (
     DEFAULT_FRONTIER,
     DEFAULT_KMAX,
     ScatterGatherSearcher,
-    ShardPlanner,
     build_sharded_index,
     build_summary,
 )
-from repro.shard.http import ShardQueryService
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like
 
@@ -117,10 +117,7 @@ RETIRED_SETTINGS = [
     ("build_summary", "kmax"),
     ("build_summary", "frontier_size"),
     ("QueryService", "te_weight"),
-    ("ShardQueryService", "chain"),
-    ("ShardQueryService", "max_pending"),
     ("LiveIndex", "build_method"),
-    ("ShardPlanner", "build_method"),
     ("build_sharded_index", "build_method"),
     ("SharedSnapshotSegment.create", "te_weight"),
     ("SharedSnapshotSegment.create", "name"),
@@ -134,8 +131,6 @@ _RETIRED_VALUES = {
     "warm": True,
     "kmax": DEFAULT_KMAX,
     "frontier_size": DEFAULT_FRONTIER,
-    "chain": DEGRADATION_CHAIN,
-    "max_pending": 1024,
     "build_method": "str",
     "name": None,
 }
@@ -164,11 +159,7 @@ def _retired_calls():
             ),
             "build_summary": lambda **kw: build_summary(0, engine, **kw),
             "QueryService": lambda **kw: QueryService(tree, **kw),
-            "ShardQueryService": (
-                lambda **kw: ShardQueryService(searcher, **kw)
-            ),
             "LiveIndex": lambda **kw: LiveIndex(tree, **kw),
-            "ShardPlanner": lambda **kw: ShardPlanner(dataset, 2, **kw),
             "build_sharded_index": (
                 lambda **kw: build_sharded_index(dataset, 2, **kw)
             ),
@@ -193,3 +184,28 @@ def test_retired_settings_are_rejected(target, keyword):
     message = f"unexpected keyword argument '{keyword}'"
     with pytest.raises(TypeError, match=message):
         call(**{keyword: _RETIRED_VALUES[keyword]})
+
+
+#: ``(module, dotted name)`` of every retired entry point: the sharded
+#: read path's second copy (``ShardQueryService`` and the public
+#: ``gather`` it shared) and the plan-then-build pair that
+#: ``build_sharded_index`` absorbed.
+RETIRED_NAMES = [
+    ("repro.shard", "ShardPlanner"),
+    ("repro.shard", "ShardPlan"),
+    ("repro.shard.http", "ShardQueryService"),
+    ("repro.shard", "ScatterGatherSearcher.gather"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    RETIRED_NAMES,
+    ids=[name for _module, name in RETIRED_NAMES],
+)
+def test_retired_names_are_gone(module, name):
+    owner = importlib.import_module(module)
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)

@@ -1,5 +1,7 @@
 """Datasets, objects, and the SimST scorer."""
 
+import json
+
 import pytest
 
 from repro import (
@@ -11,6 +13,7 @@ from repro import (
     STDataset,
     STScorer,
 )
+from repro.io.dataset_io import load_dataset, save_dataset
 
 #: Points with one non-finite coordinate, on x and on y.
 NON_FINITE_POINTS = [
@@ -76,6 +79,37 @@ class TestSTDataset:
             tiny_dataset.make_query(Point(x, y), "sushi")
         with pytest.raises(QueryError, match="finite"):
             tiny_dataset.derive([(Point(x, y), "sushi")])
+
+    @pytest.mark.parametrize("x, y", NON_FINITE_POINTS)
+    def test_from_corpus_refuses_non_finite_points(self, x, y):
+        # A NaN object is left out of the derived region yet indexed;
+        # an infinite one makes maxD infinite, so every finite distance
+        # scores spatial proximity 1.0.
+        records = [
+            (Point(0.0, 0.0), "sushi"),
+            (Point(x, y), "pizza"),
+            (Point(2.0, 2.0), "wine"),
+        ]
+        with pytest.raises(DatasetError, match="object 1 .*non-finite"):
+            STDataset.from_corpus(records)
+
+    def test_load_dataset_refuses_non_finite_points(
+        self, tiny_dataset, tmp_path
+    ):
+        path = tmp_path / "dataset.json"
+        save_dataset(tiny_dataset, path)
+        payload = json.loads(path.read_text())
+        payload["objects"][3]["y"] = float("nan")
+        path.write_text(json.dumps(payload))  # JSON ``NaN``, which loads
+        with pytest.raises(DatasetError, match="object 3 .*non-finite"):
+            load_dataset(path)
+
+    def test_non_finite_region_rejected(self):
+        records = [(Point(1.0, 1.0), "x")]
+        inf, nan = float("inf"), float("nan")
+        for region in (Rect(0, 0, inf, 10), Rect(nan, 0, 10, 10)):
+            with pytest.raises(DatasetError, match="region bounds"):
+                STDataset.from_corpus(records, region=region)
 
     def test_derive_shares_vocabulary_and_region(self, tiny_dataset):
         users = tiny_dataset.derive([(Point(2, 2), "sushi wine")])

@@ -16,8 +16,9 @@ pin that contract:
 * **count soundness** — ``repro.shard.merge.count_better`` agrees with a
   brute-force competitor count via ``exact_similarity``, and the
   admission upper bound dominates every object's exact similarity;
-* **planning** — Morton partitions are balanced, disjoint, complete,
-  and deterministic; config knobs validate.
+* **planning** — ``build_sharded_index``'s Morton partitions are
+  balanced, disjoint, complete, and deterministic; config knobs
+  validate.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from repro.index.iurtree import IURTree
 from repro.shard import (
     DEFAULT_KMAX,
     ScatterGatherSearcher,
-    ShardPlanner,
     build_sharded_index,
     build_summary,
     exact_similarity,
     query_upper,
 )
+from repro.service import Deadline
 from repro.shard.merge import count_better
 from repro.shard.planner import locality_order
 from repro.spatial import Point
@@ -181,7 +182,7 @@ class TestSoundness:
             searcher = _searcher(env, 3, alpha)
             for query in env["queries"][:4]:
                 for sid, shard in enumerate(searcher.index.shards):
-                    snap = shard.snapshot()
+                    snap = shard.tree.snapshot()
                     probe = QueryProbe(
                         snap, searcher.measure, alpha, query
                     )
@@ -208,7 +209,7 @@ class TestSoundness:
             )
             for shard in searcher.index.shards:
                 probe = QueryProbe(
-                    shard.snapshot(), searcher.measure, 0.5, query
+                    shard.tree.snapshot(), searcher.measure, 0.5, query
                 )
                 got = count_better(probe, shard.tree, q_sim, budget)
                 truth = sum(
@@ -240,24 +241,27 @@ class TestSoundness:
 # ----------------------------------------------------------------------
 
 
+def _assignments(index):
+    """Each shard's object ids, in the Morton order it was cut in."""
+    return [tuple(obj.oid for obj in shard.dataset.objects) for shard in index]
+
+
 class TestPlanner:
     def test_partition_is_balanced_disjoint_complete(self):
         env = _env()
         dataset = env["dataset"]
         for s in (1, 2, 3, 4, 7):
-            plan = ShardPlanner(dataset, s).plan()
-            sizes = [len(oids) for oids in plan.assignments]
+            assignments = _assignments(build_sharded_index(dataset, s))
+            sizes = [len(oids) for oids in assignments]
             assert len(sizes) == s
             assert max(sizes) - min(sizes) <= 1
-            flat = [oid for oids in plan.assignments for oid in oids]
+            flat = [oid for oids in assignments for oid in oids]
             assert sorted(flat) == sorted(obj.oid for obj in dataset)
 
     def test_plan_is_deterministic(self):
         env = _env()
-        a = ShardPlanner(env["dataset"], 4).plan()
-        b = ShardPlanner(env["dataset"], 4).plan()
-        assert a.assignments == b.assignments
-        assert a.method == "morton"
+        again = _assignments(build_sharded_index(env["dataset"], 4))
+        assert again == _assignments(env["indexes"][4])
 
     def test_shard_datasets_share_parent_geometry(self):
         env = _env()
@@ -273,9 +277,9 @@ class TestPlanner:
     def test_shard_count_validation(self):
         env = _env()
         with pytest.raises(ConfigError):
-            ShardPlanner(env["dataset"], 0)
+            build_sharded_index(env["dataset"], 0)
         with pytest.raises(ConfigError):
-            ShardPlanner(env["dataset"], len(env["dataset"]) + 1)
+            build_sharded_index(env["dataset"], len(env["dataset"]) + 1)
 
 
 class TestLocalityOrder:
@@ -379,16 +383,13 @@ class TestWalkCounters:
     @pytest.mark.parametrize("path", ["search", "serve"])
     def test_cold_walks_report_pair_memo_misses(self, path):
         # A sharded query's stats fold every shard walk's pair-memo
-        # counters, on the direct read path and the per-shard service one.
-        from repro.shard.http import ShardQueryService
-
+        # counters, on a bare search and on one polling a deadline
+        # token, as serve-http runs it.
         dataset = gn_like(n=160)
         index = build_sharded_index(dataset, 2)  # fresh: every memo cold
         searcher = ScatterGatherSearcher(index)
         query = sample_queries(dataset, 1, seed=5)[0]
-        if path == "search":
-            result = searcher.search(query, 3)
-        else:
-            result, _degraded = ShardQueryService(searcher).serve(query, 3)
+        cancel = Deadline(60.0) if path == "serve" else None
+        result = searcher.search(query, 3, cancel=cancel)
         assert result.stats.shards_searched > 0
         assert result.stats.search.cache_misses > 0

@@ -1,13 +1,15 @@
 """Asyncio HTTP front door: routing, parity, shedding, error mapping.
 
-The front door is a thin shell around :class:`ShardQueryService`; what
-matters is that the JSON boundary never changes an answer.  The parity
-test therefore compares an HTTP ``/search`` response against a direct
-``service.serve`` call built from the *same JSON inputs* via
-``make_query`` — re-tokenized text must go through the identical path
-on both sides.  The rest pins the operational surface: health and
-metrics routes, 400/404/405 mappings for malformed traffic, 503
-shedding when the admission semaphore is exhausted, and the CLI
+The front door is a thin shell around
+:meth:`ScatterGatherSearcher.search`; what matters is that the JSON
+boundary never changes an answer.  The parity test therefore compares
+an HTTP ``/search`` response against a direct ``searcher.search`` call
+built from the *same JSON inputs* via ``dataset.make_query`` —
+re-tokenized text must go through the identical path on both sides.
+The rest pins the operational surface: the cancellation token
+``search`` hands every shard walk, the server's settings and default
+deadline, health and metrics routes, 400/404/405/504 mappings,
+503 shedding when the admission semaphore is exhausted, and the CLI
 self-test (the same gate CI runs).
 """
 
@@ -19,11 +21,13 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceeded
 from repro.index.iurtree import IURTree
 from repro.obs import MetricsRegistry
+from repro.service import CancelToken, Deadline, FaultPlan, set_plan
 from repro.shard import ScatterGatherSearcher, build_sharded_index
-from repro.shard.http import ShardHttpServer, ShardQueryService, fetch_json
+from repro.shard.http import ShardHttpServer, fetch_json
+from repro.spatial import Point
 from repro.text.similarity import make_measure
 from repro.workloads import gn_like, sample_queries
 
@@ -38,23 +42,26 @@ def _env():
         index = build_sharded_index(dataset, 2)
         registry = MetricsRegistry()
         searcher = ScatterGatherSearcher(index, metrics=registry)
-        service = ShardQueryService(searcher, metrics=registry)
         queries = sample_queries(dataset, 3, seed=17)
         _STATE.update(
             dataset=dataset,
             tree=tree,
-            service=service,
+            searcher=searcher,
             registry=registry,
             queries=queries,
         )
     return _STATE
 
 
+def _http_inputs(sampled):
+    """The JSON inputs of a sampled query: its center and keywords."""
+    center = sampled.mbr().center()
+    return center.x, center.y, " ".join(sampled.keywords)
+
+
 async def _with_server(env, fn, **server_kwargs):
     """Start an ephemeral-port server, run ``fn(server)``, stop it."""
-    server = ShardHttpServer(
-        env["service"], port=0, metrics=env["registry"], **server_kwargs
-    )
+    server = ShardHttpServer(env["searcher"], port=0, **server_kwargs)
     await server.start()
     try:
         return await fn(server)
@@ -142,11 +149,8 @@ class TestRoutes:
 class TestSearchParity:
     def test_http_answer_matches_direct_service(self):
         env = _env()
-        service = env["service"]
-        sampled = env["queries"][0]
-        center = sampled.mbr().center()
-        x, y = center.x, center.y
-        text = " ".join(sampled.keywords)
+        searcher = env["searcher"]
+        x, y, text = _http_inputs(env["queries"][0])
         k = 4
 
         async def go(server):
@@ -162,30 +166,51 @@ class TestSearchParity:
         # The direct reference must be built from the same JSON inputs:
         # re-tokenized text yields a different vector than the sampled
         # query object, so comparing against that would be a false gate.
-        query = service.make_query(x, y, text)
-        result, degraded = service.serve(query, k)
-        assert body["ids"] == list(result.ids)
+        query = env["dataset"].make_query(Point(x, y), text)
+        assert body["ids"] == list(searcher.search(query, k).ids)
         assert body["k"] == k
-        assert set(body["degraded"]) == {"shards", "engines"}
+        assert "degraded" not in body
         assert body["stats"]["shards_total"] == 2
 
     def test_service_reports_the_direct_search_counters(self):
-        # Both read paths fold each searched shard's walk into one
-        # stats block, so a served query reports a direct search's work.
+        # A served query reports a direct search's work, and each
+        # searched shard's walk lands in the registry's search.* series
+        # next to the query's shard.* instruments.
         env = _env()
-        service = env["service"]
+        searcher = env["searcher"]
+        registry = env["registry"]
 
-        def fanouts():
-            histograms = env["registry"].snapshot()["histograms"]
-            return histograms.get("shard.fanout", {}).get("count", 0)
+        def counts():
+            snap = registry.snapshot()
+            fanout = snap["histograms"].get("shard.fanout", {})
+            walks = snap["counters"].get("search.queries.snapshot", 0)
+            return fanout.get("count", 0), walks
 
-        for query in env["queries"]:
-            before = fanouts()
-            served, _ = service.serve(query, 4)
-            assert fanouts() == before + 1
-            direct = service.searcher.search(query, 4)
-            got = served.stats.as_dict()
-            want = direct.stats.as_dict()
+        payloads = []
+        for sampled in env["queries"]:
+            x, y, text = _http_inputs(sampled)
+            payloads.append({"x": x, "y": y, "text": text, "k": 4})
+
+        async def go(server):
+            served = []
+            for payload in payloads:
+                before = counts()
+                status, body = await fetch_json(
+                    "127.0.0.1", server.port, "/search", payload=payload
+                )
+                served.append((before, status, body, counts()))
+            return served
+
+        for payload, (before, status, body, after) in zip(
+            payloads, _run(env, go)
+        ):
+            assert status == 200
+            got = body["stats"]
+            assert after == (before[0] + 1, before[1] + got["shards_searched"])
+            query = env["dataset"].make_query(
+                Point(payload["x"], payload["y"]), payload["text"]
+            )
+            want = searcher.search(query, 4).stats.as_dict()
             for stats in (got, want):
                 stats.pop("elapsed_seconds")
                 search = stats["search"]
@@ -201,11 +226,7 @@ class TestSearchParity:
 
     def test_unsharded_engine_agrees_through_http(self):
         env = _env()
-        service = env["service"]
-        sampled = env["queries"][1]
-        center = sampled.mbr().center()
-        x, y = center.x, center.y
-        text = " ".join(sampled.keywords)
+        x, y, text = _http_inputs(env["queries"][1])
 
         async def go(server):
             return await fetch_json(
@@ -222,28 +243,97 @@ class TestSearchParity:
         engine = env["tree"].snapshot().engine_for(
             env["tree"], measure, dataset.config.alpha, 0.0
         )
-        query = service.make_query(x, y, text)
+        query = dataset.make_query(Point(x, y), text)
         assert body["ids"] == list(engine.search(query, 3).ids)
 
 
+class TestCancellation:
+    """``search`` hands one token to every admitted shard's walk."""
+
+    def test_cancelled_token_raises_deadline_exceeded(self):
+        env = _env()
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(DeadlineExceeded):
+            env["searcher"].search(env["queries"][0], 3, cancel=token)
+
+    def test_live_deadline_keeps_the_answer(self):
+        env = _env()
+        searcher = env["searcher"]
+        for query in env["queries"]:
+            timed = searcher.search(query, 3, cancel=Deadline(60.0))
+            assert timed.ids == searcher.search(query, 3).ids
+
+    def test_slow_shard_walk_overruns_the_request_deadline_with_504(self):
+        # Every poll of the request's token sleeps 50 ms, so a 10 ms
+        # budget expires at the first shard walk's first poll.
+        env = _env()
+        x, y, text = _http_inputs(env["queries"][0])
+
+        async def go(server):
+            return await fetch_json(
+                "127.0.0.1",
+                server.port,
+                "/search",
+                payload={
+                    "x": x, "y": y, "text": text, "k": 3,
+                    "deadline_seconds": 0.01,
+                },
+            )
+
+        set_plan(FaultPlan(slow_node=0.05))
+        try:
+            status, body = _run(env, go)
+        finally:
+            set_plan(None, clear=True)
+        assert status == 504
+        assert "deadline" in body["error"]
+
+
+class TestServerSettings:
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("max_pending", 0),
+            ("max_pending", -1),
+            ("default_k", 0),
+            ("default_k", -1),
+        ],
+        ids=["max_pending=0", "max_pending=-1", "default_k=0", "default_k=-1"],
+    )
+    def test_settings_below_one_are_config_errors(self, setting, value):
+        # max_pending=0 would build an always-locked semaphore that
+        # sheds every /search with 503.
+        with pytest.raises(ConfigError, match=setting):
+            ShardHttpServer(_env()["searcher"], **{setting: value})
+
+
 class TestServeDeadline:
-    """``ShardQueryService.serve`` follows ``QueryService``'s deadline
-    rule: a per-call deadline that is not ``> 0`` is a configuration
-    error, not a 1e-9 s budget that expires in the first shard."""
+    """The server's default deadline follows ``QueryService``'s rule:
+    a value that is not ``> 0`` is a configuration error, not a budget
+    that expires in the first shard walk."""
 
     @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
     def test_deadline_not_above_zero_is_a_config_error(self, deadline):
-        env = _env()
         with pytest.raises(ConfigError, match="deadline_seconds"):
-            env["service"].serve(
-                env["queries"][0], 3, deadline_seconds=deadline
-            )
+            ShardHttpServer(_env()["searcher"], deadline_seconds=deadline)
 
     def test_infinite_deadline_answers(self):
         env = _env()
-        service, query = env["service"], env["queries"][0]
-        result, _ = service.serve(query, 3, deadline_seconds=float("inf"))
-        assert list(result.ids) == list(service.searcher.search(query, 3).ids)
+        x, y, text = _http_inputs(env["queries"][0])
+
+        async def go(server):
+            return await fetch_json(
+                "127.0.0.1",
+                server.port,
+                "/search",
+                payload={"x": x, "y": y, "text": text, "k": 3},
+            )
+
+        status, body = _run(env, go, deadline_seconds=float("inf"))
+        assert status == 200
+        query = env["dataset"].make_query(Point(x, y), text)
+        assert body["ids"] == list(env["searcher"].search(query, 3).ids)
 
 
 class TestShedding:
